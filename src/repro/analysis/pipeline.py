@@ -13,7 +13,13 @@ decomposes the analysis into explicitly cached stages:
    (block/instruction streams, structure-tree shape, loop bounds,
    layout parameters).  Two CFG objects with equal content share one
    artifact, which is what lets ``measure → optimize → measure`` inside
-   a use case build the ACFG once.
+   a use case build the ACFG once.  A miss whose key differs from the
+   ``base`` result's by one prefetch inserted into one block — the
+   optimizer's candidate edit — splices the base ACFG
+   (:func:`~repro.program.acfg.splice_insertion`: one new vertex per
+   VIVU instance of the block, suffix renumbered, memory blocks
+   recomputed from a fresh layout) instead of rebuilding it; any other
+   miss runs :func:`~repro.program.acfg.build_acfg`.
 2. **Hash-consed abstract states** — a per-domain
    :class:`TransferCache` interns every
    :class:`~repro.cache.abstract.AbstractCacheState` it produces and
@@ -28,18 +34,30 @@ decomposes the analysis into explicitly cached stages:
    ``t_w`` entries, latency-guard verdicts and IPET table entries of the
    base analysis are provably unchanged, so the fixpoint and the
    structural solve warm-start there and only the affected suffix is
-   recomputed.  When the invariants cannot be established (no base,
-   foreign base, boundary 0) the pipeline falls back to a cold run; a
-   ``differential`` mode re-runs every delta analysis from scratch and
-   asserts bit-identical ``tau_w``, classifications and
+   recomputed.  A splice reports its first changed rid, so only the
+   closure runs, not the vertex-by-vertex comparison.  When the
+   invariants cannot be established (no base, foreign base, boundary
+   0) the pipeline falls back to a cold run; a ``differential`` mode
+   rebuilds every spliced ACFG and asserts it equal field by field,
+   then re-runs every delta analysis from scratch on the rebuilt graph
+   and asserts bit-identical ``tau_w``, classifications and
    ``wcet_path_misses``.
+
+The guard stage (per-reference times and the prefetch-latency guard)
+reads only the ACFG's flat arrays — predecessor tuples, REF and
+prefetch rids, per-rid memory blocks, straight-line runs — and one
+weight list per analysis; the pairwise slack functions of
+:mod:`repro.analysis.slack` remain its oracle.
 
 Counters for every cache (hits/misses/invalidations) and per-stage
 wall-clock accumulate in :class:`PipelineStats`; the counters are
 deterministic (pure functions of the analysis sequence) and flow into
 :class:`~repro.core.optimizer.OptimizationReport`, sweep metrics and the
 service's telemetry, while the wall-clock profile stays out of
-serialized reports (see ``repro optimize --profile``).
+serialized reports (see ``repro optimize --profile``).  A splice counts
+as a structural miss like a build, so the counters do not depend on
+it; the ``pipeline.acfg`` span's ``spliced`` attribute tells the two
+apart.
 """
 
 from __future__ import annotations
@@ -68,6 +86,7 @@ from repro.analysis.wcet import (
 from repro.cache.abstract import MayState, MustState
 from repro.cache.classify import (
     CacheAnalysis,
+    Classification,
     DataflowResult,
     analyze_l2_must,
     classify_references,
@@ -87,7 +106,12 @@ from repro.cache.kernel import (
 from repro.cache.persistence import PersistenceState
 from repro.errors import AnalysisError
 from repro.obs.trace import active_tracer
-from repro.program.acfg import ACFG, build_acfg
+from repro.program.acfg import (
+    ACFG,
+    build_acfg,
+    splice_insertion,
+    structural_differences,
+)
 from repro.program.cfg import ControlFlowGraph
 from repro.program.structure import (
     BlockNode,
@@ -357,10 +381,10 @@ class PipelineResult:
         if self._exec_counts is None:
             counts: Dict[int, int] = {}
             n_w = self.wcet.solution.n_w
-            for vertex in self.artifacts.acfg.ref_vertices():
-                counts[vertex.instr.uid] = (
-                    counts.get(vertex.instr.uid, 0) + n_w[vertex.rid]
-                )
+            uids = self.artifacts.acfg._uid
+            for rid in self.artifacts.acfg.ref_rids:
+                uid = uids[rid]
+                counts[uid] = counts.get(uid, 0) + n_w[rid]
             self._exec_counts = counts
         return self._exec_counts
 
@@ -371,13 +395,12 @@ class PipelineResult:
             uses: Dict[int, List[int]] = {}
             acfg = self.artifacts.acfg
             n_w = self.wcet.solution.n_w
-            for vertex in acfg.ref_vertices():
-                rid = vertex.rid
-                if n_w[rid] == 0:
-                    continue
-                if self.wcet.cache.classification(rid).is_always_hit:
-                    continue
-                uses.setdefault(acfg.block_of(rid), []).append(rid)
+            classifications = self.wcet.cache.classifications
+            ref_block = acfg._ref_block
+            always_hit = Classification.ALWAYS_HIT
+            for rid in acfg.ref_rids:
+                if n_w[rid] and classifications[rid] is not always_hit:
+                    uses.setdefault(ref_block[rid], []).append(rid)
             self._miss_uses = uses
         return self._miss_uses
 
@@ -481,7 +504,9 @@ def _vertex_matches(old: ACFG, new: ACFG, rid: int) -> bool:
     return old.predecessors(rid) == new.predecessors(rid)
 
 
-def divergence_boundary(old: ACFG, new: ACFG) -> int:
+def divergence_boundary(
+    old: ACFG, new: ACFG, first_changed: Optional[int] = None
+) -> int:
     """The warm-start boundary between two ACFGs.
 
     Returns the largest ``b`` such that every analysis equation of
@@ -493,14 +518,20 @@ def divergence_boundary(old: ACFG, new: ACFG) -> int:
     classifications, ``t_w`` entries, latency-guard verdicts and IPET
     table entries of the base analysis carry over unchanged.
 
+    ``first_changed`` is that lowest differing rid when the caller
+    already knows it (a splice reports it), replacing the linear scan.
+
     Returns 0 when nothing can be reused.
     """
-    n = min(len(old.vertices), len(new.vertices))
-    b = n
-    for rid in range(n):
-        if not _vertex_matches(old, new, rid):
-            b = rid
-            break
+    if first_changed is not None:
+        b = first_changed
+    else:
+        n = min(len(old.vertices), len(new.vertices))
+        b = n
+        for rid in range(n):
+            if not _vertex_matches(old, new, rid):
+                b = rid
+                break
     if b <= 0:
         return 0
     old_edges = set(old.back_edges)
@@ -515,6 +546,42 @@ def divergence_boundary(old: ACFG, new: ACFG) -> int:
                 b = dst
                 changed = True
     return max(b, 0)
+
+
+def _single_insertion(old_key, new_key) -> Optional[Tuple[str, int]]:
+    """``(block name, index)`` when the program of content key
+    ``new_key`` is that of ``old_key`` plus one prefetch instruction
+    inserted into one block, else ``None``."""
+    if old_key[0] != new_key[0] or old_key[2:] != new_key[2:]:
+        return None
+    old_blocks, new_blocks = old_key[1], new_key[1]
+    if len(old_blocks) != len(new_blocks):
+        return None
+    edit = None
+    for old_block, new_block in zip(old_blocks, new_blocks):
+        if old_block == new_block:
+            continue
+        name, old_instrs = old_block
+        new_name, new_instrs = new_block
+        if (
+            edit is not None
+            or name != new_name
+            or len(new_instrs) != len(old_instrs) + 1
+        ):
+            return None
+        index = len(old_instrs)
+        for i, item in enumerate(old_instrs):
+            if item != new_instrs[i]:
+                index = i
+                break
+        # Key entries are (uid, is_prefetch, prefetch_target).
+        if (
+            not new_instrs[index][1]
+            or new_instrs[index + 1:] != old_instrs[index:]
+        ):
+            return None
+        edit = (name, index)
+    return edit
 
 
 class AnalysisPipeline:
@@ -679,19 +746,25 @@ class AnalysisPipeline:
             self.stats.result_hits += 1
             return cached
 
-        artifacts = self._structural_stage(cfg, key)
+        if base is not None and base.owner is not self:
+            self.stats.delta_fallbacks += 1
+            base = None
+        artifacts, first_changed = self._structural_stage(cfg, key, base)
         acfg = artifacts.acfg
+        # The graph the differential check analyses cold: a spliced
+        # ACFG is checked against (and then replaced by) a full rebuild.
+        oracle_acfg = acfg
+        if first_changed is not None and self.differential:
+            oracle_acfg = self._check_splice(cfg, acfg)
 
         boundary = 0
         if base is not None:
-            if base.owner is not self:
+            boundary = divergence_boundary(
+                base.artifacts.acfg, acfg, first_changed
+            )
+            if boundary <= 0:
                 self.stats.delta_fallbacks += 1
                 base = None
-            else:
-                boundary = divergence_boundary(base.artifacts.acfg, acfg)
-                if boundary <= 0:
-                    self.stats.delta_fallbacks += 1
-                    base = None
         use_delta = base is not None and boundary > 0
         if use_delta:
             self.stats.delta_runs += 1
@@ -833,6 +906,7 @@ class AnalysisPipeline:
                 t_w,
                 boundary=warm_boundary,
                 base_guarded=base.wcet.latency_guarded if use_warm else frozenset(),
+                loop_spans=artifacts.loop_spans,
             )
             for rid in guarded:
                 t_w[rid] = float(self.timing.miss_cycles)
@@ -852,7 +926,7 @@ class AnalysisPipeline:
             )
 
         if use_delta and self.differential:
-            self._differential_check(acfg, wcet, with_may)
+            self._differential_check(oracle_acfg, wcet, with_may)
 
         result = PipelineResult(
             owner=self,
@@ -896,15 +970,40 @@ class AnalysisPipeline:
             }
         return key
 
-    def _structural_stage(self, cfg: ControlFlowGraph, key) -> StructuralArtifacts:
+    def _structural_stage(
+        self, cfg: ControlFlowGraph, key, base: Optional[PipelineResult]
+    ) -> Tuple[StructuralArtifacts, Optional[int]]:
+        """The structural artifacts of ``cfg`` and, when its ACFG was
+        spliced from ``base``'s, the lowest rid that differs from it.
+
+        A miss whose content is ``base``'s plus one inserted prefetch
+        (the optimizer's candidate edit) splices the base ACFG
+        (:func:`~repro.program.acfg.splice_insertion`); every other miss
+        runs :func:`~repro.program.acfg.build_acfg`.  Both count as a
+        structural miss; the ``pipeline.acfg`` span's ``spliced``
+        attribute tells them apart.
+        """
         hit = self._structural_cache.get(key)
         if hit is not None:
             self._structural_cache.move_to_end(key)
             self.stats.structural_hits += 1
-            return hit
+            return hit, None
         self.stats.structural_misses += 1
-        with self._stage("acfg"):
-            acfg = build_acfg(cfg, self.config.block_size, self.base_address)
+        with self._stage("acfg") as span:
+            spliced = None
+            if base is not None:
+                edit = _single_insertion(base.artifacts.key, key)
+                if edit is not None:
+                    spliced = splice_insertion(base.artifacts.acfg, cfg, *edit)
+            if spliced is not None:
+                acfg, first_changed = spliced
+            else:
+                acfg = build_acfg(
+                    cfg, self.config.block_size, self.base_address
+                )
+                first_changed = None
+            if span.recording:
+                span.set_attribute("spliced", spliced is not None)
             artifacts = StructuralArtifacts(
                 key=key, acfg=acfg, loop_spans=rest_instance_spans(acfg)
             )
@@ -916,7 +1015,18 @@ class AnalysisPipeline:
         while len(self._structural_cache) > self.MAX_STRUCTURAL:
             self._structural_cache.popitem(last=False)
             self.stats.invalidations += 1
-        return artifacts
+        return artifacts, first_changed
+
+    def _check_splice(self, cfg: ControlFlowGraph, spliced: ACFG) -> ACFG:
+        """Rebuild a spliced ACFG from scratch and prove it equal."""
+        rebuilt = build_acfg(cfg, self.config.block_size, self.base_address)
+        problems = structural_differences(spliced, rebuilt)
+        if problems:
+            raise AnalysisError(
+                "spliced ACFG differs from a full rebuild in: "
+                + ", ".join(problems)
+            )
+        return rebuilt
 
     def _initial_state(self, domain: str):
         if domain == "must":

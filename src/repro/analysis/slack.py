@@ -8,6 +8,7 @@ driver's prefetch-latency guard.
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import OptimizationError
@@ -63,17 +64,15 @@ def min_path_slacks(
 
     Computes ``{to: min_path_slack(acfg, t_w, from_rid, to)}`` for every
     ``to`` in ``to_rids`` with a single forward pass up to the largest
-    target.  The recurrence, iteration order, and float additions are
-    exactly those of the per-pair function, so results are bit-identical
-    — a target that lies between ``from_rid`` and a later target also
-    contributes its own weight to paths through it, just as it does in
-    the per-pair DP.
+    target.  The recurrence and its float additions are exactly those of
+    the per-pair function, so results are bit-identical — a target that
+    lies between ``from_rid`` and a later target also contributes its
+    own weight to paths through it, just as it does in the per-pair DP.
     """
     if not to_rids:
         return {}
     if not 0 <= from_rid < len(acfg.vertices):
         raise OptimizationError("slack endpoints out of range")
-    last = -1
     for to_rid in to_rids:
         if not 0 <= to_rid < len(acfg.vertices):
             raise OptimizationError("slack endpoints out of range")
@@ -81,24 +80,62 @@ def min_path_slacks(
             raise OptimizationError(
                 f"slack requires from_rid < to_rid, got {from_rid} >= {to_rid}"
             )
-        if to_rid > last:
-            last = to_rid
+    return _path_slacks(acfg, acfg.weights(t_w), from_rid, to_rids)
+
+
+def _forward_sweep(
+    acfg: ACFG, w: List[float], from_rid: int, last: int
+) -> List[float]:
+    """Min-plus distances ``dist[rid]`` from ``from_rid`` up to ``last``.
+
+    ``dist[from_rid]`` is 0 and ``dist[rid] = min(dist[preds]) + w[rid]``
+    (``inf`` below ``from_rid`` and where unreachable).  Runs of
+    vertices fed only by their rid predecessor
+    (:meth:`~repro.program.acfg.ACFG.run_ends`) are summed by
+    :func:`itertools.accumulate`, whose left-to-right additions are
+    those of the vertex-by-vertex recurrence.
+    """
     infinity = math.inf
-    dist = [infinity] * (last + 1)
+    pred = acfg._pred
+    run_end = acfg.run_ends()
+    stop = last + 1
+    dist = [infinity] * stop
     dist[from_rid] = 0.0
-    wanted = set(to_rids)
+    rid = from_rid + 1
+    while rid < stop:
+        preds = pred[rid]
+        if len(preds) == 1:
+            best = dist[preds[0]]
+        else:
+            best = min([dist[p] for p in preds])
+        end = run_end[rid]
+        if end > stop:
+            end = stop
+        if end - rid == 1:
+            dist[rid] = best + w[rid]
+        else:
+            run = w[rid:end]
+            run[0] = best + run[0]
+            dist[rid:end] = accumulate(run)
+        rid = end
+    return dist
+
+
+def _path_slacks(
+    acfg: ACFG, w: List[float], from_rid: int, to_rids: Sequence[int]
+) -> Dict[int, float]:
+    """:func:`min_path_slacks` over a prepared weight list
+    (:meth:`~repro.program.acfg.ACFG.weights`), unchecked."""
+    dist = _forward_sweep(acfg, w, from_rid, max(to_rids))
+    pred = acfg._pred
     out: Dict[int, float] = {}
-    for rid in range(from_rid + 1, last + 1):
-        best = infinity
-        for pred in acfg.predecessors(rid):
-            if pred >= from_rid and dist[pred] < best:
-                best = dist[pred]
-        if rid in wanted:
-            out[rid] = best  # exclude the endpoint's own weight
-        if best is infinity:
-            continue
-        weight = t_w[rid] if acfg.vertex(rid).is_ref else 0.0
-        dist[rid] = best + weight
+    for to_rid in to_rids:
+        # The endpoint's own weight is excluded: its best in-distance.
+        preds = pred[to_rid]
+        if len(preds) == 1:
+            out[to_rid] = dist[preds[0]]
+        else:
+            out[to_rid] = min([dist[p] for p in preds])
     return out
 
 
@@ -114,15 +151,21 @@ def min_tail_slack(
     independent of the use, so the latency guard computes it once per
     (prefetch, loop instance) and shares it across every wrapped use.
     """
+    return _tail_slack(acfg, acfg.weights(t_w), evictor_rid, exit_rids)
+
+
+def _tail_slack(
+    acfg: ACFG, w: List[float], evictor_rid: int, exit_rids: Sequence[int]
+) -> float:
+    """:func:`min_tail_slack` over a prepared weight list."""
     after = [e for e in exit_rids if e > evictor_rid]
-    parts = min_path_slacks(acfg, t_w, evictor_rid, after) if after else {}
+    parts = _path_slacks(acfg, w, evictor_rid, after) if after else {}
     best_tail = math.inf
     for exit_rid in exit_rids:
         if exit_rid == evictor_rid:
             tail = 0.0
         elif exit_rid > evictor_rid:
-            weight = t_w[exit_rid] if acfg.vertex(exit_rid).is_ref else 0.0
-            tail = parts[exit_rid] + weight
+            tail = parts[exit_rid] + w[exit_rid]
         else:
             continue
         best_tail = min(best_tail, tail)

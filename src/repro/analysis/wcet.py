@@ -24,6 +24,7 @@ from repro.analysis.ipet import solve_ipet
 from repro.analysis.structural import PathSolution, solve_wcet_path
 from repro.analysis.timing import TimingModel
 from repro.cache.classify import (
+    HIT_CLASSES,
     CacheAnalysis,
     Classification,
     analyze_cache,
@@ -58,17 +59,23 @@ def compute_ref_times(
         if timing.l2_hit_penalty_cycles is not None and analysis.l2_hits
         else frozenset()
     )
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
-        if analysis.classification(rid).is_hit:
-            cost = float(timing.hit_cycles)
+    hit = float(timing.hit_cycles)
+    l2_hit = float(timing.l2_hit_cycles) if l2_hits else 0.0
+    miss = float(timing.miss_cycles)
+    classifications = analysis.classifications
+    for rid in acfg.ref_rids:
+        classification = classifications[rid]
+        if classification in HIT_CLASSES:
+            times[rid] = hit
         elif rid in l2_hits:
-            cost = float(timing.l2_hit_cycles)
+            times[rid] = l2_hit
+        elif classification is None:
+            raise AnalysisError(f"vertex {rid} is not classified")
         else:
-            cost = float(timing.miss_cycles)
-        if vertex.is_prefetch:
-            cost += float(timing.prefetch_issue_cycles)
-        times[rid] = cost
+            times[rid] = miss
+    issue = float(timing.prefetch_issue_cycles)
+    for rid in acfg.prefetch_rids:
+        times[rid] += issue
     return times
 
 
@@ -138,14 +145,13 @@ class WCETResult:
         total = len(self.persistent_charged_blocks)
         n_w = self.solution.n_w
         classifications = self.cache.classifications
-        for vertex in self.acfg.ref_vertices():
-            rid = vertex.rid
-            classification = classifications[rid]
-            assert classification is not None
-            if n_w[rid] and (
-                not classification.is_hit or rid in self.latency_guarded
+        guarded = self.latency_guarded
+        for rid in self.acfg.ref_rids:
+            count = n_w[rid]
+            if count and (
+                classifications[rid] not in HIT_CLASSES or rid in guarded
             ):
-                total += n_w[rid]
+                total += count
         self._misses_cache = total
         return total
 
@@ -170,9 +176,8 @@ class WCETResult:
     @property
     def wcet_path_fetches(self) -> int:
         """Worst-case number of instruction fetches (prefetches included)."""
-        return sum(
-            self.solution.n_w[v.rid] for v in self.acfg.ref_vertices()
-        )
+        n_w = self.solution.n_w
+        return sum([n_w[rid] for rid in self.acfg.ref_rids])
 
     @property
     def wcet_miss_rate(self) -> float:
@@ -350,6 +355,7 @@ def _latency_guard(
     t_w,
     boundary: int = 0,
     base_guarded: frozenset = frozenset(),
+    loop_spans=None,
 ) -> frozenset:
     """References whose hit classification cannot be guaranteed in time.
 
@@ -364,7 +370,9 @@ def _latency_guard(
     Slack queries are batched: one DAG sweep per prefetch covers all its
     straight-line uses, and per loop instance the tail of the wrap-around
     slack is computed once and shared across the wrapped uses.  The
-    sweeps replay exactly the per-pair recurrence, so the guarded set is
+    sweeps read only the ACFG's flat arrays (predecessor tuples, REF and
+    prefetch rids, per-rid blocks) and one weight list built per call,
+    and replay exactly the per-pair recurrence, so the guarded set is
     identical to pairwise evaluation.
 
     ``boundary``/``base_guarded`` support the delta re-analysis of
@@ -374,42 +382,50 @@ def _latency_guard(
     boundary closure no slack span of a below-boundary use crosses the
     boundary (straight-line spans end at the use; a wrap-around span
     reaching past it would need a back edge from >= boundary into the
-    prefix, which the closure rules out).
+    prefix, which the closure rules out).  ``loop_spans`` are the
+    ACFG's :func:`~repro.analysis.slack.rest_instance_spans` when the
+    caller has them cached.
     """
     from repro.analysis.slack import (
-        min_path_slacks,
-        min_tail_slack,
+        _path_slacks,
+        _tail_slack,
         rest_instance_spans,
     )
 
-    prefetches = [v for v in acfg.ref_vertices() if v.is_prefetch]
-    if not prefetches:
+    prefetch_rids = acfg.prefetch_rids
+    if not prefetch_rids:
         return frozenset()
+    target_block = acfg._target_block
+    targets = {target_block[rid] for rid in prefetch_rids}
+    targets.discard(None)
+    ref_block = acfg._ref_block
+    classifications = cache.classifications
+    prefetches = set(prefetch_rids)
     uses_by_block: dict = {}
-    for vertex in acfg.ref_vertices():
-        if vertex.is_prefetch:
-            continue
-        classification = cache.classifications[vertex.rid]
-        assert classification is not None
-        if classification.is_hit:
-            uses_by_block.setdefault(acfg.block_of(vertex.rid), []).append(
-                vertex.rid
-            )
-    spans = rest_instance_spans(acfg)
+    for rid in acfg.ref_rids:
+        block = ref_block[rid]
+        if (
+            block in targets
+            and rid not in prefetches
+            and classifications[rid] in HIT_CLASSES
+        ):
+            uses_by_block.setdefault(block, []).append(rid)
+    spans = rest_instance_spans(acfg) if loop_spans is None else loop_spans
+    w = acfg.weights(t_w)
     guarded = {use for use in base_guarded if use < boundary}
-    for prefetch in prefetches:
-        target = acfg.target_block_or_none(prefetch.rid)
+    for prefetch in prefetch_rids:
+        target = target_block[prefetch]
         if target is None:
             continue  # data prefetch: no instruction-cache effect
-        latency = float(prefetch_lambda(cache, timing, prefetch.rid, target))
+        latency = float(prefetch_lambda(cache, timing, prefetch, target))
         uses = uses_by_block.get(target, ())
         straight = [
             use
             for use in uses
-            if use > prefetch.rid and use >= boundary and use not in guarded
+            if use > prefetch and use >= boundary and use not in guarded
         ]
         if straight:
-            slacks = min_path_slacks(acfg, t_w, prefetch.rid, straight)
+            slacks = _path_slacks(acfg, w, prefetch, straight)
             for use in straight:
                 if slacks[use] < latency:
                     guarded.add(use)
@@ -418,18 +434,18 @@ def _latency_guard(
         wrapped = [
             use
             for use in uses
-            if use <= prefetch.rid and use >= boundary and use not in guarded
+            if use <= prefetch and use >= boundary and use not in guarded
         ]
         if not wrapped:
             continue
         for join_rid, last_rid, exit_rids in reversed(spans):
-            if not join_rid <= prefetch.rid <= last_rid:
+            if not join_rid <= prefetch <= last_rid:
                 continue
             in_span = [use for use in wrapped if join_rid <= use]
             if in_span:
-                tail = min_tail_slack(acfg, t_w, prefetch.rid, exit_rids)
+                tail = _tail_slack(acfg, w, prefetch, exit_rids)
                 if not math.isinf(tail):
-                    heads = min_path_slacks(acfg, t_w, join_rid, in_span)
+                    heads = _path_slacks(acfg, w, join_rid, in_span)
                     for use in in_span:
                         if tail + heads[use] < latency:
                             guarded.add(use)
@@ -446,14 +462,19 @@ def _charged_persistent_blocks(acfg, cache, solution) -> frozenset:
     """
     persistent: set = set()
     fully_charged: set = set()
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
-        if solution.n_w[rid] == 0:
+    n_w = solution.n_w
+    ref_block = acfg._ref_block
+    classifications = cache.classifications
+    persistent_class = Classification.PERSISTENT
+    always_hit = Classification.ALWAYS_HIT
+    for rid in acfg.ref_rids:
+        if n_w[rid] == 0:
             continue
-        block = acfg.block_of(rid)
-        classification = cache.classification(rid)
-        if classification is Classification.PERSISTENT:
-            persistent.add(block)
-        elif not classification.is_hit:
-            fully_charged.add(block)
+        classification = classifications[rid]
+        if classification is persistent_class:
+            persistent.add(ref_block[rid])
+        elif classification is not always_hit:
+            if classification is None:
+                raise AnalysisError(f"vertex {rid} is not classified")
+            fully_charged.add(ref_block[rid])
     return frozenset(persistent - fully_charged)

@@ -58,13 +58,21 @@ class Classification(enum.Enum):
     @property
     def is_hit(self) -> bool:
         """True when WCET analysis charges only the hit latency per access."""
-        return self in (Classification.ALWAYS_HIT, Classification.PERSISTENT)
+        return self in HIT_CLASSES
 
     @property
     def is_always_hit(self) -> bool:
         """True only for the must-proven always-hit class."""
         return self is Classification.ALWAYS_HIT
 
+
+#: The classifications :attr:`Classification.is_hit` holds for.  A
+#: tuple, so per-reference loops test ``c in HIT_CLASSES`` by identity
+#: without a property call.
+HIT_CLASSES: Tuple[Classification, ...] = (
+    Classification.ALWAYS_HIT,
+    Classification.PERSISTENT,
+)
 
 #: The layered precedence of the classification lattice, weakest claim
 #: first: ``NC < AM < PS < AH``.  This is exactly the code table the

@@ -434,8 +434,7 @@ class KernelSchedule:
         ref_rids: List[int] = []
         ref_cols: List[int] = []
         ref_locked: List[bool] = []
-        for vertex in acfg.ref_vertices():
-            rid = vertex.rid
+        for rid in acfg.ref_rids:
             own = ref_block[rid]
             col = own - base
             if not 0 <= col < width:

@@ -104,10 +104,12 @@ class MemoryMap:
         self.block_size = block_size
         self._block_of: Dict[int, int] = {}
         self._items_of: Dict[int, List[int]] = {}
+        address_of = layout._address_of
         for instr in layout.instructions_in_order():
-            block_id = layout.address(instr.uid) // block_size
-            self._block_of[instr.uid] = block_id
-            self._items_of.setdefault(block_id, []).append(instr.uid)
+            uid = instr.uid
+            block_id = address_of[uid] // block_size
+            self._block_of[uid] = block_id
+            self._items_of.setdefault(block_id, []).append(uid)
 
     def block_of(self, uid: int) -> int:
         """``S(r)``: the memory block id holding instruction ``uid``."""

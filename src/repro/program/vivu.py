@@ -19,8 +19,7 @@ vertex ids, not instruction identities).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from repro.program.cfg import ControlFlowGraph
 
@@ -32,13 +31,16 @@ REST = "R"
 CALL = "C"
 
 
-@dataclass(frozen=True)
-class ContextElement:
+class ContextElement(NamedTuple):
     """One nesting level of a VIVU context.
 
     ``kind`` is :data:`FIRST`/:data:`REST` for loop unrolling elements (in
     which case ``name`` is the loop name) or :data:`CALL` for virtual
     inlining (``name`` is the call-site id).
+
+    A named tuple, so that contexts — which key the ACFG's
+    ``(uid, context)`` index — hash and compare at C speed.  Its hash is
+    ``hash((kind, name))``.
     """
 
     kind: str
