@@ -584,6 +584,21 @@ def _single_insertion(old_key, new_key) -> Optional[Tuple[str, int]]:
     return edit
 
 
+def _context_of(config: CacheConfig, options) -> Dict[str, Any]:
+    """The pipeline's fixed context an ``OptimizerOptions`` pins down,
+    as :class:`AnalysisPipeline` stores it: built by ``for_options``,
+    compared by ``matches_options``."""
+    l2_spec = getattr(options, "l2", None)
+    return {
+        "with_persistence": options.with_persistence,
+        "locked_blocks": frozenset(options.locked_blocks or ()),
+        "base_address": options.base_address,
+        "kernel": resolve_kernel(getattr(options, "kernel", None)),
+        "hierarchy": hierarchy_for(config, l2_spec) if l2_spec else None,
+        "refine": bool(getattr(options, "refine", False)),
+    }
+
+
 class AnalysisPipeline:
     """Staged, cached WCET analysis for one (config, timing) context.
 
@@ -690,30 +705,13 @@ class AnalysisPipeline:
     def for_options(cls, config: CacheConfig, timing: TimingModel, options,
                     **kwargs) -> "AnalysisPipeline":
         """A pipeline matching an :class:`~repro.core.optimizer.OptimizerOptions`."""
-        l2_spec = getattr(options, "l2", None)
-        return cls(
-            config,
-            timing,
-            with_persistence=options.with_persistence,
-            locked_blocks=options.locked_blocks,
-            base_address=options.base_address,
-            kernel=getattr(options, "kernel", None),
-            hierarchy=hierarchy_for(config, l2_spec) if l2_spec else None,
-            refine=bool(getattr(options, "refine", False)),
-            **kwargs,
-        )
+        return cls(config, timing, **_context_of(config, options), **kwargs)
 
     def matches_options(self, options) -> bool:
         """Whether this pipeline's fixed context agrees with ``options``."""
-        l2_spec = getattr(options, "l2", None)
-        wanted = hierarchy_for(self.config, l2_spec) if l2_spec else None
-        return (
-            self.with_persistence == options.with_persistence
-            and self.locked_blocks == frozenset(options.locked_blocks or ())
-            and self.base_address == options.base_address
-            and self.kernel == resolve_kernel(getattr(options, "kernel", None))
-            and self.hierarchy == wanted
-            and self.refine == bool(getattr(options, "refine", False))
+        return all(
+            getattr(self, name) == value
+            for name, value in _context_of(self.config, options).items()
         )
 
     # ------------------------------------------------------------------

@@ -23,16 +23,19 @@ import argparse
 import json
 import random
 import sys
-from typing import List, Optional, Sequence
+from dataclasses import replace
+from typing import Any, Dict, Optional, Sequence
 
-from repro.bench.registry import TABLE1, load, program_names
+from repro.bench.registry import TABLE1, load
 from repro.cache.config import TABLE2, hierarchy_for
 from repro.core.guarantees import verify_wcet_guarantee
-from repro.core.optimizer import OptimizerOptions, optimize
+from repro.core.optimizer import optimize
 from repro.energy.cacti import hierarchy_model
-from repro.energy.technology import TECHNOLOGIES, technology
+from repro.energy.technology import technology
 from repro.experiments.figures import figure3, figure4, figure5, figure7, figure8
 from repro.experiments.report import (
+    average_improvement,
+    format_improvement,
     render_figure3,
     render_figure4,
     render_figure5,
@@ -40,13 +43,13 @@ from repro.experiments.report import (
     render_figure8,
 )
 from repro.experiments.metrics import SweepMetrics
-from repro.experiments.sweep import (
-    SweepSpec,
-    average,
-    default_grid,
-    full_grid,
-    run_sweep,
+from repro.experiments.scenario import (
+    AXES,
+    COMMANDS,
+    options_from_params,
+    spec_from_params,
 )
+from repro.experiments.sweep import full_grid, run_sweep
 from repro.experiments.tables import table1, table2
 from repro.experiments.usecase import UseCase, run_usecase
 
@@ -62,39 +65,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-configs", help="the 36 cache configurations (Table 2)")
 
     opt = sub.add_parser("optimize", help="optimize one program and verify")
-    opt.add_argument("program", help="program name or Table 1 id")
-    opt.add_argument("config", help="Table 2 id, e.g. k1")
-    opt.add_argument("tech", choices=sorted(TECHNOLOGIES), nargs="?", default="45nm")
-    opt.add_argument(
-        "--baseline",
-        choices=("classic", "persistence"),
-        default="persistence",
-        help="analysis fidelity (see EXPERIMENTS.md)",
-    )
-    opt.add_argument("--budget", type=int, default=None, metavar="N",
-                     help="optimization budget (candidate evaluations)")
-    opt.add_argument(
-        "--kernel",
-        choices=("python", "vectorized"),
-        default=None,
-        help="abstract-domain kernel: the pure-python oracle or the "
-             "dense numpy kernel (default: $REPRO_CACHE_KERNEL or "
-             "vectorized)",
-    )
-    opt.add_argument(
-        "--l2",
-        default=None,
-        metavar="SPEC",
-        help="second-level cache as assoc:block:capacity:latency "
-             "(e.g. 4:16:4096:6); default: single-level memory system",
-    )
-    opt.add_argument(
-        "--refine",
-        action="store_true",
-        help="model-check the NOT_CLASSIFIED references (bounded "
-             "concrete-state exploration) and promote the decided ones "
-             "to always-hit/always-miss before placement",
-    )
+    _add_axis_arguments(opt, "optimize")
     opt.add_argument("--json", action="store_true",
                      help="machine-readable result on stdout "
                           "(human text moves to stderr)")
@@ -105,34 +76,11 @@ def _build_parser() -> argparse.ArgumentParser:
     usecase = sub.add_parser(
         "usecase", help="paired original/optimized measurement of one use case"
     )
-    usecase.add_argument("program")
-    usecase.add_argument("config")
-    usecase.add_argument("tech", choices=sorted(TECHNOLOGIES), nargs="?",
-                         default="45nm")
-    usecase.add_argument(
-        "--l2",
-        default=None,
-        metavar="SPEC",
-        help="second-level cache as assoc:block:capacity:latency "
-             "(default: single-level memory system)",
-    )
-    usecase.add_argument(
-        "--refine",
-        action="store_true",
-        help="model-checking refinement of NOT_CLASSIFIED references "
-             "(see `repro optimize --refine`)",
-    )
+    _add_axis_arguments(usecase, "usecase")
 
     fig = sub.add_parser("figure", help="regenerate a figure of the paper")
     fig.add_argument("number", type=int, choices=(3, 4, 5, 7, 8))
-    fig.add_argument("--programs", nargs="*", default=None,
-                     help="subset of programs (default: all 37)")
-    fig.add_argument("--configs", nargs="*", default=None,
-                     help="subset of Table 2 ids (default: one per capacity)")
-    fig.add_argument("--techs", nargs="*", default=("45nm", "32nm"))
-    fig.add_argument("--budget", type=int, default=120)
-    fig.add_argument("--baseline", choices=("classic", "persistence"),
-                     default="classic")
+    _add_axis_arguments(fig, "figure")
     fig.add_argument("--factor", type=float, default=0.5,
                      help="capacity factor for figure 5")
 
@@ -143,15 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="run a use-case grid (parallel workers, persistent disk cache)",
     )
-    sweep.add_argument("--programs", nargs="*", default=None,
-                       help="subset of programs (default: all 37)")
-    sweep.add_argument("--configs", nargs="*", default=None,
-                       help="subset of Table 2 ids (default: one per capacity)")
-    sweep.add_argument("--techs", nargs="*", default=("45nm", "32nm"))
-    sweep.add_argument("--budget", type=int, default=120)
-    sweep.add_argument("--baseline", choices=("classic", "persistence"),
-                       default="classic")
-    sweep.add_argument("--seed", type=int, default=1)
+    _add_axis_arguments(sweep, "sweep")
     sweep.add_argument("--full", action="store_true",
                        help="the paper's complete 2664-case grid")
     sweep.add_argument("--workers", type=int, default=None, metavar="N",
@@ -171,19 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tolerate up to N permanently failed use "
                             "cases before exiting nonzero (default: 0; "
                             "partial results are always reported)")
-    sweep.add_argument("--kernel", choices=("python", "vectorized"),
-                       default=None,
-                       help="abstract-domain kernel (default: vectorized, "
-                            "locally and on the fabric)")
-    sweep.add_argument("--l2", nargs="*", default=None, metavar="SPEC",
-                       help="second-level cache axis: one or more "
-                            "assoc:block:capacity:latency specs, swept "
-                            "like any other grid dimension (default: "
-                            "single-level memory system)")
-    sweep.add_argument("--refine", action="store_true",
-                       help="run every use case with the model-checking "
-                            "refinement enabled (ablation axis; see "
-                            "`repro optimize --refine`)")
     sweep.add_argument("--coordinator", default=None, metavar="URL",
                        help="run the sweep on a fabric coordinator "
                             "(e.g. http://127.0.0.1:8080) instead of "
@@ -269,6 +196,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _add_axis_arguments(parser: argparse.ArgumentParser, command: str) -> None:
+    """The command's use-case arguments, derived from the axis table:
+    ``program``/``config``/``tech`` are positional, list-valued fields
+    take one or more values, and every default is the command's own."""
+    for field in COMMANDS[command]:
+        axis = AXES[field.axis]
+        kwargs = dict(axis.cli, help=axis.help)
+        if field.many:
+            kwargs.update(nargs="*", help=f"one or more: {axis.help}")
+            parser.add_argument(f"--{field.name}", default=None, **kwargs)
+        elif field.name in ("program", "config", "tech"):
+            if field.default is not None:
+                kwargs.update(nargs="?", default=field.default)
+            parser.add_argument(field.name, **kwargs)
+        else:
+            parser.add_argument(f"--{field.name}", default=field.default,
+                                **kwargs)
+
+
+def _axis_params(args: argparse.Namespace) -> Dict[str, Any]:
+    """The parsed use-case arguments of ``args.command`` as params."""
+    return {f.name: getattr(args, f.name) for f in COMMANDS[args.command]}
+
+
 def _cmd_list_programs() -> int:
     for pid, name in TABLE1.items():
         cfg = load(name)
@@ -292,19 +243,14 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     hierarchy = hierarchy_for(config, args.l2)
     timing = hierarchy_model(hierarchy, tech).timing
     cfg = load(args.program)
-    options = OptimizerOptions(
-        with_persistence=args.baseline == "persistence",
-        max_evaluations=args.budget,
-        kernel=args.kernel,
-        l2=args.l2,
-        refine=args.refine,
-    )
+    # No UseCase here to carry the L2 spec: it rides on the options.
+    options = replace(options_from_params(_axis_params(args)), l2=args.l2)
     optimized, report = optimize(cfg, config, timing, options=options)
     check = verify_wcet_guarantee(
         cfg, optimized, config, timing,
-        with_persistence=args.baseline == "persistence",
+        with_persistence=options.with_persistence,
         hierarchy=hierarchy if hierarchy.multi_level else None,
-        refine=args.refine,
+        refine=options.refine,
     )
     # In --json mode the human rendering moves to stderr so stdout stays
     # a clean machine-readable document.
@@ -352,7 +298,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_usecase(args: argparse.Namespace) -> int:
     result = run_usecase(
         UseCase(args.program, args.config, args.tech, args.l2),
-        options=OptimizerOptions(refine=True) if args.refine else None,
+        options=options_from_params(_axis_params(args)),
     )
     where = args.config if args.l2 is None else f"{args.config}+L2 {args.l2}"
     print(f"{args.program} on {where} @ {args.tech}")
@@ -373,19 +319,7 @@ def _cmd_usecase(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    base = default_grid(
-        programs=args.programs,
-        techs=tuple(args.techs),
-        max_evaluations=args.budget,
-    )
-    spec = SweepSpec(
-        programs=base.programs,
-        config_ids=tuple(args.configs) if args.configs else base.config_ids,
-        techs=base.techs,
-        seed=base.seed,
-        max_evaluations=args.budget,
-        baseline=args.baseline,
-    )
+    spec = spec_from_params(_axis_params(args))
     if args.number == 3:
         print(render_figure3(figure3(spec)))
     elif args.number == 4:
@@ -400,40 +334,15 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    l2_specs = tuple(args.l2) if args.l2 else (None,)
+    params = _axis_params(args)
     if args.full:
-        spec = full_grid(seed=args.seed, max_evaluations=args.budget)
-        if args.kernel or args.l2 or args.refine:
-            import dataclasses
-
-            spec = dataclasses.replace(
-                spec,
-                kernel=args.kernel or spec.kernel,
-                l2_specs=l2_specs if args.l2 else spec.l2_specs,
-                refine=args.refine or spec.refine,
-            )
+        full = full_grid()
+        params.update(programs=full.programs, configs=full.config_ids)
         if args.programs or args.configs:
             print("note: --full overrides --programs/--configs", file=sys.stderr)
-    else:
-        base = default_grid(
-            programs=args.programs,
-            techs=tuple(args.techs),
-            seed=args.seed,
-            max_evaluations=args.budget,
-        )
-        spec = SweepSpec(
-            programs=base.programs,
-            config_ids=tuple(args.configs) if args.configs else base.config_ids,
-            techs=base.techs,
-            seed=args.seed,
-            max_evaluations=args.budget,
-            baseline=args.baseline,
-            kernel=args.kernel,
-            l2_specs=l2_specs,
-            refine=args.refine,
-        )
     if args.coordinator:
-        return _cmd_sweep_fabric(args, spec)
+        return _cmd_sweep_fabric(args, params)
+    spec = spec_from_params(params)
     metrics = SweepMetrics()
     # In --json mode every human-readable line (progress + summary)
     # moves to stderr; stdout carries only the JSON document.
@@ -465,11 +374,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     failures = list(metrics.failures)
     print(file=out)
     print(metrics.summary(), file=out)
-    print(f"average improvement: "
-          f"wcet {100 * (1 - average([r.wcet_ratio for r in results])):.1f}%, "
-          f"acet {100 * (1 - average([r.acet_ratio for r in results])):.1f}%, "
-          f"energy {100 * (1 - average([r.energy_ratio for r in results])):.1f}%",
-          file=out)
+    print(format_improvement(average_improvement(results)), file=out)
     if args.json:
         from repro.experiments.report import sweep_to_json
 
@@ -484,10 +389,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_fabric(args: argparse.Namespace, spec: SweepSpec) -> int:
+def _cmd_sweep_fabric(args: argparse.Namespace,
+                      params: Dict[str, Any]) -> int:
     """Run ``repro sweep`` on a fabric coordinator, streaming results.
 
-    Submits the resolved grid to ``--coordinator``, renders each
+    Submits the sweep params to ``--coordinator``, renders each
     streamed ``case``/``failure`` event as the usual progress line, and
     prints the final merged document (which is byte-compatible with the
     local ``--json`` output, plus a ``fabric`` section).
@@ -518,18 +424,13 @@ def _cmd_sweep_fabric(args: argparse.Namespace, spec: SweepSpec) -> int:
             SpanContext(trace_id, new_span_id(), True)
         )
 
+    # Unset fields are left to the coordinator's defaults (the grid
+    # axes, and the fabric's vectorized kernel).
     record = client.submit_fabric_sweep(
         tenant=args.tenant,
         traceparent=traceparent,
-        programs=list(spec.programs),
-        configs=list(spec.config_ids),
-        techs=list(spec.techs),
-        budget=spec.max_evaluations,
-        baseline=spec.baseline,
-        seed=spec.seed,
-        **({"kernel": spec.kernel} if spec.kernel else {}),
-        **({"l2": list(spec.l2_specs)} if spec.l2_specs != (None,) else {}),
-        **({"refine": True} if spec.refine else {}),
+        **{name: value for name, value in params.items()
+           if value not in (None, [])},
     )
     sweep_id = record["id"]
     total = record["cases"]
@@ -567,11 +468,7 @@ def _cmd_sweep_fabric(args: argparse.Namespace, spec: SweepSpec) -> int:
           f"{fabric['shards']} shards "
           f"({fabric['shards_requeued']} requeued, "
           f"{fabric['steals']} stolen)", file=out)
-    improvement = summary["average_improvement"]
-    print(f"average improvement: "
-          f"wcet {100 * improvement['wcet']:.1f}%, "
-          f"acet {100 * improvement['acet']:.1f}%, "
-          f"energy {100 * improvement['energy']:.1f}%", file=out)
+    print(format_improvement(summary["average_improvement"]), file=out)
     if args.json:
         print(json.dumps(document, sort_keys=True))
     failed = summary["failed"]

@@ -49,6 +49,7 @@ from repro.core.optimizer import (
 from repro.core.profit import ProfitTerms
 from repro.energy.metrics import EnergyBreakdown
 from repro.errors import ExperimentError
+from repro.experiments.scenario import AXES
 from repro.experiments.usecase import (
     ProgramMeasurement,
     UseCase,
@@ -129,10 +130,11 @@ def options_fingerprint(options: OptimizerOptions) -> Dict[str, Any]:
     for name, value in data.items():
         if isinstance(value, (set, frozenset)):
             data[name] = sorted(value)
-    # Like the use-case L2 axis, refinement enters the fingerprint only
-    # when enabled: keys of pre-refinement records stay unchanged.
-    if not data.get("refine"):
-        data.pop("refine", None)
+    # Omit-when-default axes (refine) enter the fingerprint only when
+    # set: keys of records written before the axis existed stay valid.
+    for axis in AXES.values():
+        if axis.omit_default and axis.option and not data.get(axis.option):
+            data.pop(axis.option, None)
     return data
 
 
@@ -145,17 +147,12 @@ def usecase_key(
     """Content-hash key of one use-case evaluation.
 
     Two evaluations share a key exactly when they are guaranteed to
-    produce the same :class:`UseCaseResult`: same (program, config,
-    tech) — plus the L2 spec when the hierarchy has one — same executor
-    seed, same optimizer options, same code version.  Single-level use
-    cases keep the original three-element identity, so their keys never
-    collide with (or depend on) the hierarchy axis.
+    produce the same :class:`UseCaseResult`: same case row
+    (:meth:`UseCase.row`), same executor seed, same optimizer options,
+    same code version.
     """
-    identity = [usecase.program, usecase.config_id, usecase.tech]
-    if usecase.l2 is not None:
-        identity.append(usecase.l2)
     payload = {
-        "usecase": identity,
+        "usecase": usecase.row(),
         "seed": seed,
         "options": options_fingerprint(options),
         "code_version": code_version,
@@ -273,15 +270,8 @@ def _report_from_dict(data: Dict[str, Any]) -> OptimizationReport:
 
 def result_to_dict(result: UseCaseResult) -> Dict[str, Any]:
     """Serialise a :class:`UseCaseResult` to plain JSON-able data."""
-    identity = [
-        result.usecase.program,
-        result.usecase.config_id,
-        result.usecase.tech,
-    ]
-    if result.usecase.l2 is not None:
-        identity.append(result.usecase.l2)
     return {
-        "usecase": identity,
+        "usecase": result.usecase.row(),
         "original": _measurement_to_dict(result.original),
         "optimized": _measurement_to_dict(result.optimized),
         "report": _report_to_dict(result.report),
@@ -291,7 +281,7 @@ def result_to_dict(result: UseCaseResult) -> Dict[str, Any]:
 def result_from_dict(data: Dict[str, Any]) -> UseCaseResult:
     """Reconstruct a :class:`UseCaseResult` from :func:`result_to_dict`."""
     return UseCaseResult(
-        usecase=UseCase(*data["usecase"]),
+        usecase=UseCase.from_row(data["usecase"]),
         original=_measurement_from_dict(data["original"]),
         optimized=_measurement_from_dict(data["optimized"]),
         report=_report_from_dict(data["report"]),

@@ -313,6 +313,31 @@ def metrics_to_json(metrics) -> Dict[str, Any]:
     }
 
 
+def average_improvement(results: Sequence) -> Optional[Dict[str, float]]:
+    """Mean WCET/ACET/energy improvement of successful cases, or
+    ``None`` when there are none: an empty mean is no improvement
+    figure at all, let alone 100 %."""
+    from repro.experiments.sweep import average
+
+    if not results:
+        return None
+    return {
+        "wcet": 1.0 - average([r.wcet_ratio for r in results]),
+        "acet": 1.0 - average([r.acet_ratio for r in results]),
+        "energy": 1.0 - average([r.energy_ratio for r in results]),
+    }
+
+
+def format_improvement(improvement: Optional[Dict[str, float]]) -> str:
+    """The ``average improvement:`` line of a sweep summary."""
+    if improvement is None:
+        return "average improvement: n/a (no case succeeded)"
+    return "average improvement: " + ", ".join(
+        f"{name} {100 * improvement[name]:.1f}%"
+        for name in ("wcet", "acet", "energy")
+    )
+
+
 def sweep_to_json(results: Sequence, metrics=None,
                   failures: Sequence = ()) -> Dict[str, Any]:
     """A whole sweep: per-case rows + aggregate summary (+ metrics).
@@ -320,21 +345,15 @@ def sweep_to_json(results: Sequence, metrics=None,
     ``failures`` carries the permanently failed cases of a partial
     sweep; the summary's averages are over the successes only, so a
     consumer must check ``summary.failed`` before trusting them as
-    grid-wide numbers.
+    grid-wide numbers (they are ``null`` when no case succeeded).
     """
-    from repro.experiments.sweep import average
-
     cases = [sweep_case_to_json(r) for r in results]
     data: Dict[str, Any] = {
         "cases": cases,
         "summary": {
             "cases": len(cases),
             "failed": len(failures),
-            "average_improvement": {
-                "wcet": 1.0 - average([r.wcet_ratio for r in results]),
-                "acet": 1.0 - average([r.acet_ratio for r in results]),
-                "energy": 1.0 - average([r.energy_ratio for r in results]),
-            },
+            "average_improvement": average_improvement(results),
         },
     }
     if failures:

@@ -58,7 +58,8 @@ from typing import (
 
 from repro.bench.registry import program_names
 from repro.cache.config import CAPACITIES, TABLE2, config_id
-from repro.errors import ExperimentError, SweepFailure
+from repro.errors import SweepFailure
+from repro.experiments.scenario import check_spec, options_from_params
 from repro.experiments.usecase import (
     UseCase,
     UseCaseResult,
@@ -75,6 +76,17 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: First retry delay; doubles per attempt (0.25 s, 0.5 s, 1 s, ...).
 DEFAULT_BACKOFF_BASE_S = 0.25
 
+
+def retry_delay(attempt: int,
+                base_s: float = DEFAULT_BACKOFF_BASE_S) -> float:
+    """Backoff before retrying after failed attempt ``attempt`` (1-based).
+
+    The one backoff formula of the sweep, its fabric shards and the
+    service's job retries.
+    """
+    return base_s * 2 ** (attempt - 1)
+
+
 #: Exceptions a use case may raise that are worth retrying — the
 #: machine hiccuped, not the computation (which is deterministic).
 _TRANSIENT_CASE_ERRORS = (OSError, TimeoutError)
@@ -83,6 +95,10 @@ _TRANSIENT_CASE_ERRORS = (OSError, TimeoutError)
 @dataclass(frozen=True)
 class SweepSpec:
     """A grid of use cases.
+
+    :func:`~repro.experiments.scenario.spec_from_params` builds one
+    from request or CLI params; how each axis enters the cache keys is
+    set by the axis table there.
 
     Attributes:
         programs: Benchmark names.
@@ -98,19 +114,14 @@ class SweepSpec:
             first-miss domain; the tighter baseline leaves less for
             prefetching to win — see EXPERIMENTS.md).
         kernel: Abstract-domain kernel (``"python"``/``"vectorized"``);
-            ``None`` keeps the optimizer's default.  Part of the
-            result fingerprint, so cached records of the two kernels
-            never alias (the differential CI job keeps them
-            bit-identical anyway).
+            ``None`` keeps the optimizer's default.
         l2_specs: Memory-hierarchy axis, swept like any other grid
             dimension.  Each entry is an ``assoc:block:capacity:latency``
             L2 spec or ``None`` (the paper's single-level system); the
             default ``(None,)`` keeps the classic three-axis grid.
         refine: Model-check NOT_CLASSIFIED references via bounded
             concrete-state exploration (see
-            :mod:`repro.analysis.refine`).  Off by default; like
-            ``l2``, the flag enters the result fingerprint only when
-            enabled, so pre-refinement disk-cache records stay valid.
+            :mod:`repro.analysis.refine`).
     """
 
     programs: Tuple[str, ...]
@@ -124,37 +135,16 @@ class SweepSpec:
     refine: bool = False
 
     def __post_init__(self) -> None:
-        if self.baseline not in ("classic", "persistence"):
-            raise ExperimentError(
-                f"baseline must be 'classic' or 'persistence', got "
-                f"{self.baseline!r}"
-            )
-        if self.kernel not in (None, "python", "vectorized"):
-            raise ExperimentError(
-                f"kernel must be 'python', 'vectorized' or None, got "
-                f"{self.kernel!r}"
-            )
-        if not self.l2_specs:
-            raise ExperimentError(
-                "l2_specs must contain at least one entry (use None for "
-                "the single-level system)"
-            )
-        from repro.cache.config import parse_l2_spec
-
-        for spec in self.l2_specs:
-            if spec is not None:
-                parse_l2_spec(spec)  # fail fast on a malformed axis
+        check_spec(self)
 
     def optimizer_options(self):
         """The options every use case of this sweep runs with."""
-        from repro.core.optimizer import OptimizerOptions
-
-        return OptimizerOptions(
-            max_evaluations=self.max_evaluations,
-            with_persistence=self.baseline == "persistence",
-            kernel=self.kernel,
-            refine=self.refine,
-        )
+        return options_from_params({
+            "budget": self.max_evaluations,
+            "baseline": self.baseline,
+            "kernel": self.kernel,
+            "refine": self.refine,
+        })
 
     def usecases(self) -> List[UseCase]:
         """Expand the grid in (program, config, tech, l2) order."""
@@ -413,8 +403,9 @@ class _FanOut:
         if transient and self.attempts[idx] < self.max_attempts:
             if self.metrics is not None:
                 self.metrics.retries += 1
-            delay = self.backoff_base_s * (2 ** (self.attempts[idx] - 1))
-            self.eligible_at[idx] = time.monotonic() + delay
+            self.eligible_at[idx] = time.monotonic() + retry_delay(
+                self.attempts[idx], self.backoff_base_s
+            )
             self.queue.append(idx)
             return
         self.fail(FailureRecord(
@@ -569,10 +560,16 @@ def _run_serial(
     metrics=None,
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
     backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
+    attempted: Optional[Dict[int, int]] = None,
 ) -> None:
-    """The serial path, with the same isolation/retry semantics."""
+    """The serial path, with the same isolation/retry semantics.
+
+    ``attempted`` holds the attempts a case already had in a pool that
+    broke: its serial attempts count on from there, so a fault plan
+    aimed at attempt 1 (a worker crash) never fires in this process.
+    """
     for idx in pending:
-        attempt = 0
+        attempt = (attempted or {}).get(idx, 0)
         while True:
             attempt += 1
             outcome = _evaluate_usecase((cases[idx], seed, options, attempt))
@@ -583,7 +580,7 @@ def _run_serial(
             if transient and attempt < max_attempts:
                 if metrics is not None:
                     metrics.retries += 1
-                _sleep(backoff_base_s * (2 ** (attempt - 1)))
+                _sleep(retry_delay(attempt, backoff_base_s))
                 continue
             fail(FailureRecord(
                 usecase=cases[idx],
@@ -755,28 +752,32 @@ def run_sweep(
         emit_ready()
 
     remaining = pending
+    attempted: Dict[int, int] = {}
     if remaining and nworkers > 1:
+        fan_out = _FanOut(
+            cases,
+            spec.seed,
+            options,
+            nworkers,
+            deliver_and_emit,
+            fail_and_emit,
+            metrics=metrics,
+            max_attempts=max_attempts,
+            backoff_base_s=backoff_base_s,
+            case_timeout_s=case_timeout_s,
+        )
         try:
-            _FanOut(
-                cases,
-                spec.seed,
-                options,
-                nworkers,
-                deliver_and_emit,
-                fail_and_emit,
-                metrics=metrics,
-                max_attempts=max_attempts,
-                backoff_base_s=backoff_base_s,
-                case_timeout_s=case_timeout_s,
-            ).run(remaining)
+            fan_out.run(remaining)
             remaining = []
             if metrics is not None:
                 metrics.parallel = True
         except _POOL_FAILURES:
-            # The pool could not be *started* (sandboxed platform,
-            # missing fork...) — finish whatever is left serially.
+            # The pool could not be started (sandboxed platform,
+            # missing fork...) or rebuilt — finish whatever is left
+            # serially, counting on from each case's pool attempts.
             # Per-case failures never reach here; they are records.
             remaining = [idx for idx in remaining if not settled[idx]]
+            attempted = fan_out.attempts
             if metrics is not None:
                 metrics.workers = 1
     if remaining:
@@ -790,6 +791,7 @@ def run_sweep(
             metrics=metrics,
             max_attempts=max_attempts,
             backoff_base_s=backoff_base_s,
+            attempted=attempted,
         )
     emit_ready()
 

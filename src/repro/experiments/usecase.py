@@ -17,7 +17,7 @@ original on the full cache) is :func:`run_cross_capacity`.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.wcet import analyze_wcet
@@ -57,6 +57,20 @@ class UseCase:
     config_id: str
     tech: str
     l2: Optional[str] = None
+
+    def row(self) -> List[str]:
+        """The ``[program, config, tech(, l2)]`` case row of keys, shard
+        params and serialized results; single-level use cases keep the
+        original three-element row."""
+        row = [self.program, self.config_id, self.tech]
+        if self.l2 is not None:
+            row.append(self.l2)
+        return row
+
+    @classmethod
+    def from_row(cls, row: Sequence[Optional[str]]) -> "UseCase":
+        """Inverse of :meth:`row` (a null fourth element is single-level)."""
+        return cls(*row)
 
     def cache_config(self) -> CacheConfig:
         """Resolve the Table 2 configuration."""

@@ -48,7 +48,8 @@ from repro.experiments.report import (
     sweep_case_to_json,
     sweep_to_json,
 )
-from repro.experiments.sweep import FailureRecord
+from repro.experiments.scenario import KINDS, spec_from_params
+from repro.experiments.sweep import DEFAULT_MAX_ATTEMPTS, FailureRecord
 from repro.experiments.usecase import UseCase, UseCaseResult
 from repro.fabric.shards import (
     Shard,
@@ -63,10 +64,6 @@ from repro.obs.log import get_logger
 from repro.obs.trace import NOOP_SPAN, Tracer, format_traceparent
 
 _log = get_logger("repro.fabric.coordinator")
-
-#: Dispatch attempts per shard before its cases fail permanently —
-#: mirrors the sweep layer's per-case transient budget.
-SHARD_MAX_ATTEMPTS = 3
 
 #: DRR quantum in cases: deficit added per tenant per scheduling visit.
 DRR_QUANTUM = 4
@@ -149,10 +146,7 @@ class FabricSweep:
         self.cases = cases
         self.keys = keys
         self.key_to_index = {key: idx for idx, key in enumerate(keys)}
-        self.case_to_index = {
-            (c.program, c.config_id, c.tech, c.l2): idx
-            for idx, c in enumerate(cases)
-        }
+        self.case_to_index = {case: idx for idx, case in enumerate(cases)}
         n = len(cases)
         self.results: List[Optional[UseCaseResult]] = [None] * n
         self.settled: List[bool] = [False] * n
@@ -301,7 +295,7 @@ class Coordinator:
         max_queued_shards: int = 1024,
         rpc_timeout_s: float = 10.0,
         poll_interval_s: float = 0.1,
-        shard_max_attempts: int = SHARD_MAX_ATTEMPTS,
+        shard_max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         drr_quantum: int = DRR_QUANTUM,
         tracer: Optional[Tracer] = None,
     ):
@@ -398,22 +392,12 @@ class Coordinator:
             raise ServiceError(
                 "no workers registered with this coordinator", status=503
             )
-        cases = [
-            UseCase(p, k, t, l2)
-            for p in params["programs"]
-            for k in params["configs"]
-            for t in params["techs"]
-            # Innermost, like SweepSpec.usecases(): the merged document
-            # keeps the exact case order of a local `repro sweep`.
-            for l2 in (params.get("l2") or (None,))
-        ]
-        from repro.fabric.worker import options_from_params
-
-        options = options_from_params(params)
-        keys = [
-            usecase_key(usecase, params["seed"], options)
-            for usecase in cases
-        ]
+        # The local sweep's own grid: the merged document keeps the
+        # exact case order and keys of a local `repro sweep`.
+        spec = spec_from_params(params)
+        cases = spec.usecases()
+        options = spec.optimizer_options()
+        keys = [usecase_key(usecase, spec.seed, options) for usecase in cases]
         sweep = FabricSweep(
             sweep_id=uuid.uuid4().hex[:12],
             tenant=tenant,
@@ -703,18 +687,11 @@ class Coordinator:
     def _shard_params(self, shard: Shard) -> Dict[str, Any]:
         sweep = self.sweeps[shard.sweep_id]
         return {
-            "cases": [
-                [c.program, c.config_id, c.tech] if c.l2 is None
-                else [c.program, c.config_id, c.tech, c.l2]
-                for c in (sweep.cases[i] for i in shard.indices)
-            ],
-            "seed": sweep.params["seed"],
-            "budget": sweep.params["budget"],
-            "baseline": sweep.params["baseline"],
-            "kernel": sweep.params.get("kernel"),
-            # Omitted (not false) when off, so shard fingerprints of
-            # pre-refinement sweeps are unchanged.
-            **({"refine": True} if sweep.params.get("refine") else {}),
+            "cases": [sweep.cases[i].row() for i in shard.indices],
+            # The shard kind's other fields, as the canonical sweep
+            # params carry them (omit-when-default ones only when set).
+            **{f.name: sweep.params[f.name] for f in KINDS["shard"]
+               if f.name in sweep.params},
         }
 
     async def _run_on_worker(self, shard: Shard, worker: WorkerNode,
@@ -893,13 +870,12 @@ class Coordinator:
             if shard.speculative:
                 # A steal's failure never outranks the origin lease.
                 continue
-            triple = (
+            idx = sweep.case_to_index.get(UseCase(
                 failure.get("program"),
                 failure.get("config"),
                 failure.get("tech"),
                 failure.get("l2"),
-            )
-            idx = sweep.case_to_index.get(triple)
+            ))
             if idx is None:
                 continue
             sweep.settle_failure(FailureRecord(

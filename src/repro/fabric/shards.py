@@ -22,9 +22,9 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
-#: Hard cap on the cases one shard may carry (mirrors the protocol's
-#: ``MAX_SHARD_CASES`` so an auto-sized shard is always submittable).
-MAX_SHARD_CASES = 256
+# The protocol's cap on one shard job: an auto-sized shard must always
+# be submittable.
+from repro.experiments.scenario import MAX_SHARD_CASES
 
 #: How many shards per unit of fleet capacity :func:`partition` aims
 #: for — >1 so the scheduler has slack for stealing and fairness.

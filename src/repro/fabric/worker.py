@@ -26,25 +26,10 @@ from repro.experiments.cache import (
     usecase_key,
 )
 from repro.experiments.report import failure_to_json
-from repro.experiments.sweep import (
-    DEFAULT_BACKOFF_BASE_S,
-    DEFAULT_MAX_ATTEMPTS,
-    _run_serial,
-)
+from repro.experiments.scenario import options_from_params
+from repro.experiments.sweep import _run_serial
 from repro.experiments.usecase import UseCase
 from repro.obs.trace import active_tracer
-
-
-def options_from_params(params: Dict[str, Any]):
-    """The :class:`OptimizerOptions` a shard's params pin down."""
-    from repro.core.optimizer import OptimizerOptions
-
-    return OptimizerOptions(
-        max_evaluations=params["budget"],
-        with_persistence=params["baseline"] == "persistence",
-        kernel=params.get("kernel"),
-        refine=bool(params.get("refine", False)),
-    )
 
 
 def execute_shard(
@@ -59,7 +44,7 @@ def execute_shard(
     The coordinator maps both back to grid indices; the worker never
     needs to know where in the grid its cases came from.
     """
-    cases = [UseCase(*triple) for triple in params["cases"]]
+    cases = [UseCase.from_row(row) for row in params["cases"]]
     seed = params["seed"]
     options = options_from_params(params)
     disk = SweepDiskCache(cache_dir) if cache_dir else None
@@ -129,8 +114,6 @@ def execute_shard(
                 deliver,
                 fail,
                 metrics=tally,
-                max_attempts=DEFAULT_MAX_ATTEMPTS,
-                backoff_base_s=DEFAULT_BACKOFF_BASE_S,
             )
         counters["retries"] = tally.retries
         span.set_attributes({
@@ -151,16 +134,9 @@ def execute_shard(
 def _case_row(
     key: str, result, elapsed: float, pid: int, source: str
 ) -> Dict[str, Any]:
-    case = [
-        result.usecase.program,
-        result.usecase.config_id,
-        result.usecase.tech,
-    ]
-    if result.usecase.l2 is not None:
-        case.append(result.usecase.l2)
     return {
         "key": key,
-        "case": case,
+        "case": result.usecase.row(),
         "result": result_to_dict(result),
         "wall_s": elapsed,
         "pid": pid,

@@ -45,6 +45,7 @@ from repro.experiments.report import (
     sweep_to_json,
     usecase_to_json,
 )
+from repro.experiments.scenario import options_from_params, spec_from_params
 from repro.experiments.sweep import resolve_workers
 from repro.experiments.usecase import UseCase, UseCaseResult, run_usecase
 from repro.obs.trace import (
@@ -58,21 +59,12 @@ from repro.obs.trace import (
 from repro.service.protocol import JobRequest
 
 
-def _options_for(params: Dict[str, Any]):
-    from repro.core.optimizer import OptimizerOptions
-
-    return OptimizerOptions(
-        max_evaluations=params["budget"],
-        with_persistence=params["baseline"] == "persistence",
-        refine=bool(params.get("refine", False)),
-    )
-
-
-def _point_key(params: Dict[str, Any]) -> str:
-    """The disk-cache key of an optimize/usecase job — the same
-    content hash a ``repro sweep`` over this use case would write."""
+def _point_job(params: Dict[str, Any]):
+    """``(use case, options, disk-cache key)`` of an optimize/usecase
+    job; the key is the one a ``repro sweep`` over it would write."""
     usecase = UseCase(params["program"], params["config"], params["tech"])
-    return usecase_key(usecase, params["seed"], _options_for(params))
+    options = options_from_params(params)
+    return usecase, options, usecase_key(usecase, params["seed"], options)
 
 
 def _point_response(kind: str, result: UseCaseResult) -> Dict[str, Any]:
@@ -130,19 +122,9 @@ def _execute(kind, params, cache_dir) -> Dict[str, Any]:
 
     if kind == "sweep":
         from repro.experiments.metrics import SweepMetrics
-        from repro.experiments.sweep import SweepSpec, run_sweep
+        from repro.experiments.sweep import run_sweep
 
-        spec = SweepSpec(
-            programs=tuple(params["programs"]),
-            config_ids=tuple(params["configs"]),
-            techs=tuple(params["techs"]),
-            seed=params["seed"],
-            max_evaluations=params["budget"],
-            baseline=params["baseline"],
-            kernel=params.get("kernel"),
-            l2_specs=tuple(params["l2"]) if params.get("l2") else (None,),
-            refine=bool(params.get("refine", False)),
-        )
+        spec = spec_from_params(params)
         metrics = SweepMetrics()
         # Never raise on per-case failures: the job's response document
         # carries the failure records, so the client sees exactly which
@@ -159,10 +141,8 @@ def _execute(kind, params, cache_dir) -> Dict[str, Any]:
             results, metrics=metrics, failures=metrics.failures
         )
 
-    usecase = UseCase(params["program"], params["config"], params["tech"])
-    options = _options_for(params)
+    usecase, options, key = _point_job(params)
     disk = SweepDiskCache(cache_dir) if cache_dir else None
-    key = usecase_key(usecase, params["seed"], options)
     result = disk.get(key) if disk is not None else None
     if result is None:
         result = run_usecase(usecase, seed=params["seed"], options=options)
@@ -214,8 +194,8 @@ class AnalysisExecutor:
         """
         if self.disk is None or request.kind in ("sweep", "shard"):
             return None
-        params = request.params_dict()
-        result = self.disk.get(_point_key(params))
+        _, _, key = _point_job(request.params_dict())
+        result = self.disk.get(key)
         if result is None:
             return None
         return _point_response(request.kind, result)

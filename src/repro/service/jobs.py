@@ -35,6 +35,9 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import QueueFullError, ServiceError
+# Transient pool failures get the sweep's per-case retry budget and
+# backoff schedule.
+from repro.experiments.sweep import DEFAULT_MAX_ATTEMPTS, retry_delay
 from repro.obs.log import get_logger
 from repro.obs.trace import NOOP_SPAN, Tracer, use_span
 from repro.service.protocol import JobRequest
@@ -58,13 +61,6 @@ JOB_STATES = (
 )
 
 _TERMINAL = (STATE_DONE, STATE_FAILED, STATE_CANCELLED)
-
-#: Attempts per computation when the failure is transient (a worker
-#: died, the pool broke) — mirrors the sweep layer's retry budget.
-JOB_MAX_ATTEMPTS = 3
-
-#: First retry delay; doubles per attempt.
-JOB_BACKOFF_BASE_S = 0.25
 
 
 def _transient_job_error(exc: BaseException) -> bool:
@@ -408,7 +404,7 @@ class JobManager:
                 # computation itself is deterministic, so anything else
                 # fails immediately.
                 transient = _transient_job_error(exc)
-                if (transient and attempt < JOB_MAX_ATTEMPTS
+                if (transient and attempt < DEFAULT_MAX_ATTEMPTS
                         and not comp.cancelled):
                     self.telemetry.job_retries.inc()
                     comp.span.add_event(
@@ -426,9 +422,7 @@ class JobManager:
                             self.telemetry.pool_rebuilds.inc()
                         except Exception:
                             pass  # next submit() finds its own fallback
-                    await asyncio.sleep(
-                        JOB_BACKOFF_BASE_S * (2 ** (attempt - 1))
-                    )
+                    await asyncio.sleep(retry_delay(attempt))
                     continue
                 self._finish_failed(
                     comp, f"{type(exc).__name__}: {exc}",

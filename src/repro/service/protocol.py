@@ -18,10 +18,11 @@ The fabric coordinator adds two request families of its own —
 validated here with the same field-naming error discipline.
 
 :func:`parse_job` normalises a raw JSON payload into a
-:class:`JobRequest`: defaults are filled in, every field is validated
-against the benchmark registry / Table 2 / the technology table, and
-any violation raises :class:`~repro.errors.ProtocolError`, which the
-HTTP layer maps to a 400 response naming the offending field.
+:class:`JobRequest`: the kind's field list, defaults, validators and
+canonical-form rules all come from the axis table of
+:mod:`repro.experiments.scenario`, and any violation raises
+:class:`~repro.errors.ProtocolError`, which the HTTP layer maps to a
+400 response naming the offending field.
 
 Normalisation matters beyond error hygiene: the request's
 :meth:`~JobRequest.fingerprint` — a content hash over the canonical
@@ -35,33 +36,19 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Tuple
 
-from repro.bench.registry import TABLE1, program_names
-from repro.cache.config import TABLE2, parse_l2_spec
-from repro.energy.technology import TECHNOLOGIES
-from repro.errors import CacheConfigError, ProtocolError
+from repro.errors import ProtocolError
 from repro.experiments.cache import CODE_VERSION
+from repro.experiments.scenario import canonical, resolve_int
 
 #: The job kinds the service accepts.
 JOB_KINDS = ("optimize", "usecase", "sweep", "shard")
-
-#: Hard cap on the optimization budget a single job may request.
-MAX_BUDGET = 100_000
-
-#: Hard cap on the explicit case list of one shard job.
-MAX_SHARD_CASES = 256
-
-#: Optimizer kernels a request may select (``None`` = the optimizer's
-#: own default).
-KERNELS = ("python", "vectorized")
 
 #: The kernel the fabric submission path defaults to: the vectorized
 #: abstract-domain kernel is the soak-tested default at fleet scale
 #: (the differential CI job keeps it bit-identical to ``python``).
 FABRIC_DEFAULT_KERNEL = "vectorized"
-
-_BASELINES = ("classic", "persistence")
 
 
 @dataclass(frozen=True)
@@ -115,230 +102,6 @@ class JobRequest:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-# ----------------------------------------------------------------------
-# field validators
-# ----------------------------------------------------------------------
-def _fail(field: str, message: str) -> "ProtocolError":
-    return ProtocolError(f"{field}: {message}")
-
-
-def _resolve_program(field: str, value: Any) -> str:
-    if not isinstance(value, str):
-        raise _fail(field, f"expected a program name, got {value!r}")
-    if value in TABLE1:  # Table 1 ids ("p1".."p37") are accepted too
-        return TABLE1[value]
-    if value not in program_names():
-        raise _fail(field, f"unknown program {value!r}")
-    return value
-
-
-def _resolve_config(field: str, value: Any) -> str:
-    if not isinstance(value, str) or value not in TABLE2:
-        raise _fail(field, f"unknown cache configuration {value!r} "
-                           f"(expected a Table 2 id, e.g. 'k1')")
-    return value
-
-
-def _resolve_tech(field: str, value: Any) -> str:
-    if not isinstance(value, str) or value not in TECHNOLOGIES:
-        raise _fail(field, f"unknown technology {value!r} "
-                           f"(expected one of {sorted(TECHNOLOGIES)})")
-    return value
-
-
-def _resolve_baseline(field: str, value: Any) -> str:
-    if value not in _BASELINES:
-        raise _fail(field, f"expected one of {_BASELINES}, got {value!r}")
-    return value
-
-
-def _resolve_kernel(field: str, value: Any) -> Optional[str]:
-    if value is None:
-        return None
-    if value not in KERNELS:
-        raise _fail(field,
-                    f"expected one of {KERNELS} or null, got {value!r}")
-    return value
-
-
-def _resolve_l2(field: str, value: Any) -> Optional[str]:
-    """One second-level cache spec; ``None`` keeps the level out."""
-    if value is None:
-        return None
-    if not isinstance(value, str):
-        raise _fail(field, f"expected an assoc:block:capacity:latency "
-                           f"L2 spec or null, got {value!r}")
-    try:
-        parse_l2_spec(value)
-    except CacheConfigError as exc:
-        raise _fail(field, str(exc)) from None
-    return value
-
-
-def _resolve_l2_list(field: str, value: Any) -> Tuple[Optional[str], ...]:
-    """The sweep's L2 axis: specs and/or nulls (null = single-level)."""
-    if not isinstance(value, (list, tuple)) or not value:
-        raise _fail(field, f"expected a non-empty list of L2 specs "
-                           f"(null entries mean single-level), got {value!r}")
-    return tuple(_resolve_l2(f"{field}[{i}]", item)
-                 for i, item in enumerate(value))
-
-
-def _resolve_refine(field: str, value: Any) -> bool:
-    """The refinement flag; ``None``/``False`` keep the stage off."""
-    if value is None:
-        return False
-    if not isinstance(value, bool):
-        raise _fail(field, f"expected a boolean or null, got {value!r}")
-    return value
-
-
-def _resolve_int(field: str, value: Any, minimum: int,
-                 maximum: Optional[int] = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(field, f"expected an integer, got {value!r}")
-    if value < minimum:
-        raise _fail(field, f"must be >= {minimum}, got {value}")
-    if maximum is not None and value > maximum:
-        raise _fail(field, f"must be <= {maximum}, got {value}")
-    return value
-
-
-def _resolve_budget(field: str, value: Any) -> Optional[int]:
-    if value is None:
-        return None
-    return _resolve_int(field, value, minimum=1, maximum=MAX_BUDGET)
-
-
-def _resolve_str_list(field: str, value: Any, resolver) -> Tuple[str, ...]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise _fail(field, f"expected a non-empty list, got {value!r}")
-    return tuple(resolver(f"{field}[{i}]", item)
-                 for i, item in enumerate(value))
-
-
-# ----------------------------------------------------------------------
-# per-kind parsing
-# ----------------------------------------------------------------------
-def _parse_point_params(params: Mapping[str, Any],
-                        default_baseline: str) -> Tuple[Tuple[str, Any], ...]:
-    """Shared params of the single-use-case kinds (optimize/usecase)."""
-    return (
-        ("program", _resolve_program("params.program",
-                                     params.get("program"))),
-        ("config", _resolve_config("params.config", params.get("config"))),
-        ("tech", _resolve_tech("params.tech", params.get("tech", "45nm"))),
-        ("baseline", _resolve_baseline("params.baseline",
-                                       params.get("baseline",
-                                                  default_baseline))),
-        ("budget", _resolve_budget("params.budget",
-                                   params.get("budget", 120))),
-        ("seed", _resolve_int("params.seed", params.get("seed", 1),
-                              minimum=0)),
-    ) + (
-        # Like the sweep L2 axis, the refinement flag joins the
-        # canonical form only when on: pre-refinement fingerprints stay
-        # byte-identical.
-        (("refine", True),)
-        if _resolve_refine("params.refine", params.get("refine")) else ()
-    )
-
-
-def _parse_sweep_params(params: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    from repro.experiments.sweep import default_grid
-
-    grid = default_grid()
-    programs = params.get("programs")
-    configs = params.get("configs")
-    techs = params.get("techs")
-    return (
-        ("programs",
-         grid.programs if programs is None
-         else _resolve_str_list("params.programs", programs,
-                                _resolve_program)),
-        ("configs",
-         grid.config_ids if configs is None
-         else _resolve_str_list("params.configs", configs,
-                                _resolve_config)),
-        ("techs",
-         grid.techs if techs is None
-         else _resolve_str_list("params.techs", techs, _resolve_tech)),
-        ("baseline", _resolve_baseline("params.baseline",
-                                       params.get("baseline", "classic"))),
-        ("budget", _resolve_budget("params.budget",
-                                   params.get("budget", 120))),
-        ("seed", _resolve_int("params.seed", params.get("seed", 1),
-                              minimum=0)),
-        ("kernel", _resolve_kernel("params.kernel",
-                                   params.get("kernel"))),
-    ) + (
-        # The L2 axis joins the canonical form only when requested, so
-        # every pre-hierarchy fingerprint stays byte-identical.
-        (("l2", _resolve_l2_list("params.l2", params["l2"])),)
-        if params.get("l2") is not None else ()
-    ) + (
-        (("refine", True),)
-        if _resolve_refine("params.refine", params.get("refine")) else ()
-    )
-
-
-def _resolve_case_list(field: str, value: Any) -> Tuple[Tuple[str, ...], ...]:
-    """An explicit ``[[program, config, tech(, l2)], ...]`` case list.
-
-    A fourth element selects a second-level cache for that case (the
-    sweep grid's L2 axis, sharded); a missing or null fourth element is
-    the single-level system and normalises to the triple form so the
-    shard fingerprint matches pre-hierarchy submissions.
-    """
-    if not isinstance(value, (list, tuple)) or not value:
-        raise _fail(field, f"expected a non-empty list of "
-                           f"[program, config, tech] triples, got {value!r}")
-    if len(value) > MAX_SHARD_CASES:
-        raise _fail(field, f"at most {MAX_SHARD_CASES} cases per shard, "
-                           f"got {len(value)}")
-    cases = []
-    for i, triple in enumerate(value):
-        if not isinstance(triple, (list, tuple)) or len(triple) not in (3, 4):
-            raise _fail(f"{field}[{i}]",
-                        f"expected [program, config, tech] or "
-                        f"[program, config, tech, l2], got {triple!r}")
-        case = (
-            _resolve_program(f"{field}[{i}].program", triple[0]),
-            _resolve_config(f"{field}[{i}].config", triple[1]),
-            _resolve_tech(f"{field}[{i}].tech", triple[2]),
-        )
-        if len(triple) == 4 and triple[3] is not None:
-            case += (_resolve_l2(f"{field}[{i}].l2", triple[3]),)
-        cases.append(case)
-    return tuple(cases)
-
-
-def _parse_shard_params(params: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
-    return (
-        ("cases", _resolve_case_list("params.cases", params.get("cases"))),
-        ("baseline", _resolve_baseline("params.baseline",
-                                       params.get("baseline", "classic"))),
-        ("budget", _resolve_budget("params.budget",
-                                   params.get("budget", 120))),
-        ("seed", _resolve_int("params.seed", params.get("seed", 1),
-                              minimum=0)),
-        ("kernel", _resolve_kernel("params.kernel",
-                                   params.get("kernel"))),
-    ) + (
-        (("refine", True),)
-        if _resolve_refine("params.refine", params.get("refine")) else ()
-    )
-
-
-_KNOWN_POINT_PARAMS = frozenset(
-    ("program", "config", "tech", "baseline", "budget", "seed", "refine"))
-_KNOWN_SWEEP_PARAMS = frozenset(
-    ("programs", "configs", "techs", "baseline", "budget", "seed", "kernel",
-     "l2", "refine"))
-_KNOWN_SHARD_PARAMS = frozenset(
-    ("cases", "baseline", "budget", "seed", "kernel", "refine"))
-
-
 def parse_job(payload: Any) -> JobRequest:
     """Validate and normalise one ``POST /v1/jobs`` body.
 
@@ -357,23 +120,7 @@ def parse_job(payload: Any) -> JobRequest:
     if not isinstance(params, Mapping):
         raise ProtocolError(
             f"params: expected a JSON object, got {type(params).__name__}")
-    known = {
-        "sweep": _KNOWN_SWEEP_PARAMS,
-        "shard": _KNOWN_SHARD_PARAMS,
-    }.get(kind, _KNOWN_POINT_PARAMS)
-    unknown = sorted(set(params) - known)
-    if unknown:
-        raise ProtocolError(
-            f"params: unknown field(s) {unknown} for kind {kind!r}")
-    if kind == "sweep":
-        canonical = _parse_sweep_params(params)
-    elif kind == "shard":
-        canonical = _parse_shard_params(params)
-    else:
-        # Both point kinds default to the persistence baseline, like the
-        # `repro optimize`/`repro usecase` CLI paths they serve.
-        canonical = _parse_point_params(params, "persistence")
-    return JobRequest(kind=kind, params=canonical)
+    return JobRequest(kind=kind, params=canonical(kind, params))
 
 
 # ----------------------------------------------------------------------
@@ -388,8 +135,8 @@ def _resolve_tenant(field: str, value: Any) -> str:
         return "default"
     if (not isinstance(value, str) or not value or len(value) > 64
             or set(value) - _TENANT_CHARS):
-        raise _fail(field, "expected 1-64 chars of [a-z0-9_-], "
-                           f"got {value!r}")
+        raise ProtocolError(f"{field}: expected 1-64 chars of [a-z0-9_-], "
+                            f"got {value!r}")
     return value
 
 
@@ -413,18 +160,11 @@ def parse_fabric_sweep(payload: Any) -> Tuple[str, Dict[str, Any]]:
     if not isinstance(params, Mapping):
         raise ProtocolError(
             f"params: expected a JSON object, got {type(params).__name__}")
-    unknown = sorted(set(params) - _KNOWN_SWEEP_PARAMS)
-    if unknown:
-        raise ProtocolError(
-            f"params: unknown field(s) {unknown} for a fabric sweep")
     if "kernel" not in params:
-        params = dict(params)
-        params["kernel"] = FABRIC_DEFAULT_KERNEL
-    canonical = _parse_sweep_params(params)
-    return tenant, {
-        key: list(value) if isinstance(value, tuple) else value
-        for key, value in canonical
-    }
+        params = dict(params, kernel=FABRIC_DEFAULT_KERNEL)
+    return tenant, JobRequest(
+        "sweep", canonical("sweep", params, where="a fabric sweep")
+    ).params_dict()
 
 
 def parse_worker_registration(payload: Any) -> Tuple[str, int]:
@@ -448,5 +188,5 @@ def parse_worker_registration(payload: Any) -> Tuple[str, int]:
 
     split_base_url(url)  # raises ServiceError on malformed urls
     capacity = payload.get("capacity", 1)
-    return url.rstrip("/"), _resolve_int("capacity", capacity,
-                                         minimum=1, maximum=1024)
+    return url.rstrip("/"), resolve_int("capacity", capacity,
+                                        minimum=1, maximum=1024)

@@ -141,6 +141,64 @@ class TestSweepCommand:
         with pytest.raises(SystemExit):
             main(["sweep", "--workers", "two"])
 
+    def _captured_spec(self, monkeypatch, argv):
+        import repro.cli as cli
+
+        specs = []
+
+        def fake_run_sweep(spec, **kwargs):
+            specs.append(spec)
+            return []
+
+        monkeypatch.setattr(cli, "run_sweep", fake_run_sweep)
+        assert main(["sweep", *argv, "--quiet", "--no-cache"]) == 0
+        (spec,) = specs
+        return spec
+
+    def test_full_grid_keeps_baseline_and_techs(self, monkeypatch, capsys):
+        spec = self._captured_spec(monkeypatch, [
+            "--full", "--baseline", "persistence", "--techs", "45nm",
+            "--seed", "3", "--budget", "40", "--kernel", "python",
+            "--l2", "4:16:4096:10", "--refine"])
+        full = sweep_module.full_grid()
+        assert spec.programs == full.programs
+        assert spec.config_ids == full.config_ids
+        assert spec.techs == ("45nm",)
+        assert spec.baseline == "persistence"
+        assert (spec.seed, spec.max_evaluations) == (3, 40)
+        assert spec.kernel == "python"
+        assert spec.l2_specs == ("4:16:4096:10",)
+        assert spec.refine is True
+        assert spec.size == 37 * 36
+
+    def test_full_grid_defaults_match_full_grid(self, monkeypatch, capsys):
+        spec = self._captured_spec(monkeypatch, ["--full"])
+        assert spec == sweep_module.full_grid()
+
+    def test_default_grid_spec(self, monkeypatch, capsys):
+        spec = self._captured_spec(monkeypatch, [])
+        assert spec == sweep_module.default_grid()
+
+    def test_all_failed_sweep_reports_no_improvement(self, monkeypatch,
+                                                      capsys):
+        from repro.experiments import faults
+
+        monkeypatch.setenv(faults.FAULT_PLAN_ENV, '{"*": {"kind": "crash"}}')
+        faults._cached_plan.cache_clear()
+        try:
+            code = main(["sweep", *self.TINY, "--workers", "1",
+                         "--no-cache", "--json", "--max-failures", "2"])
+        finally:
+            faults._cached_plan.cache_clear()
+        captured = capsys.readouterr()
+        assert code == 0
+        document = json.loads(captured.out)
+        assert document["summary"]["cases"] == 0
+        assert document["summary"]["failed"] == 2
+        assert document["summary"]["average_improvement"] is None
+        assert "average improvement: n/a" in captured.err
+        assert "100.0%" not in captured.err
+
 
 class TestJsonOutput:
     """``--json``: machine-readable stdout, human rendering on stderr."""

@@ -570,6 +570,8 @@ class TestFabricEndToEnd:
             assert failure["program"] == "bs"
             document = client.fabric_result(record["id"])
             assert document["summary"]["failed"] == 1
+            # No case succeeded: no improvement figure, like run_sweep's.
+            assert document["summary"]["average_improvement"] is None
             assert document["failures"][0]["error_type"] == (
                 "ShardDispatchError")
             health = client.health()

@@ -100,6 +100,44 @@ class TestParallelEquivalence:
             resolve_workers(0, pending=4)
 
 
+class TestPoolFallback:
+    def test_serial_fallback_counts_on_from_pool_attempts(
+        self, monkeypatch, serial_results
+    ):
+        """A pool that breaks and cannot be rebuilt hands its cases to
+        the serial path, which continues each case's attempt count:
+        a worker-crash fault aimed at attempt 1 must not re-fire in
+        this process."""
+        from repro.experiments import faults, sweep as sweep_module
+
+        parent, serial_attempts = os.getpid(), []
+
+        def hook(usecase, attempt):
+            if os.getpid() != parent:  # a pool worker: crash it
+                return faults.FaultSpec("exit") if attempt == 1 else None
+            serial_attempts.append(attempt)
+            return None
+
+        def rebuild_fails(self):
+            raise OSError("cannot rebuild the pool")
+
+        monkeypatch.setattr(sweep_module._FanOut, "_rebuild_pool",
+                            rebuild_fails)
+        faults.set_fault_hook(hook)
+        try:
+            metrics = SweepMetrics()
+            results = run_sweep(TINY_SPEC, use_cache=False, workers=2,
+                                metrics=metrics, backoff_base_s=0.01)
+        finally:
+            faults.set_fault_hook(None)
+        if metrics.workers != 1:
+            pytest.skip("platform cannot run a process pool")
+        assert serial_attempts and min(serial_attempts) >= 2
+        assert [result_to_dict(r) for r in results] == [
+            result_to_dict(r) for r in serial_results
+        ]
+
+
 class TestDiskCache:
     def test_round_trip_is_bit_exact(self, tmp_path, serial_results):
         metrics_cold = SweepMetrics()
