@@ -373,6 +373,7 @@ class PipelineResult:
                 self.wcet.cache.config,
                 self.wcet.solution,
                 locked_blocks=self.locked_blocks,
+                loop_spans=self.artifacts.loop_spans,
             )
         return self._reverse_events
 

@@ -13,7 +13,10 @@ how soon.  When visiting ``r_i`` pushes a block ``s'`` out of that set
 and ``r_i`` itself is one competitor too many for the set's
 associativity.  Earliest-survivable maximises the slack available to
 hide the prefetch latency Λ, which is exactly why the paper walks the
-program backwards.
+program backwards.  The walk never joins states (at a branch it keeps
+the chosen successor's), so its state is a concrete LRU cache: per set,
+a tuple of at most ``associativity`` blocks, most recent first, never
+mutated and shared by the predecessors that pick the same successor.
 
 Loop ``REST`` instances get a *virtual second pass*: after the main
 walk leaves a REST entry join, the instance's body is replayed once
@@ -34,8 +37,9 @@ visited and may spawn further candidates on the next pass).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from repro.analysis.slack import rest_instance_spans
 from repro.analysis.structural import PathSolution
 from repro.cache.abstract import MustState
 from repro.cache.config import CacheConfig
@@ -103,30 +107,9 @@ def apply_update(
     return state, events
 
 
-def _reverse_update(
-    state: MustState, acfg: ACFG, rid: int, locked: frozenset
-) -> Tuple[MustState, List[int]]:
-    """Process one vertex of the *reverse* stream.
-
-    A forward vertex touches ``own_block`` then (for a prefetch) its
-    target; the reverse stream therefore applies the target first.
-    Blocks pinned in locked ways never enter the working set.
-    Returns the new state and the blocks dropped from the working set.
-    """
-    vertex = acfg.vertex(rid)
-    if not vertex.is_ref:
-        return state, []
-    dropped: List[int] = []
-    if vertex.is_prefetch:
-        target = acfg.target_block_or_none(rid)
-        if target is not None and target not in locked:
-            dropped.extend(sorted(state.evicted_by(target)))
-            state = state.update(target)
-    own_block = acfg.block_of(rid)
-    if own_block not in locked:
-        dropped.extend(sorted(state.evicted_by(own_block)))
-        state = state.update(own_block)
-    return state, dropped
+#: The reverse walk's state: per cache set, the blocks of the next-use
+#: working set, most recently visited first (at most ``associativity``).
+LruStacks = Tuple[Tuple[int, ...], ...]
 
 
 def collect_reverse_events(
@@ -134,6 +117,7 @@ def collect_reverse_events(
     config: CacheConfig,
     solution: PathSolution,
     locked_blocks: Optional[frozenset] = None,
+    loop_spans: Optional[Sequence[Tuple[int, int, Tuple[int, ...]]]] = None,
 ) -> List[PrefetchCandidateEvent]:
     """Algorithm 3's reverse walk: find every prefetch-candidate point.
 
@@ -141,57 +125,76 @@ def collect_reverse_events(
     at branch vertices (several forward successors) the state of the
     WCET-path successor is kept — the reverse counterpart of ``J_SE``.
     Each loop REST instance additionally gets one virtual extra reverse
-    pass over its body to expose loop-carried reuse.
+    pass over its body to expose loop-carried reuse.  ``loop_spans``
+    are the ACFG's :func:`~repro.analysis.slack.rest_instance_spans`
+    when the caller has them cached.
 
     Returns:
         Candidate events in detection (reverse-execution) order.
     """
-    n = len(acfg.vertices)
+    num_sets = config.num_sets
+    assoc = config.associativity
     locked = locked_blocks or frozenset()
-    rev_states: List[Optional[MustState]] = [None] * n
+    ref_block = acfg._ref_block
+    target_block = acfg._target_block
+    succ = acfg._succ
+    n_w = solution.n_w
+    if loop_spans is None:
+        loop_spans = rest_instance_spans(acfg)
+    wrap_last = {join: last for join, last, _ in loop_spans}
+    rev_states: List[Optional[LruStacks]] = [None] * len(ref_block)
     events: List[PrefetchCandidateEvent] = []
-    rest_spans = _rest_instance_spans(acfg)
 
-    for vertex in acfg.iter_reverse():
-        rid = vertex.rid
-        if vertex.kind is VertexKind.SINK:
-            incoming: MustState = MustState(config)
+    def visit(state: LruStacks, rid: int, join: int = -1) -> LruStacks:
+        # A forward vertex touches its own block, then (for a prefetch)
+        # its target; the reverse stream applies the target first.
+        # Blocks pinned in locked ways never enter the working set.
+        for block in (target_block[rid], ref_block[rid]):
+            if block is None or block in locked:
+                continue
+            index = block % num_sets
+            stack = state[index]
+            if block in stack:
+                if stack[0] == block:
+                    continue
+                pos = stack.index(block)
+                stack = (block,) + stack[:pos] + stack[pos + 1:]
+            elif len(stack) < assoc:
+                stack = (block,) + stack
+            else:
+                events.append(
+                    PrefetchCandidateEvent(rid, stack[-1], join >= 0, join)
+                )
+                stack = (block,) + stack[:-1]
+            state = state[:index] + (stack,) + state[index + 1:]
+        return state
+
+    for rid in range(len(ref_block) - 1, -1, -1):
+        if rid == acfg.sink:
+            state: LruStacks = ((),) * num_sets
         else:
-            succs = acfg.successors(rid)
+            succs = succ[rid]
             if not succs:
                 raise OptimizationError(f"vertex {rid} has no successors")
-            chosen = _pick_reverse_successor(acfg, solution, succs)
+            chosen = succs[0] if len(succs) == 1 else _pick_reverse_successor(
+                acfg, solution, succs)
             picked = rev_states[chosen]
             if picked is None:
                 raise OptimizationError(
                     f"vertex {rid}: successor {chosen} not yet processed"
                 )
-            incoming = picked
-        state, dropped = _reverse_update(incoming, acfg, rid, locked)
+            state = picked
+        if ref_block[rid] is not None:
+            state = visit(state, rid)
         rev_states[rid] = state
-        for block in dropped:
-            events.append(PrefetchCandidateEvent(rid, block))
-        if rid in rest_spans:
+        last_rid = wrap_last.get(rid)
+        if last_rid is not None:
             # Virtual second iteration of this REST instance: replay the
             # body in reverse from the accumulated state so that blocks
             # competing across the back edge surface as candidates.
-            last_rid = rest_spans[rid]
-            wrap_state = state
             for wrap_rid in range(last_rid, rid, -1):
-                wrap_vertex = acfg.vertex(wrap_rid)
-                if not wrap_vertex.is_ref:
-                    continue
-                if solution.n_w[wrap_rid] == 0:
-                    continue
-                wrap_state, wrap_dropped = _reverse_update(
-                    wrap_state, acfg, wrap_rid, locked
-                )
-                for block in wrap_dropped:
-                    events.append(
-                        PrefetchCandidateEvent(
-                            wrap_rid, block, wrapped=True, loop_join_rid=rid
-                        )
-                    )
+                if ref_block[wrap_rid] is not None and n_w[wrap_rid] != 0:
+                    state = visit(state, wrap_rid, rid)
 
     # Blocks surviving to the source never lose the working-set
     # competition: their first use misses only because the cache starts
@@ -199,10 +202,9 @@ def collect_reverse_events(
     # cold-miss preclusion), anchored at the source pole.
     residual = rev_states[acfg.source]
     if residual is not None:
-        ordered = sorted(
-            residual.blocks(), key=lambda blk: (residual.age_of(blk), blk)
-        )
-        for block in ordered:
+        ordered = sorted((age, block) for stack in residual
+                         for age, block in enumerate(stack))
+        for _, block in ordered:
             events.append(PrefetchCandidateEvent(acfg.source, block))
     return events
 
@@ -213,14 +215,6 @@ def _pick_reverse_successor(acfg: ACFG, solution: PathSolution, succs) -> int:
     if on_path:
         return min(on_path)
     return min(succs, key=lambda s: (-acfg.multiplier[s], s))
-
-
-def _rest_instance_spans(acfg: ACFG) -> dict:
-    """REST entry join rid -> last rid of the instance's body."""
-    spans: dict = {}
-    for src, dst in acfg.back_edges:
-        spans[dst] = max(spans.get(dst, dst), src)
-    return spans
 
 
 def collect_optimization_states(

@@ -7,12 +7,15 @@ import pytest
 
 from repro.analysis.wcet import analyze_wcet
 from repro.bench.generator import random_program
-from repro.cache.config import CacheConfig
+from repro.bench.registry import load
+from repro.cache.config import TABLE2, CacheConfig
 from repro.core.guarantees import (
     verify_prefetch_equivalence,
     verify_wcet_guarantee,
 )
 from repro.core.optimizer import OptimizerOptions, optimize
+from repro.energy.cacti import cacti_model
+from repro.energy.technology import technology
 from repro.program.acfg import build_acfg
 from repro.program.builder import ProgramBuilder
 from repro.sim.machine import simulate
@@ -174,3 +177,29 @@ class TestTheorem1Property:
         once, report1 = optimize(cfg, tiny_cache, timing)
         twice, report2 = optimize(once, tiny_cache, timing)
         assert report2.tau_final <= report1.tau_final + 1e-6
+
+
+class TestRecordedOutcomes:
+    """The multi-pass loop's outcomes on three Mälardalen programs at
+    k1/45nm, budget 120, as recorded in ``benchmarks/bench_pipeline.py``
+    and ``perfbench/pins.json``.  The reverse walk decides which
+    candidates each pass tries, so any change to it shows here."""
+
+    @pytest.mark.parametrize(
+        "program, tau_final, misses_final, passes, prefetches",
+        [
+            ("fdct", 21537.0, 555, 34, 33),
+            ("ndes", 51123.0, 1164, 7, 6),
+            ("adpcm", 67730.0, 1649, 7, 6),
+        ],
+    )
+    def test_k1_budget_120(self, program, tau_final, misses_final, passes,
+                           prefetches):
+        config = TABLE2["k1"]
+        timing = cacti_model(config, technology("45nm")).timing_model()
+        _, report = optimize(load(program), config, timing,
+                             options=OptimizerOptions(max_evaluations=120))
+        assert report.tau_final == tau_final
+        assert report.misses_final == misses_final
+        assert report.passes == passes
+        assert report.prefetch_count == prefetches
