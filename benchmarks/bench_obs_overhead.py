@@ -12,8 +12,8 @@ Two figures gate the observability layer's "near zero when off" claim:
   runs pay at each instrumentation point.
 * ``overhead_pct`` — wall-clock penalty of fully-sampled tracing on
   ``optimize``.  ``--check`` gates on it (default limit 25%); the
-  tracing-disabled regression is guarded separately by
-  ``bench_pipeline.py --check`` against its recorded baseline.
+  tracing-disabled regression is guarded separately by perfbench's
+  same-machine parent-vs-change rule on the untraced workloads.
 
 Usage::
 

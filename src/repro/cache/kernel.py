@@ -92,10 +92,8 @@ def resolve_kernel(kernel: Optional[str] = None) -> str:
     """The effective kernel name: explicit argument, else the
     :data:`KERNEL_ENV` environment variable, else ``"vectorized"``.
 
-    The dense kernel has been the fabric default since PR 7 and is the
-    global default now; ``python`` remains selectable (``--kernel``,
-    ``REPRO_CACHE_KERNEL``) and is the oracle the differential suites
-    compare against.
+    ``python`` remains selectable (``--kernel``, ``REPRO_CACHE_KERNEL``)
+    and is the oracle the differential suites compare against.
     """
     chosen = kernel if kernel is not None else os.environ.get(KERNEL_ENV)
     if chosen is None or chosen == "":

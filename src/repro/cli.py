@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 from dataclasses import replace
 from typing import Any, Dict, Optional, Sequence
@@ -32,6 +31,7 @@ from repro.core.guarantees import verify_wcet_guarantee
 from repro.core.optimizer import optimize
 from repro.energy.cacti import hierarchy_model
 from repro.energy.technology import technology
+from repro.errors import ProtocolError, ReproError
 from repro.experiments.figures import figure3, figure4, figure5, figure7, figure8
 from repro.experiments.report import (
     average_improvement,
@@ -46,6 +46,7 @@ from repro.experiments.metrics import SweepMetrics
 from repro.experiments.scenario import (
     AXES,
     COMMANDS,
+    check_command,
     options_from_params,
     spec_from_params,
 )
@@ -111,18 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="tolerate up to N permanently failed use "
                             "cases before exiting nonzero (default: 0; "
                             "partial results are always reported)")
-    sweep.add_argument("--coordinator", default=None, metavar="URL",
-                       help="run the sweep on a fabric coordinator "
-                            "(e.g. http://127.0.0.1:8080) instead of "
-                            "locally; results stream back live")
-    sweep.add_argument("--tenant", default="default", metavar="NAME",
-                       help="fabric tenant for fair scheduling "
-                            "(--coordinator only)")
-    sweep.add_argument("--trace-sample", type=float, default=1.0,
-                       metavar="RATE",
-                       help="probability of tracing this fabric sweep "
-                            "end to end (--coordinator only; 0 = off, "
-                            "default 1.0)")
 
     serve = sub.add_parser(
         "serve",
@@ -148,28 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--self-check", action="store_true",
                        help="boot on an ephemeral port, hit /healthz, "
                             "report, and exit")
-    serve.add_argument("--coordinator", action="store_true",
-                       help="run as a fabric coordinator: accept "
-                            "/v1/fabric/ sweeps and shard them across "
-                            "registered workers")
-    serve.add_argument("--worker-url", action="append", default=[],
-                       metavar="URL", dest="worker_urls",
-                       help="pre-register a worker node with the "
-                            "coordinator (repeatable)")
-    serve.add_argument("--coordinator-url", default=None, metavar="URL",
-                       help="register this node as a worker with a "
-                            "running coordinator once it is listening")
-    serve.add_argument("--lease-timeout", type=float, default=120.0,
-                       metavar="SECONDS",
-                       help="coordinator: shard lease before it is "
-                            "requeued elsewhere")
-    serve.add_argument("--steal-after", type=float, default=5.0,
-                       metavar="SECONDS",
-                       help="coordinator: idle workers speculatively "
-                            "re-run shards leased longer than this")
-    serve.add_argument("--shard-size", type=int, default=None, metavar="N",
-                       help="coordinator: cases per shard (default: "
-                            "sized from the fleet capacity)")
     serve.add_argument("--trace-sample", type=float, default=1.0,
                        metavar="RATE",
                        help="head-sampling rate for new traces rooted "
@@ -178,15 +145,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace = sub.add_parser(
         "trace",
-        help="render one distributed trace as a span tree",
+        help="render one service trace as a span tree",
     )
-    trace.add_argument("trace_id", help="32-hex trace id (printed by a "
-                                        "traced sweep, or echoed in the "
+    trace.add_argument("trace_id", help="32-hex trace id (echoed in the "
                                         "traceparent response header)")
     trace.add_argument("--service", default="http://127.0.0.1:8080",
                        metavar="URL",
-                       help="node to fetch the trace from (a "
-                            "coordinator merges its workers' spans)")
+                       help="service to fetch the trace from")
     trace.add_argument("--export", default=None, metavar="FILE",
                        help="also write Chrome-trace JSON (load in "
                             "chrome://tracing or ui.perfetto.dev)")
@@ -340,8 +305,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         params.update(programs=full.programs, configs=full.config_ids)
         if args.programs or args.configs:
             print("note: --full overrides --programs/--configs", file=sys.stderr)
-    if args.coordinator:
-        return _cmd_sweep_fabric(args, params)
     spec = spec_from_params(params)
     metrics = SweepMetrics()
     # In --json mode every human-readable line (progress + summary)
@@ -389,96 +352,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep_fabric(args: argparse.Namespace,
-                      params: Dict[str, Any]) -> int:
-    """Run ``repro sweep`` on a fabric coordinator, streaming results.
-
-    Submits the sweep params to ``--coordinator``, renders each
-    streamed ``case``/``failure`` event as the usual progress line, and
-    prints the final merged document (which is byte-compatible with the
-    local ``--json`` output, plus a ``fabric`` section).
-    """
-    from repro.errors import ServiceError
-    from repro.fabric.transport import split_base_url
-    from repro.service.client import ServiceClient
-
-    host, port = split_base_url(args.coordinator)
-    client = ServiceClient(host, port)
-    out = sys.stderr if args.json else sys.stdout
-
-    # Head-based sampling at the client: a sampled traceparent on the
-    # submit makes the coordinator join our trace id, so the whole
-    # distributed sweep is retrievable under one id we know up front.
-    traceparent = None
-    trace_id = None
-    if random.random() < max(0.0, min(1.0, args.trace_sample)):
-        from repro.obs.trace import (
-            SpanContext,
-            format_traceparent,
-            new_span_id,
-            new_trace_id,
-        )
-
-        trace_id = new_trace_id()
-        traceparent = format_traceparent(
-            SpanContext(trace_id, new_span_id(), True)
-        )
-
-    # Unset fields are left to the coordinator's defaults (the grid
-    # axes, and the fabric's vectorized kernel).
-    record = client.submit_fabric_sweep(
-        tenant=args.tenant,
-        traceparent=traceparent,
-        **{name: value for name, value in params.items()
-           if value not in (None, [])},
-    )
-    sweep_id = record["id"]
-    total = record["cases"]
-    width = len(str(total))
-    print(f"fabric sweep {sweep_id} on {args.coordinator} "
-          f"({total} cases, tenant {args.tenant})", file=out)
-    if trace_id is not None:
-        print(f"trace {trace_id} (repro trace {trace_id} "
-              f"--service {args.coordinator})", file=out)
-    done = 0
-    try:
-        for event, data in client.stream_sweep(sweep_id):
-            if event == "case":
-                done += 1
-                if not args.quiet:
-                    print(f"[{done:>{width}}/{total}] "
-                          f"{data['program']:<14s} {data['config']:<4s} "
-                          f"{data['tech']:<5s} "
-                          f"wcet {data['wcet_ratio']:.3f} "
-                          f"acet {data['acet_ratio']:.3f} "
-                          f"energy {data['energy_ratio']:.3f} "
-                          f"[{data['worker']}]", file=out)
-            elif event == "failure" and not args.quiet:
-                print(f"FAILED {data['program']} {data['config']} "
-                      f"{data['tech']}: {data['error_type']}: "
-                      f"{data['message']}", file=out)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    document = client.fabric_result(sweep_id)
-    summary = document["summary"]
-    fabric = document["fabric"]
-    print(file=out)
-    print(f"{summary['cases']} cases, {summary['failed']} failed | "
-          f"{fabric['shards']} shards "
-          f"({fabric['shards_requeued']} requeued, "
-          f"{fabric['steals']} stolen)", file=out)
-    print(format_improvement(summary["average_improvement"]), file=out)
-    if args.json:
-        print(json.dumps(document, sort_keys=True))
-    failed = summary["failed"]
-    if failed > max(args.max_failures, 0):
-        print(f"error: {failed} use case(s) failed permanently "
-              f"(--max-failures {args.max_failures})", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -490,17 +363,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         cache_dir=cache_dir,
         max_queue=args.queue_size,
         job_timeout_s=args.job_timeout,
-        coordinator=args.coordinator,
-        worker_urls=tuple(args.worker_urls),
-        lease_timeout_s=args.lease_timeout,
-        steal_after_s=args.steal_after,
-        shard_size=args.shard_size,
         trace_sample=args.trace_sample,
-        service_name=(
-            "coordinator" if args.coordinator
-            else "worker" if args.coordinator_url
-            else None
-        ),
     )
 
     if args.self_check:
@@ -522,26 +385,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         app = build_service(**build_kwargs)
 
         def ready(port: int) -> None:
-            role = "coordinator" if args.coordinator else "service"
-            print(f"repro {role} listening on http://{args.host}:{port} "
+            print(f"repro service listening on http://{args.host}:{port} "
                   f"(workers {app.executor.workers}, "
                   f"queue {args.queue_size})", flush=True)
-            if args.coordinator_url:
-                # Self-registration happens off the event loop: the
-                # coordinator may not be up yet, and the retry loop
-                # must not block this node from serving shards.
-                import threading
-
-                from repro.fabric.worker import register_with_coordinator
-
-                worker_url = f"http://{args.host}:{port}"
-                threading.Thread(
-                    target=register_with_coordinator,
-                    args=(args.coordinator_url, worker_url),
-                    kwargs={"capacity": app.executor.workers},
-                    name="repro-fabric-register",
-                    daemon=True,
-                ).start()
 
         await run_server(app, host=args.host, port=args.port, ready=ready)
 
@@ -554,18 +400,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Fetch one trace and render it as a span tree (or export it)."""
-    from repro.errors import ServiceError
-    from repro.fabric.transport import split_base_url
     from repro.obs.export import render_span_tree, to_chrome_trace
-    from repro.service.client import ServiceClient
+    from repro.service.client import ServiceClient, split_base_url
 
     host, port = split_base_url(args.service)
-    client = ServiceClient(host, port)
-    try:
-        document = client.trace(args.trace_id)
-    except ServiceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    document = ServiceClient(host, port).trace(args.trace_id)
     spans = document.get("spans", [])
     if args.json:
         print(json.dumps(document, sort_keys=True))
@@ -592,8 +431,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+    """CLI entry point; returns the process exit code.
+
+    Bad use-case arguments are usage errors (exit 2, checked by the
+    axis table's validators before any work); any other library error
+    is reported as one ``error:`` line (exit 1).
+    """
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command in COMMANDS:
+        try:
+            check_command(args.command, _axis_params(args))
+        except ProtocolError as exc:
+            parser.error(str(exc))
     dispatch = {
         "list-programs": lambda: _cmd_list_programs(),
         "list-configs": lambda: _cmd_list_configs(),
@@ -609,6 +459,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return dispatch[args.command]()
     except BrokenPipeError:  # output piped into head & friends
         return 0
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -304,8 +304,8 @@ class SweepDiskCache:
     :meth:`prune`, so a long sweep cannot blow far past the budget
     before its final end-of-run prune.
 
-    Multiple *nodes* may share one cache directory (the fabric's
-    result store points every worker at the same root): the atomic
+    Multiple *processes* may share one cache directory (the sweep's
+    and the service's pool workers write to the same root): the atomic
     rename makes concurrent same-key writers safe (last replace wins,
     and deterministic results make the copies identical), and
     :meth:`prune` tolerates records deleted underneath it by a peer's
@@ -388,7 +388,7 @@ class SweepDiskCache:
                 dir=str(path.parent), prefix=".tmp-", suffix=".json"
             )
         except FileNotFoundError:
-            # A peer node removed the (empty) shard directory between
+            # A peer process removed the (empty) shard directory between
             # our mkdir and mkstemp; recreate and try once more.
             path.parent.mkdir(parents=True, exist_ok=True)
             fd, tmp_name = tempfile.mkstemp(

@@ -1,8 +1,8 @@
 """Use-case identity: the one table from request parameters to a run.
 
 A use-case evaluation is ``(UseCase, seed, OptimizerOptions)``, and
-every surface that names one — job requests, fabric shards, sweep
-specs, CLI flags, disk-cache keys — derives it from this module.
+every surface that names one — job requests, sweep specs, CLI flags,
+disk-cache keys — derives it from this module.
 
 * :data:`AXES` has one row per result-affecting axis: its validator,
   its CLI help and argparse settings, the :class:`OptimizerOptions`
@@ -32,13 +32,9 @@ from repro.cache.kernel import KERNELS
 from repro.core.optimizer import OptimizerOptions
 from repro.energy.technology import TECHNOLOGIES
 from repro.errors import CacheConfigError, ExperimentError, ProtocolError
-from repro.experiments.usecase import UseCase
 
 #: Hard cap on the optimization budget a single request may ask for.
 MAX_BUDGET = 100_000
-
-#: Hard cap on the explicit case list of one shard job.
-MAX_SHARD_CASES = 256
 
 BASELINES = ("classic", "persistence")
 
@@ -187,28 +183,6 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
 )}
 
 
-def _case(path: str, value: Any) -> Tuple[str, ...]:
-    """One ``[program, config, tech(, l2)]`` row, normalised by
-    :meth:`UseCase.row` (a null fourth element is dropped)."""
-    if not isinstance(value, (list, tuple)) or len(value) not in (3, 4):
-        raise _fail(path, f"expected [program, config, tech] or "
-                          f"[program, config, tech, l2], got {value!r}")
-    return tuple(UseCase.from_row([
-        AXES[name].resolve(f"{path}.{name}", item)
-        for name, item in zip(("program", "config", "tech", "l2"), value)
-    ]).row())
-
-
-def _cases(path: str, value: Any) -> Tuple[Tuple[str, ...], ...]:
-    if not isinstance(value, (list, tuple)) or not value:
-        raise _fail(path, f"expected a non-empty list of "
-                          f"[program, config, tech] triples, got {value!r}")
-    if len(value) > MAX_SHARD_CASES:
-        raise _fail(path, f"at most {MAX_SHARD_CASES} cases per shard, "
-                          f"got {len(value)}")
-    return tuple(_case(f"{path}[{i}]", row) for i, row in enumerate(value))
-
-
 # ----------------------------------------------------------------------
 # per-kind and per-command field lists
 # ----------------------------------------------------------------------
@@ -216,20 +190,17 @@ def _cases(path: str, value: Any) -> Tuple[Tuple[str, ...], ...]:
 class Field:
     """One parameter of a request kind or CLI command.
 
-    ``axis`` is a key of :data:`AXES` (``None`` for the shard's explicit
-    case list); ``many`` fields take a non-empty list of axis values,
-    and a missing or null one means ``default``.  A callable default is
-    evaluated on use.
+    ``axis`` is a key of :data:`AXES`; ``many`` fields take a non-empty
+    list of axis values, and a missing or null one means ``default``.
+    A callable default is evaluated on use.
     """
 
     name: str
-    axis: Optional[str]
+    axis: str
     default: Any = None
     many: bool = False
 
     def resolve(self, path: str, value: Any) -> Any:
-        if self.axis is None:
-            return _cases(path, value)
         axis = AXES[self.axis]
         if not self.many:
             return axis.resolve(path, value)
@@ -281,7 +252,6 @@ KINDS: Dict[str, Tuple[Field, ...]] = {
     "optimize": _POINT,
     "usecase": _POINT,
     "sweep": _SWEEP,
-    "shard": (Field("cases", None),) + _RUN + (_REFINE,),
 }
 
 #: CLI command -> its use-case arguments (``program``/``config``/
@@ -300,23 +270,21 @@ COMMANDS: Dict[str, Tuple[Field, ...]] = {
 }
 
 
-def canonical(kind: str, params: Mapping[str, Any],
-              where: Optional[str] = None) -> Tuple[Tuple[str, Any], ...]:
+def canonical(kind: str,
+              params: Mapping[str, Any]) -> Tuple[Tuple[str, Any], ...]:
     """Validate one kind's params into canonical ``(name, value)`` pairs.
 
     Defaults are filled in and lists become tuples; omit-when-default
     axes appear only when set.
 
     Raises:
-        ProtocolError: Naming the offending ``params.<field>``;
-            ``where`` names the request in the unknown-field message
-            (default: the kind).
+        ProtocolError: Naming the offending ``params.<field>``.
     """
     fields = KINDS[kind]
     unknown = sorted(set(params) - {f.name for f in fields})
     if unknown:
         raise ProtocolError(f"params: unknown field(s) {unknown} for "
-                            f"{where or f'kind {kind!r}'}")
+                            f"kind {kind!r}")
     pairs = []
     for f in fields:
         if f.many and params.get(f.name) is None:
@@ -324,9 +292,24 @@ def canonical(kind: str, params: Mapping[str, Any],
         else:
             value = f.resolve(f"params.{f.name}",
                               params.get(f.name, f.default))
-        if not (f.axis and AXES[f.axis].omit_default and not value):
+        if not (AXES[f.axis].omit_default and not value):
             pairs.append((f.name, value))
     return tuple(pairs)
+
+
+def check_command(command: str, params: Mapping[str, Any]) -> None:
+    """Validate one CLI command's use-case arguments with the resolvers
+    :func:`canonical` applies to jobs.  ``None``, or an empty list for a
+    list-valued field, keeps the default, as :func:`spec_from_params`
+    does.
+
+    Raises:
+        ProtocolError: Naming the offending argument.
+    """
+    for f in COMMANDS[command]:
+        value = params.get(f.name)
+        if value is not None and not (f.many and not value):
+            f.resolve(f.name, value)
 
 
 # ----------------------------------------------------------------------

@@ -42,8 +42,10 @@ partial results.  Failure scenarios are testable deterministically via
 from __future__ import annotations
 
 import os
+import pickle
 import time
 from collections import deque
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -66,6 +68,7 @@ from repro.experiments.usecase import (
     pipeline_for_usecase,
     run_usecase,
 )
+from repro.obs.trace import current_span
 
 #: Environment variable overriding the default worker count.
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
@@ -81,15 +84,24 @@ def retry_delay(attempt: int,
                 base_s: float = DEFAULT_BACKOFF_BASE_S) -> float:
     """Backoff before retrying after failed attempt ``attempt`` (1-based).
 
-    The one backoff formula of the sweep, its fabric shards and the
-    service's job retries.
+    The one backoff formula of the sweep and the service's job retries.
     """
     return base_s * 2 ** (attempt - 1)
 
 
 #: Exceptions a use case may raise that are worth retrying — the
 #: machine hiccuped, not the computation (which is deterministic).
-_TRANSIENT_CASE_ERRORS = (OSError, TimeoutError)
+#: ``TimeoutError`` is an ``OSError`` subclass.
+TRANSIENT_ERRORS: Tuple[type, ...] = (OSError,)
+
+#: Errors meaning "the pool itself broke", not "a use case failed".
+POOL_FAILURES: Tuple[type, ...] = (
+    BrokenProcessPool,
+    OSError,
+    NotImplementedError,
+    ImportError,
+    pickle.PicklingError,
+)
 
 
 @dataclass(frozen=True)
@@ -321,7 +333,7 @@ def _evaluate_usecase(payload) -> Tuple:
             type(exc).__name__,
             str(exc),
             os.getpid(),
-            isinstance(exc, _TRANSIENT_CASE_ERRORS),
+            isinstance(exc, TRANSIENT_ERRORS),
         )
     return ("ok", result, time.perf_counter() - start, os.getpid())
 
@@ -432,7 +444,6 @@ class _FanOut:
         from concurrent.futures import FIRST_COMPLETED
         from concurrent.futures import TimeoutError as FuturesTimeout
         from concurrent.futures import wait
-        from concurrent.futures.process import BrokenProcessPool
 
         self.queue = deque(pending)
         self.attempts = {idx: 0 for idx in pending}
@@ -464,7 +475,7 @@ class _FanOut:
                             idx, type(exc).__name__,
                             str(exc) or "worker process died", 0, True,
                         )
-                    except _TRANSIENT_CASE_ERRORS as exc:
+                    except TRANSIENT_ERRORS as exc:
                         self._handle_error(
                             idx, type(exc).__name__, str(exc), 0, True
                         )
@@ -580,6 +591,9 @@ def _run_serial(
             if transient and attempt < max_attempts:
                 if metrics is not None:
                     metrics.retries += 1
+                span = current_span()
+                if span is not None:
+                    span.add_event("retry", attempt=attempt, error=error_type)
                 _sleep(retry_delay(attempt, backoff_base_s))
                 continue
             fail(FailureRecord(
@@ -771,7 +785,7 @@ def run_sweep(
             remaining = []
             if metrics is not None:
                 metrics.parallel = True
-        except _POOL_FAILURES:
+        except POOL_FAILURES:
             # The pool could not be started (sandboxed platform,
             # missing fork...) or rebuilt — finish whatever is left
             # serially, counting on from each case's pool attempts.
@@ -813,24 +827,6 @@ def run_sweep(
         # failed cases (the successes come back from disk).
         _SWEEP_CACHE[spec] = tuple(final)
     return final
-
-
-def _pool_failure_types() -> Tuple[type, ...]:
-    """Errors meaning "the pool itself broke", not "a use case failed"."""
-    import pickle
-    from concurrent.futures.process import BrokenProcessPool
-
-    return (
-        BrokenProcessPool,
-        OSError,
-        PermissionError,
-        NotImplementedError,
-        ImportError,
-        pickle.PicklingError,
-    )
-
-
-_POOL_FAILURES = _pool_failure_types()
 
 
 def group_by_capacity(

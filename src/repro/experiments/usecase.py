@@ -59,9 +59,9 @@ class UseCase:
     l2: Optional[str] = None
 
     def row(self) -> List[str]:
-        """The ``[program, config, tech(, l2)]`` case row of keys, shard
-        params and serialized results; single-level use cases keep the
-        original three-element row."""
+        """The ``[program, config, tech(, l2)]`` case row of keys and
+        serialized results; single-level use cases keep the original
+        three-element row."""
         row = [self.program, self.config_id, self.tech]
         if self.l2 is not None:
             row.append(self.l2)

@@ -1,6 +1,6 @@
 """Observability: tracing, structured logging, trace storage/export.
 
-See DESIGN.md §8 for the span model, propagation, sampling, and export
+See DESIGN.md §7 for the span model, propagation, sampling, and export
 format.
 """
 

@@ -145,14 +145,7 @@ def _format_duration(seconds: float) -> str:
     return f"{seconds * 1e6:.0f}us"
 
 
-_ANNOTATED_EVENTS = (
-    "retry",
-    "steal",
-    "lease_expired",
-    "shard_requeued",
-    "backpressure",
-    "coalesced",
-)
+_ANNOTATED_EVENTS = ("retry", "backpressure", "coalesced")
 
 
 def _span_line(doc: Dict[str, Any]) -> str:
@@ -167,7 +160,7 @@ def _span_line(doc: Dict[str, Any]) -> str:
         message = doc.get("status_message") or ""
         parts.append(f"!{doc.get('status')}" + (f": {message}" if message else ""))
     attrs = doc.get("attributes") or {}
-    for key in ("worker", "attempt", "retries", "shard", "kind", "cached", "speculative"):
+    for key in ("attempt", "kind", "cached"):
         if key in attrs:
             parts.append(f"{key}={attrs[key]}")
     notes = [

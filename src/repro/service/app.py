@@ -17,29 +17,8 @@ Routes:
 ``DELETE /v1/jobs/<id>``  cancel (409 already terminal)
 ``GET /healthz``      liveness + queue/executor facts
 ``GET /metrics``      Prometheus text exposition
-``GET /v1/traces/<id>``  collected trace (404 unknown; coordinators
-                      merge their workers' spans into the view)
+``GET /v1/traces/<id>``  collected trace (404 unknown)
 ====================  ====================================================
-
-With ``coordinator=True`` (``repro serve --coordinator``) the fabric
-routes join in:
-
-============================  ========================================
-``POST /v1/fabric/workers``   register a worker node
-``GET /v1/fabric/workers``    the fleet roster
-``POST /v1/fabric/sweeps``    submit a distributed sweep (202)
-``GET /v1/fabric/sweeps/<id>``          sweep record / progress
-``GET /v1/fabric/sweeps/<id>/result``   merged document (409 running)
-``GET /v1/fabric/sweeps/<id>/stream``   live SSE feed (chunked)
-============================  ========================================
-
-and ``GET /metrics`` becomes the fleet-merged exposition (local
-registry + every reachable worker's ``/metrics``, samples summed).
-
-Handlers may be coroutines (the fabric ones are — they await worker
-round-trips), and may return a :class:`_StreamResponse` whose body is
-an async byte generator driven with chunked transfer framing — that is
-how a sweep's result feed streams while it runs.
 """
 
 from __future__ import annotations
@@ -47,7 +26,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
-from typing import Any, Dict, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Union
 
 from repro.errors import ProtocolError, QueueFullError, ServiceError
 from repro.obs.log import get_logger
@@ -138,32 +117,6 @@ class _Response:
         return ("\r\n".join(head) + "\r\n\r\n").encode("ascii") + body
 
 
-class _StreamResponse:
-    """A chunked-transfer response whose body is an async generator.
-
-    ``body`` yields *payload* bytes; the connection handler applies the
-    chunk framing and the terminal chunk.  Used by the fabric's SSE
-    feed — the response has no known length while the sweep runs.
-    """
-
-    def __init__(self, status: int, body,
-                 headers: Optional[Dict[str, str]] = None):
-        self.status = status
-        self.body = body
-        self.headers = headers or {}
-
-    def encode_head(self) -> bytes:
-        reason = _REASONS.get(self.status, "Status")
-        head = [
-            f"HTTP/1.1 {self.status} {reason}",
-            "Transfer-Encoding: chunked",
-            "Connection: close",
-        ]
-        for name, value in self.headers.items():
-            head.append(f"{name}: {value}")
-        return ("\r\n".join(head) + "\r\n\r\n").encode("ascii")
-
-
 async def _read_request(reader: "asyncio.StreamReader") -> Optional[_Request]:
     """Parse one request; ``None`` when the client hung up early.
 
@@ -219,23 +172,16 @@ async def _read_request(reader: "asyncio.StreamReader") -> Optional[_Request]:
 
 
 class ServiceApp:
-    """Routing over a :class:`JobManager` + telemetry + executor.
-
-    With a ``coordinator`` attached the app also serves the fabric
-    routes and the fleet-merged metrics view.
-    """
+    """Routing over a :class:`JobManager` + telemetry + executor."""
 
     def __init__(self, manager: JobManager, telemetry: ServiceTelemetry,
-                 coordinator=None, tracer: Optional[Tracer] = None,
-                 traces=None):
+                 tracer: Optional[Tracer] = None, traces=None):
         self.manager = manager
         self.telemetry = telemetry
         self.executor = manager.executor
-        self.coordinator = coordinator
         # Tracer and trace store are *per app* (not process globals):
-        # tests boot a coordinator and several workers in one process,
-        # and each node must keep its own spans for the cross-node
-        # merge at GET /v1/traces/<id> to mean anything.
+        # tests boot several services in one process, and each must
+        # keep its own spans.
         self.tracer = tracer if tracer is not None else manager.tracer
         self.traces = traces if traces is not None else manager.trace_store
 
@@ -243,15 +189,11 @@ class ServiceApp:
     # lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> None:
-        """Start the manager's dispatcher tasks (and the scheduler)."""
+        """Start the manager's dispatcher tasks."""
         await self.manager.start()
-        if self.coordinator is not None:
-            await self.coordinator.start()
 
     async def close(self) -> None:
-        """Stop dispatchers, the scheduler, and the compute pool."""
-        if self.coordinator is not None:
-            await self.coordinator.close()
+        """Stop dispatchers and the compute pool."""
         await self.manager.close()
         self.executor.shutdown()
 
@@ -262,9 +204,7 @@ class ServiceApp:
         """``asyncio.start_server`` callback: one request, one response."""
         try:
             response = await self._safe_respond(reader)
-            if isinstance(response, _StreamResponse):
-                await self._drive_stream(response, writer)
-            elif response is not None:
+            if response is not None:
                 writer.write(response.encode())
                 await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
@@ -274,25 +214,6 @@ class ServiceApp:
                 writer.close()
             except Exception:
                 pass
-
-    async def _drive_stream(self, response: _StreamResponse,
-                            writer) -> None:
-        """Write a streamed body with chunked transfer framing.
-
-        A failure mid-stream (the generator raised, the client went
-        away) simply closes the connection *without* the terminal
-        chunk — the client's de-chunker turns that into a structured
-        truncation error instead of a silently short document.
-        """
-        from repro.fabric.stream import CHUNK_END, chunk
-
-        writer.write(response.encode_head())
-        await writer.drain()
-        async for payload in response.body:
-            writer.write(chunk(payload))
-            await writer.drain()
-        writer.write(CHUNK_END)
-        await writer.drain()
 
     async def _safe_respond(self, reader):
         try:
@@ -309,8 +230,6 @@ class ServiceApp:
             with span:
                 try:
                     response = self.route(request)
-                    if asyncio.iscoroutine(response):
-                        response = await response
                 except ProtocolError as exc:
                     response = _Response(400, {"error": str(exc)})
                 except QueueFullError as exc:
@@ -325,7 +244,7 @@ class ServiceApp:
                     response = _Response(
                         500, {"error": f"{type(exc).__name__}: {exc}"}
                     )
-                if span.recording and isinstance(response, _Response):
+                if span.recording:
                     span.set_attribute("http.status", response.status)
                     if response.status >= 400:
                         error = None
@@ -337,7 +256,7 @@ class ServiceApp:
                     response.headers.setdefault(
                         "traceparent", format_traceparent(span.context)
                     )
-        if not isinstance(response, _StreamResponse) and response.status >= 400:
+        if response.status >= 400:
             self.telemetry.http_errors.inc()
         return response
 
@@ -345,8 +264,7 @@ class ServiceApp:
         """The span for one request, or :data:`NOOP_SPAN`.
 
         A sampled incoming ``traceparent`` is always honoured (that is
-        how coordinator→worker and client→service hops join one
-        trace).  Without one, only POSTs may root a new trace (subject
+        how a client's trace continues into the service).  Without one, only POSTs may root a new trace (subject
         to the sampling rate) — polls, result fetches and metrics
         scrapes never start traces of their own.
         """
@@ -363,24 +281,13 @@ class ServiceApp:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
-    def route(self, request: _Request):
-        """Dispatch one parsed request to its handler.
-
-        May return an :class:`_Response`, a coroutine resolving to one
-        (awaited by :meth:`_safe_respond`), or a
-        :class:`_StreamResponse`.
-        """
+    def route(self, request: _Request) -> _Response:
+        """Dispatch one parsed request to its handler."""
         method, path = request.method, request.path.rstrip("/") or "/"
         if path == "/healthz":
             return self._require(method, "GET", self._healthz)(request)
         if path == "/metrics":
-            if self.coordinator is not None:
-                return self._require(
-                    method, "GET", self._fleet_metrics
-                )(request)
             return self._require(method, "GET", self._metrics)(request)
-        if path.startswith("/v1/fabric/"):
-            return self._route_fabric(method, path, request)
         if path == "/v1/jobs":
             return self._require(method, "POST", self._submit)(request)
         if path.startswith("/v1/jobs/"):
@@ -411,141 +318,15 @@ class ServiceApp:
             )
         return handler
 
-    # ------------------------------------------------------------------
-    # fabric routing + handlers
-    # ------------------------------------------------------------------
-    def _route_fabric(self, method: str, path: str, request: _Request):
-        if self.coordinator is None:
-            raise ServiceError(
-                "this node is not a coordinator "
-                "(start it with repro serve --coordinator)",
-                status=404,
-            )
-        if path == "/v1/fabric/workers":
-            if method == "POST":
-                return self._fabric_register(request)
-            if method == "GET":
-                return _Response(200, {
-                    "workers": [
-                        w.to_json()
-                        for w in self.coordinator.workers.values()
-                    ],
-                })
-            raise ServiceError(f"{method} not allowed here", status=405)
-        if path == "/v1/fabric/sweeps":
-            return self._require(
-                method, "POST", self._fabric_submit)(request)
-        if path.startswith("/v1/fabric/sweeps/"):
-            rest = path[len("/v1/fabric/sweeps/"):]
-            sweep_id, _, tail = rest.partition("/")
-            sweep = self.coordinator.get_sweep(sweep_id)
-            if sweep is None:
-                raise ServiceError(
-                    f"unknown sweep {sweep_id!r}", status=404)
-            if tail == "":
-                return self._require(
-                    method, "GET",
-                    lambda _req: _Response(200, {"sweep": sweep.to_json()})
-                )(request)
-            if tail == "result":
-                return self._require(
-                    method, "GET",
-                    lambda _req: self._fabric_result(sweep)
-                )(request)
-            if tail == "stream":
-                return self._require(
-                    method, "GET",
-                    lambda _req: self._fabric_stream(sweep)
-                )(request)
-        raise ServiceError(f"no route for {method} {path}", status=404)
-
-    def _fabric_register(self, request: _Request) -> _Response:
-        from repro.service.protocol import parse_worker_registration
-
-        url, capacity = parse_worker_registration(request.json())
-        node = self.coordinator.register_worker(url, capacity=capacity)
-        return _Response(200, {"worker": node.to_json()})
-
-    def _fabric_submit(self, request: _Request) -> _Response:
-        from repro.service.protocol import parse_fabric_sweep
-
-        tenant, params = parse_fabric_sweep(request.json())
-        sweep = self.coordinator.submit_sweep(tenant, params)
-        return _Response(202, {"sweep": sweep.to_json()})
-
-    def _fabric_result(self, sweep) -> _Response:
-        if not sweep.done:
-            return _Response(
-                409,
-                {"id": sweep.id, "state": sweep.state,
-                 "error": "sweep still running"},
-                headers={"Retry-After": "1"},
-            )
-        return _Response(
-            200,
-            {"id": sweep.id, "state": sweep.state,
-             "result": sweep.result_document()},
-        )
-
-    def _fabric_stream(self, sweep) -> _StreamResponse:
-        from repro.fabric.stream import SSE_HEADERS, sse_event
-
-        async def feed():
-            replay, queue = sweep.subscribe()
-            try:
-                saw_done = False
-                for event, data in replay:
-                    yield sse_event(event, data)
-                    saw_done = saw_done or event == "done"
-                while not saw_done:
-                    event, data = await queue.get()
-                    yield sse_event(event, data)
-                    saw_done = event == "done"
-            finally:
-                sweep.unsubscribe(queue)
-
-        headers = {
-            name: value for name, value in SSE_HEADERS
-            if name != "Transfer-Encoding"  # the framing layer adds it
-        }
-        return _StreamResponse(200, feed(), headers=headers)
-
-    async def _fleet_metrics(self, _request: _Request) -> _Response:
-        from repro.service.telemetry import merge_expositions
-
-        pairs = await self.coordinator.fleet_expositions()
-        texts = [self.telemetry.render()] + [text for _url, text in pairs]
-        labels = [None] + [url for url, _text in pairs]
-        return _Response(
-            200, merge_expositions(texts, worker_labels=labels),
-            content_type="text/plain; version=0.0.4; charset=utf-8",
-        )
-
-    async def _trace(self, trace_id: str) -> _Response:
-        """One collected trace, merged across the fleet on coordinators.
-
-        Workers keep their own ring-buffer stores; the coordinator
-        fetches their ``/v1/traces/<id>`` views and merges by span id,
-        so one request returns the complete cross-node span tree.
-        """
-        local = self.traces.get(trace_id) if self.traces is not None else None
-        merged = list(local or [])
-        seen = {doc.get("span_id") for doc in merged if doc.get("span_id")}
-        if self.coordinator is not None:
-            for worker_spans in await self.coordinator.fleet_traces(trace_id):
-                for doc in worker_spans:
-                    span_id = doc.get("span_id")
-                    if span_id and span_id in seen:
-                        continue
-                    if span_id:
-                        seen.add(span_id)
-                    merged.append(doc)
-        if not merged:
+    def _trace(self, trace_id: str) -> _Response:
+        """One collected trace from the service's ring-buffer store."""
+        spans = self.traces.get(trace_id) if self.traces is not None else None
+        if not spans:
             raise ServiceError(f"unknown trace {trace_id!r}", status=404)
         from repro.obs.export import sort_spans
 
         return _Response(
-            200, {"trace_id": trace_id, "spans": sort_spans(merged)}
+            200, {"trace_id": trace_id, "spans": sort_spans(spans)}
         )
 
     # ------------------------------------------------------------------
@@ -599,15 +380,12 @@ class ServiceApp:
     def _healthz(self, _request: _Request) -> _Response:
         import repro
 
-        payload = {
+        return _Response(200, {
             "status": "ok",
             "version": repro.__version__,
             "jobs": self.manager.stats(),
             "executor": self.executor.describe(),
-        }
-        if self.coordinator is not None:
-            payload["fabric"] = self.coordinator.stats()
-        return _Response(200, payload)
+        })
 
     def _metrics(self, _request: _Request) -> _Response:
         return _Response(
@@ -626,13 +404,7 @@ def build_service(
     max_queue: int = 64,
     job_timeout_s: Optional[float] = 600.0,
     dispatchers: Optional[int] = None,
-    coordinator: bool = False,
-    worker_urls: Sequence[str] = (),
-    lease_timeout_s: float = 120.0,
-    steal_after_s: float = 5.0,
-    shard_size: Optional[int] = None,
     trace_sample: float = 1.0,
-    service_name: Optional[str] = None,
 ) -> ServiceApp:
     """Wire executor + telemetry + job manager into a routable app.
 
@@ -640,18 +412,11 @@ def build_service(
     queue binds to it).  ``executor`` is injectable so tests can drive
     the queue with a hand-controlled backend.
 
-    With ``coordinator=True`` a fabric :class:`~repro.fabric.
-    coordinator.Coordinator` is attached, sharing the node's cache
-    directory as the fleet result store.  ``worker_urls`` pre-registers
-    workers named up front (``--worker-url``) with capacity 1 each;
-    self-registering workers (``--coordinator-url``) report their real
-    pool size instead.
-
     ``trace_sample`` is the head-based sampling rate for new traces
-    rooted at this node (``--trace-sample``; ``0`` disables tracing —
-    job latency histograms still work, they read the timing-only span
-    path).  ``service_name`` labels this node's spans in exported
-    traces; it defaults to the node's role.
+    rooted at this service (``--trace-sample``; ``0`` disables tracing
+    — job latency histograms still work, they read the timing-only span
+    path).  The service's own spans are labelled ``"service"`` in
+    exported traces, its pool's ``"pool"``.
     """
     from repro.obs.store import TraceStore
     from repro.service.executor import AnalysisExecutor
@@ -664,11 +429,9 @@ def build_service(
             cache_dir=cache_dir,
             max_cache_bytes=max_cache_bytes,
         )
-    if service_name is None:
-        service_name = "coordinator" if coordinator else "service"
     traces = TraceStore()
     tracer = Tracer(
-        service=service_name,
+        service="service",
         sample=trace_sample,
         sink=traces.sink if trace_sample > 0 else None,
     )
@@ -681,25 +444,7 @@ def build_service(
         tracer=tracer,
         trace_store=traces,
     )
-    coord = None
-    if coordinator:
-        from repro.experiments.cache import resolve_cache_dir
-        from repro.fabric.coordinator import Coordinator
-        from repro.fabric.store import ResultStore
-
-        coord = Coordinator(
-            store=ResultStore(cache_dir=resolve_cache_dir(cache_dir)),
-            telemetry=telemetry,
-            lease_timeout_s=lease_timeout_s,
-            steal_after_s=steal_after_s,
-            shard_size=shard_size,
-            tracer=tracer,
-        )
-        for url in worker_urls:
-            coord.register_worker(url)
-    return ServiceApp(
-        manager, telemetry, coordinator=coord, tracer=tracer, traces=traces
-    )
+    return ServiceApp(manager, telemetry, tracer=tracer, traces=traces)
 
 
 async def run_server(

@@ -5,8 +5,8 @@ submit, poll, fetch, cancel — with retry + *full-jitter* exponential
 backoff on the two transient statuses the server emits under load
 (429 queue-full, 503) and on connection errors during server startup.
 
-Jitter matters at fleet scale: when a coordinator restarts, every
-worker and client sees the same connection error at the same instant —
+Jitter matters when many clients share one service: when it restarts,
+every client sees the same connection error at the same instant —
 deterministic exponential backoff would march them all back in
 lockstep, a thundering herd at exactly the moment the service is
 weakest.  Full jitter (delay drawn uniformly from ``[0, cap]``) spreads
@@ -30,14 +30,25 @@ from __future__ import annotations
 import http.client
 import json
 import random
-import socket
 import time
-from typing import Any, Callable, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
+from urllib.parse import urlsplit
 
 from repro.errors import ServiceError
 
 #: Statuses worth retrying: queue backpressure and transient overload.
 RETRYABLE_STATUSES = (429, 503)
+
+
+def split_base_url(base_url: str) -> Tuple[str, int]:
+    """``http://host:port`` -> ``(host, port)``; validates the scheme."""
+    parts = urlsplit(base_url)
+    if parts.scheme != "http" or not parts.hostname:
+        raise ServiceError(
+            f"service url must be http://host:port, got {base_url!r}",
+            status=400,
+        )
+    return parts.hostname, parts.port or 80
 
 
 def backoff_delay(
@@ -50,7 +61,7 @@ def backoff_delay(
 
     The delay is ``rng() * min(cap, base * 2**attempt)`` with ``rng``
     uniform on ``[0, 1)`` — the exponential term bounds the window,
-    the jitter decorrelates a fleet retrying in unison.  Pass
+    the jitter decorrelates many clients retrying in unison.  Pass
     ``rng=lambda: 1.0`` for the deterministic upper envelope.
     """
     if rng is None:
@@ -245,123 +256,6 @@ class ServiceClient:
         return self.result(job["id"], timeout=timeout)
 
     # ------------------------------------------------------------------
-    # the fabric protocol (coordinator nodes only)
-    # ------------------------------------------------------------------
-    def register_worker(self, url: str, capacity: int = 1) -> Dict[str, Any]:
-        """Register a worker node with a coordinator; returns its record."""
-        body = {"url": url, "capacity": capacity}
-        return self._request("POST", "/v1/fabric/workers", body=body)["worker"]
-
-    def submit_fabric_sweep(self, tenant: str = "default",
-                            traceparent: Optional[str] = None,
-                            **params: Any) -> Dict[str, Any]:
-        """Submit a distributed sweep; returns its record (with ``id``)."""
-        body = {"tenant": tenant, "params": params}
-        return self._request("POST", "/v1/fabric/sweeps", body=body,
-                             traceparent=traceparent)["sweep"]
-
-    def fabric_sweep(self, sweep_id: str) -> Dict[str, Any]:
-        """The current record of a distributed sweep."""
-        return self._request("GET", f"/v1/fabric/sweeps/{sweep_id}")["sweep"]
-
-    def fabric_result(self, sweep_id: str, timeout: float = 300.0,
-                      poll_interval: float = 0.1) -> Dict[str, Any]:
-        """Block until a distributed sweep finishes; returns its document.
-
-        The result endpoint answers 409 + ``Retry-After`` while shards
-        are still in flight, so this polls rather than leaning on the
-        retry loop (a long sweep would exhaust ``max_retries``).
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            try:
-                return self._request(
-                    "GET", f"/v1/fabric/sweeps/{sweep_id}/result",
-                    max_retries=0,
-                )["result"]
-            except ServiceError as exc:
-                if exc.status != 409:
-                    raise
-            if time.monotonic() >= deadline:
-                raise ServiceError(
-                    f"fabric sweep {sweep_id} still running after "
-                    f"{timeout:g}s"
-                )
-            self._sleep(poll_interval)
-
-    def stream_sweep(self, sweep_id: str
-                     ) -> Iterator[Tuple[str, Any]]:
-        """Live results of a distributed sweep as ``(event, data)`` pairs.
-
-        Connects to ``/v1/fabric/sweeps/<id>/stream`` and yields each
-        server-sent event as it lands: ``case`` / ``failure`` /
-        ``progress`` and finally ``done``.  Uses a raw socket because
-        ``http.client`` buffers and de-chunks — we need each chunk the
-        moment it arrives, and we need to *see* the chunked framing to
-        tell a clean end from a coordinator dying mid-stream.
-
-        Raises :class:`ServiceError` if the connection fails, the
-        server rejects the stream, the chunked framing is truncated, or
-        the stream ends without a terminal ``done`` event (all three of
-        which mean the results are incomplete).
-        """
-        from repro.fabric.stream import iter_chunks, iter_sse
-
-        path = f"/v1/fabric/sweeps/{sweep_id}/stream"
-        try:
-            sock = socket.create_connection(
-                (self.host, self.port), timeout=self.timeout
-            )
-        except OSError as exc:
-            raise ServiceError(
-                f"cannot reach service at {self.host}:{self.port}: {exc}"
-            ) from exc
-        try:
-            request = (
-                f"GET {path} HTTP/1.1\r\n"
-                f"Host: {self.host}:{self.port}\r\n"
-                f"Accept: text/event-stream\r\n"
-                f"Connection: close\r\n\r\n"
-            )
-            sock.sendall(request.encode("ascii"))
-            status, leftover = _read_stream_head(sock)
-            if status != 200:
-                raise ServiceError(
-                    f"GET {path} -> {status}", status=status
-                )
-
-            def reads() -> Iterator[bytes]:
-                nonlocal leftover
-                if leftover:
-                    data, leftover = leftover, b""
-                    yield data
-                while True:
-                    data = sock.recv(65536)
-                    if not data:
-                        return
-                    yield data
-
-            saw_done = False
-            try:
-                for event, data in iter_sse(iter_chunks(reads())):
-                    yield event, data
-                    if event == "done":
-                        saw_done = True
-                        break
-            except (ConnectionError, OSError) as exc:
-                raise ServiceError(
-                    f"fabric stream for {sweep_id} broke mid-sweep: "
-                    f"{exc}"
-                ) from exc
-            if not saw_done:
-                raise ServiceError(
-                    f"fabric stream for {sweep_id} ended without a "
-                    f"'done' event; results are incomplete"
-                )
-        finally:
-            sock.close()
-
-    # ------------------------------------------------------------------
     # operational endpoints
     # ------------------------------------------------------------------
     def health(self) -> Dict[str, Any]:
@@ -375,38 +269,10 @@ class ServiceClient:
     def trace(self, trace_id: str) -> Dict[str, Any]:
         """One collected trace: ``{"trace_id", "spans": [...]}``.
 
-        On a coordinator this merges the spans its workers collected
-        for the same trace id.  404 (raised as :class:`ServiceError`)
-        means the node never sampled that trace or has evicted it.
+        404 (raised as :class:`ServiceError`) means the service never
+        sampled that trace or has evicted it.
         """
         return self._request("GET", f"/v1/traces/{trace_id}", max_retries=0)
-
-
-def _read_stream_head(sock: "socket.socket") -> Tuple[int, bytes]:
-    """Read the HTTP response head off a raw socket.
-
-    Returns ``(status, leftover)`` where ``leftover`` is any body bytes
-    that arrived in the same reads as the head — they belong to the
-    chunked stream and must be replayed before the next ``recv``.
-    """
-    buffer = b""
-    while b"\r\n\r\n" not in buffer:
-        data = sock.recv(65536)
-        if not data:
-            raise ServiceError(
-                "connection closed before the response head arrived"
-            )
-        buffer += data
-        if len(buffer) > 65536:
-            raise ServiceError("response head exceeds 64KiB")
-    head, leftover = buffer.split(b"\r\n\r\n", 1)
-    status_line = head.split(b"\r\n", 1)[0].decode("ascii", errors="replace")
-    parts = status_line.split(" ", 2)
-    try:
-        status = int(parts[1])
-    except (IndexError, ValueError):
-        raise ServiceError(f"malformed status line: {status_line!r}")
-    return status, leftover
 
 
 def _parse_retry_after(value: Optional[str]) -> Optional[float]:

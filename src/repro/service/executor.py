@@ -46,7 +46,7 @@ from repro.experiments.report import (
     usecase_to_json,
 )
 from repro.experiments.scenario import options_from_params, spec_from_params
-from repro.experiments.sweep import resolve_workers
+from repro.experiments.sweep import POOL_FAILURES, resolve_workers
 from repro.experiments.usecase import UseCase, UseCaseResult, run_usecase
 from repro.obs.trace import (
     SpanCollector,
@@ -112,14 +112,6 @@ def execute_job(payload: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def _execute(kind, params, cache_dir) -> Dict[str, Any]:
-    if kind == "shard":
-        # Fabric shard: an explicit case list from a coordinator.  The
-        # per-case retry/fault semantics and the result documents live
-        # with the rest of the fabric code.
-        from repro.fabric.worker import execute_shard
-
-        return execute_shard(params, cache_dir)
-
     if kind == "sweep":
         from repro.experiments.metrics import SweepMetrics
         from repro.experiments.sweep import run_sweep
@@ -189,10 +181,10 @@ class AnalysisExecutor:
     def probe_cache(self, request: JobRequest) -> Optional[Dict[str, Any]]:
         """The response document if the disk cache already holds it.
 
-        Only the point kinds have whole-job records; sweep and shard
-        jobs reuse the cache per use case inside the worker instead.
+        Only the point kinds have whole-job records; sweep jobs reuse
+        the cache per use case inside the worker instead.
         """
-        if self.disk is None or request.kind in ("sweep", "shard"):
+        if self.disk is None or request.kind == "sweep":
             return None
         _, _, key = _point_job(request.params_dict())
         result = self.disk.get(key)
@@ -315,19 +307,6 @@ class AnalysisExecutor:
         return data
 
 
-def _pool_failure_types():
-    import pickle
-    from concurrent.futures.process import BrokenProcessPool
-
-    return (
-        BrokenProcessPool,
-        OSError,
-        PermissionError,
-        NotImplementedError,
-        ImportError,
-        pickle.PicklingError,
-        RuntimeError,
-    )
-
-
-_POOL_FAILURES = _pool_failure_types()
+#: A shut-down thread pool raises ``RuntimeError`` on submit; the
+#: sweep's pool failures cover everything else.
+_POOL_FAILURES = POOL_FAILURES + (RuntimeError,)

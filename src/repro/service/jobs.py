@@ -31,13 +31,18 @@ from __future__ import annotations
 import asyncio
 import time
 import uuid
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.errors import QueueFullError, ServiceError
-# Transient pool failures get the sweep's per-case retry budget and
-# backoff schedule.
-from repro.experiments.sweep import DEFAULT_MAX_ATTEMPTS, retry_delay
+# Transient pool failures get the sweep's per-case retry budget,
+# backoff schedule and transient classification.
+from repro.experiments.sweep import (
+    DEFAULT_MAX_ATTEMPTS,
+    TRANSIENT_ERRORS,
+    retry_delay,
+)
 from repro.obs.log import get_logger
 from repro.obs.trace import NOOP_SPAN, Tracer, use_span
 from repro.service.protocol import JobRequest
@@ -64,10 +69,9 @@ _TERMINAL = (STATE_DONE, STATE_FAILED, STATE_CANCELLED)
 
 
 def _transient_job_error(exc: BaseException) -> bool:
-    """Whether a pool exception is worth a retry on a fresh pool."""
-    from concurrent.futures.process import BrokenProcessPool
-
-    return isinstance(exc, (BrokenProcessPool, OSError))
+    """Whether a pool exception is worth a retry on a fresh pool: a
+    worker died (the pool broke) or the machine hiccuped."""
+    return isinstance(exc, (BrokenProcessPool,) + TRANSIENT_ERRORS)
 
 
 def _pipeline_counters(result: Any) -> Optional[Dict[str, int]]:

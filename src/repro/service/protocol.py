@@ -1,21 +1,13 @@
 """Job request/response schemas of the analysis service.
 
-A job is ``{"kind": ..., "params": {...}}``.  Four kinds exist:
+A job is ``{"kind": ..., "params": {...}}``.  Three kinds exist:
 
 * ``optimize`` — optimize one program for one cache/technology and
   report the optimizer's outcome plus the WCET guarantee;
 * ``usecase`` — the paper's paired original/optimized measurement of
   one use case (full serialized result + ratios);
 * ``sweep`` — a grid of use cases, returning per-case rows and the
-  aggregate summary (the same document as ``repro sweep --json``);
-* ``shard`` — an explicit case list (not a product grid) dispatched by
-  a fabric coordinator; returns per-case serialized results keyed by
-  the fleet content hash (:mod:`repro.fabric`).
-
-The fabric coordinator adds two request families of its own —
-:func:`parse_fabric_sweep` (``POST /v1/fabric/sweeps``) and
-:func:`parse_worker_registration` (``POST /v1/fabric/workers``) —
-validated here with the same field-naming error discipline.
+  aggregate summary (the same document as ``repro sweep --json``).
 
 :func:`parse_job` normalises a raw JSON payload into a
 :class:`JobRequest`: the kind's field list, defaults, validators and
@@ -40,15 +32,10 @@ from typing import Any, Dict, Mapping, Tuple
 
 from repro.errors import ProtocolError
 from repro.experiments.cache import CODE_VERSION
-from repro.experiments.scenario import canonical, resolve_int
+from repro.experiments.scenario import canonical
 
 #: The job kinds the service accepts.
-JOB_KINDS = ("optimize", "usecase", "sweep", "shard")
-
-#: The kernel the fabric submission path defaults to: the vectorized
-#: abstract-domain kernel is the soak-tested default at fleet scale
-#: (the differential CI job keeps it bit-identical to ``python``).
-FABRIC_DEFAULT_KERNEL = "vectorized"
+JOB_KINDS = ("optimize", "usecase", "sweep")
 
 
 @dataclass(frozen=True)
@@ -122,71 +109,3 @@ def parse_job(payload: Any) -> JobRequest:
             f"params: expected a JSON object, got {type(params).__name__}")
     return JobRequest(kind=kind, params=canonical(kind, params))
 
-
-# ----------------------------------------------------------------------
-# fabric request families (coordinator endpoints)
-# ----------------------------------------------------------------------
-_TENANT_CHARS = frozenset(
-    "abcdefghijklmnopqrstuvwxyz0123456789-_")
-
-
-def _resolve_tenant(field: str, value: Any) -> str:
-    if value is None:
-        return "default"
-    if (not isinstance(value, str) or not value or len(value) > 64
-            or set(value) - _TENANT_CHARS):
-        raise ProtocolError(f"{field}: expected 1-64 chars of [a-z0-9_-], "
-                            f"got {value!r}")
-    return value
-
-
-def parse_fabric_sweep(payload: Any) -> Tuple[str, Dict[str, Any]]:
-    """Validate one ``POST /v1/fabric/sweeps`` body.
-
-    Returns ``(tenant, canonical sweep params dict)``.  The fabric
-    path defaults the optimizer kernel to
-    :data:`FABRIC_DEFAULT_KERNEL` (the single-node paths keep the
-    optimizer's own default) — ``"kernel": "python"`` stays
-    selectable per sweep.
-    """
-    if not isinstance(payload, Mapping):
-        raise ProtocolError(
-            f"sweep must be a JSON object, got {type(payload).__name__}")
-    unknown = sorted(set(payload) - {"tenant", "params"})
-    if unknown:
-        raise ProtocolError(f"unknown field(s) {unknown} for a fabric sweep")
-    tenant = _resolve_tenant("tenant", payload.get("tenant"))
-    params = payload.get("params", {})
-    if not isinstance(params, Mapping):
-        raise ProtocolError(
-            f"params: expected a JSON object, got {type(params).__name__}")
-    if "kernel" not in params:
-        params = dict(params, kernel=FABRIC_DEFAULT_KERNEL)
-    return tenant, JobRequest(
-        "sweep", canonical("sweep", params, where="a fabric sweep")
-    ).params_dict()
-
-
-def parse_worker_registration(payload: Any) -> Tuple[str, int]:
-    """Validate one ``POST /v1/fabric/workers`` body.
-
-    Returns ``(worker base url, capacity)``.
-    """
-    if not isinstance(payload, Mapping):
-        raise ProtocolError(
-            f"registration must be a JSON object, "
-            f"got {type(payload).__name__}")
-    unknown = sorted(set(payload) - {"url", "capacity"})
-    if unknown:
-        raise ProtocolError(
-            f"unknown field(s) {unknown} for a worker registration")
-    url = payload.get("url")
-    if not isinstance(url, str) or not url.startswith("http://"):
-        raise ProtocolError(
-            f"url: expected an http://host:port base url, got {url!r}")
-    from repro.fabric.transport import split_base_url
-
-    split_base_url(url)  # raises ServiceError on malformed urls
-    capacity = payload.get("capacity", 1)
-    return url.rstrip("/"), resolve_int("capacity", capacity,
-                                        minimum=1, maximum=1024)

@@ -266,18 +266,6 @@ class ServiceTelemetry:
             completed sweep jobs (partial results).
         sweep_case_retries: Per-use-case transient retries inside
             completed sweep jobs.
-        fabric_workers: Healthy worker nodes registered with this
-            coordinator.
-        fabric_sweeps: Distributed sweeps accepted.
-        fabric_shards_dispatched: Shard leases created.
-        fabric_shards_completed: Shard result documents merged.
-        fabric_shards_requeued: Shards requeued (split) after a lease
-            expiry or an unreachable worker.
-        fabric_lease_expiries: Leases that hit their deadline.
-        fabric_steals: Speculative clones launched against stragglers.
-        fabric_results_merged: Use-case results merged into the store
-            from worker shard documents.
-        fabric_queue_depth: Shards currently queued across tenants.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):
@@ -340,27 +328,6 @@ class ServiceTelemetry:
         self.sweep_case_retries = r.counter(
             "sweep_case_retries",
             "Per-use-case transient retries inside completed sweep jobs")
-        self.fabric_workers = r.gauge(
-            "fabric_workers", "Healthy worker nodes registered")
-        self.fabric_sweeps = r.counter(
-            "fabric_sweeps", "Distributed sweeps accepted")
-        self.fabric_shards_dispatched = r.counter(
-            "fabric_shards_dispatched", "Shard leases created")
-        self.fabric_shards_completed = r.counter(
-            "fabric_shards_completed", "Shard result documents merged")
-        self.fabric_shards_requeued = r.counter(
-            "fabric_shards_requeued",
-            "Shards requeued after lease expiry or worker loss")
-        self.fabric_lease_expiries = r.counter(
-            "fabric_lease_expiries", "Shard leases that hit their deadline")
-        self.fabric_steals = r.counter(
-            "fabric_steals", "Speculative shard clones launched")
-        self.fabric_results_merged = r.counter(
-            "fabric_results_merged",
-            "Use-case results merged from worker shard documents")
-        self.fabric_queue_depth = r.gauge(
-            "fabric_queue_depth", "Shards queued across tenants")
-
     def record_job_result(self, result) -> None:
         """Fold one completed job's failure/retry story into the registry.
 
@@ -442,94 +409,3 @@ class ServiceTelemetry:
         """The registry's text exposition (the ``/metrics`` body)."""
         return self.registry.render()
 
-
-def _label_sample(sample: str, label_pair: str) -> str:
-    """Append one ``key="value"`` pair to a sample's label set."""
-    if sample.endswith("}") and "{" in sample:
-        return sample[:-1] + "," + label_pair + "}"
-    return sample + "{" + label_pair + "}"
-
-
-def merge_expositions(
-    expositions: Sequence[str],
-    worker_labels: Optional[Sequence[Optional[str]]] = None,
-) -> str:
-    """Merge Prometheus text expositions by summing identical samples.
-
-    The coordinator's fleet ``/metrics`` view: every sample line whose
-    name (including labels, e.g. histogram buckets) appears in several
-    workers' expositions is summed — counters, histogram buckets, sums
-    and counts are all additive across a fleet, and gauges (queue
-    depth, in-flight jobs) sum into the fleet-wide total.  ``# HELP`` /
-    ``# TYPE`` comments are kept from their first occurrence; metric
-    and sample order follow first appearance, so merging one exposition
-    with itself is shape-preserving.
-
-    ``worker_labels``, when given, runs parallel to ``expositions``: a
-    non-``None`` entry additionally emits every sample of that
-    exposition as a per-worker series labelled ``worker="<label>"``
-    next to the fleet total, so a straggler node is identifiable from
-    the merged ``/metrics`` alone.
-    """
-    meta: Dict[str, Dict[str, str]] = {}
-    metric_order: List[str] = []
-    sample_order: Dict[str, List[str]] = {}
-    values: Dict[str, float] = {}
-
-    for index, text in enumerate(expositions):
-        label = None
-        if worker_labels is not None and index < len(worker_labels):
-            label = worker_labels[index]
-        label_pair = None
-        if label is not None:
-            escaped = str(label).replace("\\", "\\\\").replace('"', '\\"')
-            label_pair = f'worker="{escaped}"'
-        for line in text.splitlines():
-            line = line.rstrip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split(None, 3)
-                if len(parts) < 3 or parts[1] not in ("HELP", "TYPE"):
-                    continue
-                name = parts[2]
-                if name not in meta:
-                    meta[name] = {}
-                    metric_order.append(name)
-                meta[name].setdefault(parts[1], line)
-                continue
-            sample, _, value_text = line.rpartition(" ")
-            if not sample:
-                continue
-            try:
-                value = float(value_text)
-            except ValueError:
-                continue
-            name = sample.split("{", 1)[0].rstrip()
-            if name.endswith(("_bucket", "_sum", "_count")):
-                base = name.rsplit("_", 1)[0]
-                if base in meta or base in sample_order:
-                    name = base
-            if name not in meta and name not in sample_order:
-                metric_order.append(name)
-            order = sample_order.setdefault(name, [])
-            if sample not in values:
-                order.append(sample)
-                values[sample] = 0.0
-            values[sample] += value
-            if label_pair is not None:
-                labelled = _label_sample(sample, label_pair)
-                if labelled not in values:
-                    order.append(labelled)
-                    values[labelled] = 0.0
-                values[labelled] += value
-
-    lines: List[str] = []
-    for name in metric_order:
-        comments = meta.get(name, {})
-        for kind in ("HELP", "TYPE"):
-            if kind in comments:
-                lines.append(comments[kind])
-        for sample in sample_order.get(name, ()):
-            lines.append(f"{sample} {_format_value(values[sample])}")
-    return "\n".join(lines) + "\n"

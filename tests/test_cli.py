@@ -78,6 +78,47 @@ class TestUseCaseAndFigures:
             main(["frobnicate"])
 
 
+class TestDegenerateInputs:
+    """Bad inputs end in one typed error line, never a traceback: bad
+    use-case arguments are usage errors (exit 2, the service's
+    validator message), other library errors exit 1."""
+
+    GRID = ["--programs", "bs", "--configs", "k1", "--techs", "45nm"]
+
+    @pytest.mark.parametrize("argv,code,message", [
+        (["optimize", "bs", "k99"], 2,
+         "config: unknown cache configuration 'k99'"),
+        (["optimize", "nope", "k1"], 2, "program: unknown program 'nope'"),
+        (["optimize", "bs", "k1", "--budget", "-3"], 2,
+         "budget: must be >= 1, got -3"),
+        (["usecase", "bs", "k99"], 2,
+         "config: unknown cache configuration 'k99'"),
+        (["usecase", "bs", "k1", "--l2", "1:2"], 2,
+         "l2: L2 spec must be assoc:block:capacity:latency, got '1:2'"),
+        (["sweep", *GRID, "--l2", "0:16:4096:10"], 2,
+         "l2[0]: associativity must be >= 1, got 0"),
+        (["sweep", "--budget", "0"], 2, "budget: must be >= 1, got 0"),
+        (["sweep", *GRID, "--budget", "5", "--workers", "0"], 1,
+         "error: workers must be >= 1, got 0"),
+        (["trace", "x", "--service", "nohost"], 1,
+         "error: service url must be http://host:port, got 'nohost'"),
+    ], ids=["optimize-config", "optimize-program", "optimize-budget",
+            "usecase-config", "usecase-l2", "sweep-l2", "sweep-budget",
+            "sweep-workers", "trace-service"])
+    def test_bad_input_is_one_typed_error(self, argv, code, message,
+                                          capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_SWEEP_WORKERS", raising=False)
+        if code == 2:
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2
+        else:
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestSweepCommand:
     TINY = ["--programs", "bs", "prime", "--configs", "k1",
             "--techs", "45nm", "--budget", "10"]
@@ -178,6 +219,9 @@ class TestSweepCommand:
     def test_default_grid_spec(self, monkeypatch, capsys):
         spec = self._captured_spec(monkeypatch, [])
         assert spec == sweep_module.default_grid()
+        # flags given without values keep their defaults too
+        assert self._captured_spec(
+            monkeypatch, ["--programs", "--l2"]) == spec
 
     def test_all_failed_sweep_reports_no_improvement(self, monkeypatch,
                                                       capsys):

@@ -537,25 +537,27 @@ class TestHierarchyGoldenCorpus:
 
 
 # ----------------------------------------------------------------------
-# the hierarchy as a grid axis: sweep, CLI, protocol, fabric
+# the hierarchy as a grid axis: sweep, CLI, protocol
 # ----------------------------------------------------------------------
 class TestHierarchyProtocol:
     def test_fabric_sweep_accepts_the_l2_axis(self):
-        from repro.service.protocol import parse_fabric_sweep
+        """A distributed sweep submission is a ``sweep`` job; its
+        ``l2`` axis survives parsing in canonical form."""
+        from repro.service.protocol import parse_job
 
-        _, params = parse_fabric_sweep({"params": dict(
+        req = parse_job({"kind": "sweep", "params": dict(
             programs=["bs"], configs=["k1"], techs=["45nm"],
             budget=10, l2=[L2_SPEC],
         )})
-        assert params["l2"] == [L2_SPEC]
+        assert req.params_dict()["l2"] == [L2_SPEC]
 
     @pytest.mark.parametrize("bad", ("4:16", "4:16:4096:0", 7, []))
     def test_bad_l2_specs_are_rejected(self, bad):
-        from repro.service.protocol import parse_fabric_sweep
+        from repro.service.protocol import parse_job
 
         with pytest.raises(ProtocolError, match="l2"):
-            parse_fabric_sweep({"params": {"l2": bad if bad == []
-                                           else [bad]}})
+            parse_job({"kind": "sweep",
+                       "params": {"l2": bad if bad == [] else [bad]}})
 
     def test_fingerprints_without_l2_stay_pre_hierarchy_stable(self):
         """The canonical form only gains an ``l2`` key when the axis is
@@ -572,18 +574,23 @@ class TestHierarchyProtocol:
         assert base.fingerprint() != with_l2.fingerprint()
 
     def test_shard_cases_round_trip_l2_quadruples(self):
+        from repro.experiments.scenario import spec_from_params
         from repro.service.protocol import parse_job
 
-        req = parse_job({"kind": "shard", "params": {"cases": [
-            ["bs", "k1", "45nm", L2_SPEC],
-            ["bs", "k1", "45nm", None],
-            ["bs", "k1", "45nm"],
-        ]}})
-        cases = req.param("cases")
-        assert cases[0] == ("bs", "k1", "45nm", L2_SPEC)
-        # a null L2 normalises to the triple: same shard fingerprint
-        # as a pre-hierarchy submission
-        assert cases[1] == cases[2] == ("bs", "k1", "45nm")
+        grid = dict(programs=["bs"], configs=["k1"], techs=["45nm"],
+                    budget=10)
+        req = parse_job({"kind": "sweep",
+                         "params": dict(grid, l2=[L2_SPEC, None])})
+        rows = [case.row() for case in
+                spec_from_params(req.params_dict()).usecases()]
+        assert rows[0] == ["bs", "k1", "45nm", L2_SPEC]
+        # a null L2 normalises to the triple: same case row, canonical
+        # form and fingerprint as a pre-hierarchy submission
+        assert rows[1] == ["bs", "k1", "45nm"]
+        plain = parse_job({"kind": "sweep", "params": grid})
+        null = parse_job({"kind": "sweep", "params": dict(grid, l2=None)})
+        assert null == plain
+        assert null.fingerprint() == plain.fingerprint()
 
 
 class TestHierarchySweep:
@@ -670,34 +677,6 @@ class TestHierarchyCLI:
                      "--l2", L2_SPEC]) == 0
         out = capsys.readouterr().out
         assert "L2 hit rate" in out
-
-
-class TestHierarchyFabric:
-    def test_fabric_l2_sweep_matches_local_run_bit_for_bit(self, tmp_path):
-        from repro.experiments.report import sweep_to_json
-        from repro.experiments.sweep import SweepSpec, run_sweep
-        from repro.service.app import BackgroundServer
-        from repro.service.client import ServiceClient
-
-        with BackgroundServer(cache_dir=tmp_path / "fleet",
-                              workers=1) as worker:
-            with BackgroundServer(coordinator=True,
-                                  worker_urls=[worker.url]) as coord:
-                client = ServiceClient(coord.host, coord.port)
-                record = client.submit_fabric_sweep(
-                    programs=["bs"], configs=["k1"], techs=["45nm"],
-                    budget=10, l2=[L2_SPEC],
-                )
-                document = client.fabric_result(record["id"])
-        assert document["summary"]["failed"] == 0
-        assert [c["l2"] for c in document["cases"]] == [L2_SPEC]
-        local = run_sweep(
-            SweepSpec(programs=("bs",), config_ids=("k1",),
-                      techs=("45nm",), max_evaluations=10,
-                      kernel="vectorized", l2_specs=(L2_SPEC,)),
-            use_cache=False, workers=1,
-        )
-        assert document["cases"] == sweep_to_json(local)["cases"]
 
 
 @pytest.mark.slow

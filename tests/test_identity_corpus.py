@@ -1,4 +1,4 @@
-"""Pinned use-case identities: cache keys, job fingerprints, shard ids.
+"""Pinned use-case identities: cache keys and job fingerprints.
 
 ``tests/data/identity_corpus.json`` holds literal values of every
 content hash and canonical form a use case is known by:
@@ -6,12 +6,11 @@ content hash and canonical form a use case is known by:
 * ``usecase_key`` over program x config x tech x l2 x seed x baseline x
   budget x kernel x refine, and the keys of whole ``SweepSpec`` grids;
 * ``JobRequest.fingerprint()`` and ``params_dict()`` of sparse and fully
-  spelled payloads of all four job kinds, plus fabric sweep submissions;
+  spelled payloads of every job kind;
 * the disk-cache key a point job probes;
-* ``shard_id`` over a few key lists;
 * the ``ProtocolError`` message of each unknown-field and bad-value case.
 
-Disk-cache records, coalescing, shard dispatch and clients all depend
+Disk-cache records, coalescing and clients all depend
 on these values, so they must stay byte-identical across refactors.  A
 deliberate change to result-producing code bumps ``CODE_VERSION``; only
 then is the corpus regenerated.
@@ -29,9 +28,8 @@ from repro.errors import ProtocolError
 from repro.experiments.cache import CODE_VERSION, usecase_key
 from repro.experiments.sweep import SweepSpec
 from repro.experiments.usecase import UseCase
-from repro.fabric.shards import shard_id
 from repro.service.executor import AnalysisExecutor
-from repro.service.protocol import parse_fabric_sweep, parse_job
+from repro.service.protocol import parse_job
 
 CORPUS = json.loads(
     (Path(__file__).parent / "data" / "identity_corpus.json").read_text()
@@ -89,7 +87,7 @@ def test_job_fingerprints_and_canonical_params():
         request = parse_job(entry["payload"])
         return {
             "fingerprint": request.fingerprint(),
-            # nested case rows are tuples; compare their JSON form
+            # list params are tuples; compare their JSON form
             "params": json.loads(json.dumps(request.params_dict())),
             "echo": json.dumps(request.to_json()),
         }
@@ -100,14 +98,6 @@ def test_job_fingerprints_and_canonical_params():
     bad = [(e["payload"], compute(e)) for e in CORPUS["jobs"]
            if compute(e) != expected(e)]
     assert bad == []
-
-
-def test_fabric_sweep_canonical_params():
-    def compute(entry):
-        tenant, params = parse_fabric_sweep(entry["payload"])
-        return [tenant, json.dumps(params)]
-
-    assert _mismatches(CORPUS["fabric_sweeps"], compute, "canonical") == []
 
 
 def test_point_jobs_probe_the_pinned_disk_key(tmp_path):
@@ -129,18 +119,7 @@ def test_point_jobs_probe_the_pinned_disk_key(tmp_path):
     assert _mismatches(CORPUS["point_disk_keys"], compute, "key") == []
 
 
-def test_shard_ids():
-    def compute(entry):
-        return shard_id(entry["sweep_id"], entry["keys"],
-                        speculative=entry["speculative"])
-
-    assert _mismatches(CORPUS["shard_ids"], compute, "id") == []
-
-
-@pytest.mark.parametrize("section,parse", [
-    ("job_errors", parse_job),
-    ("fabric_errors", parse_fabric_sweep),
-])
+@pytest.mark.parametrize("section,parse", [("job_errors", parse_job)])
 def test_protocol_error_messages(section, parse):
     def compute(entry):
         try:

@@ -9,8 +9,8 @@ Five layers:
 * collection — aggregate folding in :class:`SpanCollector` and the
   :class:`TraceStore` ring buffer;
 * export — Chrome-trace JSON validity and the terminal span tree;
-* service integration — latency histograms derived from job spans,
-  fleet ``/metrics`` worker labels, and ``GET /v1/traces/<id>``.
+* service integration — latency histograms derived from job spans
+  and ``GET /v1/traces/<id>``.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from repro.obs.trace import (
 )
 from repro.service.app import BackgroundServer
 from repro.service.client import ServiceClient
-from repro.service.telemetry import ServiceTelemetry, merge_expositions
+from repro.service.telemetry import ServiceTelemetry
 
 TRACE = "4bf92f3577b34da6a3ce929d0e0e4736"
 SPAN = "00f067aa0ba902b7"
@@ -334,13 +334,13 @@ class TestTraceStore:
 class TestChromeExport:
     def _tiny_trace(self):
         root = _doc(name="http POST /v1/jobs", span="a" * 16,
-                    service="coordinator", start=100.0, duration=2.0)
-        child = _doc(name="fabric.dispatch", span="b" * 16,
-                     parent="a" * 16, service="coordinator",
+                    service="service", start=100.0, duration=2.0)
+        child = _doc(name="job", span="b" * 16,
+                     parent="a" * 16, service="service",
                      start=100.5, duration=1.0,
                      events=[{"name": "retry", "offset_s": 0.25,
                               "attributes": {"attempt": 2}}])
-        remote = _doc(name="shard.execute", span="c" * 16,
+        remote = _doc(name="pool.execute", span="c" * 16,
                       parent="b" * 16, service="pool",
                       start=100.6, duration=0.8)
         return [root, child, remote]
@@ -350,7 +350,7 @@ class TestChromeExport:
         assert doc["displayTimeUnit"] == "ms"
         events = doc["traceEvents"]
         meta = [e for e in events if e["ph"] == "M"]
-        assert {e["args"]["name"] for e in meta} == {"coordinator", "pool"}
+        assert {e["args"]["name"] for e in meta} == {"service", "pool"}
         complete = [e for e in events if e["ph"] == "X"]
         assert len(complete) == 3
         root = next(e for e in complete if e["name"] == "http POST /v1/jobs")
@@ -366,8 +366,8 @@ class TestChromeExport:
         complete = {e["name"]: e for e in doc["traceEvents"]
                     if e["ph"] == "X"}
         assert (complete["http POST /v1/jobs"]["pid"]
-                != complete["shard.execute"]["pid"])
-        assert (complete["fabric.dispatch"]["tid"]
+                != complete["pool.execute"]["pid"])
+        assert (complete["job"]["tid"]
                 == complete["http POST /v1/jobs"]["tid"])
 
     def test_overlapping_roots_take_separate_lanes(self):
@@ -384,12 +384,12 @@ class TestChromeExport:
         tree = render_span_tree(self._tiny_trace())
         lines = tree.splitlines()
         assert lines[0].startswith("http POST /v1/jobs")
-        assert any("fabric.dispatch" in l and "<retry>" in l
+        assert any(l.lstrip("|`- ").startswith("job ") and "<retry>" in l
                    for l in lines)
-        dispatch_line = next(l for l in lines if "fabric.dispatch" in l)
-        shard_line = next(l for l in lines if "shard.execute" in l)
-        assert lines.index(shard_line) > lines.index(dispatch_line)
-        assert shard_line.startswith(("   ", "|  "))  # nested deeper
+        job_line = next(l for l in lines if l.lstrip("|`- ").startswith("job "))
+        pool_line = next(l for l in lines if "pool.execute" in l)
+        assert lines.index(pool_line) > lines.index(job_line)
+        assert pool_line.startswith(("   ", "|  "))  # nested deeper
 
     def test_sort_spans_orders_by_wall_start(self):
         spans = [_doc(name="late", start=2.0), _doc(name="early", start=1.0)]
@@ -405,12 +405,12 @@ class TestStructuredLog:
         logger = StructuredLogger("test.logger", stream=buffer)
         tracer = Tracer(service="t", sample=1.0, sink=lambda s: None)
         with tracer.start_span("op", root=True) as span:
-            logger.info("hello", shard="s1")
+            logger.info("hello", job="j1")
         record = json.loads(buffer.getvalue())
         assert record["level"] == "info"
         assert record["logger"] == "test.logger"
         assert record["msg"] == "hello"
-        assert record["shard"] == "s1"
+        assert record["job"] == "j1"
         assert record["trace_id"] == span.context.trace_id
         assert record["span_id"] == span.context.span_id
 
@@ -438,7 +438,7 @@ class TestStructuredLog:
 
 
 # ----------------------------------------------------------------------
-# telemetry: span-derived histograms + fleet merge labels
+# telemetry: span-derived histograms
 # ----------------------------------------------------------------------
 class TestJobSpanTelemetry:
     def _span(self):
@@ -467,57 +467,6 @@ class TestJobSpanTelemetry:
         assert "job_queue_wait_seconds_count 1" in text
         assert "job_execution_seconds_count 0" in text
         assert "job_latency_seconds_count 0" in text
-
-
-HELP_A = ("# HELP repro_x First wording.\n"
-          "# TYPE repro_x counter\n"
-          "repro_x 1\n")
-HELP_B = ("# HELP repro_x Conflicting wording.\n"
-          "# TYPE repro_x counter\n"
-          "repro_x 2\n")
-
-
-class TestMergeExpositionLabels:
-    def test_empty_fleet_merges_to_an_empty_exposition(self):
-        assert merge_expositions([]).strip() == ""
-        assert merge_expositions([], worker_labels=[]).strip() == ""
-
-    def test_disjoint_metric_names_union(self):
-        other = ("# HELP repro_y Other.\n"
-                 "# TYPE repro_y gauge\n"
-                 "repro_y 7\n")
-        merged = merge_expositions([HELP_A, other])
-        assert "repro_x 1" in merged
-        assert "repro_y 7" in merged
-
-    def test_conflicting_help_lines_keep_the_first(self):
-        merged = merge_expositions([HELP_A, HELP_B])
-        assert "repro_x 3" in merged
-        assert merged.count("# HELP repro_x") == 1
-        assert "First wording" in merged
-        assert "Conflicting wording" not in merged
-
-    def test_worker_labels_emit_per_node_series_beside_the_sum(self):
-        merged = merge_expositions(
-            [HELP_A, HELP_B],
-            worker_labels=[None, "http://w1:9"],
-        )
-        assert "repro_x 3" in merged
-        assert 'repro_x{worker="http://w1:9"} 2' in merged
-        # The unlabeled coordinator contributes no per-worker series.
-        assert merged.count("worker=") == 1
-
-    def test_labels_extend_existing_label_sets(self):
-        histogram = ('repro_h_bucket{le="1"} 2\n'
-                     "repro_h_sum 1.5\n"
-                     "repro_h_count 2\n")
-        merged = merge_expositions([histogram], worker_labels=["w"])
-        assert 'repro_h_bucket{le="1",worker="w"} 2' in merged
-        assert 'repro_h_sum{worker="w"} 1.5' in merged
-
-    def test_label_values_are_escaped(self):
-        merged = merge_expositions(['m 1\n'], worker_labels=['a"b\\c'])
-        assert 'm{worker="a\\"b\\\\c"} 1' in merged
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,12 @@
-"""Tracing smoke test: one trace across a real coordinator fleet.
+"""Tracing smoke test: one trace from the client down to the pipeline.
 
-The distributed-tracing contract in one scenario: a coordinator with
-two workers runs a multi-shard sweep carrying a client-generated
-``traceparent``, with a transient fault injected on one case so the
-worker-side retry machinery fires.  The single trace id must then be
-retrievable from the coordinator with spans covering submit → sweep →
-dispatch → worker job → pool → shard execution → pipeline stages —
-including the retry annotation — and export as valid Chrome-trace JSON.
+The tracing contract in one scenario: a service runs a two-case
+``sweep`` job carrying a client-generated ``traceparent``, with a
+transient fault injected on one case so the sweep's retry machinery
+fires inside the pool.  The single trace id must then be retrievable
+from the service with spans covering the submit request → job → pool
+round-trip → pipeline stages — including the retry event — and export
+as valid Chrome-trace JSON.
 
 Slow tier (CI ``tracing-smoke`` job, which uploads the exported
 Chrome-trace document as a build artifact via ``REPRO_TRACE_EXPORT``).
@@ -33,7 +33,7 @@ GRID = dict(programs=["bs", "prime"], configs=["k1"], techs=["45nm"],
             budget=10)
 
 #: First attempt of bs/k1/45nm raises the retriable OSError family —
-#: the worker's serial driver backs off, retries, succeeds.
+#: the sweep's serial driver backs off, retries, succeeds.
 TRANSIENT_ONCE = json.dumps(
     {"bs/k1/45nm": {"kind": "transient", "attempts": [1]}}
 )
@@ -41,108 +41,75 @@ TRANSIENT_ONCE = json.dumps(
 
 @pytest.mark.slow
 class TestTracingSmoke:
-    def test_one_trace_covers_the_whole_fleet(self, tmp_path, monkeypatch):
+    def test_one_trace_covers_service_pool_and_pipeline(self, tmp_path,
+                                                        monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", TRANSIENT_ONCE)
         monkeypatch.delenv("REPRO_SWEEP_CACHE_MAX_BYTES", raising=False)
 
-        cache = tmp_path / "fleet-cache"
-        worker_a = BackgroundServer(cache_dir=cache, workers=1,
-                                    service_name="worker-a").start()
-        worker_b = BackgroundServer(cache_dir=cache, workers=1,
-                                    service_name="worker-b").start()
-        coord = BackgroundServer(
-            coordinator=True,
-            worker_urls=[worker_a.url, worker_b.url],
-            shard_size=1,  # one case per shard: both workers see work
-            cache_dir="off",
-            service_name="coordinator",
-        ).start()
-        try:
-            client = ServiceClient(coord.host, coord.port)
+        with BackgroundServer(cache_dir=tmp_path / "cache",
+                              workers=1) as server:
+            client = ServiceClient(server.host, server.port)
 
             # Head sampling at the client: we pick the trace id, the
-            # fleet joins it.
+            # service joins it.
             trace_id = new_trace_id()
             traceparent = format_traceparent(
                 SpanContext(trace_id, new_span_id(), True)
             )
-            record = client.submit_fabric_sweep(
-                traceparent=traceparent, **GRID
-            )
-            assert record["cases"] == 2
-            events = list(client.stream_sweep(record["id"]))
-            assert events[-1][0] == "done"
-            document = client.fabric_result(record["id"])
+            job = client.submit("sweep", traceparent=traceparent, **GRID)
+            document = client.result(job["id"], timeout=300.0)
+            assert document["summary"]["cases"] == 2
             assert document["summary"]["failed"] == 0
+            assert document["metrics"]["retries"] == 1
 
             trace = client.trace(trace_id)
-            spans = trace["spans"]
-            assert spans, "coordinator returned an empty trace"
-            assert all(s["trace_id"] == trace_id for s in spans)
+        spans = trace["spans"]
+        assert spans, "service returned an empty trace"
+        assert all(s["trace_id"] == trace_id for s in spans)
 
-            names = {s["name"] for s in spans}
-            services = {s["service"] for s in spans}
+        names = {s["name"] for s in spans}
+        services = {s["service"] for s in spans}
 
-            # Coordinator side: the submit request, the sweep, and one
-            # dispatch per shard.
-            assert any(n.startswith("http POST") for n in names)
-            assert "fabric.sweep" in names
-            dispatches = [s for s in spans
-                          if s["name"] == "fabric.dispatch"]
-            assert len(dispatches) >= 2
-            assert {s["attributes"]["worker"] for s in dispatches} <= {
-                worker_a.url, worker_b.url}
+        # Service side: the submit request and the job; pool side: the
+        # pool round-trip and the pipeline stages under it.
+        assert any(n.startswith("http POST") for n in names)
+        assert "job" in names
+        assert "pool.execute" in names
+        assert any(n.startswith("pipeline.") for n in names)
+        assert services == {"service", "pool"}
 
-            # Worker side, merged across nodes: job acceptance, the
-            # pool round-trip, shard execution, and pipeline stages.
-            assert "job" in names
-            assert "pool.execute" in names
-            assert "shard.execute" in names
-            assert any(n.startswith("pipeline.") for n in names)
-            assert "coordinator" in services
-            assert services & {"worker-a", "worker-b"}
-            assert "pool" in services
+        # Every span chains back to the trace root: parent ids resolve
+        # within the trace (the submit request's parent is the client's
+        # synthetic root span, absent by design).
+        ids = {s["span_id"] for s in spans}
+        orphans = [s for s in spans
+                   if s["parent_id"] and s["parent_id"] not in ids]
+        assert len(orphans) <= 1, f"broken chains: {orphans}"
 
-            # Every span chains back to the trace root: parent ids
-            # resolve within the trace (the submit request's parent is
-            # the client's synthetic root span, absent by design).
-            ids = {s["span_id"] for s in spans}
-            orphans = [s for s in spans
-                       if s["parent_id"] and s["parent_id"] not in ids]
-            assert len(orphans) <= 1, f"broken chains: {orphans}"
+        # The injected transient fault shows up as a retry event.
+        retried = [e for s in spans for e in s.get("events", [])
+                   if e["name"] == "retry"]
+        assert retried, "injected transient left no retry event"
 
-            # The injected transient fault shows up as a retry
-            # annotation on the shard execution span.
-            shard_spans = [s for s in spans
-                           if s["name"] == "shard.execute"]
-            retried = [e for s in shard_spans
-                       for e in s.get("events", [])
-                       if e["name"] == "retry"]
-            assert retried, "injected transient left no retry event"
+        # The tree renders with every tier visible.
+        tree = render_span_tree(spans)
+        assert "pool.execute" in tree
+        assert "<retry>" in tree
 
-            # The tree renders with every tier visible.
-            tree = render_span_tree(spans)
-            assert "fabric.sweep" in tree
-            assert "shard.execute" in tree
+        # Export: a valid, loadable Chrome-trace document with one
+        # process per service.  CI uploads it as an artifact.
+        chrome = to_chrome_trace(spans)
+        encoded = json.dumps(chrome)
+        parsed = json.loads(encoded)
+        assert parsed["displayTimeUnit"] == "ms"
+        process_names = {e["args"]["name"]
+                         for e in parsed["traceEvents"]
+                         if e["ph"] == "M"}
+        assert process_names == {"service", "pool"}
+        assert all(e["dur"] >= 0 for e in parsed["traceEvents"]
+                   if e["ph"] == "X")
 
-            # Export: a valid, loadable Chrome-trace document with one
-            # process per service.  CI uploads it as an artifact.
-            chrome = to_chrome_trace(spans)
-            encoded = json.dumps(chrome)
-            parsed = json.loads(encoded)
-            assert parsed["displayTimeUnit"] == "ms"
-            process_names = {e["args"]["name"]
-                             for e in parsed["traceEvents"]
-                             if e["ph"] == "M"}
-            assert {"coordinator", "pool"} <= process_names
-            assert all(e["dur"] >= 0 for e in parsed["traceEvents"]
-                       if e["ph"] == "X")
-
-            export_path = os.environ.get("REPRO_TRACE_EXPORT")
-            if export_path:
-                with open(export_path, "w", encoding="utf-8") as handle:
-                    handle.write(encoded)
-        finally:
-            coord.stop()
-            worker_a.stop()
-            worker_b.stop()
+        export_path = os.environ.get("REPRO_TRACE_EXPORT")
+        if export_path:
+            with open(export_path, "w", encoding="utf-8") as handle:
+                handle.write(encoded)

@@ -181,9 +181,9 @@ class TestTheorem1Property:
 
 class TestRecordedOutcomes:
     """The multi-pass loop's outcomes on three Mälardalen programs at
-    k1/45nm, budget 120, as recorded in ``benchmarks/bench_pipeline.py``
-    and ``perfbench/pins.json``.  The reverse walk decides which
-    candidates each pass tries, so any change to it shows here."""
+    k1/45nm, budget 120, as pinned in ``perfbench/pins.json`` too.  The
+    reverse walk decides which candidates each pass tries, so any
+    change to it shows here."""
 
     @pytest.mark.parametrize(
         "program, tau_final, misses_final, passes, prefetches",

@@ -75,6 +75,54 @@ class TestJoin:
         assert joined == a
 
 
+class TestJoinCounterexample:
+    """The known unsoundness of the persistence join + update pair
+    (Huynh et al., RTAS 2011; Cullmann, TECS 2013).
+
+    On a direct-mapped set, ``x`` is loaded on one path and ``y`` on
+    the other.  The join keeps each block at its one-sided age 0, and
+    the following ``update(y)`` ages only blocks younger than ``y``'s
+    bound, so ``x`` stays "persistent" — yet on the ``x`` path the
+    ``y`` access evicts it and ``x`` misses a second time.
+    """
+
+    DIRECT = CacheConfig(1, 16, 64)  # 4 sets, 1-way
+    X, Y = 0, 4  # both map to set 0
+
+    def test_x_misses_twice_concretely(self):
+        cache = ConcreteCache(self.DIRECT)
+        assert not cache.access(self.X)  # first load on the x path
+        assert not cache.access(self.Y)  # evicts x
+        assert not cache.access(self.X)  # second miss
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the persistence join keeps a one-sided block "
+        "at its age, so a later same-set access leaves it persistent "
+        "(Cullmann, TECS 2013)"))
+    def test_state_domain_evicts_x(self):
+        x_path = PersistenceState(self.DIRECT).update(self.X)
+        y_path = PersistenceState(self.DIRECT).update(self.Y)
+        state = x_path.join(y_path).update(self.Y)
+        assert not state.is_persistent(self.X)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: the dense kernel's persistence join/update "
+        "share the object domain's unsoundness (Cullmann, TECS 2013)"))
+    def test_dense_kernel_evicts_x(self):
+        import numpy as np
+
+        from repro.cache.kernel import persistence_join, persistence_update
+
+        top, num_sets = self.DIRECT.associativity, self.DIRECT.num_sets
+        x_path = np.full(8, -1, dtype=np.int8)
+        y_path = x_path.copy()
+        persistence_update(x_path, self.X, num_sets, top)
+        persistence_update(y_path, self.Y, num_sets, top)
+        state = persistence_join(x_path, y_path)
+        persistence_update(state, self.Y, num_sets, top)
+        assert state[self.X] == top  # ⊤: not persistent
+
+
 class TestSoundness:
     @given(
         blocks=st.lists(st.integers(min_value=0, max_value=15), min_size=1, max_size=100),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import ExperimentError
+from repro.errors import ExperimentError, ProtocolError
 from repro.experiments.cache import usecase_key
 from repro.experiments.scenario import (
     AXES,
@@ -38,25 +38,21 @@ BASE = {
     "optimize": {"program": "bs", "config": "k1"},
     "usecase": {"program": "bs", "config": "k1"},
     "sweep": {"programs": ["bs"], "configs": ["k1"], "techs": ["45nm"]},
-    "shard": {"cases": [["bs", "k1", "45nm"]]},
 }
 
 #: The case-row axes, and the ``UseCase`` attribute each one sets.
-ROW = ("program", "config", "tech", "l2")
-ROW_ATTRS = dict(zip(ROW, ("program", "config_id", "tech", "l2")))
+ROW_ATTRS = {"program": "program", "config": "config_id", "tech": "tech",
+             "l2": "l2"}
 
 
 def _built(kind, payload):
-    """``(use cases, seed, options, keys)`` as the executor, the sweep
-    engine and the fabric worker build them from a job's params."""
+    """``(use cases, seed, options, keys)`` as the executor and the
+    sweep engine build them from a job's params."""
     params = parse_job({"kind": kind, "params": payload}).params_dict()
     if kind == "sweep":
         spec = spec_from_params(params)
         cases, seed, options = (spec.usecases(), spec.seed,
                                 spec.optimizer_options())
-    elif kind == "shard":
-        cases = [UseCase.from_row(row) for row in params["cases"]]
-        seed, options = params["seed"], options_from_params(params)
     else:
         usecase, options, _ = _point_job(params)
         cases, seed = [usecase], params["seed"]
@@ -65,15 +61,10 @@ def _built(kind, payload):
 
 
 def _walk():
-    """``(kind, field, axis)`` for every axis a kind accepts; the
-    shard's row axes are walked inside its case list (``cases.<axis>``)."""
+    """``(kind, field, axis)`` for every axis a kind accepts."""
     for kind, fields in KINDS.items():
         for field in fields:
-            if field.axis is not None:
-                yield kind, field.name, field.axis
-            else:
-                for axis in ROW:
-                    yield kind, f"cases.{axis}", axis
+            yield kind, field.name, field.axis
 
 
 def _with(kind, name, axis, base_baseline):
@@ -82,12 +73,8 @@ def _with(kind, name, axis, base_baseline):
     value = NON_DEFAULT.get(axis)
     if axis == "baseline":
         value = "classic" if base_baseline == "persistence" else "persistence"
-    if name.startswith("cases."):
-        row = dict(zip(ROW, payload["cases"][0]), **{axis: value})
-        payload["cases"] = [[row.get(a) for a in ROW]]
-    else:
-        field = next(f for f in KINDS[kind] if f.name == name)
-        payload[name] = [value] if field.many else value
+    field = next(f for f in KINDS[kind] if f.name == name)
+    payload[name] = [value] if field.many else value
     return payload, value
 
 
@@ -118,7 +105,7 @@ def test_every_axis_is_accepted_somewhere():
 def test_omit_when_default_axes_stay_out_of_the_canonical_form(kind):
     names = dict(canonical(kind, BASE[kind]))
     for field in KINDS[kind]:
-        if field.axis and AXES[field.axis].omit_default:
+        if AXES[field.axis].omit_default:
             assert field.name not in names
         else:
             assert field.name in names
@@ -161,6 +148,14 @@ def test_canonical_params_rebuild_the_same_spec():
 def test_sweep_spec_validates_with_the_table(bad, needle):
     with pytest.raises(ExperimentError, match=needle.replace("[", r"\[")):
         SweepSpec(("bs",), ("k1",), ("45nm",), **bad)
+
+
+def test_sweep_kernel_is_part_of_the_fingerprint():
+    plain = parse_job({"kind": "sweep", "params": {}})
+    vector = parse_job({"kind": "sweep", "params": {"kernel": "vectorized"}})
+    assert plain.fingerprint() != vector.fingerprint()
+    with pytest.raises(ProtocolError):
+        parse_job({"kind": "sweep", "params": {"kernel": "fortran"}})
 
 
 def test_options_default_like_optimizer_options():

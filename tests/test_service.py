@@ -205,7 +205,7 @@ class TestClientBackoff:
         assert delays[5:] == [2.0, 2.0, 2.0]
 
     def test_backoff_is_jittered_within_the_envelope(self):
-        # Default rng: every delay lands in [0, envelope); a fleet
+        # Default rng: every delay lands in [0, envelope); clients
         # retrying in unison must not produce identical schedules.
         for attempt in range(8):
             envelope = backoff_delay(attempt, base=0.1, cap=2.0,

@@ -406,3 +406,63 @@ class TestCacheSizeCap:
                   cache_dir=cache_dir)
         assert cache.total_bytes() <= cap
         assert len(cache) == 1
+
+
+class TestCacheSharedDirectory:
+    """Pool workers share one cache directory: a peer's concurrent
+    prune or put must never crash this process's cache."""
+
+    def test_prune_tolerates_peer_deletions_and_counts_them(
+            self, tmp_path, serial_results):
+        from types import SimpleNamespace
+
+        cache = SweepDiskCache(tmp_path)
+        cache.put("key-a", serial_results[0])
+        cache.put("key-b", serial_results[0])
+        real_root = cache.root
+
+        class PhantomRecord:
+            """A record a peer evicted between scan and unlink."""
+
+            def stat(self):
+                return SimpleNamespace(st_mtime=0.0, st_size=10_000)
+
+            def unlink(self):
+                raise FileNotFoundError("peer got there first")
+
+        class RacingRoot:
+            def exists(self):
+                return True
+
+            def glob(self, pattern):
+                yield PhantomRecord()
+                yield from real_root.glob(pattern)
+
+        cache.root = RacingRoot()
+        removed = cache.prune(0)
+        assert removed == 2  # the two real records
+        assert cache.prune_races == 1
+        assert cache.pruned == 2
+
+    def test_put_survives_a_peer_removing_the_shard_dir(
+            self, tmp_path, serial_results, monkeypatch):
+        import shutil
+        import tempfile as tempfile_module
+
+        cache = SweepDiskCache(tmp_path)
+        real_mkstemp = tempfile_module.mkstemp
+        raced = {"done": False}
+
+        def racing_mkstemp(**kwargs):
+            if not raced["done"]:
+                raced["done"] = True
+                shutil.rmtree(kwargs["dir"], ignore_errors=True)
+                raise FileNotFoundError(kwargs["dir"])
+            return real_mkstemp(**kwargs)
+
+        monkeypatch.setattr(tempfile_module, "mkstemp", racing_mkstemp)
+        cache.put("key-a", serial_results[0])
+        assert raced["done"]
+        hit = cache.get("key-a")
+        assert hit is not None
+        assert result_to_dict(hit) == result_to_dict(serial_results[0])
