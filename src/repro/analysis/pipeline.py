@@ -102,9 +102,10 @@ from repro.cache.kernel import (
     classify_references_dense,
     propagate_kernel_batch,
     resolve_kernel,
+    schedule_differences,
 )
 from repro.cache.persistence import PersistenceState
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, UniverseOutgrown
 from repro.obs.trace import active_tracer
 from repro.program.acfg import (
     ACFG,
@@ -333,13 +334,16 @@ class PipelineResult:
     lazily, so ``_run_pass`` stops recomputing them per pass.
     """
 
-    __slots__ = ("owner", "artifacts", "wcet", "dataflows", "best",
+    __slots__ = ("_owner", "artifacts", "wcet", "dataflows", "best",
                  "best_pred", "with_may", "locked_blocks",
                  "_reverse_events", "_exec_counts", "_miss_uses")
 
     def __init__(self, owner, artifacts, wcet, dataflows, best, best_pred,
                  with_may, locked_blocks):
-        self.owner = owner
+        # A weak reference: the pipeline's result cache holds its
+        # results, and a cycle would keep a finished pipeline's dense
+        # matrices and memos alive until the cyclic collector runs.
+        self._owner = weakref.ref(owner)
         self.artifacts = artifacts
         self.wcet = wcet
         self.dataflows = dataflows
@@ -350,6 +354,12 @@ class PipelineResult:
         self._reverse_events = None
         self._exec_counts = None
         self._miss_uses = None
+
+    @property
+    def owner(self) -> Optional["AnalysisPipeline"]:
+        """The pipeline that produced this result (``None`` once it is
+        gone)."""
+        return self._owner()
 
     @property
     def acfg(self) -> ACFG:
@@ -382,7 +392,7 @@ class PipelineResult:
         if self._exec_counts is None:
             counts: Dict[int, int] = {}
             n_w = self.wcet.solution.n_w
-            uids = self.artifacts.acfg._uid
+            uids = self.artifacts.acfg.uid_arr.tolist()
             for rid in self.artifacts.acfg.ref_rids:
                 uid = uids[rid]
                 counts[uid] = counts.get(uid, 0) + n_w[rid]
@@ -754,7 +764,7 @@ class AnalysisPipeline:
         # ACFG is checked against (and then replaced by) a full rebuild.
         oracle_acfg = acfg
         if first_changed is not None and self.differential:
-            oracle_acfg = self._check_splice(cfg, acfg)
+            oracle_acfg = self._check_splice(cfg, acfg, artifacts.schedule)
 
         boundary = 0
         if base is not None:
@@ -803,6 +813,7 @@ class AnalysisPipeline:
                         - seg_hits,
                         "kernel_segment_misses": self.stats.kernel_segment_misses
                         - seg_misses,
+                        "accesses_elided": artifacts.schedule.accesses_elided,
                     }
                 )
 
@@ -1001,23 +1012,40 @@ class AnalysisPipeline:
                     cfg, self.config.block_size, self.base_address
                 )
                 first_changed = None
-            if span.recording:
-                span.set_attribute("spliced", spliced is not None)
             artifacts = StructuralArtifacts(
                 key=key, acfg=acfg, loop_spans=rest_instance_spans(acfg)
             )
+            schedule = None
             if self.kernel == "vectorized":
                 # Schedule compilation is structural work (per program
-                # content, domain-independent), so it rides the acfg stage.
-                self._schedule_for(artifacts)
+                # content, domain-independent), so it rides the acfg
+                # stage; a spliced graph splices its base's schedule.
+                schedule = self._schedule_for(
+                    artifacts,
+                    base.artifacts.schedule if spliced is not None else None,
+                    first_changed or 0,
+                )
+            if span.recording:
+                span.set_attribute("spliced", spliced is not None)
+                if schedule is not None:
+                    span.set_attributes({
+                        "steps": len(schedule.steps),
+                        "steps_reused": schedule.steps_reused,
+                    })
         self._structural_cache[key] = artifacts
         while len(self._structural_cache) > self.MAX_STRUCTURAL:
             self._structural_cache.popitem(last=False)
             self.stats.invalidations += 1
         return artifacts, first_changed
 
-    def _check_splice(self, cfg: ControlFlowGraph, spliced: ACFG) -> ACFG:
-        """Rebuild a spliced ACFG from scratch and prove it equal."""
+    def _check_splice(
+        self,
+        cfg: ControlFlowGraph,
+        spliced: ACFG,
+        schedule: Optional[KernelSchedule],
+    ) -> ACFG:
+        """Rebuild a spliced ACFG from scratch and prove it equal, and
+        its kernel schedule equal to a full compile of the rebuild."""
         rebuilt = build_acfg(cfg, self.config.block_size, self.base_address)
         problems = structural_differences(spliced, rebuilt)
         if problems:
@@ -1025,6 +1053,16 @@ class AnalysisPipeline:
                 "spliced ACFG differs from a full rebuild in: "
                 + ", ".join(problems)
             )
+        if schedule is not None:
+            compiled = KernelSchedule(
+                rebuilt, schedule.universe, self.locked_blocks
+            )
+            problems = schedule_differences(schedule, compiled)
+            if problems:
+                raise AnalysisError(
+                    "spliced kernel schedule differs from a full compile "
+                    "in: " + ", ".join(problems)
+                )
         return rebuilt
 
     def _initial_state(self, domain: str):
@@ -1218,14 +1256,22 @@ class AnalysisPipeline:
             self.stats.invalidations += 1
         return dataflows
 
-    def _schedule_for(self, artifacts: StructuralArtifacts) -> KernelSchedule:
+    def _schedule_for(
+        self,
+        artifacts: StructuralArtifacts,
+        base: Optional[KernelSchedule] = None,
+        first_changed: int = 0,
+    ) -> KernelSchedule:
         """The compiled schedule of one ACFG against the live universe.
 
         Compiles optimistically against the current universe — the
         compiler's own column-range check doubles as the coverage probe,
         so the common candidate path skips the per-call block scan.  A
-        program outgrowing the universe raises, and only then is the
+        program outgrowing the universe raises
+        :class:`~repro.errors.UniverseOutgrown`, and only then is the
         universe regrown (with headroom) and the schedule recompiled.
+        ``base``/``first_changed`` name the schedule of the graph this
+        one was spliced from, whose unchanged prefix steps are reused.
         """
         schedule = artifacts.schedule
         universe = self._universe
@@ -1234,12 +1280,13 @@ class AnalysisPipeline:
         if universe is not None:
             try:
                 schedule = KernelSchedule(
-                    artifacts.acfg, universe, self.locked_blocks
+                    artifacts.acfg, universe, self.locked_blocks,
+                    base=base, first_changed=first_changed,
                 )
                 artifacts.schedule = schedule
                 return schedule
-            except AnalysisError:
-                pass  # outgrown: rebuild below
+            except UniverseOutgrown:
+                pass  # rebuild below
         universe = self._ensure_universe(artifacts.acfg)
         schedule = KernelSchedule(artifacts.acfg, universe, self.locked_blocks)
         artifacts.schedule = schedule

@@ -75,7 +75,7 @@ from repro.cache.abstract import MayState, MustState
 from repro.cache.classify import CLASSIFICATION_LAYERS, DataflowResult
 from repro.cache.config import CacheConfig
 from repro.cache.persistence import PersistenceState
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, UniverseOutgrown
 from repro.program.acfg import ACFG
 
 #: Environment variable selecting the kernel implementation.
@@ -153,17 +153,16 @@ class BlockUniverse:
         later candidate programs (each insertion shifts addresses by
         one instruction).
         """
-        # Scans the ACFG's per-rid block arrays directly: this probe
-        # runs once per candidate program, so accessor-call overhead
-        # matters.
-        blocks = [b for b in acfg._ref_block if b is not None]
-        blocks += [b for b in acfg._target_block if b is not None]
-        if not blocks:
+        blocks = np.concatenate([
+            acfg.block_arr[acfg.ref_mask],
+            acfg.target_arr[acfg.target_arr >= 0],
+        ])
+        if not len(blocks):
             # A program with no references still needs a 1-wide universe
             # so the matrices are well-formed.
             return cls(config, 0, 1 + max(headroom, 0))
-        lo = min(blocks)
-        hi = max(blocks)
+        lo = int(blocks.min())
+        hi = int(blocks.max())
         return cls(config, lo, hi - lo + 1 + max(headroom, 0))
 
 
@@ -346,15 +345,10 @@ def row_to_state(domain: str, row: np.ndarray, universe: BlockUniverse):
 # ----------------------------------------------------------------------
 # schedule compilation
 # ----------------------------------------------------------------------
-#: Access op marker for a statically-unknown address (mirrors
-#: :data:`repro.cache.classify.UNKNOWN_ACCESS` at the column level).
-UNKNOWN_COL = -1
-
-
-#: Interning table for segment access sequences: identical op tuples —
-#: from any schedule, ever — map to the same small integer, so memo keys
-#: hash in O(1) instead of re-hashing a nested tuple per probe, while
-#: distinct sequences can never collide (the id *is* the content).
+#: Interning table for segment access plans: identical plans — from any
+#: schedule, ever — map to the same small integer, so memo keys hash in
+#: O(1) instead of re-hashing a nested tuple per probe, while distinct
+#: plans can never collide (the id *is* the content).
 _OPS_INTERN: Dict[tuple, int] = {}
 
 
@@ -365,25 +359,34 @@ class SegmentStep:
         start/end: Contiguous rid range ``[start, end)`` of the chain.
         preds: Forward predecessors of the first vertex.
         back_srcs: Back-edge source rids targeting the first vertex.
-        ops: Per-vertex access column tuples (``()`` = no access).
-        ops_key: Interned id of the access sequence — segment-memo
+        ops: The chain's access plan, in order: one ``(offset, column,
+            set)`` triple per access, ``offset`` the accessing vertex's
+            position in the chain (a prefetch contributes its own block,
+            then its target).  Vertices without an access — JOINs,
+            locked blocks, elided MRU re-accesses — appear nowhere.
+        elided: Accesses the plan omits as MRU re-accesses.
+        deps: Indices of the steps holding ``preds`` and ``back_srcs``.
+        ops_key: Interned id of ``(chain length, ops)`` — segment-memo
             entries are shared between schedules (e.g. across candidate
             ACFGs) whenever the replayed work is identical.
     """
 
     __slots__ = ("index", "start", "end", "preds", "back_srcs", "ops",
-                 "ops_key")
+                 "elided", "deps", "ops_key")
 
     def __init__(self, index: int, start: int, end: int,
                  preds: Tuple[int, ...], back_srcs: Tuple[int, ...],
-                 ops: List[Tuple[int, ...]]):
+                 deps: Tuple[int, ...],
+                 ops: Tuple[Tuple[int, int, int], ...], elided: int):
         self.index = index
         self.start = start
         self.end = end
         self.preds = preds
         self.back_srcs = back_srcs
+        self.deps = deps
         self.ops = ops
-        key = tuple(ops)
+        self.elided = elided
+        key = (end - start, ops)
         self.ops_key = _OPS_INTERN.setdefault(key, len(_OPS_INTERN))
 
 
@@ -397,112 +400,207 @@ class SegmentStep:
 MAX_SEGMENT_LEN = 32
 
 
+def _locked_mask(blocks: np.ndarray, locked_blocks) -> np.ndarray:
+    """Which entries of a block array are locked."""
+    return np.isin(blocks, np.fromiter(locked_blocks, dtype=np.int64))
+
+
+def _outgrown(cols: np.ndarray, universe: BlockUniverse) -> None:
+    """Raise :class:`UniverseOutgrown` unless every column is covered."""
+    if len(cols) and (cols.min() < 0 or cols.max() >= universe.width):
+        block = universe.base_block + int(
+            cols.min() if cols.min() < 0 else cols.max()
+        )
+        raise UniverseOutgrown(
+            f"block {block} outside universe [{universe.base_block}, "
+            f"{universe.base_block + universe.width})"
+        )
+
+
+def _deps(step_of: List[int], rids: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The distinct steps holding ``rids``, in first-seen order."""
+    return tuple(dict.fromkeys([step_of[rid] for rid in rids]))
+
+
 class KernelSchedule:
     """An ACFG compiled for the dense fixpoint engine.
 
     Chains extend while a vertex is the unique successor of its unique
     predecessor and no back edge targets it, capped at
     :data:`MAX_SEGMENT_LEN` vertices.  JOIN vertices and branch/merge
-    points start new segments.  The per-vertex plan matches
+    points start new segments.  The access plan matches
     :func:`repro.cache.classify.propagate`'s default instruction-fetch
-    plan (own block, then a prefetch's target, locked blocks skipped).
+    plan (own block, then a prefetch's target, locked blocks skipped)
+    with one exact omission: inside a segment, an access to the column
+    the segment's previous access touched is dropped.  That block is
+    at age 0, and an LRU access to the age-0 block leaves must, may and
+    persistence states unchanged.
+
+    Chain detection and the column plan are numpy passes over the
+    ACFG's flat arrays.  Given ``base`` — the schedule of the graph
+    this ACFG was spliced from, on the same universe — the steps that
+    end below ``first_changed`` are reused (their back-edge sources
+    renumbered) and only the suffix is compiled.
+
+    Raises:
+        UniverseOutgrown: A referenced block has no column in
+            ``universe`` (the pipeline's coverage probe).
     """
 
     __slots__ = ("acfg", "universe", "steps", "step_of", "source",
-                 "locked_blocks", "ref_rids", "ref_cols", "ref_locked")
+                 "locked_blocks", "ref_rids", "ref_cols", "ref_locked",
+                 "steps_reused")
 
     def __init__(self, acfg: ACFG, universe: BlockUniverse,
-                 locked_blocks: frozenset):
+                 locked_blocks: frozenset,
+                 base: Optional["KernelSchedule"] = None,
+                 first_changed: int = 0):
         self.acfg = acfg
         self.universe = universe
         self.source = acfg.source
         self.locked_blocks = locked_blocks
-        n = len(acfg.vertices)
+        n = len(acfg)
 
-        # Compiled once per candidate program, so this reads the ACFG's
-        # per-rid arrays directly instead of going through accessors and
-        # only visits REF vertices.  The range check doubles as the
-        # universe-coverage probe: callers compile optimistically
-        # against their live universe and rebuild it when this raises.
-        base = universe.base_block
-        width = universe.width
-        ref_block = acfg._ref_block
-        target_block = acfg._target_block
-        plan: List[Tuple[int, ...]] = [()] * n
-        ref_rids: List[int] = []
-        ref_cols: List[int] = []
-        ref_locked: List[bool] = []
-        for rid in acfg.ref_rids:
-            own = ref_block[rid]
-            col = own - base
-            if not 0 <= col < width:
-                raise AnalysisError(
-                    f"block {own} outside universe [{base}, {base + width})"
-                )
-            ref_rids.append(rid)
-            ref_cols.append(col)
-            if locked_blocks:
-                locked = own in locked_blocks
-                ref_locked.append(locked)
-                ops = () if locked else (col,)
-            else:
-                ops = (col,)
-            target = target_block[rid]
-            if target is not None and target not in locked_blocks:
-                tcol = target - base
-                if not 0 <= tcol < width:
-                    raise AnalysisError(
-                        f"block {target} outside universe "
-                        f"[{base}, {base + width})"
-                    )
-                ops = ops + (tcol,)
-            plan[rid] = ops
         # Classification gather arrays: every reference's rid and
-        # own-block column, precomputed once per structure so
-        # classify_references_dense is pure numpy gathers.
-        self.ref_rids = np.asarray(ref_rids, dtype=np.int64)
-        self.ref_cols = np.asarray(ref_cols, dtype=np.int64)
-        self.ref_locked = (
-            np.asarray(ref_locked, dtype=bool) if locked_blocks else None
-        )
+        # own-block column, so classify_references_dense is pure numpy
+        # gathers.  Their range check doubles as the universe-coverage
+        # probe: callers compile optimistically against their live
+        # universe and rebuild it when this raises.
+        lo = universe.base_block
+        rids = np.flatnonzero(acfg.ref_mask)
+        blocks = acfg.block_arr[rids]
+        cols = blocks - lo
+        _outgrown(cols, universe)
+        targets = acfg.target_arr
+        targeted = targets >= 0
+        locked = None
+        if locked_blocks:
+            locked = _locked_mask(blocks, locked_blocks)
+            targeted &= ~_locked_mask(targets, locked_blocks)
+        target_cols = targets - lo
+        _outgrown(target_cols[targeted], universe)
+        self.ref_rids = rids
+        self.ref_cols = cols
+        self.ref_locked = locked
 
-        back_targets = set()
+        steps: List[SegmentStep] = []
+        step_of: List[int] = []
+        start = 0
         back_by_target: Dict[int, List[int]] = {}
         for src, dst in acfg.back_edges:
-            back_targets.add(dst)
             back_by_target.setdefault(dst, []).append(src)
+        if (
+            base is not None
+            and base.universe is universe
+            and base.locked_blocks == locked_blocks
+            and first_changed > 0
+        ):
+            # Steps ending below first_changed read only unchanged
+            # vertices, predecessor tuples and columns, and their chain
+            # ends were decided there too.
+            keep = base.step_of[first_changed - 1]
+            steps = base.steps[:keep]
+            start = base.steps[keep].start
+            step_of = base.step_of[:start]
+        self.steps_reused = len(steps)
+
+        # Chains over [start, n): rid r continues the chain of r - 1 iff
+        # its only predecessor is r - 1, r - 1 has no other successor and
+        # no back edge enters r; chunks restart every MAX_SEGMENT_LEN.
+        chain = np.arange(start, n)
+        cont = (acfg.in_degree[start:] == 1) & (
+            acfg.first_pred[start:] == chain - 1
+        )
+        cont[1:] &= acfg.out_degree[start:n - 1] == 1
+        cont[0] = False
+        targets_here = [dst - start for dst in back_by_target if dst >= start]
+        cont[targets_here] = False
+        head = ~cont
+        chain_start = np.maximum.accumulate(np.where(head, chain, start))
+        head |= (chain - chain_start) % MAX_SEGMENT_LEN == 0
+        starts = chain[head]
+        local_step = np.cumsum(head) - 1
+        step_of.extend((local_step + len(steps)).tolist())
+
+        # The access stream, vertex by vertex: own block, then target.
+        own = np.full(n - start, -1, dtype=np.int64)
+        suffix_refs = rids >= start
+        own[rids[suffix_refs] - start] = cols[suffix_refs]
+        if locked is not None:
+            own[rids[suffix_refs & locked] - start] = -1
+        target = np.where(targeted[start:], target_cols[start:], -1)
+        stream = np.stack([own, target], axis=1).ravel()
+        present = stream >= 0
+        col = stream[present]
+        where = np.repeat(chain, 2)[present]
+        seg = np.repeat(local_step, 2)[present]
+        repeat = np.zeros(len(col), dtype=bool)
+        repeat[1:] = (col[1:] == col[:-1]) & (seg[1:] == seg[:-1])
+        elided = np.bincount(seg[repeat], minlength=len(starts)).tolist()
+        keep_ops = ~repeat
+        col = col[keep_ops]
+        seg = seg[keep_ops]
+        offsets = where[keep_ops] - starts[seg]
+        num_sets = universe.config.num_sets
+        ops = list(zip(offsets.tolist(), col.tolist(), (col % num_sets).tolist()))
+        bounds = np.searchsorted(seg, np.arange(len(starts) + 1)).tolist()
 
         pred = acfg._pred
-        succ = acfg._succ
-        steps: List[SegmentStep] = []
-        step_of: List[int] = [0] * n
-        rid = 0
-        while rid < n:
-            start = rid
-            prev = rid
-            rid += 1
-            while (
-                rid < n
-                and rid - start < MAX_SEGMENT_LEN
-                and rid not in back_targets
-            ):
-                p = pred[rid]
-                if len(p) != 1 or p[0] != prev or len(succ[prev]) != 1:
-                    break
-                prev = rid
-                rid += 1
-            index = len(steps)
+        ends = starts.tolist()[1:] + [n]
+        for j, (first, end) in enumerate(zip(starts.tolist(), ends)):
+            preds = pred[first]
+            back = back_by_target.get(first)
+            if back is None and len(preds) == 1:
+                deps = (step_of[preds[0]],)
+                back = ()
+            else:
+                back = tuple(back or ())
+                deps = _deps(step_of, preds + back)
             steps.append(SegmentStep(
-                index=index,
-                start=start,
-                end=rid,
-                preds=tuple(pred[start]),
-                back_srcs=tuple(back_by_target.get(start, ())),
-                ops=plan[start:rid],
+                len(steps), first, end, preds, back, deps,
+                tuple(ops[bounds[j]:bounds[j + 1]]), elided[j],
             ))
-            step_of[start:rid] = [index] * (rid - start)
+        # A reused loop entry gets its back-edge sources (renumbered by
+        # the splice) and the steps holding them anew.
+        for dst, srcs in back_by_target.items():
+            if dst < start:
+                step = steps[step_of[dst]]
+                back = tuple(srcs)
+                steps[step.index] = SegmentStep(
+                    step.index, step.start, step.end, step.preds, back,
+                    _deps(step_of, step.preds + back), step.ops, step.elided,
+                )
         self.steps = steps
         self.step_of = step_of
+
+    @property
+    def accesses_elided(self) -> int:
+        """Accesses the plan omits as MRU re-accesses."""
+        return sum(step.elided for step in self.steps)
+
+
+def schedule_differences(a: KernelSchedule, b: KernelSchedule) -> List[str]:
+    """Names of the fields on which two schedules differ (empty: equal) —
+    the pipeline's differential mode checks a spliced schedule against
+    a full compile with it."""
+    problems = []
+    for name in ("start", "end", "preds", "back_srcs", "ops", "elided",
+                 "deps", "ops_key", "index"):
+        if [getattr(s, name) for s in a.steps] != [
+            getattr(s, name) for s in b.steps
+        ]:
+            problems.append(name)
+    if a.step_of != b.step_of:
+        problems.append("step_of")
+    for name in ("ref_rids", "ref_cols"):
+        if not np.array_equal(getattr(a, name), getattr(b, name)):
+            problems.append(name)
+    if (a.ref_locked is None) != (b.ref_locked is None) or (
+        a.ref_locked is not None
+        and not np.array_equal(a.ref_locked, b.ref_locked)
+    ):
+        problems.append("ref_locked")
+    return problems
 
 
 class SegmentMemo:
@@ -748,10 +846,10 @@ def propagate_kernel_batch(
         for step in steps[first_step:]:
             index = step.index
             if not first_sweep:
-                need = any(changed[step_of[p]] for p in step.preds) or any(
-                    changed[step_of[src]] for src in step.back_srcs
-                )
-                if not need:
+                for dep in step.deps:
+                    if changed[dep]:
+                        break
+                else:
                     continue
             start = step.start
             preds = step.preds
@@ -797,18 +895,21 @@ def propagate_kernel_batch(
                 dense_in[start] = cur
                 seg_out = dense_out[start:end]
                 curu = cur.view(np.uint8)
-                for k, ops in enumerate(step.ops):
-                    for col in ops:
-                        if col == UNKNOWN_COL:
-                            # may rows keep the identity transfer
-                            sub = curu[:num_max]
-                            np.add(sub, sub < topu, out=sub)
-                        else:
-                            sub = curu[:, col % num_sets::num_sets]
-                            h = curu[:, col:col + 1]
-                            np.add(sub, (sub < h) & (sub < topu), out=sub)
-                            curu[:, col] = 0
-                    seg_out[k] = cur
+                # Rows of vertices without an access repeat the state
+                # of the last access before them.
+                filled = 0
+                for k, col, set_index in step.ops:
+                    if k > filled:
+                        seg_out[filled:k] = cur
+                        filled = k
+                    sub = curu[:, set_index::num_sets]
+                    # (sub < h) & (sub < top) in one comparison
+                    np.add(
+                        sub, sub < np.minimum(curu[:, col:col + 1], topu),
+                        out=sub,
+                    )
+                    curu[:, col] = 0
+                seg_out[filled:] = cur
                 if end - start > 1:
                     dense_in[start + 1:end] = seg_out[:-1]
                 if memo is not None:
@@ -887,21 +988,10 @@ def classify_references_dense(
     else:
         # Probe columns come from the ACFG directly; every own block is
         # covered by the universe by construction.
-        ref_block = acfg._ref_block
-        ref_rids = [
-            rid for rid, block in enumerate(ref_block) if block is not None
-        ]
-        rids = np.asarray(ref_rids, dtype=np.int64)
-        cols = np.asarray(
-            [ref_block[rid] - base for rid in ref_rids], dtype=np.int64
-        )
-        locked_arr = (
-            np.asarray(
-                [ref_block[rid] in locked for rid in ref_rids], dtype=bool
-            )
-            if locked
-            else None
-        )
+        rids = np.flatnonzero(acfg.ref_mask)
+        blocks = acfg.block_arr[rids]
+        cols = blocks - base
+        locked_arr = _locked_mask(blocks, locked) if locked else None
 
     must_hit = must.reachable[rids] & (must.dense_in[rids, cols] < assoc)
     if locked_arr is not None:

@@ -137,7 +137,7 @@ def collect_reverse_events(
     locked = locked_blocks or frozenset()
     ref_block = acfg._ref_block
     target_block = acfg._target_block
-    succ = acfg._succ
+    succ = acfg.successor_table()
     n_w = solution.n_w
     if loop_spans is None:
         loop_spans = rest_instance_spans(acfg)

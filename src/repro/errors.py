@@ -33,6 +33,11 @@ class AnalysisError(ReproError):
     """A static analysis (abstract interpretation, IPET, WCET) failed."""
 
 
+class UniverseOutgrown(AnalysisError):
+    """A program references a memory block outside the dense kernel's
+    block universe (the pipeline then regrows the universe)."""
+
+
 class InfeasibleILPError(AnalysisError):
     """The IPET integer linear program has no feasible solution."""
 

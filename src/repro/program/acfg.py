@@ -28,6 +28,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ProgramModelError
 from repro.program.cfg import ControlFlowGraph
 from repro.program.instructions import Instruction
@@ -106,11 +108,98 @@ class RefVertex:
         return f"<{self.kind.value}{self.rid}>"
 
 
+#: Placeholder for the flat arrays of a graph under construction.
+_EMPTY = np.empty(0, dtype=np.int64)
+
+
+class _Vertices(Sequence):
+    """An ACFG's vertices as a read-only sequence.
+
+    :class:`RefVertex` objects are built from the per-rid columns on
+    first access and cached, so a spliced graph pays only for the
+    vertices somebody reads.  The view holds the columns, not the graph,
+    so a graph is freed as soon as it is unreferenced.
+    """
+
+    __slots__ = ("_cache", "_instr", "_context", "_block_name", "_index",
+                 "_source", "_sink")
+
+    def __init__(self, acfg: "ACFG", cache: List[Optional[RefVertex]]):
+        self._cache = cache
+        self._instr = acfg._instr
+        self._context = acfg._context
+        self._block_name = acfg._block_name
+        self._index = acfg._index
+        self._source = acfg.source
+        self._sink = acfg.sink
+
+    def __len__(self) -> int:
+        return len(self._instr)
+
+    def __getitem__(self, index):
+        n = len(self._instr)
+        if isinstance(index, slice):
+            return [self.vertex(i) for i in range(*index.indices(n))]
+        if index < 0:
+            index += n
+        if not 0 <= index < n:
+            raise IndexError("vertex index out of range")
+        return self.vertex(index)
+
+    def __iter__(self) -> Iterator[RefVertex]:
+        return map(self.vertex, range(len(self._instr)))
+
+    def vertex(self, rid: int) -> RefVertex:
+        """The vertex of ``rid`` (built and cached on first access)."""
+        found = self._cache[rid]
+        if found is None:
+            instr = self._instr[rid]
+            if instr is not None:
+                kind = VertexKind.REF
+            elif rid == self._source:
+                kind = VertexKind.SOURCE
+            elif rid == self._sink:
+                kind = VertexKind.SINK
+            else:
+                kind = VertexKind.JOIN
+            found = RefVertex(
+                rid, kind, instr, self._context[rid], self._block_name[rid],
+                self._index[rid],
+            )
+            self._cache[rid] = found
+        return found
+
+
+def _with_inserted(column: list, positions: List[int], values: list) -> list:
+    """``column`` with ``values[k]`` inserted before old index
+    ``positions[k]`` (ascending), by slicing — the list counterpart of
+    ``np.insert``."""
+    out = column[:positions[0]]
+    ends = positions[1:] + [len(column)]
+    for position, end, value in zip(positions, ends, values):
+        out.append(value)
+        out += column[position:end]
+    return out
+
+
 class ACFG:
     """The acyclic abstract control-flow graph of one program.
 
     Build with :func:`build_acfg`.  The graph is immutable once built;
-    after the optimizer mutates the CFG it constructs a fresh ACFG.
+    after the optimizer mutates the CFG it constructs a fresh ACFG
+    (usually by :func:`splice_insertion`).
+
+    Per-rid data lives in two forms.  Columns that are only copied —
+    instruction, context, block name, index in block, multiplier and
+    the predecessor tuples — are python lists, which a splice shares or
+    slices.  Data that the splice and the kernel schedule compute on are
+    flat numpy arrays, built by :meth:`_freeze` and spliced with
+    ``np.insert``: ``uid_arr`` (instruction uid, ``-1`` off REF),
+    ``ref_mask``, ``block_arr``/``target_arr`` (memory block and
+    prefetch target block, ``-1`` when absent), and ``first_pred``/
+    ``in_degree``/``out_degree`` (first predecessor, ``-1`` at the
+    source).  The python walkers read list views of them
+    (``_ref_block``, ``_target_block``, :meth:`run_ends`).
     """
 
     def __init__(
@@ -122,9 +211,17 @@ class ACFG:
         self.cfg = cfg
         self.layout = layout
         self.memory_map = memory_map
-        self.vertices: List[RefVertex] = []
-        self._succ: List[List[int]] = []
+        #: Per-rid columns (see the class docstring).
+        self._instr: List[Optional[Instruction]] = []
+        self._context: List[Context] = []
+        self._block_name: List[Optional[str]] = []
+        self._index: List[int] = []
+        #: Worst-case execution multiplier per vertex (context product).
+        self.multiplier: List[int] = []
         self._pred: List[List[int]] = []
+        #: Successor tuples; ``None`` on a spliced graph until first use
+        #: (see :meth:`successor_table`).
+        self._succ: Optional[List[List[int]]] = []
         #: Analysis-only loop-closing edges (REST exit -> REST-entry join).
         self.back_edges: List[Tuple[int, int]] = []
         self.source: int = -1
@@ -132,23 +229,25 @@ class ACFG:
         #: (uid, context) -> rid; ``None`` until first use on a spliced
         #: graph (see :meth:`key_index`).
         self._by_key: Optional[Dict[Tuple[int, Context], int]] = {}
-        #: Worst-case execution multiplier per vertex (context product).
-        self.multiplier: List[int] = []
-        #: Per-rid memory block of the vertex's own instruction
-        #: (``None`` for non-REF vertices) — hot-path cache for
-        #: :meth:`block_of`.
-        self._ref_block: List[Optional[int]] = []
-        #: Per-rid prefetch target block (``None`` unless a prefetch).
-        self._target_block: List[Optional[int]] = []
-        #: Per-rid instruction uid (``None`` for non-REF vertices).
-        self._uid: List[Optional[int]] = []
-        #: Flat per-graph arrays, filled by :meth:`_freeze` (or spliced
-        #: by :func:`splice_insertion`) for the hot loops of the guard
-        #: and IPET stages, which read them instead of vertex objects:
-        #: the REF rids and the prefetch rids (data prefetches
-        #: included), both ascending.
+        #: Flat per-rid arrays (see the class docstring).
+        self.uid_arr = _EMPTY
+        self.ref_mask = _EMPTY.astype(bool)
+        self.block_arr = _EMPTY
+        self.target_arr = _EMPTY
+        self.first_pred = _EMPTY
+        self.in_degree = _EMPTY
+        self.out_degree = _EMPTY
+        #: The REF rids and the prefetch rids (data prefetches
+        #: included), both ascending — the loops of the guard and IPET
+        #: stages iterate these instead of vertex objects.
         self.ref_rids: List[int] = []
         self.prefetch_rids: List[int] = []
+        #: Rebuilt over the final columns by _freeze / a splice.
+        self.vertices = _Vertices(self, [])
+        #: ``block_arr``/``target_arr`` as lists with ``None`` for
+        #: ``-1`` — what the python walkers index.
+        self._ref_block: List[Optional[int]] = []
+        self._target_block: List[Optional[int]] = []
         self._ref_list: Optional[List[RefVertex]] = None
         self._run_end: Optional[List[int]] = None
         #: Context -> execution multiplier; contexts repeat per block
@@ -160,16 +259,17 @@ class ACFG:
     # ------------------------------------------------------------------
     def _new_vertex(
         self,
-        kind: VertexKind,
         instr: Optional[Instruction],
         context: Context,
         block_name: Optional[str],
         index_in_block: int,
         preds: Sequence[int],
     ) -> int:
-        rid = len(self.vertices)
-        vertex = RefVertex(rid, kind, instr, context, block_name, index_in_block)
-        self.vertices.append(vertex)
+        rid = len(self._instr)
+        self._instr.append(instr)
+        self._context.append(context)
+        self._block_name.append(block_name)
+        self._index.append(index_in_block)
         self._succ.append([])
         self._pred.append([])
         mult = self._mult_cache.get(context)
@@ -188,53 +288,120 @@ class ACFG:
                     f"context {context_label(context)}"
                 )
             self._by_key[key] = rid
-            self._uid.append(instr.uid)
-            self._ref_block.append(self.memory_map.block_of(instr.uid))
-            if instr.is_prefetch and instr.prefetch_target is not None:
-                self._target_block.append(
-                    self.memory_map.block_of(instr.prefetch_target)
-                )
-            else:
-                self._target_block.append(None)
-        else:
-            self._uid.append(None)
-            self._ref_block.append(None)
-            self._target_block.append(None)
         return rid
+
+    def _freeze(self) -> None:
+        """Convert adjacency to tuples once construction is complete, so
+        the hot accessors below can return them without copying, and
+        derive the flat arrays."""
+        self._pred = [tuple(p) for p in self._pred]  # type: ignore[misc]
+        self._succ = [tuple(s) for s in self._succ]  # type: ignore[misc]
+        instrs = self._instr
+        self.uid_arr = np.array(
+            [-1 if instr is None else instr.uid for instr in instrs],
+            dtype=np.int64,
+        )
+        self.ref_mask = np.array(
+            [instr is not None for instr in instrs], dtype=bool
+        )
+        self.first_pred = np.array(
+            [p[0] if p else -1 for p in self._pred], dtype=np.int64
+        )
+        self.in_degree = np.array([len(p) for p in self._pred], dtype=np.int64)
+        self.out_degree = np.array(
+            [len(s) for s in self._succ], dtype=np.int64
+        )
+        self.ref_rids = np.flatnonzero(self.ref_mask).tolist()
+        self.prefetch_rids = [
+            rid for rid in self.ref_rids if instrs[rid].is_prefetch
+        ]
+        self.vertices = _Vertices(self, [None] * len(instrs))
+        self._gather_blocks()
+
+    def _gather_blocks(self) -> None:
+        """``block_arr``/``target_arr`` (and their list views) from the
+        memory map's uid table: one gather for the REF vertices, one for
+        the prefetch targets."""
+        memory_map = self.memory_map
+        n = len(self._instr)
+        block_arr = np.full(n, -1, dtype=np.int64)
+        block_arr[self.ref_mask] = memory_map.blocks_of(
+            self.uid_arr[self.ref_mask]
+        )
+        ref_block = block_arr.astype(object)
+        ref_block[~self.ref_mask] = None
+        target_arr = np.full(n, -1, dtype=np.int64)
+        target_block: List[Optional[int]] = [None] * n
+        instrs = self._instr
+        targeted = [
+            rid for rid in self.prefetch_rids
+            if instrs[rid].prefetch_target is not None
+        ]
+        if targeted:
+            targets = memory_map.blocks_of(
+                [instrs[rid].prefetch_target for rid in targeted]
+            )
+            target_arr[targeted] = targets
+            for rid, target in zip(targeted, targets.tolist()):
+                target_block[rid] = target
+        self.block_arr = block_arr
+        self.target_arr = target_arr
+        self._ref_block = ref_block.tolist()
+        self._target_block = target_block
 
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self.vertices)
+        return len(self._instr)
 
-    def _freeze(self) -> None:
-        """Convert adjacency to tuples once construction is complete, so
-        the hot accessors below can return them without copying, and
-        derive the flat REF/prefetch rid arrays."""
-        self._succ = [tuple(s) for s in self._succ]  # type: ignore[misc]
-        self._pred = [tuple(p) for p in self._pred]  # type: ignore[misc]
-        self.ref_rids = [
-            rid for rid, uid in enumerate(self._uid) if uid is not None
-        ]
-        vertices = self.vertices
-        self.prefetch_rids = [
-            rid for rid in self.ref_rids if vertices[rid].instr.is_prefetch
-        ]
+    def successor_table(self) -> List[Tuple[int, ...]]:
+        """Per-rid successor tuples (do not mutate).
+
+        A spliced graph inverts its predecessor tuples on first use:
+        only the optimizer's reverse walk and the relocation cursor read
+        successors, and they run on a few accepted programs, not on
+        every candidate.
+        """
+        if self._succ is None:
+            # Every edge as (pred, rid), sorted by pred then rid: the
+            # single-predecessor vertices from first_pred, the rest from
+            # their tuples.
+            pred = self._pred
+            single = self.in_degree == 1
+            multi = np.flatnonzero(~single).tolist()
+            src = np.concatenate([
+                self.first_pred[single],
+                np.array([p for rid in multi for p in pred[rid]],
+                         dtype=np.int64),
+            ])
+            dst = np.concatenate([
+                np.flatnonzero(single),
+                np.array([rid for rid in multi for _ in pred[rid]],
+                         dtype=np.int64),
+            ])
+            order = np.lexsort((dst, src))
+            dst = dst[order]
+            starts = np.searchsorted(src[order], np.arange(len(pred)))
+            out_degree = self.out_degree
+            succ = list(zip(dst[np.minimum(starts, len(dst) - 1)].tolist()))
+            for rid in np.flatnonzero(out_degree != 1).tolist():
+                first = starts[rid]
+                succ[rid] = tuple(dst[first:first + out_degree[rid]].tolist())
+            self._succ = succ
+        return self._succ  # type: ignore[return-value]
 
     def successors(self, rid: int) -> Sequence[int]:
         """Forward (DAG) successors of a vertex (do not mutate)."""
-        succs = self._succ[rid]
-        return succs if isinstance(succs, tuple) else tuple(succs)
+        return self.successor_table()[rid]
 
     def predecessors(self, rid: int) -> Sequence[int]:
         """Forward (DAG) predecessors of a vertex (do not mutate)."""
-        preds = self._pred[rid]
-        return preds if isinstance(preds, tuple) else tuple(preds)
+        return self._pred[rid]
 
     def vertex(self, rid: int) -> RefVertex:
-        """Vertex by id."""
-        return self.vertices[rid]
+        """Vertex by id (built from the columns on first access)."""
+        return self.vertices.vertex(rid)
 
     def by_key(self, uid: int, context: Context) -> Optional[int]:
         """Vertex id for (instruction uid, context), or ``None``."""
@@ -248,11 +415,10 @@ class ACFG:
         most candidate graphs are never queried by key.
         """
         if self._by_key is None:
-            uids = self._uid
-            vertices = self.vertices
+            uids = self.uid_arr.tolist()
+            contexts = self._context
             self._by_key = {
-                (uids[rid], vertices[rid].context): rid
-                for rid in self.ref_rids
+                (uids[rid], contexts[rid]): rid for rid in self.ref_rids
             }
         return self._by_key
 
@@ -267,15 +433,16 @@ class ACFG:
     def ref_vertices(self) -> List[RefVertex]:
         """Only the REF vertices, topological order (cached list)."""
         if self._ref_list is None:
-            vertices = self.vertices
-            self._ref_list = [vertices[rid] for rid in self.ref_rids]
+            self._ref_list = list(map(self.vertices.vertex, self.ref_rids))
         return self._ref_list
 
     def weights(self, t_w: Sequence[float]) -> List[float]:
         """``t_w`` restricted to REF vertices (0 elsewhere): the per-rid
         weight list of the slack DPs, built once per analysis."""
-        uids = self._uid
-        return [t if uid is not None else 0.0 for t, uid in zip(t_w, uids)]
+        return [
+            t if instr is not None else 0.0
+            for t, instr in zip(t_w, self._instr)
+        ]
 
     def run_ends(self) -> List[int]:
         """Per rid, the end of its straight-line run (cached).
@@ -287,16 +454,14 @@ class ACFG:
         plain running sum, which the slack DPs evaluate at C speed.
         """
         if self._run_end is None:
-            pred = self._pred
-            n = len(pred)
-            run_end = [0] * n
-            end = n
-            for rid in range(n - 1, -1, -1):
-                run_end[rid] = end
-                p = pred[rid]
-                if len(p) != 1 or p[0] != rid - 1:
-                    end = rid
-            self._run_end = run_end
+            n = len(self._instr)
+            rids = np.arange(n)
+            heads = np.where(
+                (self.in_degree != 1) | (self.first_pred != rids - 1), rids, n
+            )
+            # run_end[r] = min(heads[r + 1:] + [n]): a reversed running min.
+            nxt = np.append(heads[1:], n)
+            self._run_end = np.minimum.accumulate(nxt[::-1])[::-1].tolist()
         return self._run_end
 
     def block_of(self, rid: int) -> int:
@@ -333,7 +498,7 @@ class ACFG:
             or self.vertices[self.sink].kind is not VertexKind.SINK
         ):
             raise ProgramModelError("ACFG sink must be the last vertex")
-        for rid, succs in enumerate(self._succ):
+        for rid, succs in enumerate(self.successor_table()):
             for succ in succs:
                 if succ <= rid:
                     raise ProgramModelError(
@@ -373,10 +538,10 @@ def build_acfg(
     layout = AddressLayout(cfg, base_address)
     memory_map = MemoryMap(layout, block_size)
     acfg = ACFG(cfg, layout, memory_map)
-    acfg.source = acfg._new_vertex(VertexKind.SOURCE, None, TOP, None, -1, ())
+    acfg.source = acfg._new_vertex(None, TOP, None, -1, ())
 
     exits = _expand(acfg, cfg.structure, TOP, [acfg.source])
-    acfg.sink = acfg._new_vertex(VertexKind.SINK, None, TOP, None, -1, exits)
+    acfg.sink = acfg._new_vertex(None, TOP, None, -1, exits)
     acfg._freeze()
     acfg.validate()
     return acfg
@@ -392,10 +557,14 @@ def splice_insertion(
     except that ``cfg.block(block_name)`` gained one instruction at
     ``index`` (the optimizer's prefetch insertion).  The result is
     equal, field by field, to ``build_acfg(cfg, ...)`` with ``base``'s
-    layout parameters: vertices below the first insertion rid and their
-    predecessor tuples are shared with ``base``, only the suffix is
-    renumbered, and the per-rid memory blocks are recomputed for every
-    vertex from a fresh layout, because the inserted bytes shift
+    layout parameters.  The list columns are sliced around the
+    insertion rids (below the first one, predecessor tuples and built
+    vertex objects are shared with ``base``); the flat arrays are
+    spliced with ``np.insert`` and renumbered with one vectorised
+    ``remap`` gather; only the suffix predecessor tuples are rebuilt,
+    from ``first_pred``, with the few multi-predecessor vertices
+    patched one by one.  The per-rid memory blocks are re-gathered for
+    every vertex from a fresh layout, because the inserted bytes shift
     addresses in layout order, which need not be rid order.
 
     Returns:
@@ -415,129 +584,108 @@ def splice_insertion(
     uid = instr.uid
     if uid in base.memory_map._block_of:
         return None  # a reused uid: leave duplicate handling to the build
-    old_uid = base._uid
-    anchors = [rid for rid in base.ref_rids if old_uid[rid] == anchor_uid]
-    if not anchors:
-        return None
-    old_vertices = base.vertices
-    old_pred = base._pred
-    old_succ = base._succ
-    n_old = len(old_vertices)
+    anchors = np.flatnonzero(base.uid_arr == anchor_uid)
     m = len(anchors)
-    # Old rid q_k: the new vertex of instance k takes new rid q_k + k.
-    qs = anchors if before else [rid + 1 for rid in anchors]
-    ends = qs[1:] + [n_old]
-    remap = list(range(n_old))
-    for k, (q, end) in enumerate(zip(qs, ends)):
-        remap[q:end] = range(q + k + 1, end + k + 1)
-    inserted = [q + k for k, q in enumerate(qs)]
-    first = qs[0]
+    if not m:
+        return None
+    n_old = len(base)
+    # Old rid q_k: the new vertex of instance k takes new rid q_k + k,
+    # and old rid r moves up by the number of insertion points <= r.
+    qs = anchors if before else anchors + 1
+    inserted = qs + np.arange(m)
+    old_rids = np.arange(n_old)
+    remap = old_rids + np.searchsorted(qs, old_rids, side="right")
+    # Where an edge from old rid r starts now: appending after the
+    # anchor hands the anchor's out-edges (back edges too) to the new
+    # vertex.
+    source_of = remap.copy()
+    if not before:
+        source_of[anchors] = inserted
+    moved = inserted + 1 if before else inserted - 1
+    first = int(qs[0])
+    positions = qs.tolist()
+    anchor_list = anchors.tolist()
 
     layout = AddressLayout(cfg, base.layout.base_address)
     memory_map = MemoryMap(layout, base.memory_map.block_size)
     acfg = ACFG(cfg, layout, memory_map)
-    vertices = old_vertices[:first]
-    uids = old_uid[:first]
-    multiplier = base.multiplier[:first]
+    acfg._instr = _with_inserted(base._instr, positions, [instr] * m)
+    contexts = base._context
+    acfg._context = _with_inserted(
+        contexts, positions, [contexts[a] for a in anchor_list]
+    )
+    acfg._block_name = _with_inserted(
+        base._block_name, positions, [block_name] * m
+    )
+    index_column = _with_inserted(base._index, positions, [index] * m)
+    if before:
+        # The rest of the edited block instance moves one slot down.
+        for new in inserted.tolist():
+            for rid in range(new + 1, new + 1 + old_len - index):
+                index_column[rid] += 1
+    acfg._index = index_column
+    multiplier = base.multiplier
+    acfg.multiplier = _with_inserted(
+        multiplier, positions, [multiplier[a] for a in anchor_list]
+    )
+
+    acfg.uid_arr = np.insert(base.uid_arr, qs, uid)
+    acfg.ref_mask = np.insert(base.ref_mask, qs, True)
+    old_first = base.first_pred
+    first_pred = np.insert(
+        np.where(old_first >= 0, source_of[old_first], -1), qs, 0
+    )
+    in_degree = np.insert(base.in_degree, qs, 1)
+    out_degree = np.insert(base.out_degree, qs, 1)
+    if before:
+        # The new vertex takes the anchor's in-edges and feeds it.
+        first_pred[inserted] = first_pred[moved]
+        first_pred[moved] = inserted
+        in_degree[inserted] = in_degree[moved]
+        in_degree[moved] = 1
+    else:
+        # The new vertex is fed by the anchor and takes its out-edges.
+        first_pred[inserted] = moved
+        out_degree[inserted] = out_degree[moved]
+        out_degree[moved] = 1
+    acfg.first_pred = first_pred
+    acfg.in_degree = in_degree
+    acfg.out_degree = out_degree
+
+    # Prefix tuples are shared; the suffix is single-predecessor but
+    # for joins (and the odd multi-entry block), patched below.
+    old_pred = base._pred
     pred = old_pred[:first]
-    renumber = remap.__getitem__
-    succ = [
-        s if not s or s[-1] < first else tuple(map(renumber, s))
-        for s in old_succ[:first]
-    ]
-    shift = old_len - index if before else 0
-    for k, (q, end) in enumerate(zip(qs, ends)):
-        anchor = anchors[k]
-        context = old_vertices[anchor].context
-        rid = q + k
-        vertices.append(
-            RefVertex(rid, VertexKind.REF, instr, context, block_name, index)
-        )
-        uids.append(uid)
-        multiplier.append(base.multiplier[anchor])
-        pred.append(None)  # type: ignore[arg-type]  # fixed up below
-        succ.append(None)  # type: ignore[arg-type]
-        shifted = q + shift
-        for r in range(q, end):
-            v = old_vertices[r]
-            rid += 1
-            vertices.append(
-                RefVertex(
-                    rid,
-                    v.kind,
-                    v.instr,
-                    v.context,
-                    v.block_name,
-                    v.index_in_block + 1 if r < shifted else v.index_in_block,
-                )
-            )
-        uids.extend(old_uid[q:end])
-        multiplier.extend(base.multiplier[q:end])
-        # Nearly every adjacency tuple has one entry: map those inline.
-        pred.extend([
-            (remap[p[0]],) if len(p) == 1 else tuple(map(renumber, p))
-            for p in old_pred[q:end]
-        ])
-        succ.extend([
-            (remap[s[0]],) if len(s) == 1 else tuple(map(renumber, s))
-            for s in old_succ[q:end]
-        ])
-
-    back_edges = [(remap[src], remap[dst]) for src, dst in base.back_edges]
-    for anchor, new in zip(anchors, inserted):
-        moved = remap[anchor]
-        if before:
-            # new takes the anchor's in-edges and feeds the anchor.
-            pred[new] = pred[moved]
-            pred[moved] = (new,)
-            succ[new] = (moved,)
-            for p in pred[new]:
-                succ[p] = tuple([new if x == moved else x for x in succ[p]])
-        else:
-            # new takes the anchor's out-edges (and its back edges).
-            succ[new] = succ[moved]
-            succ[moved] = (new,)
-            pred[new] = (moved,)
-            for s in succ[new]:
-                pred[s] = tuple([new if x == moved else x for x in pred[s]])
-            back_edges = [
-                (new if src == moved else src, dst) for src, dst in back_edges
-            ]
-
-    acfg.vertices = vertices
+    pred += zip(first_pred[first:].tolist())
+    remap_list = remap.tolist()
+    source_list = source_of.tolist()
+    taken = set(anchor_list) if before else ()
+    for old in (np.flatnonzero(base.in_degree[first:] != 1) + first).tolist():
+        rid = remap_list[old] - (1 if old in taken else 0)
+        pred[rid] = tuple([source_list[p] for p in old_pred[old]])
     acfg._pred = pred
-    acfg._succ = succ
-    acfg._uid = uids
-    acfg.multiplier = multiplier
-    acfg.back_edges = back_edges
+    acfg._succ = None
+    acfg.back_edges = [
+        (source_list[src], remap_list[dst]) for src, dst in base.back_edges
+    ]
     acfg._by_key = None
     acfg.source = base.source
-    acfg.sink = remap[base.sink]
-    block_of = memory_map._block_of
-    acfg._ref_block = [None if u is None else block_of[u] for u in uids]
-    acfg.ref_rids = [rid for rid, u in enumerate(uids) if u is not None]
-    prefetch_rids = [remap[rid] for rid in base.prefetch_rids]
+    acfg.sink = remap_list[base.sink]
+    acfg.ref_rids = np.flatnonzero(acfg.ref_mask).tolist()
+    prefetches = remap[np.asarray(base.prefetch_rids, dtype=np.int64)]
     if instr.is_prefetch:
-        prefetch_rids = sorted(prefetch_rids + inserted)
-    acfg.prefetch_rids = prefetch_rids
-    target_block: List[Optional[int]] = [None] * len(vertices)
-    for rid in acfg.prefetch_rids:
-        target = vertices[rid].instr.prefetch_target
-        if target is not None:
-            target_block[rid] = block_of[target]
-    acfg._target_block = target_block
+        prefetches = np.sort(np.concatenate([prefetches, inserted]))
+    acfg.prefetch_rids = prefetches.tolist()
+    acfg.vertices = _Vertices(
+        acfg, base.vertices._cache[:first] + [None] * (len(acfg) - first)
+    )
+    acfg._gather_blocks()
 
-    changed = first
-    if (
-        base._ref_block[:first] != acfg._ref_block[:first]
-        or base._target_block[:first] != target_block[:first]
-    ):
-        changed = next(
-            rid
-            for rid in range(first)
-            if base._ref_block[rid] != acfg._ref_block[rid]
-            or base._target_block[rid] != target_block[rid]
-        )
+    moved_below = np.flatnonzero(
+        (base.block_arr[:first] != acfg.block_arr[:first])
+        | (base.target_arr[:first] != acfg.target_arr[:first])
+    )
+    changed = int(moved_below[0]) if len(moved_below) else first
     return acfg, changed
 
 
@@ -547,9 +695,9 @@ def structural_differences(a: ACFG, b: ACFG) -> List[str]:
     Compares every vertex (rid, kind, instruction uid/prefetch role/
     target, context, block name, index in block), the adjacency, back
     edges, multipliers, per-rid memory blocks, the ``(uid, context)``
-    index, the poles and the flat rid arrays — the pipeline's
-    differential mode uses it to check a spliced graph against a
-    rebuilt one.
+    index, the poles, the REF/prefetch rid lists and the flat arrays
+    (values and dtypes) — the pipeline's differential mode uses it to
+    check a spliced graph against a rebuilt one.
     """
 
     def signature(v: RefVertex):
@@ -567,11 +715,20 @@ def structural_differences(a: ACFG, b: ACFG) -> List[str]:
         signature(v) for v in b.vertices
     ]:
         problems.append("vertices")
-    for name in ("_pred", "_succ", "back_edges", "multiplier", "_uid",
-                 "_ref_block", "_target_block", "source", "sink",
-                 "ref_rids", "prefetch_rids"):
+    if a.successor_table() != b.successor_table():
+        problems.append("succ")
+    for name in ("_pred", "back_edges", "multiplier", "_ref_block",
+                 "_target_block", "source", "sink", "ref_rids",
+                 "prefetch_rids"):
         if getattr(a, name) != getattr(b, name):
             problems.append(name.lstrip("_"))
+    for name in ("uid_arr", "ref_mask", "block_arr", "target_arr",
+                 "first_pred", "in_degree", "out_degree"):
+        x, y = getattr(a, name), getattr(b, name)
+        if x.dtype != y.dtype or not np.array_equal(x, y):
+            problems.append(name)
+    if a.run_ends() != b.run_ends():
+        problems.append("run_ends")
     if a.key_index() != b.key_index():
         problems.append("key_index")
     return problems
@@ -585,9 +742,7 @@ def _expand_block(
         raise ProgramModelError(f"block {block_name!r} is empty")
     current = preds
     for idx, instr in enumerate(block.instructions):
-        rid = acfg._new_vertex(
-            VertexKind.REF, instr, ctx, block_name, idx, current
-        )
+        rid = acfg._new_vertex(instr, ctx, block_name, idx, current)
         current = [rid]
     return current
 
@@ -596,7 +751,7 @@ def _join(acfg: ACFG, ctx: Context, preds: List[int]) -> List[int]:
     """Insert a JOIN vertex when paths converge (no-op for single pred)."""
     if len(preds) <= 1:
         return list(preds)
-    rid = acfg._new_vertex(VertexKind.JOIN, None, ctx, None, -1, preds)
+    rid = acfg._new_vertex(None, ctx, None, -1, preds)
     return [rid]
 
 
@@ -639,9 +794,7 @@ def _expand(
         rest_ctx = enter_loop_rest(ctx, node.loop_name)
         # REST entry join merges the first iteration's exit with the
         # (broken) back edge from the REST exit.
-        entry_join = acfg._new_vertex(
-            VertexKind.JOIN, None, rest_ctx, None, -1, first_exits
-        )
+        entry_join = acfg._new_vertex(None, rest_ctx, None, -1, first_exits)
         rest_exits = _expand(acfg, node.body, rest_ctx, [entry_join])
         for rexit in rest_exits:
             acfg.back_edges.append((rexit, entry_join))

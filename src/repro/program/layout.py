@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import LayoutError
 from repro.program.cfg import ControlFlowGraph
 from repro.program.instructions import Instruction
@@ -110,6 +112,13 @@ class MemoryMap:
             block_id = address_of[uid] // block_size
             self._block_of[uid] = block_id
             self._items_of.setdefault(block_id, []).append(uid)
+        #: uid -> block as a flat table (``-1`` for absent uids), for
+        #: the array gathers of :meth:`blocks_of`.
+        self._table = np.full(
+            max(self._block_of, default=-1) + 1, -1, dtype=np.int64
+        )
+        if self._block_of:
+            self._table[list(self._block_of)] = list(self._block_of.values())
 
     def block_of(self, uid: int) -> int:
         """``S(r)``: the memory block id holding instruction ``uid``."""
@@ -117,6 +126,18 @@ class MemoryMap:
             return self._block_of[uid]
         except KeyError:
             raise LayoutError(f"instruction uid {uid} not in memory map") from None
+
+    def blocks_of(self, uids) -> np.ndarray:
+        """:meth:`block_of` for a whole array of uids, as one gather."""
+        uids = np.asarray(uids, dtype=np.int64)
+        table = self._table
+        known = (uids >= 0) & (uids < len(table))
+        blocks = np.full(len(uids), -1, dtype=np.int64)
+        blocks[known] = table[uids[known]]
+        if len(blocks) and blocks.min() < 0:
+            bad = int(uids[blocks < 0][0])
+            raise LayoutError(f"instruction uid {bad} not in memory map")
+        return blocks
 
     def first_item(self, block_id: int) -> int:
         """``R(s)``: uid of the lowest-address item in ``block_id``."""

@@ -32,7 +32,11 @@ from repro.energy.cacti import cacti_model
 from repro.energy.technology import technology
 from repro.errors import AnalysisError
 from repro.obs.trace import Tracer, activate_tracer, use_span
-from repro.program.acfg import build_acfg, splice_insertion
+from repro.program.acfg import (
+    build_acfg,
+    splice_insertion,
+    structural_differences,
+)
 
 BLOCK_SIZE = 16
 CONFIG = CacheConfig(1, 16, 256)  # the paper's k1
@@ -76,6 +80,7 @@ def assert_same_acfg(spliced, rebuilt):
     assert [v.rid for v in spliced.ref_vertices()] == [
         v.rid for v in rebuilt.ref_vertices()
     ]
+    assert structural_differences(spliced, rebuilt) == []
     rebuilt.validate()
     spliced.validate()
 

@@ -101,6 +101,15 @@ class TestMemoryMap:
         with pytest.raises(LayoutError):
             mmap.first_item(10_000)
 
+    def test_blocks_of_is_block_of_per_uid(self, straight_program):
+        _, mmap = compute_layout(straight_program, block_size=16)
+        uids = [instr.uid for instr in straight_program.instructions()]
+        assert mmap.blocks_of(uids).tolist() == [
+            mmap.block_of(uid) for uid in uids
+        ]
+        with pytest.raises(LayoutError, match="uid 10000"):
+            mmap.blocks_of(uids + [10_000])
+
     def test_address_of_block(self, straight_program):
         _, mmap = compute_layout(straight_program, block_size=32)
         assert mmap.address_of_block(3) == 96
