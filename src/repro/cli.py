@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import replace
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.bench.registry import TABLE1, load
 from repro.cache.config import TABLE2, hierarchy_for
@@ -135,8 +136,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--no-cache", action="store_true",
                        help="serve without the persistent disk cache")
     serve.add_argument("--self-check", action="store_true",
-                       help="boot on an ephemeral port, hit /healthz, "
-                            "report, and exit")
+                       help="boot on an ephemeral port, check /healthz "
+                            "and /metrics, report, and exit")
     serve.add_argument("--trace-sample", type=float, default=1.0,
                        metavar="RATE",
                        help="head-sampling rate for new traces rooted "
@@ -352,6 +353,42 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+#: One exposition sample: ``name[{le="…"}] value``.
+_SAMPLE_LINE = re.compile(
+    r'([A-Za-z_:][A-Za-z0-9_:]*(?:\{le="[^"]+"\})?) (\S+)'
+)
+
+
+def _exposition_problems(text: str) -> List[str]:
+    """What is wrong with a ``/metrics`` body (empty when nothing).
+
+    Every sample line must parse as ``name[{le="…"}] number``, every
+    histogram must expose its ``+Inf`` bucket, ``_sum`` and ``_count``,
+    and the scrape itself makes ``http_requests`` at least 1.
+    """
+    problems: List[str] = []
+    samples: Dict[str, float] = {}
+    histograms = []
+    for line in text.splitlines():
+        if line.startswith("# TYPE ") and line.endswith(" histogram"):
+            histograms.append(line.split()[2])
+        if not line or line.startswith("#"):
+            continue
+        match = _SAMPLE_LINE.fullmatch(line)
+        try:
+            samples[match.group(1)] = float(match.group(2))
+        except (AttributeError, ValueError):  # no match / not a number
+            problems.append(f"unparsable sample line {line!r}")
+    for name in histograms:
+        for sample in (f'{name}_bucket{{le="+Inf"}}', f"{name}_sum",
+                       f"{name}_count"):
+            if sample not in samples:
+                problems.append(f"histogram {name} has no {sample}")
+    if samples.get("http_requests", 0) < 1:
+        problems.append("http_requests is not >= 1")
+    return problems
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
@@ -367,7 +404,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
 
     if args.self_check:
-        # Boot on an ephemeral port, prove /healthz answers, tear down.
+        # Boot on an ephemeral port, prove /healthz answers and /metrics
+        # is a well-formed exposition, tear down.
         from repro.service.client import ServiceClient
 
         with BackgroundServer(host=args.host, port=0,
@@ -378,7 +416,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"{health.get('status')} "
                   f"(version {health.get('version')}, "
                   f"workers {health['executor']['workers']})")
-            ok = health.get("status") == "ok"
+            problems = _exposition_problems(client.metrics())
+            print(f"self-check: {server.url}/metrics -> "
+                  f"{'ok' if not problems else 'malformed'}")
+            for problem in problems:
+                print(f"  {problem}")
+            ok = health.get("status") == "ok" and not problems
         return 0 if ok else 1
 
     async def _serve() -> None:

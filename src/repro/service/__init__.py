@@ -4,8 +4,10 @@ A long-lived, stdlib-only serving layer over the experiment engine:
 
 * :mod:`repro.service.protocol` — job request/response schemas; every
   validation failure maps to HTTP 400 with a named field;
-* :mod:`repro.service.telemetry` — counters / gauges / latency
-  histograms behind ``GET /metrics`` (Prometheus text format);
+* :mod:`repro.service.telemetry` — ``GET /metrics`` (Prometheus text
+  format): counters, gauges and three latency histograms, folded at
+  scrape time from the job table and the job spans, with no registry
+  of its own;
 * :mod:`repro.service.jobs` — the bounded job queue with backpressure
   (HTTP 429 + ``Retry-After``), in-flight request coalescing keyed by
   the disk cache's content hash, per-job timeout and cancellation;
@@ -32,25 +34,14 @@ from repro.service.jobs import (
     JobManager,
 )
 from repro.service.protocol import JobRequest, parse_job
-from repro.service.telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    ServiceTelemetry,
-)
 
 __all__ = [
     "AnalysisExecutor",
     "BackgroundServer",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "JOB_STATES",
     "Job",
     "JobManager",
     "JobRequest",
-    "MetricsRegistry",
     "STATE_CANCELLED",
     "STATE_DONE",
     "STATE_FAILED",
@@ -58,7 +49,6 @@ __all__ = [
     "STATE_RUNNING",
     "ServiceApp",
     "ServiceClient",
-    "ServiceTelemetry",
     "build_service",
     "parse_job",
 ]

@@ -16,7 +16,7 @@ Routes:
                       cancelled, 500 failed)
 ``DELETE /v1/jobs/<id>``  cancel (409 already terminal)
 ``GET /healthz``      liveness + queue/executor facts
-``GET /metrics``      Prometheus text exposition
+``GET /metrics``      Prometheus text exposition, folded from the jobs
 ``GET /v1/traces/<id>``  collected trace (404 unknown)
 ====================  ====================================================
 """
@@ -44,7 +44,7 @@ from repro.service.jobs import (
     JobManager,
 )
 from repro.service.protocol import parse_job
-from repro.service.telemetry import ServiceTelemetry
+from repro.service.telemetry import render
 
 _log = get_logger("repro.service.app")
 
@@ -172,13 +172,15 @@ async def _read_request(reader: "asyncio.StreamReader") -> Optional[_Request]:
 
 
 class ServiceApp:
-    """Routing over a :class:`JobManager` + telemetry + executor."""
+    """Routing over a :class:`JobManager` and its executor."""
 
-    def __init__(self, manager: JobManager, telemetry: ServiceTelemetry,
+    def __init__(self, manager: JobManager,
                  tracer: Optional[Tracer] = None, traces=None):
         self.manager = manager
-        self.telemetry = telemetry
         self.executor = manager.executor
+        # The only counts /metrics cannot fold from a record.
+        self.http_requests = 0
+        self.http_errors = 0
         # Tracer and trace store are *per app* (not process globals):
         # tests boot several services in one process, and each must
         # keep its own spans.
@@ -219,12 +221,12 @@ class ServiceApp:
         try:
             request = await _read_request(reader)
         except ServiceError as exc:
-            self.telemetry.http_requests.inc()
-            self.telemetry.http_errors.inc()
+            self.http_requests += 1
+            self.http_errors += 1
             return _Response(exc.status or 400, {"error": str(exc)})
         if request is None:  # client went away before a full request
             return None
-        self.telemetry.http_requests.inc()
+        self.http_requests += 1
         span = self._request_span(request)
         with activate_tracer(self.tracer):
             with span:
@@ -257,7 +259,7 @@ class ServiceApp:
                         "traceparent", format_traceparent(span.context)
                     )
         if response.status >= 400:
-            self.telemetry.http_errors.inc()
+            self.http_errors += 1
         return response
 
     def _request_span(self, request: _Request):
@@ -389,14 +391,13 @@ class ServiceApp:
 
     def _metrics(self, _request: _Request) -> _Response:
         return _Response(
-            200, self.telemetry.render(),
+            200, render(self.manager, self.http_requests, self.http_errors),
             content_type="text/plain; version=0.0.4; charset=utf-8",
         )
 
 
 def build_service(
     executor=None,
-    telemetry: Optional[ServiceTelemetry] = None,
     *,
     workers: Optional[int] = None,
     cache_dir=None,
@@ -406,7 +407,7 @@ def build_service(
     dispatchers: Optional[int] = None,
     trace_sample: float = 1.0,
 ) -> ServiceApp:
-    """Wire executor + telemetry + job manager into a routable app.
+    """Wire executor + job manager into a routable app.
 
     Call from inside the event loop that will run the server (the job
     queue binds to it).  ``executor`` is injectable so tests can drive
@@ -421,8 +422,6 @@ def build_service(
     from repro.obs.store import TraceStore
     from repro.service.executor import AnalysisExecutor
 
-    if telemetry is None:
-        telemetry = ServiceTelemetry()
     if executor is None:
         executor = AnalysisExecutor(
             workers=workers,
@@ -437,14 +436,13 @@ def build_service(
     )
     manager = JobManager(
         executor,
-        telemetry,
         max_queue=max_queue,
         job_timeout_s=job_timeout_s,
         dispatchers=dispatchers,
         tracer=tracer,
         trace_store=traces,
     )
-    return ServiceApp(manager, telemetry, tracer=tracer, traces=traces)
+    return ServiceApp(manager, tracer=tracer, traces=traces)
 
 
 async def run_server(

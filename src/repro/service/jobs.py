@@ -46,7 +46,6 @@ from repro.experiments.sweep import (
 from repro.obs.log import get_logger
 from repro.obs.trace import NOOP_SPAN, Tracer, use_span
 from repro.service.protocol import JobRequest
-from repro.service.telemetry import ServiceTelemetry
 
 _log = get_logger("repro.service.jobs")
 
@@ -72,24 +71,6 @@ def _transient_job_error(exc: BaseException) -> bool:
     """Whether a pool exception is worth a retry on a fresh pool: a
     worker died (the pool broke) or the machine hiccuped."""
     return isinstance(exc, (BrokenProcessPool,) + TRANSIENT_ERRORS)
-
-
-def _pipeline_counters(result: Any) -> Optional[Dict[str, int]]:
-    """Analysis-pipeline counters embedded in a result document, if any.
-
-    Tolerant of every result shape the executor produces: a point
-    ``optimize`` document carries them at the top level, a use-case
-    document under ``report``, a sweep document under ``metrics`` —
-    and of documents predating the pipeline (returns ``None``).
-    """
-    if not isinstance(result, dict):
-        return None
-    for holder in (result, result.get("report"), result.get("metrics")):
-        if isinstance(holder, dict):
-            counters = holder.get("pipeline")
-            if isinstance(counters, dict) and counters:
-                return counters
-    return None
 
 
 def _new_job_id() -> str:
@@ -163,6 +144,9 @@ class _Computation:
         self.cancelled = False
         self.future = None  # the pool future, once dispatched
         self.span = NOOP_SPAN  # the job span (timing source), set by submit()
+        self.attempts = 0  # pool submissions so far
+        self.outcome: Optional[str] = None  # done/failed unless cancelled
+        self.result: Optional[Dict[str, Any]] = None
 
 
 class JobManager:
@@ -170,7 +154,6 @@ class JobManager:
 
     Args:
         executor: The compute backend (``probe_cache``/``submit``).
-        telemetry: Shared metric vocabulary.
         max_queue: Bound on waiting computations (backpressure point).
         job_timeout_s: Wall-clock budget per computation; ``None`` or
             ``<= 0`` disables the timeout.
@@ -182,7 +165,6 @@ class JobManager:
     def __init__(
         self,
         executor,
-        telemetry: ServiceTelemetry,
         max_queue: int = 64,
         job_timeout_s: Optional[float] = 600.0,
         dispatchers: Optional[int] = None,
@@ -192,7 +174,6 @@ class JobManager:
         if max_queue < 1:
             raise ServiceError(f"max_queue must be >= 1, got {max_queue}")
         self.executor = executor
-        self.telemetry = telemetry
         self.tracer = tracer if tracer is not None else Tracer(service="service")
         self.trace_store = trace_store
         self.max_queue = max_queue
@@ -201,6 +182,11 @@ class JobManager:
         )
         self.dispatchers = dispatchers or getattr(executor, "workers", 1)
         self.jobs: Dict[str, Job] = {}
+        #: Every computation dispatched to the pool, in dispatch order;
+        #: ``/metrics`` folds their spans, attempts and results.
+        self.computations: List[_Computation] = []
+        #: Submissions bounced with 429 (they never enter ``jobs``).
+        self.rejected = 0
         self._inflight: Dict[str, _Computation] = {}
         self._queue: "asyncio.Queue[_Computation]" = asyncio.Queue(
             maxsize=max_queue
@@ -245,7 +231,6 @@ class JobManager:
         hit).  Raises :class:`QueueFullError` when the queue is at
         capacity — the HTTP layer turns that into 429 + Retry-After.
         """
-        self.telemetry.jobs_submitted.inc()
         key = request.fingerprint()
         job = Job(id=_new_job_id(), request=request)
 
@@ -256,7 +241,6 @@ class JobManager:
             job.started_at = comp.jobs[0].started_at if comp.jobs else None
             comp.jobs.append(job)
             self.jobs[job.id] = job
-            self.telemetry.jobs_coalesced.inc()
             comp.span.add_event("coalesced", job_id=job.id)
             return job
 
@@ -269,8 +253,6 @@ class JobManager:
             job.finished_at = now
             job.result = cached
             self.jobs[job.id] = job
-            self.telemetry.cache_hits.inc()
-            self.telemetry.jobs_completed.inc()
             span = self.tracer.start_span(
                 "job",
                 attributes={"kind": request.kind, "job_id": job.id,
@@ -291,8 +273,11 @@ class JobManager:
         try:
             self._queue.put_nowait(comp)
         except asyncio.QueueFull:
-            self.telemetry.jobs_rejected.inc()
-            retry_after = self.telemetry.retry_after_hint()
+            # local import: the telemetry module imports this one
+            from repro.service.telemetry import retry_after_hint
+
+            self.rejected += 1
+            retry_after = retry_after_hint(self.computations)
             raise QueueFullError(
                 f"job queue is full ({self.max_queue} pending); "
                 f"retry in ~{retry_after}s",
@@ -301,8 +286,6 @@ class JobManager:
             ) from None
         self._inflight[key] = comp
         self.jobs[job.id] = job
-        self.telemetry.queue_depth.set(self._queue.qsize())
-        self.telemetry.jobs_inflight.set(len(self._inflight))
         return job
 
     def get(self, job_id: str) -> Optional[Job]:
@@ -324,7 +307,6 @@ class JobManager:
             )
         job.state = STATE_CANCELLED
         job.finished_at = time.time()
-        self.telemetry.jobs_cancelled.inc()
 
         comp = self._find_computation(job)
         if comp is not None:
@@ -337,7 +319,6 @@ class JobManager:
                     comp.future.cancel()
                 if self._inflight.get(comp.key) is comp:
                     del self._inflight[comp.key]
-                self.telemetry.jobs_inflight.set(len(self._inflight))
         return job
 
     def _find_computation(self, job: Job) -> Optional[_Computation]:
@@ -356,7 +337,6 @@ class JobManager:
                 await self._run_computation(comp)
             finally:
                 self._queue.task_done()
-                self.telemetry.queue_depth.set(self._queue.qsize())
 
     async def _run_computation(self, comp: _Computation) -> None:
         if comp.cancelled:
@@ -366,11 +346,10 @@ class JobManager:
         for job in comp.jobs:
             job.state = STATE_RUNNING
             job.started_at = now
-        self.telemetry.computations.inc()
+        self.computations.append(comp)
         comp.span.add_event("started")
-        attempt = 0
         while True:
-            attempt += 1
+            comp.attempts += 1
             try:
                 # Activate the job span around dispatch so the real
                 # executor can thread the trace context into the pool
@@ -380,69 +359,71 @@ class JobManager:
             except Exception as exc:  # pool is gone / cannot spawn
                 self._finish_failed(
                     comp, f"dispatch failed: {exc}",
-                    error_type=type(exc).__name__, attempts=attempt,
+                    error_type=type(exc).__name__, attempts=comp.attempts,
                 )
                 return
+            # Cancelling the wrapper cancels the pool future too.
+            waited = asyncio.wrap_future(comp.future)
             try:
-                if self.job_timeout_s is not None:
-                    result = await asyncio.wait_for(
-                        asyncio.wrap_future(comp.future), self.job_timeout_s
-                    )
-                else:
-                    result = await asyncio.wrap_future(comp.future)
-            except asyncio.TimeoutError:
-                comp.future.cancel()
+                # wait() returns, where awaiting the future would raise,
+                # when cancel() cancels the pool future: only this
+                # task's own cancellation may end the dispatcher.
+                await asyncio.wait({waited}, timeout=self.job_timeout_s)
+            except asyncio.CancelledError:
+                waited.cancel()
+                raise
+            if waited.cancelled():
+                return  # cancel() detached the last job, ended the span
+            if not waited.done():
+                waited.cancel()
                 self._finish_failed(
                     comp,
                     f"job timed out after {self.job_timeout_s:g}s",
-                    error_type="TimeoutError", attempts=attempt,
+                    error_type="TimeoutError", attempts=comp.attempts,
                     transient=True,
                 )
                 return
-            except asyncio.CancelledError:
-                comp.future.cancel()
-                raise
+            try:
+                result = waited.result()
             except Exception as exc:
                 # Transient infrastructure failures (a worker died, the
                 # pool broke) are retried on a rebuilt pool; the job's
                 # computation itself is deterministic, so anything else
                 # fails immediately.
                 transient = _transient_job_error(exc)
-                if (transient and attempt < DEFAULT_MAX_ATTEMPTS
+                if (transient and comp.attempts < DEFAULT_MAX_ATTEMPTS
                         and not comp.cancelled):
-                    self.telemetry.job_retries.inc()
                     comp.span.add_event(
-                        "retry", attempt=attempt, error=type(exc).__name__
+                        "retry", attempt=comp.attempts,
+                        error=type(exc).__name__,
                     )
                     _log.warning(
                         "job retry after transient pool failure",
-                        kind=comp.request.kind, attempt=attempt,
+                        kind=comp.request.kind, attempt=comp.attempts,
                         error=f"{type(exc).__name__}: {exc}",
                     )
                     recover = getattr(self.executor, "recover", None)
                     if recover is not None:
                         try:
                             recover()
-                            self.telemetry.pool_rebuilds.inc()
                         except Exception:
                             pass  # next submit() finds its own fallback
-                    await asyncio.sleep(retry_delay(attempt))
+                    await asyncio.sleep(retry_delay(comp.attempts))
                     continue
                 self._finish_failed(
                     comp, f"{type(exc).__name__}: {exc}",
-                    error_type=type(exc).__name__, attempts=attempt,
+                    error_type=type(exc).__name__, attempts=comp.attempts,
                     transient=transient,
                 )
                 return
             else:
-                comp.span.set_attribute("attempts", attempt)
+                comp.span.set_attribute("attempts", comp.attempts)
                 self._finish_done(comp, result)
                 return
 
     def _release(self, comp: _Computation) -> None:
         if self._inflight.get(comp.key) is comp:
             del self._inflight[comp.key]
-        self.telemetry.jobs_inflight.set(len(self._inflight))
 
     def _finish_done(self, comp: _Computation, result: Dict[str, Any]) -> None:
         self._release(comp)
@@ -455,15 +436,13 @@ class JobManager:
         comp.span.end()
         if comp.cancelled:
             return  # every attached job was cancelled mid-flight
-        self.telemetry.record_job_span(comp.span)
-        self.telemetry.record_pipeline(_pipeline_counters(result))
-        self.telemetry.record_job_result(result)
+        comp.outcome = STATE_DONE
+        comp.result = result
         now = time.time()
         for job in comp.jobs:
             job.state = STATE_DONE
             job.finished_at = now
             job.result = result
-            self.telemetry.jobs_completed.inc()
 
     def _finish_failed(
         self,
@@ -479,6 +458,7 @@ class JobManager:
         comp.span.end()
         if comp.cancelled:
             return
+        comp.outcome = STATE_FAILED
         _log.warning(
             "job failed", error_type=error_type, message=error,
             attempts=attempts, transient=transient,
@@ -495,7 +475,6 @@ class JobManager:
             job.finished_at = now
             job.error = error
             job.failure = dict(failure)
-            self.telemetry.jobs_failed.inc()
 
     # ------------------------------------------------------------------
     # introspection (for /healthz)

@@ -1,411 +1,190 @@
-"""Counters, gauges and latency histograms for the analysis service.
+"""``GET /metrics`` as a fold over state the service already keeps.
 
-A tiny Prometheus-text-format metrics registry: no labels machinery, no
-external client library — just thread-safe counters (executor callbacks
-and the HTTP layer run on different threads under test harnesses),
-gauges, and fixed-bucket cumulative histograms, rendered by
-:meth:`MetricsRegistry.render` behind ``GET /metrics``.
-
-:class:`ServiceTelemetry` pre-registers the service's vocabulary
-(``jobs_submitted``, ``jobs_completed``, ``cache_hits``,
-``job_latency_seconds``, ...) so every subsystem increments the same
-instances.
+Nothing is counted as it happens.  At scrape time :func:`render` reads
+the job table (state, ``coalesced``, ``cached``), the computations
+dispatched to the pool (job span, attempt count, result document), the
+live queue facts ``/healthz`` serves, the executor's ``pool_rebuilds``
+and three plain ints that have no record (rejected submissions, HTTP
+requests, HTTP errors).  The job span is the one timing source: its
+``started`` event splits latency into queue wait and execution.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-#: Default latency buckets (seconds): sub-millisecond cache hits up to
+from repro.service.jobs import STATE_CANCELLED, STATE_DONE, STATE_FAILED
+
+#: Latency buckets (seconds): sub-millisecond cache hits up to
 #: multi-minute sweep jobs.
-DEFAULT_BUCKETS = (
+BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
     10.0, 30.0, 60.0, 120.0, 300.0,
+)
+
+#: ``(name, type, help)`` of every exposed metric, in exposition order.
+METRICS: Tuple[Tuple[str, str, str], ...] = (
+    ("jobs_submitted", "counter", "Jobs accepted via POST /v1/jobs"),
+    ("jobs_completed", "counter", "Jobs that reached the DONE state"),
+    ("jobs_failed", "counter", "Jobs that errored or timed out"),
+    ("jobs_cancelled", "counter", "Jobs cancelled via DELETE /v1/jobs/<id>"),
+    ("jobs_coalesced", "counter",
+     "Jobs coalesced onto an in-flight computation"),
+    ("jobs_rejected", "counter", "Submissions rejected with 429 (queue full)"),
+    ("cache_hits", "counter", "Jobs served from the persistent disk cache"),
+    ("computations", "counter", "Payloads dispatched to the worker pool"),
+    ("http_requests", "counter", "HTTP requests served"),
+    ("http_errors", "counter", "HTTP responses with status >= 400"),
+    ("job_latency_seconds", "histogram",
+     "End-to-end job latency (queue wait + execution)"),
+    ("job_queue_wait_seconds", "histogram",
+     "Time between job acceptance and dispatch to the pool"),
+    ("job_execution_seconds", "histogram",
+     "Time between pool dispatch and job completion"),
+    ("queue_depth", "gauge", "Current job-queue occupancy"),
+    ("jobs_inflight", "gauge", "Computations currently queued or running"),
+    ("pipeline_stage_hits", "counter",
+     "Analysis-pipeline cache hits across completed jobs"),
+    ("pipeline_stage_misses", "counter",
+     "Analysis-pipeline cache misses across completed jobs"),
+    ("pipeline_delta_runs", "counter", "Delta (warm-start) re-analyses"),
+    ("pipeline_delta_fallbacks", "counter",
+     "Delta re-analyses that fell back to a cold run"),
+    ("pipeline_invalidations", "counter",
+     "Pipeline cache evictions and clears"),
+    ("job_retries", "counter",
+     "Computations retried after a transient pool failure"),
+    ("pool_rebuilds", "counter", "Broken process pools replaced"),
+    ("sweep_case_failures", "counter",
+     "Use cases failed permanently inside completed sweep jobs"),
+    ("sweep_case_retries", "counter",
+     "Per-use-case transient retries inside completed sweep jobs"),
+)
+
+#: Each ``pipeline_*`` metric sums these keys of a result's counters.
+_PIPELINE_SUMS = (
+    ("pipeline_stage_hits",
+     ("structural_hits", "dataflow_hits", "result_hits")),
+    ("pipeline_stage_misses", ("structural_misses", "dataflow_misses")),
+    ("pipeline_delta_runs", ("delta_runs",)),
+    ("pipeline_delta_fallbacks", ("delta_fallbacks",)),
+    ("pipeline_invalidations", ("invalidations",)),
 )
 
 
 def _format_value(value: float) -> str:
     """Prometheus-style number rendering (integers without a dot)."""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, int) or (isinstance(value, float)
-                                  and value.is_integer()
-                                  and abs(value) < 1e15):
+    if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(value)
 
 
-class Counter:
-    """A monotonically increasing counter."""
+def _pipeline_counters(result: Any) -> Optional[Dict[str, int]]:
+    """Analysis-pipeline counters embedded in a result document, if any.
 
-    kind = "counter"
-
-    def __init__(self, name: str, help_text: str = ""):
-        self.name = name
-        self.help_text = help_text
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (must be >= 0)."""
-        if amount < 0:
-            raise ValueError(f"counter {self.name} cannot decrease")
-        with self._lock:
-            self._value += amount
-
-    @property
-    def value(self) -> float:
-        """Current count."""
-        with self._lock:
-            return self._value
-
-    def samples(self) -> List[str]:
-        """Exposition lines of this metric."""
-        return [f"{self.name} {_format_value(self.value)}"]
-
-
-class Gauge:
-    """A value that can go up and down (queue depth, in-flight jobs)."""
-
-    kind = "gauge"
-
-    def __init__(self, name: str, help_text: str = ""):
-        self.name = name
-        self.help_text = help_text
-        self._value = 0.0
-        self._lock = threading.Lock()
-
-    def set(self, value: float) -> None:
-        """Replace the current value."""
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        """Add ``amount`` (may be negative)."""
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        """Subtract ``amount``."""
-        self.inc(-amount)
-
-    @property
-    def value(self) -> float:
-        """Current value."""
-        with self._lock:
-            return self._value
-
-    def samples(self) -> List[str]:
-        """Exposition lines of this metric."""
-        return [f"{self.name} {_format_value(self.value)}"]
-
-
-class Histogram:
-    """A fixed-bucket cumulative histogram (Prometheus semantics).
-
-    ``observe(v)`` increments every bucket whose upper bound is >= v,
-    plus the implicit ``+Inf`` bucket, the running sum and the count.
+    Tolerant of every result shape the executor produces: a point
+    ``optimize`` document carries them at the top level, a use-case
+    document under ``report``, a sweep document under ``metrics`` —
+    and of documents predating the pipeline (returns ``None``).
     """
-
-    kind = "histogram"
-
-    def __init__(self, name: str, help_text: str = "",
-                 buckets: Sequence[float] = DEFAULT_BUCKETS):
-        bounds = sorted(float(b) for b in buckets)
-        if not bounds:
-            raise ValueError(f"histogram {name} needs at least one bucket")
-        self.name = name
-        self.help_text = help_text
-        self.bounds: Tuple[float, ...] = tuple(bounds)
-        self._counts = [0] * (len(bounds) + 1)  # + the +Inf bucket
-        self._sum = 0.0
-        self._count = 0
-        self._lock = threading.Lock()
-
-    def observe(self, value: float) -> None:
-        """Record one measurement."""
-        with self._lock:
-            for idx, bound in enumerate(self.bounds):
-                if value <= bound:
-                    self._counts[idx] += 1
-            self._counts[-1] += 1
-            self._sum += value
-            self._count += 1
-
-    @property
-    def count(self) -> int:
-        """Number of observations."""
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        """Sum of all observed values."""
-        with self._lock:
-            return self._sum
-
-    def mean(self, default: float = 0.0) -> float:
-        """Average observation (``default`` when empty)."""
-        with self._lock:
-            if not self._count:
-                return default
-            return self._sum / self._count
-
-    def samples(self) -> List[str]:
-        """Exposition lines: cumulative buckets + sum + count."""
-        with self._lock:
-            counts = list(self._counts)
-            total, sum_ = self._count, self._sum
-        lines = []
-        # observe() already increments every bucket above the value, so
-        # the stored counts are cumulative, as the format requires.
-        for bound, bucket in zip(self.bounds, counts):
-            lines.append(
-                f'{self.name}_bucket{{le="{_format_value(bound)}"}} '
-                f"{bucket}"
-            )
-        lines.append(f'{self.name}_bucket{{le="+Inf"}} {counts[-1]}')
-        lines.append(f"{self.name}_sum {_format_value(sum_)}")
-        lines.append(f"{self.name}_count {total}")
-        return lines
+    if not isinstance(result, dict):
+        return None
+    for holder in (result, result.get("report"), result.get("metrics")):
+        if isinstance(holder, dict):
+            counters = holder.get("pipeline")
+            if isinstance(counters, dict) and counters:
+                return counters
+    return None
 
 
-class MetricsRegistry:
-    """An ordered collection of metrics with one text exposition."""
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, object] = {}
-        self._lock = threading.Lock()
-
-    def _register(self, factory, name: str, help_text: str, **kwargs):
-        with self._lock:
-            existing = self._metrics.get(name)
-            if existing is not None:
-                if not isinstance(existing, factory):
-                    raise ValueError(
-                        f"metric {name!r} already registered as "
-                        f"{type(existing).__name__}"
-                    )
-                return existing
-            metric = factory(name, help_text, **kwargs)
-            self._metrics[name] = metric
-            return metric
-
-    def counter(self, name: str, help_text: str = "") -> Counter:
-        """Get-or-create a counter."""
-        return self._register(Counter, name, help_text)
-
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        """Get-or-create a gauge."""
-        return self._register(Gauge, name, help_text)
-
-    def histogram(self, name: str, help_text: str = "",
-                  buckets: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        """Get-or-create a histogram."""
-        return self._register(Histogram, name, help_text, buckets=buckets)
-
-    def get(self, name: str):
-        """The registered metric, or ``None``."""
-        with self._lock:
-            return self._metrics.get(name)
-
-    def render(self) -> str:
-        """The whole registry in Prometheus text exposition format."""
-        with self._lock:
-            metrics = list(self._metrics.values())
-        lines: List[str] = []
-        for metric in metrics:
-            if metric.help_text:
-                lines.append(f"# HELP {metric.name} {metric.help_text}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            lines.extend(metric.samples())
-        return "\n".join(lines) + "\n"
+def _latencies(computations: Iterable[Any]) -> List[Tuple[float, ...]]:
+    """``(queue wait, execution, total)`` seconds of every computation
+    that finished done or failed; cancelled ones stay out."""
+    out = []
+    for comp in computations:
+        if comp.outcome is None:
+            continue
+        total = comp.span.duration_s
+        wait = max(0.0, min(comp.span.event_offset("started", 0.0), total))
+        out.append((wait, total - wait, total))
+    return out
 
 
-class ServiceTelemetry:
-    """The analysis service's metric vocabulary, pre-registered.
+def retry_after_hint(computations: Iterable[Any]) -> int:
+    """Suggested ``Retry-After`` seconds when the queue is full: one
+    mean computation latency (at least 1 s), by when a slot has likely
+    drained."""
+    totals = [total for _wait, _exec, total in _latencies(computations)]
+    return max(1, math.ceil(sum(totals) / len(totals) if totals else 1.0))
 
-    Attributes (all live in :attr:`registry` and appear in
-    ``GET /metrics``):
-        jobs_submitted: Every accepted ``POST /v1/jobs``.
-        jobs_completed: Jobs that reached the DONE state (including
-            cache hits and coalesced followers).
-        jobs_failed: Jobs that errored or timed out.
-        jobs_cancelled: Jobs cancelled via ``DELETE /v1/jobs/<id>``.
-        jobs_coalesced: Jobs attached to an identical in-flight
-            computation instead of enqueueing a second one.
-        jobs_rejected: Submissions bounced with HTTP 429 (queue full).
-        cache_hits: Jobs answered from the persistent disk cache
-            without touching the worker pool.
-        computations: Payloads actually dispatched to the pool.
-        http_requests: All HTTP requests served.
-        http_errors: Responses with status >= 400.
-        job_latency_seconds: End-to-end job latency histogram
-            (queue wait + execution), derived from the job span.
-        job_queue_wait_seconds: Histogram of submit→dispatch queue
-            wait, derived from the job span's ``queued``/``started``
-            events.
-        job_execution_seconds: Histogram of dispatch→completion wall
-            time (includes transient-retry backoff), derived from the
-            job span.
-        queue_depth: Current bounded-queue occupancy.
-        jobs_inflight: Computations currently queued or running.
-        pipeline_stage_hits: Analysis-pipeline cache hits (structural +
-            dataflow + whole-result) across completed jobs.
-        pipeline_stage_misses: Analysis-pipeline cache misses across
-            completed jobs.
-        pipeline_delta_runs: Delta (warm-start) re-analyses.
-        pipeline_delta_fallbacks: Delta attempts that fell back to cold.
-        pipeline_invalidations: Pipeline cache evictions/clears.
-        job_retries: Computations retried after a transient
-            infrastructure failure (worker died, pool broke).
-        pool_rebuilds: Broken process pools replaced with fresh ones.
-        sweep_case_failures: Use cases that failed permanently inside
-            completed sweep jobs (partial results).
-        sweep_case_retries: Per-use-case transient retries inside
-            completed sweep jobs.
-    """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None):
-        self.registry = registry if registry is not None else MetricsRegistry()
-        r = self.registry
-        self.jobs_submitted = r.counter(
-            "jobs_submitted", "Jobs accepted via POST /v1/jobs")
-        self.jobs_completed = r.counter(
-            "jobs_completed", "Jobs that reached the DONE state")
-        self.jobs_failed = r.counter(
-            "jobs_failed", "Jobs that errored or timed out")
-        self.jobs_cancelled = r.counter(
-            "jobs_cancelled", "Jobs cancelled via DELETE /v1/jobs/<id>")
-        self.jobs_coalesced = r.counter(
-            "jobs_coalesced", "Jobs coalesced onto an in-flight computation")
-        self.jobs_rejected = r.counter(
-            "jobs_rejected", "Submissions rejected with 429 (queue full)")
-        self.cache_hits = r.counter(
-            "cache_hits", "Jobs served from the persistent disk cache")
-        self.computations = r.counter(
-            "computations", "Payloads dispatched to the worker pool")
-        self.http_requests = r.counter(
-            "http_requests", "HTTP requests served")
-        self.http_errors = r.counter(
-            "http_errors", "HTTP responses with status >= 400")
-        self.job_latency_seconds = r.histogram(
-            "job_latency_seconds",
-            "End-to-end job latency (queue wait + execution)")
-        self.job_queue_wait_seconds = r.histogram(
-            "job_queue_wait_seconds",
-            "Time between job acceptance and dispatch to the pool")
-        self.job_execution_seconds = r.histogram(
-            "job_execution_seconds",
-            "Time between pool dispatch and job completion")
-        self.queue_depth = r.gauge(
-            "queue_depth", "Current job-queue occupancy")
-        self.jobs_inflight = r.gauge(
-            "jobs_inflight", "Computations currently queued or running")
-        self.pipeline_stage_hits = r.counter(
-            "pipeline_stage_hits",
-            "Analysis-pipeline cache hits across completed jobs")
-        self.pipeline_stage_misses = r.counter(
-            "pipeline_stage_misses",
-            "Analysis-pipeline cache misses across completed jobs")
-        self.pipeline_delta_runs = r.counter(
-            "pipeline_delta_runs", "Delta (warm-start) re-analyses")
-        self.pipeline_delta_fallbacks = r.counter(
-            "pipeline_delta_fallbacks",
-            "Delta re-analyses that fell back to a cold run")
-        self.pipeline_invalidations = r.counter(
-            "pipeline_invalidations", "Pipeline cache evictions and clears")
-        self.job_retries = r.counter(
-            "job_retries",
-            "Computations retried after a transient pool failure")
-        self.pool_rebuilds = r.counter(
-            "pool_rebuilds", "Broken process pools replaced")
-        self.sweep_case_failures = r.counter(
-            "sweep_case_failures",
-            "Use cases failed permanently inside completed sweep jobs")
-        self.sweep_case_retries = r.counter(
-            "sweep_case_retries",
-            "Per-use-case transient retries inside completed sweep jobs")
-    def record_job_result(self, result) -> None:
-        """Fold one completed job's failure/retry story into the registry.
+def _document_counters(results: Iterable[Any]) -> Dict[str, int]:
+    """Pipeline and sweep counters summed over result documents."""
+    sums = dict.fromkeys([name for name, _keys in _PIPELINE_SUMS]
+                         + ["sweep_case_failures", "sweep_case_retries"], 0)
+    for result in results:
+        counters = _pipeline_counters(result) or {}
+        for name, keys in _PIPELINE_SUMS:
+            sums[name] += sum(counters.get(key, 0) for key in keys)
+        metrics = result.get("metrics") if isinstance(result, dict) else None
+        if isinstance(metrics, dict):
+            sums["sweep_case_failures"] += metrics.get("failed") or 0
+            sums["sweep_case_retries"] += metrics.get("retries") or 0
+    return sums
 
-        Sweep jobs complete even when individual use cases failed
-        permanently (their document carries the records); this surfaces
-        those partial-result facts on ``/metrics``.  Point jobs and
-        pre-fault-tolerance documents are a no-op.
-        """
-        if not isinstance(result, dict):
-            return
-        metrics = result.get("metrics")
-        if not isinstance(metrics, dict):
-            return
-        if metrics.get("failed"):
-            self.sweep_case_failures.inc(metrics["failed"])
-        if metrics.get("retries"):
-            self.sweep_case_retries.inc(metrics["retries"])
-        if metrics.get("pool_rebuilds"):
-            self.pool_rebuilds.inc(metrics["pool_rebuilds"])
 
-    def record_pipeline(self, counters: Optional[Dict[str, int]]) -> None:
-        """Fold one run's analysis-pipeline counters into the registry.
+def _histogram(name: str, values: Sequence[float]) -> List[str]:
+    """Exposition lines of one histogram: cumulative buckets, sum, count."""
+    lines = [
+        f'{name}_bucket{{le="{_format_value(bound)}"}} '
+        f"{sum(1 for v in values if v <= bound)}"
+        for bound in BUCKETS
+    ]
+    lines.append(f'{name}_bucket{{le="+Inf"}} {len(values)}')
+    lines.append(f"{name}_sum {_format_value(sum(values))}")
+    lines.append(f"{name}_count {len(values)}")
+    return lines
 
-        Accepts the ``pipeline`` dict of an
-        :class:`~repro.core.optimizer.OptimizationReport` (or the summed
-        sweep totals); ``None``/empty is a no-op so pre-pipeline records
-        stay accepted.
-        """
-        if not counters:
-            return
-        hits = (
-            counters.get("structural_hits", 0)
-            + counters.get("dataflow_hits", 0)
-            + counters.get("result_hits", 0)
-        )
-        misses = (
-            counters.get("structural_misses", 0)
-            + counters.get("dataflow_misses", 0)
-        )
-        if hits:
-            self.pipeline_stage_hits.inc(hits)
-        if misses:
-            self.pipeline_stage_misses.inc(misses)
-        if counters.get("delta_runs"):
-            self.pipeline_delta_runs.inc(counters["delta_runs"])
-        if counters.get("delta_fallbacks"):
-            self.pipeline_delta_fallbacks.inc(counters["delta_fallbacks"])
-        if counters.get("invalidations"):
-            self.pipeline_invalidations.inc(counters["invalidations"])
 
-    def record_job_span(self, span) -> None:
-        """Derive latency histograms from a finished job span.
-
-        The job span is the single timing source: its ``started`` event
-        offset splits the total duration into queue wait (acceptance →
-        pool dispatch) and execution (dispatch → completion).  Jobs
-        that never dispatched (cached, cancelled while queued) observe
-        queue wait only.
-        """
-        total = span.duration_s
-        started = span.event_offset("started")
-        if started is None:
-            self.job_queue_wait_seconds.observe(total)
-            return
-        wait = max(0.0, min(started, total))
-        self.job_queue_wait_seconds.observe(wait)
-        self.job_execution_seconds.observe(total - wait)
-        self.job_latency_seconds.observe(total)
-
-    def retry_after_hint(self) -> int:
-        """Suggested ``Retry-After`` seconds when the queue is full.
-
-        One average computation latency (at least one second) — by the
-        time that passes, a queue slot has likely drained.
-        """
-        return max(1, int(math.ceil(self.job_latency_seconds.mean(1.0))))
-
-    def render(self) -> str:
-        """The registry's text exposition (the ``/metrics`` body)."""
-        return self.registry.render()
-
+def render(manager, http_requests: int, http_errors: int) -> str:
+    """The ``/metrics`` body: every metric of :data:`METRICS`, folded
+    from ``manager`` (a :class:`~repro.service.jobs.JobManager`) and the
+    HTTP layer's two request counts."""
+    jobs = list(manager.jobs.values())
+    comps = list(manager.computations)
+    states = Counter(job.state for job in jobs)
+    stats = manager.stats()
+    latencies = _latencies(comps)
+    values: Dict[str, Any] = {
+        "jobs_submitted": len(jobs),
+        "jobs_completed": states[STATE_DONE],
+        "jobs_failed": states[STATE_FAILED],
+        "jobs_cancelled": states[STATE_CANCELLED],
+        "jobs_coalesced": sum(job.coalesced for job in jobs),
+        "jobs_rejected": manager.rejected,
+        "cache_hits": sum(job.cached for job in jobs),
+        "computations": len(comps),
+        "http_requests": http_requests,
+        "http_errors": http_errors,
+        "job_latency_seconds": [total for _w, _e, total in latencies],
+        "job_queue_wait_seconds": [wait for wait, _e, _t in latencies],
+        "job_execution_seconds": [exe for _w, exe, _t in latencies],
+        "queue_depth": stats["queue_depth"],
+        "jobs_inflight": stats["inflight"],
+        "job_retries": sum(comp.attempts - 1 for comp in comps),
+        "pool_rebuilds": getattr(manager.executor, "pool_rebuilds", 0),
+    }
+    values.update(_document_counters(
+        comp.result for comp in comps if comp.outcome == STATE_DONE
+    ))
+    lines: List[str] = []
+    for name, kind, help_text in METRICS:
+        lines.append(f"# HELP {name} {help_text}")
+        lines.append(f"# TYPE {name} {kind}")
+        if kind == "histogram":
+            lines.extend(_histogram(name, values[name]))
+        else:
+            lines.append(f"{name} {_format_value(values[name])}")
+    return "\n".join(lines) + "\n"

@@ -297,3 +297,28 @@ class TestJsonOutput:
         assert "Theorem 1" in captured.out
         with pytest.raises(ValueError):
             json.loads(captured.out)
+
+
+class TestServeSelfCheck:
+    def test_self_check_scrapes_metrics(self, capsys):
+        assert main(["serve", "--self-check", "--no-cache"]) == 0
+        out = capsys.readouterr().out
+        assert "/healthz -> ok" in out
+        assert "/metrics -> ok" in out
+
+    def test_malformed_metrics_fail_the_self_check(self, capsys,
+                                                   monkeypatch):
+        from repro.service.client import ServiceClient
+
+        monkeypatch.setattr(ServiceClient, "metrics", lambda self: (
+            "# TYPE lat histogram\n"
+            'lat_bucket{le="+Inf"} 1\n'
+            "lat_sum 0.5\n"
+            "http_requests one\n"
+        ))
+        assert main(["serve", "--self-check", "--no-cache"]) == 1
+        out = capsys.readouterr().out
+        assert "/metrics -> malformed" in out
+        assert "unparsable sample line 'http_requests one'" in out
+        assert "histogram lat has no lat_count" in out
+        assert "http_requests is not >= 1" in out

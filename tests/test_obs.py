@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,7 +40,7 @@ from repro.obs.trace import (
 )
 from repro.service.app import BackgroundServer
 from repro.service.client import ServiceClient
-from repro.service.telemetry import ServiceTelemetry
+from repro.service.telemetry import render
 
 TRACE = "4bf92f3577b34da6a3ce929d0e0e4736"
 SPAN = "00f067aa0ba902b7"
@@ -441,30 +442,34 @@ class TestStructuredLog:
 # telemetry: span-derived histograms
 # ----------------------------------------------------------------------
 class TestJobSpanTelemetry:
-    def _span(self):
-        return Span("job", context=SpanContext(TRACE, SPAN))
+    def _render(self, outcome, started, total):
+        """``/metrics`` over one dispatched computation whose job span
+        has a ``started`` event at ``started`` s and lasts ``total`` s."""
+        span = Span("job", context=SpanContext(TRACE, SPAN))
+        span.events.append(("started", started, {}))
+        span._end_mono = span._start_mono + total
+        computation = SimpleNamespace(span=span, outcome=outcome,
+                                      attempts=1, result={})
+        manager = SimpleNamespace(
+            jobs={}, computations=[computation], rejected=0, executor=None,
+            stats=lambda: {"queue_depth": 0, "inflight": 0},
+        )
+        return render(manager, http_requests=1, http_errors=0)
 
     def test_started_event_splits_wait_from_execution(self):
-        telemetry = ServiceTelemetry()
-        span = self._span()
-        span.events.append(("started", 2.0, {}))
-        span._end_mono = span._start_mono + 5.0
-        telemetry.record_job_span(span)
-        text = telemetry.render()
-        assert "job_queue_wait_seconds_count 1" in text
-        assert "job_execution_seconds_count 1" in text
-        assert "job_queue_wait_seconds_sum 2" in text
-        assert "job_execution_seconds_sum 3" in text
-        assert "job_latency_seconds_count 1" in text
-        assert "job_latency_seconds_sum 5" in text
+        for outcome in ("done", "failed"):
+            text = self._render(outcome, started=2.0, total=5.0)
+            assert "job_queue_wait_seconds_count 1" in text
+            assert "job_execution_seconds_count 1" in text
+            assert "job_queue_wait_seconds_sum 2" in text
+            assert "job_execution_seconds_sum 3" in text
+            assert "job_latency_seconds_count 1" in text
+            assert "job_latency_seconds_sum 5" in text
 
-    def test_undispatched_job_observes_queue_wait_only(self):
-        telemetry = ServiceTelemetry()
-        span = self._span()
-        span._end_mono = span._start_mono + 1.0
-        telemetry.record_job_span(span)
-        text = telemetry.render()
-        assert "job_queue_wait_seconds_count 1" in text
+    def test_cancelled_computation_is_not_observed(self):
+        text = self._render(None, started=1.0, total=3.0)
+        assert "computations 1" in text
+        assert "job_queue_wait_seconds_count 0" in text
         assert "job_execution_seconds_count 0" in text
         assert "job_latency_seconds_count 0" in text
 
