@@ -14,9 +14,11 @@ grids are provided:
 
 Use cases are independent, so :func:`run_sweep` fans them out over a
 ``concurrent.futures.ProcessPoolExecutor`` (``workers=``), assembling
-results in deterministic grid order regardless of completion order, and
-falls back to the serial path when ``workers=1`` or the platform cannot
-run a process pool.  Three cache layers keep repeated work cheap:
+results in deterministic grid order regardless of completion order.
+One driver runs every sweep: with ``workers=1``, or when the platform
+cannot start or rebuild a process pool, the same loop runs each case in
+this process instead of submitting it.  Three cache layers keep
+repeated work cheap:
 
 * per-spec, in-process (``_SWEEP_CACHE``) — the per-figure benchmarks
   of one pytest session share one sweep; callers always receive a
@@ -32,10 +34,13 @@ Execution is fault-tolerant: one failing use case becomes a structured
 (``BrokenProcessPool``, ``OSError``, timeouts) are retried with
 exponential backoff, and a broken pool is rebuilt — requeueing only the
 cases that were in flight when it died — rather than degrading the rest
-of the grid to serial.  The ``max_failures`` policy decides whether a
-partially failed sweep raises :class:`~repro.errors.SweepFailure` (the
-default, protecting callers that need the full grid) or returns the
-partial results.  Failure scenarios are testable deterministically via
+of the grid to serial.  At most :data:`INFLIGHT_PER_WORKER` cases per
+worker are in the pool at once, so a case's timeout starts at most one
+case before the case itself.  The ``max_failures`` policy decides
+whether a partially failed sweep raises
+:class:`~repro.errors.SweepFailure` (the default, protecting callers
+that need the full grid) or returns the partial results.  Failure
+scenarios are testable deterministically via
 :mod:`repro.experiments.faults` (``REPRO_FAULT_PLAN``).
 """
 
@@ -79,14 +84,20 @@ DEFAULT_MAX_ATTEMPTS = 3
 #: First retry delay; doubles per attempt (0.25 s, 0.5 s, 1 s, ...).
 DEFAULT_BACKOFF_BASE_S = 0.25
 
+#: Cases a pool worker holds at once: the one it runs and the one it
+#: starts next.  Fewer leaves a worker idle between cases; more starts
+#: cases' timeouts while they only wait in the pool's queue.
+INFLIGHT_PER_WORKER = 2
 
-def retry_delay(attempt: int,
-                base_s: float = DEFAULT_BACKOFF_BASE_S) -> float:
+
+def retry_delay(attempt: int) -> float:
     """Backoff before retrying after failed attempt ``attempt`` (1-based).
 
     The one backoff formula of the sweep and the service's job retries.
+    There is no jitter: each scheduler is one coordinator, so no herd
+    of clients retries in unison.
     """
-    return base_s * 2 ** (attempt - 1)
+    return DEFAULT_BACKOFF_BASE_S * 2 ** (attempt - 1)
 
 
 #: Exceptions a use case may raise that are worth retrying — the
@@ -295,16 +306,27 @@ class FailureRecord:
     transient: bool
 
 
-def _sleep(seconds: float) -> None:
-    """Backoff sleep — a seam so tests can observe the schedule."""
-    time.sleep(seconds)
+def make_process_pool(workers: int):
+    """A ``ProcessPoolExecutor`` of ``workers`` processes.
+
+    The one pool factory of the sweep and the service.  It forks where
+    the platform can, the cheapest start method: workers inherit the
+    loaded benchmark registry instead of re-importing it.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = None
+    if "fork" in multiprocessing.get_all_start_methods():
+        context = multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=context)
 
 
 def _evaluate_usecase(payload) -> Tuple:
     """Worker entry point: run one use case, timed and failure-encoded.
 
     Module-level so it pickles under every multiprocessing start
-    method.  ``payload`` is ``(usecase, seed, options[, attempt])``.
+    method.  ``payload`` is ``(usecase, seed, options, attempt)``.
     Returns ``("ok", result, wall_seconds, worker_pid)`` on success and
     ``("err", error_type, message, worker_pid, transient)`` when the
     use case raised — failures are encoded rather than propagated so
@@ -314,8 +336,7 @@ def _evaluate_usecase(payload) -> Tuple:
     """
     from repro.experiments import faults
 
-    usecase, seed, options = payload[0], payload[1], payload[2]
-    attempt = payload[3] if len(payload) > 3 else 1
+    usecase, seed, options, attempt = payload
     start = time.perf_counter()
     try:
         faults.inject_before(usecase, attempt)
@@ -339,16 +360,18 @@ def _evaluate_usecase(payload) -> Tuple:
 
 
 class _FanOut:
-    """``submit`` + ``wait`` pool driver with per-case failure isolation.
+    """The sweep driver: every case isolated, retried and accounted for.
 
-    Replaces the old ``pool.map`` fan-out: every case is its own future,
-    so one exception cannot abort the batch; transient failures are
-    requeued with exponential backoff; a broken pool is rebuilt exactly
-    once per break and only the cases lost in flight are resubmitted.
-
-    Raises pool-*setup* errors (the platform cannot start a process
-    pool at all) so :func:`run_sweep` can fall back to serial; per-case
-    failures never escape — they go through ``deliver``/``fail``.
+    Each case has its own attempt count, and every failed attempt goes
+    through :meth:`_handle_error`, the one retry-or-fail decision.  With
+    a pool, at most :data:`INFLIGHT_PER_WORKER` × ``workers`` cases are
+    in flight, and a broken pool is rebuilt once per break with only
+    the cases lost in flight requeued.  Without one (``workers == 1``,
+    or no pool could be started or rebuilt) each eligible case runs in
+    this process, its attempts counting on from the pool's, so a fault
+    aimed at attempt 1 (a worker crash) never fires here.  While one
+    case backs off the next eligible case runs.  Per-case failures
+    never escape — they go through ``deliver``/``fail``.
     """
 
     def __init__(
@@ -360,19 +383,16 @@ class _FanOut:
         deliver: Callable[[int, UseCaseResult, float, int], None],
         fail: Callable[[FailureRecord], None],
         metrics=None,
-        max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
         case_timeout_s: Optional[float] = None,
     ):
         self.cases = cases
         self.seed = seed
         self.options = options
         self.workers = workers
+        self.limit = INFLIGHT_PER_WORKER * workers
         self.deliver = deliver
         self.fail = fail
         self.metrics = metrics
-        self.max_attempts = max(1, max_attempts)
-        self.backoff_base_s = backoff_base_s
         self.case_timeout_s = case_timeout_s
         self.queue: "deque[int]" = deque()
         self.attempts: Dict[int, int] = {}
@@ -384,26 +404,31 @@ class _FanOut:
     # ------------------------------------------------------------------
     # pool lifecycle
     # ------------------------------------------------------------------
-    def _make_pool(self):
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            # Cheapest start method where available: workers inherit the
-            # loaded benchmark registry instead of re-importing it.
-            context = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=context
-        )
-
     def _rebuild_pool(self) -> None:
-        old, self.pool = self.pool, None
-        if old is not None:
-            old.shutdown(wait=False)
-        self.pool = self._make_pool()
+        self.pool = make_process_pool(self.workers)
         if self.metrics is not None:
             self.metrics.pool_rebuilds += 1
+
+    def _without_pool(self) -> None:
+        """Run every remaining case in this process."""
+        self.pool = None
+        if self.metrics is not None:
+            self.metrics.workers = 1
+
+    def _recover(self) -> None:
+        """Settle the cases lost with a broken pool, then replace it.
+
+        Every future of a broken pool finishes at once: lost cases
+        raise ``BrokenProcessPool`` and are requeued, cases that
+        completed first are delivered, never re-run.
+        """
+        for future in list(self.inflight):
+            self._collect(future)
+        self.pool.shutdown(wait=False)
+        try:
+            self._rebuild_pool()
+        except POOL_FAILURES:
+            self._without_pool()
 
     # ------------------------------------------------------------------
     # failure handling
@@ -412,12 +437,14 @@ class _FanOut:
         self, idx: int, error_type: str, message: str, pid: int,
         transient: bool,
     ) -> None:
-        if transient and self.attempts[idx] < self.max_attempts:
+        attempt = self.attempts[idx]
+        if transient and attempt < DEFAULT_MAX_ATTEMPTS:
             if self.metrics is not None:
                 self.metrics.retries += 1
-            self.eligible_at[idx] = time.monotonic() + retry_delay(
-                self.attempts[idx], self.backoff_base_s
-            )
+            span = current_span()
+            if span is not None:
+                span.add_event("retry", attempt=attempt, error=error_type)
+            self.eligible_at[idx] = time.monotonic() + retry_delay(attempt)
             self.queue.append(idx)
             return
         self.fail(FailureRecord(
@@ -425,7 +452,7 @@ class _FanOut:
             index=idx,
             error_type=error_type,
             message=message,
-            attempts=self.attempts[idx],
+            attempts=attempt,
             worker_pid=pid,
             transient=transient,
         ))
@@ -437,26 +464,50 @@ class _FanOut:
             _, error_type, message, pid, transient = outcome
             self._handle_error(idx, error_type, message, pid, transient)
 
+    def _collect(self, future) -> bool:
+        """Dispatch a finished future's outcome; ``True`` if the pool
+        broke under it."""
+        from concurrent.futures import TimeoutError as FuturesTimeout
+
+        idx = self.inflight.pop(future)
+        self.deadline.pop(future, None)
+        try:
+            outcome = future.result(timeout=60)
+        except BrokenProcessPool as exc:
+            self._handle_error(
+                idx, type(exc).__name__,
+                str(exc) or "worker process died", 0, True,
+            )
+            return True
+        except (FuturesTimeout, *TRANSIENT_ERRORS) as exc:
+            self._handle_error(idx, type(exc).__name__, str(exc), 0, True)
+        except Exception as exc:
+            self._handle_error(idx, type(exc).__name__, str(exc), 0, False)
+        else:
+            self._dispatch_outcome(idx, outcome)
+        return False
+
     # ------------------------------------------------------------------
     # the drive loop
     # ------------------------------------------------------------------
     def run(self, pending: Sequence[int]) -> None:
-        from concurrent.futures import FIRST_COMPLETED
-        from concurrent.futures import TimeoutError as FuturesTimeout
-        from concurrent.futures import wait
+        from concurrent.futures import FIRST_COMPLETED, wait
 
         self.queue = deque(pending)
-        self.attempts = {idx: 0 for idx in pending}
-        self.pool = self._make_pool()  # setup errors propagate (serial)
+        self.attempts = dict.fromkeys(pending, 0)
+        if self.workers > 1:
+            try:
+                self.pool = make_process_pool(self.workers)
+            except POOL_FAILURES:
+                self._without_pool()
         try:
             while self.queue or self.inflight:
-                now = time.monotonic()
-                self._submit_eligible(now)
-                timeout = self._wait_timeout(now)
+                self._submit_eligible()
+                timeout = self._wait_timeout(time.monotonic())
                 if not self.inflight:
                     # Everything queued is backing off; sleep it out.
                     if timeout:
-                        _sleep(timeout)
+                        time.sleep(timeout)
                     continue
                 done, _ = wait(
                     set(self.inflight),
@@ -465,79 +516,58 @@ class _FanOut:
                 )
                 broken = False
                 for future in done:
-                    idx = self.inflight.pop(future)
-                    self.deadline.pop(future, None)
-                    try:
-                        outcome = future.result()
-                    except BrokenProcessPool as exc:
-                        broken = True
-                        self._handle_error(
-                            idx, type(exc).__name__,
-                            str(exc) or "worker process died", 0, True,
-                        )
-                    except TRANSIENT_ERRORS as exc:
-                        self._handle_error(
-                            idx, type(exc).__name__, str(exc), 0, True
-                        )
-                    except Exception as exc:
-                        self._handle_error(
-                            idx, type(exc).__name__, str(exc), 0, False
-                        )
-                    else:
-                        self._dispatch_outcome(idx, outcome)
+                    broken |= self._collect(future)
                 if broken:
-                    # The pool died: every other in-flight case is lost
-                    # with it.  Requeue exactly those, then rebuild the
-                    # pool once — completed cases are never re-run.
-                    for future, idx in list(self.inflight.items()):
-                        try:
-                            exc = future.exception(timeout=60)
-                        except (FuturesTimeout, Exception):
-                            exc = None
-                        message = (
-                            str(exc) if exc else "lost with broken pool"
-                        )
-                        self._handle_error(
-                            idx, "BrokenProcessPool", message, 0, True
-                        )
-                    self.inflight.clear()
-                    self.deadline.clear()
-                    self._rebuild_pool()
+                    self._recover()
                     continue
                 self._reap_overdue()
+            if self.metrics is not None:
+                self.metrics.parallel = self.pool is not None
         finally:
             if self.pool is not None:
                 self.pool.shutdown(wait=False)
 
-    def _submit_eligible(self, now: float) -> None:
+    def _submit_eligible(self) -> None:
+        """Start queued cases whose backoff is over, up to the bound.
+
+        Without a pool a case runs here, and its outcome is dispatched
+        before the next case starts.
+        """
         waiting: "deque[int]" = deque()
-        while self.queue:
+        while self.queue and len(self.inflight) < self.limit:
             idx = self.queue.popleft()
+            now = time.monotonic()
             if self.eligible_at.get(idx, 0.0) > now:
                 waiting.append(idx)
                 continue
             self.attempts[idx] += 1
-            future = self.pool.submit(
-                _evaluate_usecase,
-                (self.cases[idx], self.seed, self.options,
-                 self.attempts[idx]),
-            )
+            payload = (self.cases[idx], self.seed, self.options,
+                       self.attempts[idx])
+            if self.pool is None:
+                self._dispatch_outcome(idx, _evaluate_usecase(payload))
+                continue
+            try:
+                future = self.pool.submit(_evaluate_usecase, payload)
+            except BrokenProcessPool as exc:
+                # The pool died before a future could report it.
+                self._handle_error(idx, type(exc).__name__, str(exc), 0,
+                                   True)
+                self._recover()
+                continue
             self.inflight[future] = idx
             if self.case_timeout_s is not None:
                 self.deadline[future] = now + self.case_timeout_s
+        waiting.extend(self.queue)
         self.queue = waiting
 
     def _wait_timeout(self, now: float) -> Optional[float]:
-        bounds = []
-        if self.queue:
-            bounds.append(
-                min(self.eligible_at.get(i, now) for i in self.queue) - now
-            )
-        if self.deadline:
-            bounds.append(min(self.deadline.values()) - now)
+        bounds = list(self.deadline.values())
+        if len(self.inflight) < self.limit:
+            # A free slot: wake when the next queued case is eligible.
+            bounds.extend(self.eligible_at.get(i, now) for i in self.queue)
         if not bounds:
             return None
-        return max(0.0, min(bounds))
+        return max(0.0, min(bounds) - now)
 
     def _reap_overdue(self) -> None:
         """Abandon futures past their deadline and retry their cases.
@@ -547,65 +577,16 @@ class _FanOut:
         itself is requeued (transient) immediately, and a late result
         from the abandoned future is simply dropped.
         """
-        if self.case_timeout_s is None or not self.deadline:
-            return
         now = time.monotonic()
         overdue = [f for f, dl in self.deadline.items() if dl <= now]
         for future in overdue:
             idx = self.inflight.pop(future)
-            self.deadline.pop(future, None)
+            del self.deadline[future]
             future.cancel()
             self._handle_error(
                 idx, "TimeoutError",
                 f"no result within {self.case_timeout_s:g}s", 0, True,
             )
-
-
-def _run_serial(
-    cases: Sequence[UseCase],
-    pending: Sequence[int],
-    seed: int,
-    options,
-    deliver: Callable[[int, UseCaseResult, float, int], None],
-    fail: Callable[[FailureRecord], None],
-    metrics=None,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
-    attempted: Optional[Dict[int, int]] = None,
-) -> None:
-    """The serial path, with the same isolation/retry semantics.
-
-    ``attempted`` holds the attempts a case already had in a pool that
-    broke: its serial attempts count on from there, so a fault plan
-    aimed at attempt 1 (a worker crash) never fires in this process.
-    """
-    for idx in pending:
-        attempt = (attempted or {}).get(idx, 0)
-        while True:
-            attempt += 1
-            outcome = _evaluate_usecase((cases[idx], seed, options, attempt))
-            if outcome[0] == "ok":
-                deliver(idx, outcome[1], outcome[2], outcome[3])
-                break
-            _, error_type, message, pid, transient = outcome
-            if transient and attempt < max_attempts:
-                if metrics is not None:
-                    metrics.retries += 1
-                span = current_span()
-                if span is not None:
-                    span.add_event("retry", attempt=attempt, error=error_type)
-                _sleep(retry_delay(attempt, backoff_base_s))
-                continue
-            fail(FailureRecord(
-                usecase=cases[idx],
-                index=idx,
-                error_type=error_type,
-                message=message,
-                attempts=attempt,
-                worker_pid=pid,
-                transient=transient,
-            ))
-            break
 
 
 def run_sweep(
@@ -616,8 +597,6 @@ def run_sweep(
     cache_dir: Union[None, str, Path] = None,
     metrics=None,
     max_failures: Optional[int] = 0,
-    max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-    backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
     case_timeout_s: Optional[float] = None,
 ) -> List[UseCaseResult]:
     """Run every use case of a spec.
@@ -630,8 +609,9 @@ def run_sweep(
             process (sweeps are deterministic).
         workers: Process count for the fan-out; ``None`` = auto
             (:data:`WORKERS_ENV`, else ``os.cpu_count()``), ``1`` =
-            serial.  The serial path is also the automatic fallback
-            when the platform cannot start a process pool.
+            every case in this process, which is also where the
+            remaining cases run when the platform cannot start or
+            rebuild a process pool.
         cache_dir: Directory of the persistent per-use-case cache;
             ``None`` consults ``REPRO_SWEEP_CACHE_DIR`` (unset =
             disabled).  See :mod:`repro.experiments.cache`.
@@ -644,11 +624,9 @@ def run_sweep(
             :class:`~repro.errors.SweepFailure` on any failure, ``N``
             tolerates up to N, ``None`` never raises — callers then
             read ``metrics.failures`` for the partial-result story.
-        max_attempts: Attempts per use case before a transient fault
-            (``OSError``, timeout, broken pool) becomes permanent.
-        backoff_base_s: First retry delay; doubles per attempt.
-        case_timeout_s: Per-case wall-clock budget in the parallel
-            path; an overdue case is abandoned and retried.  ``None``
+        case_timeout_s: Per-case wall-clock budget in a process pool,
+            counted from submission (at most one case before the case
+            starts); an overdue case is abandoned and retried.  ``None``
             (the default) = no timeout.
 
     Returns:
@@ -730,12 +708,14 @@ def run_sweep(
         pids[idx] = pid
         if disk is not None:
             disk.put(keys[idx], result)
+        emit_ready()
 
     def fail(record: FailureRecord) -> None:
         settled[record.index] = True
         failures.append(record)
         if metrics is not None:
             metrics.record_failure(record)
+        emit_ready()
 
     def emit_ready() -> None:
         # Re-sequence: progress/metrics fire in grid order as soon as
@@ -756,57 +736,16 @@ def run_sweep(
                     progress(cases[idx], results[idx])
             emitted += 1
 
-    def deliver_and_emit(idx: int, result: UseCaseResult, elapsed: float,
-                         pid: int) -> None:
-        deliver(idx, result, elapsed, pid)
-        emit_ready()
-
-    def fail_and_emit(record: FailureRecord) -> None:
-        fail(record)
-        emit_ready()
-
-    remaining = pending
-    attempted: Dict[int, int] = {}
-    if remaining and nworkers > 1:
-        fan_out = _FanOut(
-            cases,
-            spec.seed,
-            options,
-            nworkers,
-            deliver_and_emit,
-            fail_and_emit,
-            metrics=metrics,
-            max_attempts=max_attempts,
-            backoff_base_s=backoff_base_s,
-            case_timeout_s=case_timeout_s,
-        )
-        try:
-            fan_out.run(remaining)
-            remaining = []
-            if metrics is not None:
-                metrics.parallel = True
-        except POOL_FAILURES:
-            # The pool could not be started (sandboxed platform,
-            # missing fork...) or rebuilt — finish whatever is left
-            # serially, counting on from each case's pool attempts.
-            # Per-case failures never reach here; they are records.
-            remaining = [idx for idx in remaining if not settled[idx]]
-            attempted = fan_out.attempts
-            if metrics is not None:
-                metrics.workers = 1
-    if remaining:
-        _run_serial(
-            cases,
-            remaining,
-            spec.seed,
-            options,
-            deliver_and_emit,
-            fail_and_emit,
-            metrics=metrics,
-            max_attempts=max_attempts,
-            backoff_base_s=backoff_base_s,
-            attempted=attempted,
-        )
+    _FanOut(
+        cases,
+        spec.seed,
+        options,
+        nworkers,
+        deliver,
+        fail,
+        metrics=metrics,
+        case_timeout_s=case_timeout_s,
+    ).run(pending)
     emit_ready()
 
     if disk is not None and cap is not None:

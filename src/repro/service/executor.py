@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
+import sys
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
@@ -46,7 +47,11 @@ from repro.experiments.report import (
     usecase_to_json,
 )
 from repro.experiments.scenario import options_from_params, spec_from_params
-from repro.experiments.sweep import POOL_FAILURES, resolve_workers
+from repro.experiments.sweep import (
+    POOL_FAILURES,
+    make_process_pool,
+    resolve_workers,
+)
 from repro.experiments.usecase import UseCase, UseCaseResult, run_usecase
 from repro.obs.trace import (
     SpanCollector,
@@ -162,8 +167,8 @@ class AnalysisExecutor:
         cache_dir: Union[None, str, Path] = None,
         max_cache_bytes: Optional[int] = None,
     ):
-        pool_cap = workers if workers is not None else (os.cpu_count() or 1)
-        self.workers = resolve_workers(workers, pending=pool_cap)
+        # A server's work is not known up front: nothing to clamp to.
+        self.workers = resolve_workers(workers, pending=sys.maxsize)
         root = resolve_cache_dir(cache_dir)
         self.disk = SweepDiskCache(root) if root is not None else None
         self.max_cache_bytes = (
@@ -228,21 +233,11 @@ class AnalysisExecutor:
     def _ensure_pool(self) -> "concurrent.futures.Executor":
         if self._pool is None:
             try:
-                self._pool = self._make_process_pool()
+                self._pool = make_process_pool(self.workers)
                 self._pool_is_processes = True
             except _POOL_FAILURES:
                 self._fall_back_to_threads()
         return self._pool
-
-    def _make_process_pool(self) -> "concurrent.futures.Executor":
-        import multiprocessing
-
-        context = None
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.workers, mp_context=context
-        )
 
     def recover(self) -> "concurrent.futures.Executor":
         """Replace a broken pool with a fresh *process* pool.
@@ -259,7 +254,7 @@ class AnalysisExecutor:
         if old is not None:
             old.shutdown(wait=False)
         try:
-            self._pool = self._make_process_pool()
+            self._pool = make_process_pool(self.workers)
             self._pool_is_processes = True
         except _POOL_FAILURES:
             return self._fall_back_to_threads()

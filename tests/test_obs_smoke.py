@@ -33,7 +33,8 @@ GRID = dict(programs=["bs", "prime"], configs=["k1"], techs=["45nm"],
             budget=10)
 
 #: First attempt of bs/k1/45nm raises the retriable OSError family —
-#: the sweep's serial driver backs off, retries, succeeds.
+#: the sweep driver (one process, in the pool worker) backs off,
+#: retries, succeeds.
 TRANSIENT_ONCE = json.dumps(
     {"bs/k1/45nm": {"kind": "transient", "attempts": [1]}}
 )

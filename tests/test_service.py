@@ -718,6 +718,15 @@ class TestExecutorRecovery:
         finally:
             executor.shutdown()
 
+    def test_env_pool_size_is_not_clamped_to_the_cpu_count(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "4")
+        executor = AnalysisExecutor(cache_dir="off")
+        assert executor.workers == 4
+        assert executor.describe()["pool"] == "none"  # nothing started
+
 
 # ----------------------------------------------------------------------
 # end-to-end with the real compute pool

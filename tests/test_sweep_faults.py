@@ -34,6 +34,7 @@ from repro.experiments.report import (
     sweep_to_json,
 )
 from repro.experiments.sweep import FailureRecord, SweepSpec, run_sweep
+from repro.obs.trace import Tracer, activate_tracer
 
 #: Two fast programs, one config, one tech: 2 use cases per sweep.
 TINY_SPEC = SweepSpec(
@@ -226,11 +227,18 @@ class TestTransientRetries:
             _fault_on("bs", FaultSpec("transient", attempts=(1, 2)))
         )
         delays = []
-        monkeypatch.setattr(sweep_mod, "_sleep", delays.append)
+        real_delay = sweep_mod.retry_delay
+
+        def recorded_delay(attempt):
+            delays.append(real_delay(attempt))
+            return delays[-1]
+
+        monkeypatch.setattr(sweep_mod, "retry_delay", recorded_delay)
+        monkeypatch.setattr(sweep_mod, "DEFAULT_MAX_ATTEMPTS", 3)
+        monkeypatch.setattr(sweep_mod, "DEFAULT_BACKOFF_BASE_S", 0.01)
         metrics = SweepMetrics()
         results = run_sweep(
             TINY_SPEC, use_cache=False, workers=1, metrics=metrics,
-            max_attempts=3, backoff_base_s=0.01,
         )
         # succeeded on attempt 3; both cases present and bit-identical
         assert len(results) == TINY_SPEC.size
@@ -247,11 +255,12 @@ class TestTransientRetries:
         set_fault_hook(
             _fault_on("bs", FaultSpec("transient", attempts=(1, 2, 3)))
         )
-        monkeypatch.setattr(sweep_mod, "_sleep", lambda s: None)
+        monkeypatch.setattr(sweep_mod, "DEFAULT_MAX_ATTEMPTS", 3)
+        monkeypatch.setattr(sweep_mod, "DEFAULT_BACKOFF_BASE_S", 0.01)
         metrics = SweepMetrics()
         run_sweep(
             TINY_SPEC, use_cache=False, workers=1, metrics=metrics,
-            max_attempts=3, max_failures=None,
+            max_failures=None,
         )
         assert metrics.retries == 2
         record = metrics.failures[0]
@@ -275,12 +284,12 @@ class TestTransientRetries:
 # pool recovery (parallel path, environment plan crosses into workers)
 # ----------------------------------------------------------------------
 class TestPoolRecovery:
-    def _run_parallel(self, monkeypatch, plan, **kwargs):
+    def _run_parallel(self, monkeypatch, plan, spec=TINY_SPEC, **kwargs):
         monkeypatch.setenv(FAULT_PLAN_ENV, json.dumps(plan))
+        monkeypatch.setattr(sweep_mod, "DEFAULT_BACKOFF_BASE_S", 0.01)
         metrics = SweepMetrics()
         results = run_sweep(
-            TINY_SPEC, use_cache=False, workers=2, metrics=metrics,
-            backoff_base_s=0.01, **kwargs,
+            spec, use_cache=False, workers=2, metrics=metrics, **kwargs,
         )
         if not metrics.parallel:
             pytest.skip("platform cannot run a process pool")
@@ -332,6 +341,37 @@ class TestPoolRecovery:
         assert [result_to_dict(r) for r in results] == [
             result_to_dict(r) for r in reference_results
         ]
+
+    def test_queued_cases_do_not_time_out(self, monkeypatch):
+        # Every case takes ~0.3 s; 8 of them on 2 workers take ~1.2 s,
+        # so a deadline started when the whole grid is submitted
+        # expires for the cases still waiting in the pool's queue.
+        spec = SweepSpec(
+            programs=("bs", "prime", "fibcall", "sqrt"),
+            config_ids=("k1", "k7"),
+            techs=("45nm",),
+            max_evaluations=10,
+        )
+        results, metrics = self._run_parallel(
+            monkeypatch,
+            {"*": {"kind": "hang", "seconds": 0.3, "attempts": [1]}},
+            spec=spec,
+            case_timeout_s=1.0,
+        )
+        assert metrics.retries == 0
+        assert metrics.failed == 0
+        assert len(results) == spec.size
+
+    def test_pool_retries_are_traced(self, monkeypatch):
+        tracer = Tracer(service="t", sample=1.0, sink=lambda s: None)
+        with activate_tracer(tracer):
+            with tracer.start_span("sweep", root=True) as root:
+                _, metrics = self._run_parallel(
+                    monkeypatch,
+                    {BS_KEY: {"kind": "exit", "attempts": [1]}},
+                )
+        assert metrics.retries >= 1
+        assert "retry" in [name for name, _, _ in root.events]
 
 
 # ----------------------------------------------------------------------

@@ -123,11 +123,12 @@ class TestPoolFallback:
 
         monkeypatch.setattr(sweep_module._FanOut, "_rebuild_pool",
                             rebuild_fails)
+        monkeypatch.setattr(sweep_module, "DEFAULT_BACKOFF_BASE_S", 0.01)
         faults.set_fault_hook(hook)
         try:
             metrics = SweepMetrics()
             results = run_sweep(TINY_SPEC, use_cache=False, workers=2,
-                                metrics=metrics, backoff_base_s=0.01)
+                                metrics=metrics)
         finally:
             faults.set_fault_hook(None)
         if metrics.workers != 1:
