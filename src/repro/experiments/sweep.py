@@ -35,8 +35,7 @@ Execution is fault-tolerant: one failing use case becomes a structured
 exponential backoff, and a broken pool is rebuilt — requeueing only the
 cases that were in flight when it died — rather than degrading the rest
 of the grid to serial.  At most :data:`INFLIGHT_PER_WORKER` cases per
-worker are in the pool at once, so a case's timeout starts at most one
-case before the case itself.  The ``max_failures`` policy decides
+worker are in the pool at once.  The ``max_failures`` policy decides
 whether a partially failed sweep raises
 :class:`~repro.errors.SweepFailure` (the default, protecting callers
 that need the full grid) or returns the partial results.  Failure
@@ -85,8 +84,10 @@ DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE_S = 0.25
 
 #: Cases a pool worker holds at once: the one it runs and the one it
-#: starts next.  Fewer leaves a worker idle between cases; more starts
-#: cases' timeouts while they only wait in the pool's queue.
+#: starts next.  Fewer leaves a worker idle between cases.  More only
+#: matters with ``case_timeout_s``: it starts cases' deadlines while
+#: they wait in the pool's queue.  Until a hung case is abandoned (its
+#: worker runs on), a deadline so starts at most one case early.
 INFLIGHT_PER_WORKER = 2
 
 
@@ -409,26 +410,24 @@ class _FanOut:
         if self.metrics is not None:
             self.metrics.pool_rebuilds += 1
 
-    def _without_pool(self) -> None:
-        """Run every remaining case in this process."""
-        self.pool = None
-        if self.metrics is not None:
-            self.metrics.workers = 1
-
-    def _recover(self) -> None:
-        """Settle the cases lost with a broken pool, then replace it.
+    def _recover(self, rebuild: bool = True) -> None:
+        """Settle the cases in flight, then replace the pool.
 
         Every future of a broken pool finishes at once: lost cases
         raise ``BrokenProcessPool`` and are requeued, cases that
-        completed first are delivered, never re-run.
+        completed first are delivered, never re-run.  A pool that
+        could not start a worker (``rebuild=False``) first finishes the
+        cases it holds, and the rest run in this process.
         """
         for future in list(self.inflight):
             self._collect(future)
         self.pool.shutdown(wait=False)
-        try:
-            self._rebuild_pool()
-        except POOL_FAILURES:
-            self._without_pool()
+        self.pool = None
+        if rebuild:
+            try:
+                self._rebuild_pool()
+            except POOL_FAILURES:
+                pass  # the rest runs in this process
 
     # ------------------------------------------------------------------
     # failure handling
@@ -465,14 +464,16 @@ class _FanOut:
             self._handle_error(idx, error_type, message, pid, transient)
 
     def _collect(self, future) -> bool:
-        """Dispatch a finished future's outcome; ``True`` if the pool
-        broke under it."""
+        """Dispatch a future's outcome, waiting for it until its deadline
+        (if any); ``True`` if the pool broke under it."""
         from concurrent.futures import TimeoutError as FuturesTimeout
 
         idx = self.inflight.pop(future)
-        self.deadline.pop(future, None)
+        timeout = self.deadline.pop(future, None)
+        if timeout is not None:  # the deadline, as the time left
+            timeout = max(0.0, timeout - time.monotonic())
         try:
-            outcome = future.result(timeout=60)
+            outcome = future.result(timeout)
         except BrokenProcessPool as exc:
             self._handle_error(
                 idx, type(exc).__name__,
@@ -499,7 +500,7 @@ class _FanOut:
             try:
                 self.pool = make_process_pool(self.workers)
             except POOL_FAILURES:
-                self._without_pool()
+                pass  # every case runs in this process
         try:
             while self.queue or self.inflight:
                 self._submit_eligible()
@@ -523,6 +524,8 @@ class _FanOut:
                 self._reap_overdue()
             if self.metrics is not None:
                 self.metrics.parallel = self.pool is not None
+                if self.pool is None:
+                    self.metrics.workers = 1
         finally:
             if self.pool is not None:
                 self.pool.shutdown(wait=False)
@@ -547,12 +550,19 @@ class _FanOut:
                 self._dispatch_outcome(idx, _evaluate_usecase(payload))
                 continue
             try:
+                # A pool starts its worker processes here, not when built.
                 future = self.pool.submit(_evaluate_usecase, payload)
             except BrokenProcessPool as exc:
                 # The pool died before a future could report it.
                 self._handle_error(idx, type(exc).__name__, str(exc), 0,
                                    True)
                 self._recover()
+                continue
+            except POOL_FAILURES:
+                # No worker could start: this attempt never ran.
+                self.attempts[idx] -= 1
+                self.queue.appendleft(idx)
+                self._recover(rebuild=False)
                 continue
             self.inflight[future] = idx
             if self.case_timeout_s is not None:
@@ -573,9 +583,10 @@ class _FanOut:
         """Abandon futures past their deadline and retry their cases.
 
         A ``ProcessPoolExecutor`` cannot cancel a *running* task, so a
-        hung worker keeps its slot until it finishes — but the case
-        itself is requeued (transient) immediately, and a late result
-        from the abandoned future is simply dropped.
+        hung worker stays busy until it finishes, while its place under
+        the bound goes to the next case.  The case itself is requeued
+        (transient) at once; a late result from the abandoned future is
+        dropped.
         """
         now = time.monotonic()
         overdue = [f for f, dl in self.deadline.items() if dl <= now]
@@ -625,9 +636,10 @@ def run_sweep(
             tolerates up to N, ``None`` never raises — callers then
             read ``metrics.failures`` for the partial-result story.
         case_timeout_s: Per-case wall-clock budget in a process pool,
-            counted from submission (at most one case before the case
-            starts); an overdue case is abandoned and retried.  ``None``
-            (the default) = no timeout.
+            counted from submission; an overdue case is abandoned and
+            retried.  Until a case is abandoned, submission is at most
+            one case before the case starts.  ``None`` (the default) =
+            no timeout.
 
     Returns:
         A fresh list of the *successful* results in grid order (safe

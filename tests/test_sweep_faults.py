@@ -12,6 +12,7 @@ deterministic fault-injection layer (:mod:`repro.experiments.faults`).
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -248,6 +249,26 @@ class TestTransientRetries:
         assert metrics.retries == 2
         assert metrics.failed == 0
         assert delays == [pytest.approx(0.01), pytest.approx(0.02)]
+
+    def test_retry_waits_out_its_backoff(self, monkeypatch):
+        # One case, so nothing else can run while it backs off.
+        spec = SweepSpec(programs=("bs",), config_ids=("k1",),
+                         techs=("45nm",), max_evaluations=10)
+        fault = _fault_on("bs", FaultSpec("transient", attempts=(1, 2)))
+        starts = {}
+
+        def hook(usecase, attempt):
+            # consulted before (and after) each attempt: keep the first
+            starts.setdefault(attempt, time.monotonic())
+            return fault(usecase, attempt)
+
+        set_fault_hook(hook)
+        monkeypatch.setattr(sweep_mod, "DEFAULT_BACKOFF_BASE_S", 0.05)
+        run_sweep(spec, use_cache=False, workers=1)
+        # each attempt fails as it starts; the next waits out the delay
+        assert sorted(starts) == [1, 2, 3]
+        assert starts[2] - starts[1] >= sweep_mod.retry_delay(1)
+        assert starts[3] - starts[2] >= sweep_mod.retry_delay(2)
 
     def test_exhausted_retry_budget_becomes_a_transient_failure(
         self, monkeypatch

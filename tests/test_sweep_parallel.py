@@ -138,6 +138,48 @@ class TestPoolFallback:
             result_to_dict(r) for r in serial_results
         ]
 
+    @pytest.mark.parametrize("failing_pool", [1, 2])
+    def test_workers_that_cannot_start_fall_back_in_process(
+        self, monkeypatch, serial_results, failing_pool
+    ):
+        """A process pool starts its workers on the first ``submit``.
+        When that fails, in the first pool or in the one rebuilt after
+        a worker died, the rest of the sweep runs in this process."""
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro.experiments import faults, sweep as sweep_module
+
+        parent, pools = os.getpid(), []
+        real_submit = ProcessPoolExecutor.submit
+
+        def hook(usecase, attempt):  # a pool worker dies on attempt 1
+            crash = os.getpid() != parent and attempt == 1
+            return faults.FaultSpec("exit") if crash else None
+
+        def submit(self, fn, *args, **kwargs):
+            if self not in pools:
+                pools.append(self)
+            if len(pools) >= failing_pool:
+                raise OSError("cannot fork")
+            return real_submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        monkeypatch.setattr(sweep_module, "DEFAULT_BACKOFF_BASE_S", 0.01)
+        faults.set_fault_hook(hook)
+        try:
+            metrics = SweepMetrics()
+            results = run_sweep(TINY_SPEC, use_cache=False, workers=2,
+                                metrics=metrics)
+        finally:
+            faults.set_fault_hook(None)
+        if len(pools) < failing_pool:
+            pytest.skip("platform cannot run a process pool")
+        assert metrics.workers == 1
+        assert metrics.parallel is False
+        assert metrics.pool_rebuilds == failing_pool - 1
+        assert [result_to_dict(r) for r in results] == [
+            result_to_dict(r) for r in serial_results
+        ]
 
 class TestDiskCache:
     def test_round_trip_is_bit_exact(self, tmp_path, serial_results):
