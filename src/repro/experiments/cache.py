@@ -67,6 +67,9 @@ CACHE_DIR_ENV = "REPRO_SWEEP_CACHE_DIR"
 #: Environment variable capping the cache's total size in bytes.
 CACHE_MAX_BYTES_ENV = "REPRO_SWEEP_CACHE_MAX_BYTES"
 
+#: Puts between the opportunistic prunes of a capped cache.
+PRUNE_EVERY = 32
+
 #: Record format version (layout of the JSON files themselves).
 _FORMAT = 1
 
@@ -300,9 +303,9 @@ class SweepDiskCache:
     so a corrupted file costs one failed parse ever, not one per run.
 
     When constructed with ``max_bytes``, the cap is also enforced
-    opportunistically: every ``prune_every``-th :meth:`put` triggers a
-    :meth:`prune`, so a long sweep cannot blow far past the budget
-    before its final end-of-run prune.
+    opportunistically: every :data:`PRUNE_EVERY`-th :meth:`put`
+    triggers a :meth:`prune`, so a long sweep cannot blow far past the
+    budget before its final end-of-run prune.
 
     Multiple *processes* may share one cache directory (the sweep's
     and the service's pool workers write to the same root): the atomic
@@ -327,11 +330,9 @@ class SweepDiskCache:
         self,
         root: Union[str, Path],
         max_bytes: Optional[int] = None,
-        prune_every: int = 32,
     ):
         self.root = Path(root)
         self.max_bytes = max_bytes
-        self.prune_every = max(1, prune_every)
         self.hits = 0
         self.misses = 0
         self.discarded = 0
@@ -406,7 +407,7 @@ class SweepDiskCache:
             raise
         if self.max_bytes is not None:
             self._puts_since_prune += 1
-            if self._puts_since_prune >= self.prune_every:
+            if self._puts_since_prune >= PRUNE_EVERY:
                 self._puts_since_prune = 0
                 self.prune(self.max_bytes)
         return path

@@ -1,8 +1,8 @@
 """Deterministic fault injection for the sweep/service execution layer.
 
 A production-scale sweep must survive a worker crashing mid-case, a
-wedged worker, or a corrupted record — but none of those happen on
-demand, so the failure-isolation machinery of
+transient system error, or a corrupted record — but none of those
+happen on demand, so the failure-isolation machinery of
 :func:`repro.experiments.sweep.run_sweep` would be untestable without a
 way to *make* them happen deterministically.  This module is that way:
 
@@ -29,8 +29,6 @@ Fault kinds:
 ``exit``
     ``os._exit(13)`` — kills the worker process outright, breaking the
     process pool (the pool-rebuild + requeue path).
-``hang``
-    Sleep ``seconds`` — exercises the case-timeout/wedged-pool path.
 ``corrupt``
     Let the computation finish, then clobber the optimized ``tau_w``
     with :data:`CORRUPT_MARKER` — a result that is *wrong* without
@@ -46,7 +44,6 @@ from __future__ import annotations
 import functools
 import json
 import os
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -58,7 +55,7 @@ FAULT_PLAN_ENV = "REPRO_FAULT_PLAN"
 #: The value a ``corrupt`` fault writes into the optimized ``tau_w``.
 CORRUPT_MARKER = -1.0
 
-FAULT_KINDS = ("crash", "transient", "exit", "hang", "corrupt")
+FAULT_KINDS = ("crash", "transient", "exit", "corrupt")
 
 
 class SimulatedFault(ReproError):
@@ -72,12 +69,10 @@ class FaultSpec:
     Attributes:
         kind: One of :data:`FAULT_KINDS`.
         attempts: 1-based attempt numbers the fault fires on.
-        seconds: Sleep duration of a ``hang`` fault.
     """
 
     kind: str
     attempts: Tuple[int, ...] = (1,)
-    seconds: float = 0.0
 
     def fires_on(self, attempt: int) -> bool:
         """Whether this fault is active on the given attempt."""
@@ -106,8 +101,8 @@ def parse_fault_plan(text: str) -> Dict[str, FaultSpec]:
 
     Raises:
         ConfigError: On malformed JSON, unknown fault kinds, or bad
-            ``attempts``/``seconds`` values — named after the knob so a
-            typo in ``REPRO_FAULT_PLAN`` fails loudly, not silently.
+            ``attempts`` values — named after the knob so a typo in
+            ``REPRO_FAULT_PLAN`` fails loudly, not silently.
     """
     try:
         data = json.loads(text)
@@ -139,15 +134,7 @@ def parse_fault_plan(text: str) -> Dict[str, FaultSpec]:
                 f"{FAULT_PLAN_ENV}[{key!r}].attempts must be a non-empty "
                 f"list of attempt numbers >= 1, got {attempts!r}"
             )
-        seconds = raw.get("seconds", 0.0)
-        if not isinstance(seconds, (int, float)) or seconds < 0:
-            raise ConfigError(
-                f"{FAULT_PLAN_ENV}[{key!r}].seconds must be a "
-                f"non-negative number, got {seconds!r}"
-            )
-        plan[key] = FaultSpec(
-            kind=kind, attempts=tuple(attempts), seconds=float(seconds)
-        )
+        plan[key] = FaultSpec(kind=kind, attempts=tuple(attempts))
     return plan
 
 
@@ -183,7 +170,7 @@ def active_fault(usecase, attempt: int) -> Optional[FaultSpec]:
 
 
 def inject_before(usecase, attempt: int) -> None:
-    """Fire any pre-computation fault (crash/transient/exit/hang)."""
+    """Fire any pre-computation fault (crash/transient/exit)."""
     spec = active_fault(usecase, attempt)
     if spec is None:
         return
@@ -198,8 +185,6 @@ def inject_before(usecase, attempt: int) -> None:
         )
     if spec.kind == "exit":
         os._exit(13)
-    if spec.kind == "hang":
-        time.sleep(spec.seconds)
 
 
 def inject_after(usecase, attempt: int, result):

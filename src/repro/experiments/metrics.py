@@ -64,8 +64,7 @@ class SweepMetrics:
 
     Attributes:
         records: One entry per use case, in completion order.
-        workers: Resolved worker count of the run (1 = serial).
-        parallel: Whether the process-pool path actually ran.
+        workers: Worker count of the run (1 = no process pool).
         failures: One :class:`~repro.experiments.sweep.FailureRecord`
             per permanently failed use case (duck-typed to avoid a
             circular import).
@@ -75,7 +74,6 @@ class SweepMetrics:
 
     records: List[UseCaseMetrics] = field(default_factory=list)
     workers: int = 1
-    parallel: bool = False
     failures: List[object] = field(default_factory=list)
     retries: int = 0
     pool_rebuilds: int = 0
@@ -123,6 +121,11 @@ class SweepMetrics:
     def cases(self) -> int:
         """Use cases accounted for."""
         return len(self.records)
+
+    @property
+    def parallel(self) -> bool:
+        """Whether the process-pool path ran."""
+        return self.workers > 1
 
     @property
     def failed(self) -> int:

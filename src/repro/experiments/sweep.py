@@ -31,15 +31,15 @@ repeated work cheap:
 
 Execution is fault-tolerant: one failing use case becomes a structured
 :class:`FailureRecord` instead of killing the sweep, transient faults
-(``BrokenProcessPool``, ``OSError``, timeouts) are retried with
-exponential backoff, and a broken pool is rebuilt — requeueing only the
-cases that were in flight when it died — rather than degrading the rest
-of the grid to serial.  At most :data:`INFLIGHT_PER_WORKER` cases per
-worker are in the pool at once.  The ``max_failures`` policy decides
-whether a partially failed sweep raises
-:class:`~repro.errors.SweepFailure` (the default, protecting callers
-that need the full grid) or returns the partial results.  Failure
-scenarios are testable deterministically via
+(``BrokenProcessPool``, ``OSError``) are retried with exponential
+backoff, and a broken pool is rebuilt — requeueing only the cases that
+were in flight when it died — rather than degrading the rest of the
+grid to serial.  At most :data:`INFLIGHT_PER_WORKER` cases per worker
+are in the pool at once, which bounds the attempts one worker crash
+costs.  The ``max_failures`` policy decides whether a partially failed
+sweep raises :class:`~repro.errors.SweepFailure` (the default,
+protecting callers that need the full grid) or returns the partial
+results.  Failure scenarios are testable deterministically via
 :mod:`repro.experiments.faults` (``REPRO_FAULT_PLAN``).
 """
 
@@ -84,10 +84,9 @@ DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_BASE_S = 0.25
 
 #: Cases a pool worker holds at once: the one it runs and the one it
-#: starts next.  Fewer leaves a worker idle between cases.  More only
-#: matters with ``case_timeout_s``: it starts cases' deadlines while
-#: they wait in the pool's queue.  Until a hung case is abandoned (its
-#: worker runs on), a deadline so starts at most one case early.
+#: starts next.  Fewer leaves a worker idle between cases; more charges
+#: more cases for one crash, as a broken pool fails every future it
+#: holds and each of those cases spends an attempt.
 INFLIGHT_PER_WORKER = 2
 
 
@@ -384,7 +383,6 @@ class _FanOut:
         deliver: Callable[[int, UseCaseResult, float, int], None],
         fail: Callable[[FailureRecord], None],
         metrics=None,
-        case_timeout_s: Optional[float] = None,
     ):
         self.cases = cases
         self.seed = seed
@@ -394,12 +392,10 @@ class _FanOut:
         self.deliver = deliver
         self.fail = fail
         self.metrics = metrics
-        self.case_timeout_s = case_timeout_s
         self.queue: "deque[int]" = deque()
         self.attempts: Dict[int, int] = {}
         self.eligible_at: Dict[int, float] = {}
         self.inflight: Dict[object, int] = {}
-        self.deadline: Dict[object, float] = {}
         self.pool = None
 
     # ------------------------------------------------------------------
@@ -464,23 +460,17 @@ class _FanOut:
             self._handle_error(idx, error_type, message, pid, transient)
 
     def _collect(self, future) -> bool:
-        """Dispatch a future's outcome, waiting for it until its deadline
-        (if any); ``True`` if the pool broke under it."""
-        from concurrent.futures import TimeoutError as FuturesTimeout
-
+        """Dispatch a future's outcome; ``True`` if its pool broke."""
         idx = self.inflight.pop(future)
-        timeout = self.deadline.pop(future, None)
-        if timeout is not None:  # the deadline, as the time left
-            timeout = max(0.0, timeout - time.monotonic())
         try:
-            outcome = future.result(timeout)
+            outcome = future.result()
         except BrokenProcessPool as exc:
             self._handle_error(
                 idx, type(exc).__name__,
                 str(exc) or "worker process died", 0, True,
             )
             return True
-        except (FuturesTimeout, *TRANSIENT_ERRORS) as exc:
+        except TRANSIENT_ERRORS as exc:
             self._handle_error(idx, type(exc).__name__, str(exc), 0, True)
         except Exception as exc:
             self._handle_error(idx, type(exc).__name__, str(exc), 0, False)
@@ -520,12 +510,8 @@ class _FanOut:
                     broken |= self._collect(future)
                 if broken:
                     self._recover()
-                    continue
-                self._reap_overdue()
-            if self.metrics is not None:
-                self.metrics.parallel = self.pool is not None
-                if self.pool is None:
-                    self.metrics.workers = 1
+            if self.metrics is not None and self.pool is None:
+                self.metrics.workers = 1
         finally:
             if self.pool is not None:
                 self.pool.shutdown(wait=False)
@@ -539,8 +525,7 @@ class _FanOut:
         waiting: "deque[int]" = deque()
         while self.queue and len(self.inflight) < self.limit:
             idx = self.queue.popleft()
-            now = time.monotonic()
-            if self.eligible_at.get(idx, 0.0) > now:
+            if self.eligible_at.get(idx, 0.0) > time.monotonic():
                 waiting.append(idx)
                 continue
             self.attempts[idx] += 1
@@ -565,39 +550,15 @@ class _FanOut:
                 self._recover(rebuild=False)
                 continue
             self.inflight[future] = idx
-            if self.case_timeout_s is not None:
-                self.deadline[future] = now + self.case_timeout_s
         waiting.extend(self.queue)
         self.queue = waiting
 
     def _wait_timeout(self, now: float) -> Optional[float]:
-        bounds = list(self.deadline.values())
-        if len(self.inflight) < self.limit:
-            # A free slot: wake when the next queued case is eligible.
-            bounds.extend(self.eligible_at.get(i, now) for i in self.queue)
-        if not bounds:
+        """Until the next queued case is eligible, if a slot is free."""
+        if not self.queue or len(self.inflight) >= self.limit:
             return None
-        return max(0.0, min(bounds) - now)
-
-    def _reap_overdue(self) -> None:
-        """Abandon futures past their deadline and retry their cases.
-
-        A ``ProcessPoolExecutor`` cannot cancel a *running* task, so a
-        hung worker stays busy until it finishes, while its place under
-        the bound goes to the next case.  The case itself is requeued
-        (transient) at once; a late result from the abandoned future is
-        dropped.
-        """
-        now = time.monotonic()
-        overdue = [f for f, dl in self.deadline.items() if dl <= now]
-        for future in overdue:
-            idx = self.inflight.pop(future)
-            del self.deadline[future]
-            future.cancel()
-            self._handle_error(
-                idx, "TimeoutError",
-                f"no result within {self.case_timeout_s:g}s", 0, True,
-            )
+        soonest = min(self.eligible_at.get(i, now) for i in self.queue)
+        return max(0.0, soonest - now)
 
 
 def run_sweep(
@@ -608,7 +569,6 @@ def run_sweep(
     cache_dir: Union[None, str, Path] = None,
     metrics=None,
     max_failures: Optional[int] = 0,
-    case_timeout_s: Optional[float] = None,
 ) -> List[UseCaseResult]:
     """Run every use case of a spec.
 
@@ -635,11 +595,6 @@ def run_sweep(
             :class:`~repro.errors.SweepFailure` on any failure, ``N``
             tolerates up to N, ``None`` never raises — callers then
             read ``metrics.failures`` for the partial-result story.
-        case_timeout_s: Per-case wall-clock budget in a process pool,
-            counted from submission; an overdue case is abandoned and
-            retried.  Until a case is abandoned, submission is at most
-            one case before the case starts.  ``None`` (the default) =
-            no timeout.
 
     Returns:
         A fresh list of the *successful* results in grid order (safe
@@ -756,7 +711,6 @@ def run_sweep(
         deliver,
         fail,
         metrics=metrics,
-        case_timeout_s=case_timeout_s,
     ).run(pending)
     emit_ready()
 

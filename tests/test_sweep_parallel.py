@@ -13,6 +13,7 @@ import os
 import pytest
 
 from repro.errors import ConfigError, ExperimentError
+from repro.experiments import cache as cache_module
 from repro.experiments.cache import (
     CODE_VERSION,
     SweepDiskCache,
@@ -397,34 +398,41 @@ class TestCacheSizeCap:
         with pytest.raises(ConfigError):
             resolve_cache_max_bytes(-5)
 
-    def test_put_prunes_opportunistically(self, tmp_path, serial_results):
+    def test_put_prunes_opportunistically(
+        self, tmp_path, serial_results, monkeypatch
+    ):
         # size the cap to exactly one record: every put enforces it
-        # immediately (prune_every=1), so a long sweep can never blow
+        # immediately (PRUNE_EVERY = 1), so a long sweep can never blow
         # far past the budget mid-run
+        monkeypatch.setattr(cache_module, "PRUNE_EVERY", 1)
         probe = SweepDiskCache(tmp_path / "probe")
         options = TINY_SPEC.optimizer_options()
         first_key = usecase_key(TINY_SPEC.usecases()[0], 1, options)
         one_record = os.path.getsize(probe.put(first_key, serial_results[0]))
-        cache = SweepDiskCache(
-            tmp_path / "capped", max_bytes=one_record, prune_every=1
-        )
+        cache = SweepDiskCache(tmp_path / "capped", max_bytes=one_record)
         for usecase, result in zip(TINY_SPEC.usecases(), serial_results):
             cache.put(usecase_key(usecase, 1, options), result)
             assert cache.total_bytes() <= one_record
             assert len(cache) <= 1
 
-    def test_put_without_cap_never_prunes(self, tmp_path, serial_results):
-        cache = SweepDiskCache(tmp_path, prune_every=1)
+    def test_put_without_cap_never_prunes(
+        self, tmp_path, serial_results, monkeypatch
+    ):
+        monkeypatch.setattr(cache_module, "PRUNE_EVERY", 1)
+        cache = SweepDiskCache(tmp_path)
         options = TINY_SPEC.optimizer_options()
         for usecase, result in zip(TINY_SPEC.usecases(), serial_results):
             cache.put(usecase_key(usecase, 1, options), result)
         assert len(cache) == TINY_SPEC.size
 
-    def test_prune_every_batches_the_scans(self, tmp_path, serial_results):
-        # with prune_every above the put count the cap is not enforced
+    def test_prune_every_batches_the_scans(
+        self, tmp_path, serial_results, monkeypatch
+    ):
+        # with PRUNE_EVERY above the put count the cap is not enforced
         # until the threshold is crossed (the end-of-sweep prune covers
         # the tail)
-        cache = SweepDiskCache(tmp_path, max_bytes=1, prune_every=99)
+        monkeypatch.setattr(cache_module, "PRUNE_EVERY", 99)
+        cache = SweepDiskCache(tmp_path, max_bytes=1)
         options = TINY_SPEC.optimizer_options()
         for usecase, result in zip(TINY_SPEC.usecases(), serial_results):
             cache.put(usecase_key(usecase, 1, options), result)
