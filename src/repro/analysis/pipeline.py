@@ -65,12 +65,13 @@ from __future__ import annotations
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.refine import (
     RefinementResult,
     apply_promotions,
     explore_concrete_states,
+    nc_sets,
     refine_classifications,
 )
 from repro.analysis.slack import rest_instance_spans
@@ -642,9 +643,11 @@ class AnalysisPipeline:
             keeps the single-level analysis bit-identical to before.
         refine: Run the model-checking refinement
             (:mod:`repro.analysis.refine`) after classification and
-            apply its NC->AH / NC->AM promotions before the L2, guard
-            and IPET stages.  The exploration is cached per program
-            content and warm-started at the divergence boundary like
+            apply its NC->AH / NC->AM / NC->PS promotions (PS only
+            without an L2) before the L2, guard and IPET stages.  Only
+            the cache sets holding a ``NOT_CLASSIFIED`` reference are
+            explored; the exploration is cached per program content and
+            those sets, and warm-started at the divergence boundary like
             the abstract fixpoints.  ``False`` keeps every output
             byte-identical to before.
         refine_budget: Exploration budget override for the refinement
@@ -853,8 +856,10 @@ class AnalysisPipeline:
         warm_boundary = boundary
         if self.refine:
             with self._stage("refine") as refine_span:
+                undecided = nc_sets(acfg, self.config, classifications)
                 exploration = self._refine_stage(
-                    artifacts, base if use_delta else None, boundary
+                    artifacts, undecided, base if use_delta else None,
+                    boundary,
                 )
                 # PS promotions would charge the one-time penalty at
                 # the DRAM rate; with an L2 the unrefined bound can be
@@ -881,6 +886,8 @@ class AnalysisPipeline:
                         {
                             "promotions": len(promotions),
                             "states": exploration.explored,
+                            "nc_sets": len(undecided),
+                            "sets_explored": len(exploration.per_set),
                             "exhausted": exploration.exhausted,
                         }
                     )
@@ -1163,20 +1170,22 @@ class AnalysisPipeline:
     def _refine_stage(
         self,
         artifacts: StructuralArtifacts,
+        sets: FrozenSet[int],
         base: Optional[PipelineResult],
         boundary: int,
     ) -> RefinementResult:
         """The bounded concrete-state exploration of one program.
 
-        The exploration walks the same default access plan for every
-        classification of the same content, so it is cached per
-        ``artifacts.key`` alone (shared across ``with_may`` modes) and
+        Only ``sets`` — the cache sets holding a ``NOT_CLASSIFIED``
+        reference — are explored, so the result is cached per
+        ``(artifacts.key, sets)`` (shared by every classification with
+        the same NC sets, whatever its ``with_may`` mode) and
         warm-started at the divergence boundary like the abstract
-        fixpoints — reusing only completed (non-exhausted) base sets,
-        whose prefix line sets are converged and therefore sound to
-        copy under the boundary closure.
+        fixpoints — reusing only the sets the base explored and
+        completed, whose prefix line sets are converged and therefore
+        sound to copy under the boundary closure.
         """
-        key = (artifacts.key, "refine")
+        key = (artifacts.key, "refine", sets)
         hit = self._dataflow_cache.get(key)
         if hit is not None:
             self._dataflow_cache.move_to_end(key)
@@ -1195,6 +1204,7 @@ class AnalysisPipeline:
             locked_blocks=self.locked_blocks or None,
             budget=self.refine_budget,
             warm=warm,
+            sets=sets,
         )
         self.stats.refine_states += result.explored
         self._dataflow_cache[key] = result

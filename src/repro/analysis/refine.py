@@ -25,10 +25,27 @@ Design notes:
   sets exponentially smaller than the joint product while losing no
   precision.
 
+* **Scope: only undecided sets.**  Promotions are only ever read for
+  ``NOT_CLASSIFIED`` references, so callers explore just the sets those
+  references map to (:func:`nc_sets`; ``sets=None`` explores every set
+  and serves as the test oracle).  The exploration is therefore no
+  longer classification-independent: which sets it covers follows the
+  classification, while each covered set's fixpoint still depends only
+  on the ACFG, the configuration and the locked blocks.
+
+* **Run-level walk.**  Each set is walked over the ACFG's straight-line
+  runs (:meth:`~repro.program.acfg.ACFG.run_ends`, cut also at
+  back-edge targets), applying only the set's own op vertices inside a
+  run — every other vertex is an identity transfer for the set.  A
+  worklist revisits only the runs whose head received new lines and
+  pushes only those new lines through the run, so a set costs time in
+  proportion to its own accesses rather than to the size of the ACFG.
+
 * **State canonicalization.**  A concrete per-set state is canonically
   the MRU-first tuple of cached block ids (exactly
   :meth:`ConcreteCache.set_contents`); the visited sets hash these
-  tuples directly.  Transitions are memoized on ``(line, ops)``.
+  tuples directly.  Transitions are memoized on ``(line, ops)``, shared
+  by every set of one exploration.
 
 * **Exploration budget.**  The reachable state space is finite but can
   be exponential in pathological programs.  A budget bounds the number
@@ -64,7 +81,11 @@ Design notes:
 
 * **Warm start.**  Like the abstract fixpoints, a re-analysis may copy
   the per-vertex line sets below a divergence boundary from a base
-  exploration — sound under the pipeline's back-edge boundary closure.
+  exploration — sound under the pipeline's back-edge boundary closure —
+  for every set the base explored and completed; other sets run cold.
+  The copied prefix is charged to the budget as a cold walk would
+  charge it, so a delta re-analysis abandons exactly the sets a cold
+  analysis abandons.
   The pipeline additionally verifies that the *applied* prefix
   classifications match the base run before reusing any downstream
   warm-start state (a budget flip may change refinement outcomes
@@ -73,8 +94,20 @@ Design notes:
 
 from __future__ import annotations
 
+import bisect
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
+
+import numpy as np
 
 from repro.cache.classify import Classification, classification_rank
 from repro.cache.concrete import ConcreteCache
@@ -87,13 +120,6 @@ from repro.program.acfg import ACFG
 #: exhaustion is sound (affected references stay ``NOT_CLASSIFIED``).
 DEFAULT_BUDGET = 200_000
 
-#: Hard cap on fixpoint passes per cache set.  Unlike the abstract
-#: lattices (height bounded by associativity x blocks), the concrete
-#: visited sets can deepen by one state per loop closure, so this is
-#: deliberately far above :data:`repro.cache.classify.MAX_FIXPOINT_PASSES`;
-#: hitting it is treated like budget exhaustion, not a bug.
-MAX_EXPLORATION_PASSES = 4096
-
 #: One canonical per-set concrete state: cached block ids, MRU first
 #: (the tuple :meth:`ConcreteCache.set_contents` returns).
 LineKey = Tuple[int, ...]
@@ -104,31 +130,33 @@ LineSet = FrozenSet[LineKey]
 
 @dataclass
 class SetExploration:
-    """Converged reachable line sets of one cache set, per vertex.
+    """Converged reachable line sets of one cache set.
 
-    ``None`` entries are vertices the exploration never reached (no
-    concrete path, matching the abstract domains' unreachable states).
-    ``plan`` is the per-vertex op tuple the transitions replayed — kept
-    so :func:`refine_classifications` can re-walk every reachable
+    The walk visits straight-line runs, not vertices, so ``in_lines``
+    is filled only at the vertices it reads: the set's op vertices
+    (exact, with ``None`` meaning no concrete path reaches the vertex,
+    as in the abstract domains) and the run heads.  ``out_lines`` holds
+    the line sets after each op vertex.  ``plan`` maps each op vertex to
+    the op tuple its transitions replayed — kept so
+    :func:`refine_classifications` can re-walk every reachable
     transition op by op for the eviction-freedom (persistence) check.
     """
 
     in_lines: List[Optional[LineSet]]
     out_lines: List[Optional[LineSet]]
-    plan: List[Optional[Tuple[Tuple[str, int], ...]]] = field(
-        default_factory=list
-    )
+    plan: Dict[int, Tuple[Tuple[str, int], ...]] = field(default_factory=dict)
 
 
 @dataclass
 class RefinementResult:
     """Outcome of one bounded concrete-state exploration.
 
-    The exploration is classification-independent (it walks the same
-    default access plan for every run over the same ACFG), so one
-    result serves any classification produced for the same
-    ``(acfg, config, locked_blocks)`` — promotions are extracted per
-    classification by :func:`refine_classifications`.
+    Each explored set's fixpoint depends only on ``(acfg, config,
+    locked_blocks)``, but *which* sets are explored follows the
+    classification: callers pass the sets holding a ``NOT_CLASSIFIED``
+    reference (:func:`nc_sets`), the only ones
+    :func:`refine_classifications` reads.  A result therefore serves
+    any classification whose NC sets it completed.
 
     Attributes:
         config: Cache configuration explored (defines the set mapping).
@@ -144,6 +172,20 @@ class RefinementResult:
     per_set: Dict[int, SetExploration] = field(default_factory=dict)
     explored: int = 0
     exhausted: bool = False
+
+
+def nc_sets(
+    acfg: ACFG,
+    config: CacheConfig,
+    classifications: Sequence[Optional[Classification]],
+) -> FrozenSet[int]:
+    """The cache sets some ``NOT_CLASSIFIED`` reference maps to — the
+    only sets whose exploration can promote anything."""
+    return frozenset(
+        config.set_index(acfg.block_of(rid))
+        for rid in acfg.ref_rids
+        if classifications[rid] is Classification.NOT_CLASSIFIED
+    )
 
 
 def _transition(
@@ -177,96 +219,179 @@ def _transition(
     return result
 
 
+@dataclass
+class _Runs:
+    """The ACFG cut into straight-line runs, shared by every set.
+
+    Run ``j`` covers rids ``heads[j] <= r < heads[j + 1]`` (the last one
+    ends at ``n``); inside a run each vertex is fed by exactly its rid
+    predecessor (:meth:`ACFG.run_ends`), and back-edge targets and the
+    warm-start boundary are cut into heads too.  An *exit* is a vertex
+    whose line set feeds some head — a forward predecessor or a back-edge
+    source; ``exits[j]`` lists the run's exits in rid order, each with
+    the runs it feeds.  ``sources[j]`` lists every vertex feeding head
+    ``j``.
+    """
+
+    heads: List[int]
+    exits: List[List[Tuple[int, Tuple[int, ...]]]]
+    sources: List[List[int]]
+
+    @classmethod
+    def of(cls, acfg: ACFG, boundary: int) -> "_Runs":
+        n = len(acfg)
+        cuts = [0, boundary] + [dst for _, dst in acfg.back_edges]
+        heads = np.union1d(acfg.run_ends(), cuts)
+        heads = heads[heads < n].tolist()
+        run_of = {head: j for j, head in enumerate(heads)}
+        sources: List[List[int]] = [
+            list(acfg.predecessors(head)) for head in heads
+        ]
+        for src, dst in acfg.back_edges:
+            sources[run_of[dst]].append(src)
+        consumers: Dict[int, List[int]] = {}
+        for j, feeding in enumerate(sources):
+            for src in feeding:
+                fed = consumers.setdefault(src, [])
+                if j not in fed:
+                    fed.append(j)
+        exits: List[List[Tuple[int, Tuple[int, ...]]]] = [
+            [] for _ in heads
+        ]
+        for src in sorted(consumers):
+            exits[bisect.bisect_right(heads, src) - 1].append(
+                (src, tuple(consumers[src]))
+            )
+        return cls(heads, exits, sources)
+
+
 def _explore_set(
     acfg: ACFG,
     config: CacheConfig,
     set_index: int,
-    plan: List[Optional[Tuple[Tuple[str, int], ...]]],
-    preds: List[tuple],
-    back_by_target: Dict[int, List[int]],
+    plan: Dict[int, Tuple[Tuple[str, int], ...]],
+    runs: _Runs,
     memo: Dict[Tuple[LineKey, tuple], LineKey],
     counters: Dict[str, int],
     warm: Optional[Tuple[int, SetExploration]],
 ) -> Optional[SetExploration]:
-    """Reachable-line fixpoint of one cache set over the ACFG.
+    """Reachable-line fixpoint of one cache set, run by run.
 
-    Mirrors :func:`repro.cache.classify.propagate`: pass 1 is a full
-    topological sweep, later passes re-process only vertices whose
-    forward or back-edge inputs changed; the join is set union and the
-    source enters with the empty (all-invalid) line.
+    A worklist of runs (lowest head first, i.e. topological) carries
+    only the lines that are *new* at each head: a visit pushes them
+    through the run's op vertices for this set — the vertices between
+    them are identity transfers — and hands what is still new at each
+    exit to the runs it feeds.  A visit whose lines are all known stops
+    there, so a set costs time in proportion to its own accesses and
+    growth, not to the size of the ACFG.  The join is set union and the
+    source enters with the empty (all-invalid) line, as in
+    :func:`repro.cache.classify.propagate`.  Every visit grows a visited
+    set and the budget caps the growth at op vertices, so the walk
+    terminates.
 
-    Returns ``None`` when the budget (or the pass cap) was exceeded.
+    Returns ``None`` when the budget was exceeded.
     """
     n = len(acfg.vertices)
+    heads = runs.heads
     in_lines: List[Optional[LineSet]] = [None] * n
     out_lines: List[Optional[LineSet]] = [None] * n
-    start = 0
-    if warm is not None:
+    op_rids = sorted(plan)
+    op_starts = np.searchsorted(op_rids, heads).tolist() + [len(op_rids)]
+    pending: Dict[int, set] = {}
+    frozen = 0  # runs below the warm boundary keep their copied lines
+    if warm is None:
+        pending[bisect.bisect_right(heads, acfg.source) - 1] = {()}
+    else:
         boundary, base = warm
-        if 0 < boundary <= n and len(base.in_lines) >= boundary and len(
-            base.out_lines
-        ) >= boundary:
-            in_lines[:boundary] = base.in_lines[:boundary]
-            out_lines[:boundary] = base.out_lines[:boundary]
-            start = boundary
-
-    source = acfg.source
-    initial: LineSet = frozenset({()})
-    back_src_changed: Dict[int, bool] = {}
-
-    for pass_count in range(1, MAX_EXPLORATION_PASSES + 1):
-        changed = [False] * n
-        any_changed = False
-        first_pass = pass_count == 1
-        for rid in range(start, n):
-            if not first_pass:
-                need = any(changed[p] for p in preds[rid]) or any(
-                    back_src_changed.get(src, False)
-                    for src in back_by_target.get(rid, ())
-                )
-                if not need:
+        in_lines[:boundary] = base.in_lines[:boundary]
+        out_lines[:boundary] = base.out_lines[:boundary]
+        frozen = bisect.bisect_left(heads, boundary)
+        # Charge the copied prefix as a cold walk would have, so a warm
+        # start exhausts the budget exactly where a cold run does.
+        counters["explored"] += sum(
+            len(in_lines[rid]) for rid in op_rids[:op_starts[frozen]]
+            if in_lines[rid]
+        )
+        if counters["explored"] > counters["budget"]:
+            return None
+        for j in range(frozen, len(heads)):
+            for src in runs.sources[j]:
+                if src >= boundary:
                     continue
-            if rid == source:
-                new_in: LineSet = initial
-            else:
-                contributions = [
-                    out_lines[p] for p in preds[rid] if out_lines[p] is not None
-                ]
-                for src in back_by_target.get(rid, ()):
-                    if out_lines[src] is not None:
-                        contributions.append(out_lines[src])
-                if not contributions:
-                    continue  # unreachable this pass (back edge pending)
-                new_in = contributions[0]
-                for extra in contributions[1:]:
-                    new_in = new_in | extra
-            if new_in == in_lines[rid]:
-                continue  # inputs re-joined to the same visited set
-            ops = plan[rid]
-            if ops is None:
-                new_out = new_in
-            else:
-                fresh = (
-                    len(new_in)
-                    if in_lines[rid] is None
-                    else len(new_in - in_lines[rid])
-                )
-                counters["explored"] += fresh
-                if counters["explored"] > counters["budget"]:
+                # The copied line set at ``src``: the out-lines of the
+                # last op vertex of its run up to ``src``, else the
+                # in-lines of the run head.
+                run = bisect.bisect_right(heads, src) - 1
+                last = bisect.bisect_right(op_rids, src) - 1
+                if last >= 0 and op_rids[last] >= heads[run]:
+                    lines = out_lines[op_rids[last]]
+                else:
+                    lines = in_lines[heads[run]]
+                if lines:
+                    pending.setdefault(j, set()).update(lines)
+    events: List[Optional[list]] = [None] * len(heads)
+    queue = sorted(pending)
+    budget = counters["budget"]
+    while queue:
+        j = heapq.heappop(queue)
+        head = heads[j]
+        new = pending.pop(j)
+        if j < frozen:
+            continue
+        old = in_lines[head]
+        if old is not None:
+            new -= old
+            if not new:
+                continue
+            in_lines[head] = old | new
+        else:
+            in_lines[head] = frozenset(new)
+        steps = events[j]
+        if steps is None:
+            # The run's op vertices and exits, merged in rid order.
+            merged: Dict[int, list] = {
+                rid: [plan[rid], None]
+                for rid in op_rids[op_starts[j]:op_starts[j + 1]]
+            }
+            for src, fed in runs.exits[j]:
+                merged.setdefault(src, [None, None])[1] = fed
+            steps = events[j] = [
+                (rid, *merged[rid]) for rid in sorted(merged)
+            ]
+        for rid, ops, fed in steps:
+            if ops is not None:
+                # In a run an op vertex's in-lines are its predecessor's
+                # out-lines, so ``new`` is new here too.
+                if rid != head:
+                    old = in_lines[rid]
+                    in_lines[rid] = (
+                        frozenset(new) if old is None else old | new
+                    )
+                counters["explored"] += len(new)
+                if counters["explored"] > budget:
                     return None
-                new_out = frozenset(
+                image = {
                     _transition(config, set_index, line, ops, memo)
-                    for line in new_in
-                )
-            in_lines[rid] = new_in
-            any_changed = True
-            if new_out != out_lines[rid]:
-                changed[rid] = True
-                out_lines[rid] = new_out
-        back_src_changed = {src: changed[src] for src, _ in acfg.back_edges}
-        if not any_changed:
-            return SetExploration(in_lines, out_lines, plan)
-    return None  # pass cap: treat like budget exhaustion (sound)
+                    for line in new
+                }
+                old = out_lines[rid]
+                if old is None:
+                    out_lines[rid] = frozenset(image)
+                else:
+                    image -= old
+                    if not image:
+                        break
+                    out_lines[rid] = old | image
+                new = image
+            if fed is not None:
+                for k in fed:
+                    lines = pending.get(k)
+                    if lines is None:
+                        pending[k] = set(new)
+                        heapq.heappush(queue, k)
+                    else:
+                        lines |= new
+    return SetExploration(in_lines, out_lines, plan)
 
 
 def explore_concrete_states(
@@ -275,6 +400,7 @@ def explore_concrete_states(
     locked_blocks: Optional[frozenset] = None,
     budget: Optional[int] = None,
     warm: Optional[Tuple[int, "RefinementResult"]] = None,
+    sets: Optional[AbstractSet[int]] = None,
 ) -> RefinementResult:
     """Bounded exploration of the ACFG x concrete-cache product.
 
@@ -290,7 +416,10 @@ def explore_concrete_states(
             line sets of every vertex below ``boundary`` are copied from
             the base exploration.  Only sound when the caller has proven
             the prefix equations unchanged (the pipeline's divergence
-            boundary closure); only completed base sets are reused.
+            boundary closure); only sets the base explored and
+            completed are reused.
+        sets: The cache sets to explore (normally :func:`nc_sets`);
+            ``None`` explores every set some access touches.
 
     Returns:
         A :class:`RefinementResult`; on budget exhaustion ``exhausted``
@@ -300,21 +429,20 @@ def explore_concrete_states(
     if budget is None:
         budget = DEFAULT_BUDGET
     locked = locked_blocks or frozenset()
-    n = len(acfg.vertices)
 
     # The default instruction-fetch access plan of propagate() — own
     # block, then a prefetch's target — split by the cache set each
     # block maps to.  Ops touching different sets commute, and within a
     # set the plan preserves program order.
-    plans: Dict[int, List[Optional[Tuple[Tuple[str, int], ...]]]] = {}
+    plans: Dict[int, Dict[int, Tuple[Tuple[str, int], ...]]] = {}
 
     def _add_op(index: int, rid: int, op: Tuple[str, int]) -> None:
-        plan = plans.setdefault(index, [None] * n)
-        existing = plan[rid]
-        plan[rid] = (op,) if existing is None else existing + (op,)
+        if sets is not None and index not in sets:
+            return
+        plan = plans.setdefault(index, {})
+        plan[rid] = plan.get(rid, ()) + (op,)
 
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
+    for rid in acfg.ref_rids:
         own = acfg.block_of(rid)
         if own not in locked:
             _add_op(config.set_index(own), rid, ("access", own))
@@ -322,28 +450,25 @@ def explore_concrete_states(
         if target is not None and target not in locked:
             _add_op(config.set_index(target), rid, ("install", target))
 
-    preds = [acfg.predecessors(rid) for rid in range(n)]
-    back_by_target: Dict[int, List[int]] = {}
-    for src, dst in acfg.back_edges:
-        back_by_target.setdefault(dst, []).append(src)
-
+    boundary = 0
+    if warm is not None and 0 < warm[0] <= len(acfg):
+        boundary = warm[0]
+    runs = _Runs.of(acfg, boundary) if plans else None
     memo: Dict[Tuple[LineKey, tuple], LineKey] = {}
     counters = {"explored": 0, "budget": budget}
     result = RefinementResult(config=config)
     for set_index in sorted(plans):
         warm_entry = None
-        if warm is not None:
-            boundary, base = warm
-            base_set = base.per_set.get(set_index)
-            if base_set is not None:
+        if boundary:
+            base_set = warm[1].per_set.get(set_index)
+            if base_set is not None and len(base_set.in_lines) >= boundary:
                 warm_entry = (boundary, base_set)
         exploration = _explore_set(
             acfg,
             config,
             set_index,
             plans[set_index],
-            preds,
-            back_by_target,
+            runs,
             memo,
             counters,
             warm_entry,
@@ -369,9 +494,7 @@ def _evicted_blocks(
     """
     evicted: set = set()
     memo: Dict[Tuple[LineKey, tuple], FrozenSet[int]] = {}
-    for rid, ops in enumerate(per_set.plan):
-        if ops is None:
-            continue
+    for rid, ops in per_set.plan.items():
         lines = per_set.in_lines[rid]
         if not lines:
             continue

@@ -229,7 +229,9 @@ def analyze_wcet(
             charges proven L2 hits the L2 service time.
         refine: Run the model-checking refinement
             (:mod:`repro.analysis.refine`) on the ``NOT_CLASSIFIED``
-            references and apply its NC->AH / NC->AM promotions before
+            references — exploring only the cache sets they map to,
+            exactly as the pipeline does — and apply its NC->AH /
+            NC->AM / NC->PS promotions (PS only without an L2) before
             computing ``t_w`` — and, in hierarchy mode, before deriving
             the L2 access plan, mirroring the staged pipeline's
             classify -> refine -> l2 order exactly.
@@ -254,6 +256,7 @@ def analyze_wcet(
         from repro.analysis.refine import (
             apply_promotions,
             explore_concrete_states,
+            nc_sets,
             refine_classifications,
         )
 
@@ -274,7 +277,11 @@ def analyze_wcet(
             hierarchy=None,
         )
         exploration = explore_concrete_states(
-            acfg, config, locked_blocks=locked_blocks, budget=refine_budget
+            acfg,
+            config,
+            locked_blocks=locked_blocks,
+            budget=refine_budget,
+            sets=nc_sets(acfg, config, cache.classifications),
         )
         promotions = refine_classifications(
             acfg,

@@ -143,11 +143,25 @@ def _cached_plan(text: str) -> Dict[str, FaultSpec]:
     return parse_fault_plan(text)
 
 
-def _env_fault(usecase, attempt: int) -> Optional[FaultSpec]:
+def env_plan() -> Dict[str, FaultSpec]:
+    """The parsed :data:`FAULT_PLAN_ENV` plan (empty when unset).
+
+    Parsed once per distinct text.  :func:`repro.experiments.sweep.run_sweep`
+    calls it before any case runs, so a malformed plan fails the sweep
+    up front instead of becoming one failure record per case.
+
+    Raises:
+        ConfigError: When the plan is malformed (see
+            :func:`parse_fault_plan`).
+    """
     text = os.environ.get(FAULT_PLAN_ENV, "").strip()
-    if not text:
+    return _cached_plan(text) if text else {}
+
+
+def _env_fault(usecase, attempt: int) -> Optional[FaultSpec]:
+    plan = env_plan()
+    if not plan:
         return None
-    plan = _cached_plan(text)
     key = f"{usecase.program}/{usecase.config_id}/{usecase.tech}"
     spec = plan.get(key) or plan.get("*")
     if spec is not None and spec.fires_on(attempt):

@@ -602,16 +602,20 @@ def run_sweep(
         — that is the full grid.
 
     Raises:
+        ConfigError: When ``REPRO_FAULT_PLAN`` is malformed; raised
+            before any case runs.
         SweepFailure: When more than ``max_failures`` cases failed
             permanently.  The exception carries the failure records
             and the partial results.
     """
+    from repro.experiments import faults
     from repro.experiments.metrics import (
         SOURCE_COMPUTED,
         SOURCE_DISK,
         SOURCE_MEMORY,
     )
 
+    faults.env_plan()  # a malformed plan fails here, before any case
     cases = spec.usecases()
     if use_cache and spec in _SWEEP_CACHE:
         cached = _SWEEP_CACHE[spec]

@@ -19,9 +19,9 @@ from repro.analysis.pipeline import AnalysisPipeline, content_key
 from repro.analysis.wcet import analyze_wcet
 from repro.bench.generator import random_program
 from repro.bench.registry import load
-from repro.cache.config import CacheConfig
+from repro.cache.config import CacheConfig, hierarchy_for
 from repro.core.optimizer import OptimizerOptions, optimize
-from repro.energy.cacti import cacti_model
+from repro.energy.cacti import cacti_model, hierarchy_model
 from repro.energy.technology import technology
 from repro.program.acfg import build_acfg
 
@@ -93,6 +93,55 @@ class TestIncrementalEqualsCold:
         assert pipeline.stats.delta_runs == report.candidates_evaluated
         assert pipeline.stats.differential_checks == pipeline.stats.delta_runs
         assert pipeline.stats.delta_fallbacks == 0
+
+    @pytest.mark.parametrize(
+        "program,l2,with_persistence",
+        [("crc", None, False), ("ndes", "4:16:4096:10", True)],
+        ids=["single-level", "l2"],
+    )
+    def test_optimize_differential_refined(self, program, l2,
+                                           with_persistence):
+        # The refine stage explores only the NC sets, keys its cache on
+        # them and warm-starts from the base's completed sets; every
+        # delta must still equal a cold refined analyze_wcet.
+        opts = OptimizerOptions(
+            max_evaluations=12, refine=True, l2=l2,
+            with_persistence=with_persistence,
+        )
+        timing = hierarchy_model(
+            hierarchy_for(CONFIG, l2), technology("45nm")
+        ).timing
+        pipeline = AnalysisPipeline.for_options(
+            CONFIG, timing, opts, differential=True
+        )
+        _, report = optimize(
+            load(program), CONFIG, timing, options=opts, pipeline=pipeline
+        )
+        assert report.candidates_evaluated > 0
+        assert pipeline.stats.delta_runs == report.candidates_evaluated
+        assert pipeline.stats.differential_checks == pipeline.stats.delta_runs
+        assert pipeline.stats.refine_runs == pipeline.stats.delta_runs + 1
+        assert pipeline.stats.refine_promotions > 0
+
+    @pytest.mark.parametrize(
+        "program,budget", [("crc", 20), ("matmult", 60)]
+    )
+    def test_optimize_differential_refined_under_exhaustion(self, program,
+                                                            budget):
+        # A warm start charges its copied prefix to the budget, so a
+        # delta abandons exactly the sets a cold run abandons.
+        opts = OptimizerOptions(
+            max_evaluations=12, refine=True, with_persistence=False
+        )
+        pipeline = AnalysisPipeline.for_options(
+            CONFIG, TIMING, opts, differential=True, refine_budget=budget
+        )
+        _, report = optimize(
+            load(program), CONFIG, TIMING, options=opts, pipeline=pipeline
+        )
+        assert report.candidates_evaluated > 0
+        assert pipeline.stats.differential_checks == pipeline.stats.delta_runs
+        assert pipeline.stats.refine_exhausted == pipeline.stats.refine_runs
 
     def test_shared_pipeline_matches_fresh(self):
         cfg = load("matmult")

@@ -1,6 +1,6 @@
 """Tests for the model-checking refinement of NOT_CLASSIFIED references.
 
-Three layers, mirroring the refine module's soundness note:
+Four layers, mirroring the refine module's design notes:
 
 * **unit / fallback** — promotion validation in ``apply_promotions``,
   and budget exhaustion falling back soundly to the unrefined labels
@@ -13,7 +13,12 @@ Three layers, mirroring the refine module's soundness note:
 * **differential (slow)** — over generated programs, every NC -> AH /
   NC -> AM / NC -> PS promotion agrees with exhaustive concrete
   simulation (AH never misses, AM never hits, a PS block misses at
-  most once per run), and refined WCET <= unrefined WCET.
+  most once per run), and refined WCET <= unrefined WCET;
+* **walker oracle** — the run-level walker's line sets equal the
+  original per-vertex walker's (kept here as the oracle) at every op
+  vertex, and exploring only the NC sets promotes exactly what the full
+  exploration (``sets=None``) promotes, on every Mälardalen program and
+  (slow) on generated ones.
 """
 
 from __future__ import annotations
@@ -24,15 +29,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis import refine as refine_module
 from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.refine import (
+    _transition,
     apply_promotions,
     explore_concrete_states,
+    nc_sets,
     refine_classifications,
 )
 from repro.analysis.wcet import analyze_wcet
 from repro.bench.generator import random_program
-from repro.bench.registry import load
+from repro.bench.registry import load, program_names
 from repro.cache.classify import Classification, analyze_cache
 from repro.cache.concrete import ConcreteCache
 from repro.cache.config import TABLE2, CacheConfig, hierarchy_for
@@ -40,6 +48,7 @@ from repro.core.optimizer import OptimizerOptions, optimize
 from repro.energy.cacti import hierarchy_model
 from repro.energy.technology import TECH_45NM
 from repro.errors import AnalysisError
+from repro.obs.trace import Tracer, activate_tracer, use_span
 from repro.program.acfg import build_acfg
 from repro.program.layout import AddressLayout
 from repro.sim.executor import block_trace
@@ -164,6 +173,29 @@ class TestRefineOffIdentity:
         pipeline.analyze(load("bs"))
         counters = pipeline.stats.counters()
         assert not any(key.startswith("refine") for key in counters)
+
+    def test_refine_span_reports_its_scope(self):
+        config = TABLE2["k1"]
+        pipeline = AnalysisPipeline(
+            config, _single_level_timing(config), with_persistence=False,
+            refine=True,
+        )
+        spans = []
+        tracer = Tracer(sample=1.0, sink=spans.append)
+        with activate_tracer(tracer):
+            root = tracer.start_span("test", root=True)
+            with use_span(root):
+                result = pipeline.analyze(load("ndes"))
+            root.end()
+        (span,) = [s for s in spans if s.name == "pipeline.refine"]
+        acfg = result.wcet.acfg
+        classifications = analyze_cache(
+            acfg, config, with_persistence=False
+        ).classifications
+        undecided = nc_sets(acfg, config, classifications)
+        assert span.attributes["nc_sets"] == len(undecided) > 0
+        assert span.attributes["sets_explored"] == len(undecided)
+        assert span.attributes["states"] == pipeline.stats.refine_states > 0
 
     def test_pipeline_counters_include_refine_keys_when_on(self):
         config = TABLE2["k1"]
@@ -420,3 +452,166 @@ class TestDifferentialPropertyBased:
             refine=True,
         )
         assert refined.solution.objective <= base.solution.objective
+
+
+# ----------------------------------------------------------------------
+# walker oracle: run-level walk == per-vertex walk, NC scope == full
+# ----------------------------------------------------------------------
+#: Pass cap of the per-vertex oracle walker.
+ORACLE_MAX_PASSES = 4096
+
+
+def _per_vertex_in_lines(acfg, config, set_index, plan):
+    """One set's reachable in-lines at every vertex, walked vertex by
+    vertex: pass 1 is a full topological sweep, later passes re-process
+    only vertices whose forward or back-edge inputs changed.  This is
+    the walker the run-level one replaced, kept as its oracle."""
+    n = len(acfg)
+    preds = [acfg.predecessors(rid) for rid in range(n)]
+    back_by_target = {}
+    for src, dst in acfg.back_edges:
+        back_by_target.setdefault(dst, []).append(src)
+    in_lines = [None] * n
+    out_lines = [None] * n
+    back_changed = {}
+    memo = {}
+    for pass_count in range(ORACLE_MAX_PASSES):
+        changed = [False] * n
+        any_changed = False
+        for rid in range(n):
+            back = back_by_target.get(rid, ())
+            if pass_count and not (
+                any(changed[p] for p in preds[rid])
+                or any(back_changed[src] for src in back)
+            ):
+                continue
+            if rid == acfg.source:
+                new_in = frozenset({()})
+            else:
+                inputs = [
+                    out_lines[p] for p in (*preds[rid], *back)
+                    if out_lines[p] is not None
+                ]
+                if not inputs:
+                    continue
+                new_in = frozenset().union(*inputs)
+            if new_in == in_lines[rid]:
+                continue
+            ops = plan.get(rid)
+            new_out = new_in if ops is None else frozenset(
+                _transition(config, set_index, line, ops, memo)
+                for line in new_in
+            )
+            in_lines[rid] = new_in
+            any_changed = True
+            if new_out != out_lines[rid]:
+                changed[rid] = True
+                out_lines[rid] = new_out
+        back_changed = {src: changed[src] for src, _ in acfg.back_edges}
+        if not any_changed:
+            return in_lines
+    raise AssertionError("the per-vertex oracle did not converge")
+
+
+def _assert_walkers_agree(acfg, config, full):
+    for set_index, exploration in full.per_set.items():
+        oracle = _per_vertex_in_lines(
+            acfg, config, set_index, exploration.plan
+        )
+        for rid in exploration.plan:
+            assert exploration.in_lines[rid] == oracle[rid], (
+                f"set {set_index}, vertex {rid}: run-level in-lines "
+                f"differ from the per-vertex walk ({config.label()})"
+            )
+
+
+def _assert_scope_matches_full(acfg, config, full, with_persistence,
+                               persistence=True):
+    classifications = analyze_cache(
+        acfg, config, with_persistence=with_persistence
+    ).classifications
+    undecided = nc_sets(acfg, config, classifications)
+    scoped = explore_concrete_states(acfg, config, sets=undecided)
+    assert set(scoped.per_set) <= undecided
+    assert refine_classifications(
+        acfg, scoped, classifications, persistence
+    ) == refine_classifications(acfg, full, classifications, persistence)
+
+
+class TestWalkerOracle:
+    @pytest.mark.parametrize("program", program_names())
+    def test_malardalen_walk_and_scope_match_the_oracle(self, program):
+        for config_id in ("k1", "k13"):
+            config = TABLE2[config_id]
+            acfg = build_acfg(load(program), block_size=config.block_size)
+            full = explore_concrete_states(acfg, config)
+            assert not full.exhausted
+            _assert_walkers_agree(acfg, config, full)
+            for with_persistence in (False, True):
+                _assert_scope_matches_full(
+                    acfg, config, full, with_persistence
+                )
+
+    @pytest.mark.parametrize("program", ("bs", "crc", "ndes", "statemate"))
+    def test_l2_scope_matches_full(self, program, monkeypatch):
+        """With an L2 (no PS promotions, L2 plan built on the refined
+        labels), analyze_wcet refined over the NC sets equals refined
+        over every set."""
+        config = TABLE2["k1"]
+        hierarchy = hierarchy_for(config, "4:16:4096:10")
+        timing = hierarchy_model(hierarchy, TECH_45NM).timing
+        acfg = build_acfg(load(program), block_size=config.block_size)
+        results = []
+        for scoped in (True, False):
+            if not scoped:
+                monkeypatch.setattr(
+                    refine_module, "nc_sets", lambda *args: None
+                )
+            results.append(analyze_wcet(
+                acfg, config, timing, hierarchy=hierarchy, refine=True
+            ))
+        scoped, full = results
+        assert list(scoped.cache.classifications) == list(
+            full.cache.classifications
+        )
+        assert scoped.solution.objective == full.solution.objective
+
+    def test_exploration_cache_is_keyed_on_the_nc_sets(self):
+        """The must-only mode leaves more references NC (no may domain
+        proves always-misses), so it must not reuse the exploration the
+        may mode cached for the same program."""
+        config = TABLE2["k1"]
+        timing = _single_level_timing(config)
+        pipeline = AnalysisPipeline(
+            config, timing, with_persistence=False, refine=True
+        )
+        pipeline.analyze(load("bs"), with_may=True)
+        via_pipeline = pipeline.analyze(load("bs"), with_may=False).wcet
+        acfg = build_acfg(load("bs"), block_size=config.block_size)
+        cold = analyze_wcet(
+            acfg, config, timing, with_may=False, with_persistence=False,
+            refine=True,
+        )
+        assert list(via_pipeline.cache.classifications) == list(
+            cold.cache.classifications
+        )
+
+
+@pytest.mark.slow
+class TestWalkerOracleGenerated:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        program_seed=st.integers(min_value=0, max_value=10_000),
+        config=st.sampled_from(REFINE_CONFIGS),
+    )
+    def test_generated_walk_and_scope_match_the_oracle(
+        self, program_seed, config
+    ):
+        cfg = random_program(program_seed, target_size=90)
+        acfg = build_acfg(cfg, block_size=config.block_size)
+        full = explore_concrete_states(acfg, config)
+        if full.exhausted:
+            return  # scoped runs may complete what full abandoned
+        _assert_walkers_agree(acfg, config, full)
+        for with_persistence in (False, True):
+            _assert_scope_matches_full(acfg, config, full, with_persistence)

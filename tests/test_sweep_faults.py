@@ -124,6 +124,20 @@ class TestFaultPlan:
         usecase = TINY_SPEC.usecases()[0]
         assert faults.active_fault(usecase, 1).kind == "crash"
 
+    def test_malformed_env_plan_fails_the_sweep_up_front(self, monkeypatch):
+        monkeypatch.setenv(FAULT_PLAN_ENV, '{"*": {"kind": "explode"}}')
+        attempted = []
+        monkeypatch.setattr(
+            sweep_mod, "_evaluate_usecase",
+            lambda payload: attempted.append(payload),
+        )
+        metrics = SweepMetrics()
+        with pytest.raises(ConfigError, match=FAULT_PLAN_ENV):
+            run_sweep(TINY_SPEC, use_cache=False, workers=1,
+                      metrics=metrics, max_failures=None)
+        assert attempted == []
+        assert metrics.failures == []
+
     def test_inject_before_raises_the_right_family(self):
         usecase = TINY_SPEC.usecases()[0]
         set_fault_hook(_fault_on("bs", FaultSpec("crash")))
@@ -471,6 +485,16 @@ class TestSweepCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["summary"]["failed"] == 1
         assert doc["summary"]["cases"] == 1
+
+    def test_malformed_env_plan_is_one_error_line(self, monkeypatch,
+                                                   capsys):
+        from repro.cli import main
+
+        monkeypatch.setenv(FAULT_PLAN_ENV, "{not json")
+        assert main(list(self.CLI) + ["--max-failures", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {FAULT_PLAN_ENV}")
 
     def test_fault_free_run_exits_zero(self, capsys):
         from repro.cli import main
