@@ -1,4 +1,4 @@
-"""Staged, cached, incremental WCET analysis (the analysis pipeline).
+"""Staged, incremental WCET analysis (the analysis pipeline).
 
 :func:`repro.analysis.wcet.analyze_wcet` recomputes everything from the
 CFG on every call.  That is the right interface for one-shot analyses,
@@ -6,20 +6,20 @@ but the optimizer's loop calls it once per candidate insertion and most
 of the work is identical between calls: the ACFG of the unmodified
 program, the abstract fixpoint over the untouched prefix, transfer
 functions applied to states already seen.  :class:`AnalysisPipeline`
-decomposes the analysis into explicitly cached stages:
+decomposes the analysis into stages whose products the caller hands
+along explicitly; the pipeline keeps no results of its own:
 
-1. **Structural artifacts** — ACFG, loop instance spans, and the IPET
-   structural recurrence inputs, keyed by a *content key* of the CFG
-   (block/instruction streams, structure-tree shape, loop bounds,
-   layout parameters).  Two CFG objects with equal content share one
-   artifact, which is what lets ``measure → optimize → measure`` inside
-   a use case build the ACFG once.  A miss whose key differs from the
-   ``base`` result's by one prefetch inserted into one block — the
-   optimizer's candidate edit — splices the base ACFG
+1. **Structural artifacts** — ACFG, loop instance spans and the kernel
+   schedule.  A call that names its ``base`` result and the ``edit``
+   that derived the program from it — one prefetch inserted into one
+   block, the optimizer's candidate — splices the base ACFG
    (:func:`~repro.program.acfg.splice_insertion`: one new vertex per
    VIVU instance of the block, suffix renumbered, memory blocks
    recomputed from a fresh layout) instead of rebuilding it; any other
-   miss runs :func:`~repro.program.acfg.build_acfg`.
+   call runs :func:`~repro.program.acfg.build_acfg`.  A call handed an
+   analysis of the same program (``reuse=``, how ``run_usecase`` passes
+   the original measurement to ``optimize``) takes its artifacts and
+   abstract fixpoints as they are.
 2. **Hash-consed abstract states** — a per-domain
    :class:`TransferCache` interns every
    :class:`~repro.cache.abstract.AbstractCacheState` it produces and
@@ -39,9 +39,9 @@ decomposes the analysis into explicitly cached stages:
    invariants cannot be established (no base, foreign base, boundary
    0) the pipeline falls back to a cold run; a ``differential`` mode
    rebuilds every spliced ACFG and asserts it equal field by field,
-   then re-runs every delta analysis from scratch on the rebuilt graph
-   and asserts bit-identical ``tau_w``, classifications and
-   ``wcet_path_misses``.
+   then re-runs every delta or ``reuse=`` analysis from scratch on the
+   rebuilt graph and asserts bit-identical ``tau_w``, classifications
+   and ``wcet_path_misses``.
 
 The guard stage (per-reference times and the prefetch-latency guard)
 reads only the ACFG's flat arrays — predecessor tuples, REF and
@@ -49,9 +49,10 @@ prefetch rids, per-rid memory blocks, straight-line runs — and one
 weight list per analysis; the pairwise slack functions of
 :mod:`repro.analysis.slack` remain its oracle.
 
-Counters for every cache (hits/misses/invalidations) and per-stage
-wall-clock accumulate in :class:`PipelineStats`; the counters are
-deterministic (pure functions of the analysis sequence) and flow into
+Counters (stage runs and handoff reuses, transfer-memo hits, delta
+runs and fallbacks, invalidations) and per-stage wall-clock accumulate
+in :class:`PipelineStats`; the counters are deterministic (pure
+functions of the analysis sequence) and flow into
 :class:`~repro.core.optimizer.OptimizationReport`, sweep metrics and the
 service's telemetry, while the wall-clock profile stays out of
 serialized reports (see ``repro optimize --profile``).  A splice counts
@@ -62,8 +63,6 @@ apart.
 
 from __future__ import annotations
 
-import weakref
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -115,19 +114,11 @@ from repro.program.acfg import (
     structural_differences,
 )
 from repro.program.cfg import ControlFlowGraph
-from repro.program.structure import (
-    BlockNode,
-    CallNode,
-    IfElseNode,
-    LoopNode,
-    SeqNode,
-    SwitchNode,
-)
 
 
 @dataclass
 class PipelineStats:
-    """Cache counters and stage timings of one :class:`AnalysisPipeline`.
+    """Counters and stage timings of one :class:`AnalysisPipeline`.
 
     All counters are deterministic functions of the analysis sequence
     (no wall-clock, no memory addresses), so they can be embedded in
@@ -136,7 +127,10 @@ class PipelineStats:
     surfaced separately (``--profile``).
     """
 
-    result_hits: int = 0
+    #: ``structural_``/``dataflow_hits`` count stage products reused
+    #: from a result handed in with ``reuse=`` (``run_usecase`` hands
+    #: the original measurement to ``optimize``); ``_misses`` count
+    #: stage computations.
     structural_hits: int = 0
     structural_misses: int = 0
     dataflow_hits: int = 0
@@ -163,7 +157,6 @@ class PipelineStats:
     def counters(self) -> Dict[str, int]:
         """Deterministic counter snapshot (safe to serialize in reports)."""
         data = {
-            "result_hits": self.result_hits,
             "structural_hits": self.structural_hits,
             "structural_misses": self.structural_misses,
             "dataflow_hits": self.dataflow_hits,
@@ -312,9 +305,8 @@ class TransferCache:
 
 @dataclass
 class StructuralArtifacts:
-    """Stage-1 products: everything derivable from CFG content alone."""
+    """Stage-1 products: everything derivable from the program alone."""
 
-    key: Any
     acfg: ACFG
     #: REST instance spans ``(entry_join, last_rid, exit_rids)`` — the
     #: optimizer's loop ranges and the latency guard's wrap-around scopes.
@@ -335,16 +327,14 @@ class PipelineResult:
     lazily, so ``_run_pass`` stops recomputing them per pass.
     """
 
-    __slots__ = ("_owner", "artifacts", "wcet", "dataflows", "best",
+    __slots__ = ("owner", "artifacts", "wcet", "dataflows", "best",
                  "best_pred", "with_may", "locked_blocks",
                  "_reverse_events", "_exec_counts", "_miss_uses")
 
     def __init__(self, owner, artifacts, wcet, dataflows, best, best_pred,
                  with_may, locked_blocks):
-        # A weak reference: the pipeline's result cache holds its
-        # results, and a cycle would keep a finished pipeline's dense
-        # matrices and memos alive until the cyclic collector runs.
-        self._owner = weakref.ref(owner)
+        #: The pipeline that produced this result.
+        self.owner = owner
         self.artifacts = artifacts
         self.wcet = wcet
         self.dataflows = dataflows
@@ -355,12 +345,6 @@ class PipelineResult:
         self._reverse_events = None
         self._exec_counts = None
         self._miss_uses = None
-
-    @property
-    def owner(self) -> Optional["AnalysisPipeline"]:
-        """The pipeline that produced this result (``None`` once it is
-        gone)."""
-        return self._owner()
 
     @property
     def acfg(self) -> ACFG:
@@ -415,75 +399,6 @@ class PipelineResult:
                     uses.setdefault(ref_block[rid], []).append(rid)
             self._miss_uses = uses
         return self._miss_uses
-
-
-def _structure_sig(node) -> tuple:
-    """Hashable signature of a structure tree (shape + block names)."""
-    if node is None:
-        return ("none",)
-    if isinstance(node, BlockNode):
-        return ("b", node.block_name)
-    if isinstance(node, SeqNode):
-        return ("s",) + tuple(_structure_sig(item) for item in node.items)
-    if isinstance(node, IfElseNode):
-        return (
-            "if",
-            node.cond_block,
-            _structure_sig(node.then_node),
-            _structure_sig(node.else_node),
-        )
-    if isinstance(node, LoopNode):
-        return ("lp", node.loop_name, _structure_sig(node.body))
-    if isinstance(node, SwitchNode):
-        return ("sw", node.selector_block) + tuple(
-            _structure_sig(case) for case in node.cases
-        )
-    if isinstance(node, CallNode):
-        return ("call", node.call_block, node.function_name, node.site_id)
-    raise AnalysisError(f"unknown structure node {type(node).__name__}")
-
-
-def content_key(cfg: ControlFlowGraph, block_size: int, base_address: int):
-    """Hashable key of everything the instruction-cache analysis reads.
-
-    Covers the per-block instruction streams (uid, prefetch role,
-    prefetch target — layout order determines addresses), the CFG
-    edges, the structure-tree shape, loop bounds, function bodies, and
-    the layout parameters.  Two CFG objects with equal keys yield
-    byte-for-byte identical analyses, which is the pipeline's licence to
-    share artifacts across objects (e.g. ``optimize``'s working clone
-    and the measured original).
-    """
-    blocks = tuple(
-        (
-            block.name,
-            tuple(
-                (instr.uid, instr.is_prefetch, instr.prefetch_target)
-                for instr in block.instructions
-            ),
-        )
-        for block in cfg.blocks
-    )
-    edges = tuple(sorted(cfg.edges()))
-    loops = tuple(
-        sorted((name, info.bound) for name, info in cfg.loops.items())
-    )
-    functions = tuple(
-        sorted(
-            (name, _structure_sig(info.structure))
-            for name, info in cfg.functions.items()
-        )
-    )
-    return (
-        cfg.name,
-        blocks,
-        edges,
-        loops,
-        _structure_sig(cfg.structure),
-        functions,
-        block_size,
-        base_address,
-    )
 
 
 def _vertex_matches(old: ACFG, new: ACFG, rid: int) -> bool:
@@ -560,42 +475,6 @@ def divergence_boundary(
     return max(b, 0)
 
 
-def _single_insertion(old_key, new_key) -> Optional[Tuple[str, int]]:
-    """``(block name, index)`` when the program of content key
-    ``new_key`` is that of ``old_key`` plus one prefetch instruction
-    inserted into one block, else ``None``."""
-    if old_key[0] != new_key[0] or old_key[2:] != new_key[2:]:
-        return None
-    old_blocks, new_blocks = old_key[1], new_key[1]
-    if len(old_blocks) != len(new_blocks):
-        return None
-    edit = None
-    for old_block, new_block in zip(old_blocks, new_blocks):
-        if old_block == new_block:
-            continue
-        name, old_instrs = old_block
-        new_name, new_instrs = new_block
-        if (
-            edit is not None
-            or name != new_name
-            or len(new_instrs) != len(old_instrs) + 1
-        ):
-            return None
-        index = len(old_instrs)
-        for i, item in enumerate(old_instrs):
-            if item != new_instrs[i]:
-                index = i
-                break
-        # Key entries are (uid, is_prefetch, prefetch_target).
-        if (
-            not new_instrs[index][1]
-            or new_instrs[index + 1:] != old_instrs[index:]
-        ):
-            return None
-        edit = (name, index)
-    return edit
-
-
 def _context_of(config: CacheConfig, options) -> Dict[str, Any]:
     """The pipeline's fixed context an ``OptimizerOptions`` pins down,
     as :class:`AnalysisPipeline` stores it: built by ``for_options``,
@@ -612,12 +491,15 @@ def _context_of(config: CacheConfig, options) -> Dict[str, Any]:
 
 
 class AnalysisPipeline:
-    """Staged, cached WCET analysis for one (config, timing) context.
+    """Staged, incremental WCET analysis for one (config, timing) context.
 
     One pipeline serves one use case: the cache configuration, timing
     model, persistence setting, locked blocks and base address are fixed
-    at construction so every cached artifact is valid for every call.
-    Not thread-safe; sweep workers build one per use case.
+    at construction, so every result it returns can seed a later call
+    (``base=`` for a delta, ``reuse=`` for the same program).  It keeps
+    no results itself; only the transfer memos and the kernel's segment
+    memo live as long as the pipeline.  Not thread-safe; sweep workers
+    build one per use case.
 
     Args:
         config: Cache configuration.
@@ -626,9 +508,9 @@ class AnalysisPipeline:
             optimizer options the pipeline is used with).
         locked_blocks: Hybrid-locking pinned blocks.
         base_address: Program load address.
-        differential: Verify every delta re-analysis against a cold
-            :func:`~repro.analysis.wcet.analyze_wcet` run (slow; used by
-            the equivalence tests).
+        differential: Verify every delta or ``reuse=`` analysis against
+            a cold :func:`~repro.analysis.wcet.analyze_wcet` run (slow;
+            used by the equivalence tests).
         stats: Optionally share a :class:`PipelineStats` instance.
         kernel: Abstract-domain implementation: ``"python"`` (the
             verified oracle), ``"vectorized"`` (the dense numpy kernel,
@@ -646,21 +528,12 @@ class AnalysisPipeline:
             apply its NC->AH / NC->AM / NC->PS promotions (PS only
             without an L2) before the L2, guard and IPET stages.  Only
             the cache sets holding a ``NOT_CLASSIFIED`` reference are
-            explored; the exploration is cached per program content and
-            those sets, and warm-started at the divergence boundary like
-            the abstract fixpoints.  ``False`` keeps every output
+            explored, warm-started at the divergence boundary like the
+            abstract fixpoints.  ``False`` keeps every output
             byte-identical to before.
         refine_budget: Exploration budget override for the refinement
             (:data:`repro.analysis.refine.DEFAULT_BUDGET` when ``None``).
     """
-
-    #: LRU capacities.  Structural artifacts and dataflow results are
-    #: keyed by program content; candidate evaluations churn through
-    #: unique contents, so the caps bound memory while keeping the
-    #: cross-phase entries (original and final program) resident.
-    MAX_STRUCTURAL = 32
-    MAX_DATAFLOW = 64
-    MAX_RESULTS = 8
 
     def __init__(
         self,
@@ -704,16 +577,6 @@ class AnalysisPipeline:
         #: (domain batch, segment ops, in-state bytes).
         self._universe: Optional[BlockUniverse] = None
         self._segment_memo = SegmentMemo(stats=self.stats)
-        self._structural_cache: "OrderedDict[Any, StructuralArtifacts]" = (
-            OrderedDict()
-        )
-        self._dataflow_cache: "OrderedDict[Any, DataflowResult]" = OrderedDict()
-        self._results: "OrderedDict[Any, PipelineResult]" = OrderedDict()
-        #: id(cfg) -> (version, weakref, content key): memoizes the
-        #: content key per live CFG object; the weakref guards against
-        #: id reuse after garbage collection and the version (bumped by
-        #: every CFG mutation, never reused) against in-place edits.
-        self._content_keys: Dict[int, Tuple[int, Any, Any]] = {}
 
     @classmethod
     def for_options(cls, config: CacheConfig, timing: TimingModel, options,
@@ -736,32 +599,46 @@ class AnalysisPipeline:
         cfg: ControlFlowGraph,
         with_may: bool = True,
         base: Optional[PipelineResult] = None,
+        edit: Optional[Tuple[str, int]] = None,
+        reuse: Optional[PipelineResult] = None,
     ) -> PipelineResult:
-        """Analyse ``cfg``, reusing every stage the caches allow.
+        """Analyse ``cfg``, reusing what the caller hands along.
 
         Args:
-            cfg: The program (any object; keyed by content).
+            cfg: The program.
             with_may: Run the may domain (as in :func:`analyze_wcet`).
             base: A previous result *from this pipeline* to delta
-                against — typically the analysis of the program this
-                ``cfg`` was derived from by one prefetch insertion.
+                against — the analysis of the program this ``cfg`` was
+                derived from by one prefetch insertion.
+            edit: ``(block name, index)`` of that insertion.  With it
+                the base ACFG is spliced; without it (or when the splice
+                declines) the ACFG is built and compared with the base's
+                vertex by vertex for the divergence boundary.
+            reuse: A result *from this pipeline* of this same program,
+                in either ``with_may`` mode.  Its structural artifacts
+                and must/may/persistence fixpoints are reused; classify,
+                refine, L2, guard and IPET run cold, because refine's
+                ``NOT_CLASSIFIED`` sets depend on ``with_may``.  Not
+                combinable with ``base``.
 
         Returns:
             A :class:`PipelineResult` whose ``wcet`` is bit-identical to
             a fresh :func:`~repro.analysis.wcet.analyze_wcet` call.
         """
-        key = self._content_key_of(cfg)
-        result_key = (key, bool(with_may))
-        cached = self._results.get(result_key)
-        if cached is not None:
-            self._results.move_to_end(result_key)
-            self.stats.result_hits += 1
-            return cached
-
+        if reuse is not None and (
+            base is not None or reuse.owner is not self
+        ):
+            raise AnalysisError(
+                "reuse= takes a result of this pipeline and no base"
+            )
         if base is not None and base.owner is not self:
             self.stats.delta_fallbacks += 1
             base = None
-        artifacts, first_changed = self._structural_stage(cfg, key, base)
+        if reuse is not None:
+            self.stats.structural_hits += 1
+            artifacts, first_changed = reuse.artifacts, None
+        else:
+            artifacts, first_changed = self._structural_stage(cfg, base, edit)
         acfg = artifacts.acfg
         # The graph the differential check analyses cold: a spliced
         # ACFG is checked against (and then replaced by) a full rebuild.
@@ -795,20 +672,32 @@ class AnalysisPipeline:
             domains.append("may")
         if self.with_persistence:
             domains.append("persistence")
+        dataflows: Dict[str, Any] = {}
+        # Dense fixpoints are reusable only against the live universe (a
+        # regrown one recompiles the schedule they were computed with).
+        if reuse is not None and (
+            artifacts.schedule is None
+            or artifacts.schedule.universe is self._universe
+        ):
+            dataflows = {
+                domain: reuse.dataflows[domain]
+                for domain in domains
+                if domain in reuse.dataflows
+            }
+            self.stats.dataflow_hits += len(dataflows)
+        missing = [domain for domain in domains if domain not in dataflows]
         with self._stage("fixpoint") as fixpoint_span:
             seg_hits = self.stats.kernel_segment_hits
             seg_misses = self.stats.kernel_segment_misses
             if self.kernel == "vectorized":
-                dataflows = self._dense_dataflow_stage(
-                    artifacts, domains, base if use_delta else None, boundary
-                )
+                dataflows.update(self._dense_dataflow_stage(
+                    artifacts, missing, base, boundary
+                ))
             else:
-                dataflows = {
-                    domain: self._dataflow_stage(
-                        artifacts, domain, base if use_delta else None, boundary
+                for domain in missing:
+                    dataflows[domain] = self._dataflow_stage(
+                        artifacts, domain, base, boundary
                     )
-                    for domain in domains
-                }
             if fixpoint_span.recording and self.kernel == "vectorized":
                 fixpoint_span.set_attributes(
                     {
@@ -858,8 +747,7 @@ class AnalysisPipeline:
             with self._stage("refine") as refine_span:
                 undecided = nc_sets(acfg, self.config, classifications)
                 exploration = self._refine_stage(
-                    artifacts, undecided, base if use_delta else None,
-                    boundary,
+                    artifacts, undecided, base, boundary
                 )
                 # PS promotions would charge the one-time penalty at
                 # the DRAM rate; with an L2 the unrefined bound can be
@@ -942,10 +830,10 @@ class AnalysisPipeline:
                 latency_guarded=guarded,
             )
 
-        if use_delta and self.differential:
+        if self.differential and (use_delta or reuse is not None):
             self._differential_check(oracle_acfg, wcet, with_may)
 
-        result = PipelineResult(
+        return PipelineResult(
             owner=self,
             artifacts=artifacts,
             wcet=wcet,
@@ -955,15 +843,6 @@ class AnalysisPipeline:
             with_may=bool(with_may),
             locked_blocks=locked,
         )
-        if base is None:
-            # Candidate evaluations (base != None) churn through unique
-            # contents and are carried by the optimizer explicitly; only
-            # cold analyses of "real" programs earn a result-cache slot.
-            self._results[result_key] = result
-            while len(self._results) > self.MAX_RESULTS:
-                self._results.popitem(last=False)
-                self.stats.invalidations += 1
-        return result
 
     # ------------------------------------------------------------------
     # stages
@@ -971,47 +850,27 @@ class AnalysisPipeline:
     def _stage(self, name: str) -> _StageTimer:
         return _StageTimer(self.stats, name)
 
-    def _content_key_of(self, cfg: ControlFlowGraph):
-        cached = self._content_keys.get(id(cfg))
-        if cached is not None:
-            version, ref, key = cached
-            if ref() is cfg and version == cfg.version:
-                return key
-        key = content_key(cfg, self.config.block_size, self.base_address)
-        self._content_keys[id(cfg)] = (cfg.version, weakref.ref(cfg), key)
-        if len(self._content_keys) > 16:
-            self._content_keys = {
-                obj_id: entry
-                for obj_id, entry in self._content_keys.items()
-                if entry[1]() is not None
-            }
-        return key
-
     def _structural_stage(
-        self, cfg: ControlFlowGraph, key, base: Optional[PipelineResult]
+        self,
+        cfg: ControlFlowGraph,
+        base: Optional[PipelineResult],
+        edit: Optional[Tuple[str, int]],
     ) -> Tuple[StructuralArtifacts, Optional[int]]:
         """The structural artifacts of ``cfg`` and, when its ACFG was
         spliced from ``base``'s, the lowest rid that differs from it.
 
-        A miss whose content is ``base``'s plus one inserted prefetch
-        (the optimizer's candidate edit) splices the base ACFG
-        (:func:`~repro.program.acfg.splice_insertion`); every other miss
-        runs :func:`~repro.program.acfg.build_acfg`.  Both count as a
-        structural miss; the ``pipeline.acfg`` span's ``spliced``
-        attribute tells them apart.
+        With a ``base`` and the ``edit`` that derived ``cfg`` from it
+        (the optimizer's candidate insertion) the base ACFG is spliced
+        (:func:`~repro.program.acfg.splice_insertion`); otherwise, or
+        when the splice declines, :func:`~repro.program.acfg.build_acfg`
+        runs.  Both count as a structural miss; the ``pipeline.acfg``
+        span's ``spliced`` attribute tells them apart.
         """
-        hit = self._structural_cache.get(key)
-        if hit is not None:
-            self._structural_cache.move_to_end(key)
-            self.stats.structural_hits += 1
-            return hit, None
         self.stats.structural_misses += 1
         with self._stage("acfg") as span:
             spliced = None
-            if base is not None:
-                edit = _single_insertion(base.artifacts.key, key)
-                if edit is not None:
-                    spliced = splice_insertion(base.artifacts.acfg, cfg, *edit)
+            if base is not None and edit is not None:
+                spliced = splice_insertion(base.artifacts.acfg, cfg, *edit)
             if spliced is not None:
                 acfg, first_changed = spliced
             else:
@@ -1020,7 +879,7 @@ class AnalysisPipeline:
                 )
                 first_changed = None
             artifacts = StructuralArtifacts(
-                key=key, acfg=acfg, loop_spans=rest_instance_spans(acfg)
+                acfg=acfg, loop_spans=rest_instance_spans(acfg)
             )
             schedule = None
             if self.kernel == "vectorized":
@@ -1039,10 +898,6 @@ class AnalysisPipeline:
                         "steps": len(schedule.steps),
                         "steps_reused": schedule.steps_reused,
                     })
-        self._structural_cache[key] = artifacts
-        while len(self._structural_cache) > self.MAX_STRUCTURAL:
-            self._structural_cache.popitem(last=False)
-            self.stats.invalidations += 1
         return artifacts, first_changed
 
     def _check_splice(
@@ -1088,12 +943,6 @@ class AnalysisPipeline:
         base: Optional[PipelineResult],
         boundary: int,
     ) -> DataflowResult:
-        key = (artifacts.key, domain)
-        hit = self._dataflow_cache.get(key)
-        if hit is not None:
-            self._dataflow_cache.move_to_end(key)
-            self.stats.dataflow_hits += 1
-            return hit
         self.stats.dataflow_misses += 1
         base_df = (
             base.dataflows.get(domain)
@@ -1104,7 +953,7 @@ class AnalysisPipeline:
         warm = None
         if base_df is not None:
             warm = (boundary, base_df.in_states, base_df.out_states)
-        result = propagate(
+        return propagate(
             artifacts.acfg,
             self.config,
             transfer.intern(self._initial_state(domain)),
@@ -1112,11 +961,6 @@ class AnalysisPipeline:
             transfer=transfer,
             warm=warm,
         )
-        self._dataflow_cache[key] = result
-        while len(self._dataflow_cache) > self.MAX_DATAFLOW:
-            self._dataflow_cache.popitem(last=False)
-            self.stats.invalidations += 1
-        return result
 
     def _l2_stage(
         self,
@@ -1137,12 +981,6 @@ class AnalysisPipeline:
         prefix classifications and may in-states — and with them the
         L2 access plan — are unchanged there.
         """
-        key = (artifacts.key, "l2-must")
-        hit = self._dataflow_cache.get(key)
-        if hit is not None:
-            self._dataflow_cache.move_to_end(key)
-            self.stats.dataflow_hits += 1
-            return hit
         self.stats.dataflow_misses += 1
         base_df = (
             base.dataflows.get("l2-must")
@@ -1152,7 +990,7 @@ class AnalysisPipeline:
         warm = None
         if base_df is not None:
             warm = (boundary, base_df.in_states, base_df.out_states)
-        result = analyze_l2_must(
+        return analyze_l2_must(
             artifacts.acfg,
             l2_config,
             classifications,
@@ -1161,11 +999,6 @@ class AnalysisPipeline:
             warm=warm,
             may=may,
         )
-        self._dataflow_cache[key] = result
-        while len(self._dataflow_cache) > self.MAX_DATAFLOW:
-            self._dataflow_cache.popitem(last=False)
-            self.stats.invalidations += 1
-        return result
 
     def _refine_stage(
         self,
@@ -1177,20 +1010,12 @@ class AnalysisPipeline:
         """The bounded concrete-state exploration of one program.
 
         Only ``sets`` — the cache sets holding a ``NOT_CLASSIFIED``
-        reference — are explored, so the result is cached per
-        ``(artifacts.key, sets)`` (shared by every classification with
-        the same NC sets, whatever its ``with_may`` mode) and
-        warm-started at the divergence boundary like the abstract
-        fixpoints — reusing only the sets the base explored and
-        completed, whose prefix line sets are converged and therefore
-        sound to copy under the boundary closure.
+        reference — are explored, warm-started at the divergence
+        boundary like the abstract fixpoints — reusing only the sets the
+        base explored and completed, whose prefix line sets are
+        converged and therefore sound to copy under the boundary
+        closure.
         """
-        key = (artifacts.key, "refine", sets)
-        hit = self._dataflow_cache.get(key)
-        if hit is not None:
-            self._dataflow_cache.move_to_end(key)
-            self.stats.dataflow_hits += 1
-            return hit
         self.stats.dataflow_misses += 1
         base_df = (
             base.dataflows.get("refine")
@@ -1207,10 +1032,6 @@ class AnalysisPipeline:
             sets=sets,
         )
         self.stats.refine_states += result.explored
-        self._dataflow_cache[key] = result
-        while len(self._dataflow_cache) > self.MAX_DATAFLOW:
-            self._dataflow_cache.popitem(last=False)
-            self.stats.invalidations += 1
         return result
 
     def _dense_dataflow_stage(
@@ -1223,48 +1044,27 @@ class AnalysisPipeline:
         """All requested domains in one batched dense fixpoint.
 
         The vectorized counterpart of mapping :meth:`_dataflow_stage`
-        over ``domains``: per-domain dataflow-cache keys are honoured
-        first, then every *missing* domain rides a single stacked
+        over ``domains``: every domain rides a single stacked
         :func:`propagate_kernel_batch` walk — one schedule traversal,
         one join, one memo probe per segment for the whole batch.
         """
-        dataflows: Dict[str, DataflowResult] = {}
-        missing = []
-        for domain in domains:
-            key = (artifacts.key, domain)
-            hit = self._dataflow_cache.get(key)
-            if hit is not None and isinstance(hit, DenseDataflowResult):
-                self._dataflow_cache.move_to_end(key)
-                self.stats.dataflow_hits += 1
-                dataflows[domain] = hit
-            else:
-                self.stats.dataflow_misses += 1
-                missing.append(domain)
-        if not missing:
-            return dataflows
-
+        if not domains:
+            return {}
+        self.stats.dataflow_misses += len(domains)
         schedule = self._schedule_for(artifacts)
         warm = None
         if base is not None and boundary > 0:
             bases = {
                 domain: df
-                for domain in missing
+                for domain in domains
                 for df in (base.dataflows.get(domain),)
                 if isinstance(df, DenseDataflowResult)
             }
-            if len(bases) == len(missing):
+            if len(bases) == len(domains):
                 warm = (boundary, bases)
-        batch = propagate_kernel_batch(
-            schedule, missing, memo=self._segment_memo, warm=warm
+        return propagate_kernel_batch(
+            schedule, domains, memo=self._segment_memo, warm=warm
         )
-        for domain in missing:
-            result = batch[domain]
-            dataflows[domain] = result
-            self._dataflow_cache[(artifacts.key, domain)] = result
-        while len(self._dataflow_cache) > self.MAX_DATAFLOW:
-            self._dataflow_cache.popitem(last=False)
-            self.stats.invalidations += 1
-        return dataflows
 
     def _schedule_for(
         self,

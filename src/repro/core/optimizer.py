@@ -204,9 +204,11 @@ class OptimizationReport:
     candidates_evaluated: int = 0
     candidates_rejected: int = 0
     passes: int = 0
-    #: Snapshot of the analysis pipeline's cache counters at the end of
-    #: the run (cumulative over the pipeline's lifetime when a shared
-    #: pipeline was passed in).  Deterministic; serialized in reports.
+    #: Snapshot of the analysis pipeline's counters at the end of the
+    #: run: cumulative over the pipeline's lifetime when a shared
+    #: pipeline was passed in (``run_usecase``'s include the original
+    #: measurement, whose analysis seeds the run as ``start``).
+    #: Deterministic; serialized in reports.
     pipeline: Dict[str, int] = field(default_factory=dict)
     #: Per-stage wall-clock seconds (``repro optimize --profile``).
     #: Machine-dependent, therefore excluded from equality and never
@@ -250,6 +252,7 @@ def optimize(
     options: Optional[OptimizerOptions] = None,
     inplace: bool = False,
     pipeline: Optional[AnalysisPipeline] = None,
+    start: Optional[PipelineResult] = None,
 ) -> Tuple[ControlFlowGraph, OptimizationReport]:
     """Run the paper's optimization on a program.
 
@@ -261,10 +264,15 @@ def optimize(
         options: Gates and limits; defaults to the paper's setting.
         inplace: Mutate ``cfg`` instead of working on a clone.
         pipeline: Optionally share an
-            :class:`~repro.analysis.pipeline.AnalysisPipeline` (e.g. one
-            per use case, so the measure/optimize/measure phases reuse
-            each other's artifacts).  Must agree with ``config``,
-            ``timing`` and ``options``; by default a fresh one is built.
+            :class:`~repro.analysis.pipeline.AnalysisPipeline` (e.g. the
+            use case's, whose analysis of the original program can then
+            be passed as ``start``).  Must agree with ``config``,
+            ``timing`` and ``options``; by default ``start``'s pipeline
+            or a fresh one.
+        start: The pipeline's analysis of ``cfg``, in either
+            ``with_may`` mode, when the caller already holds one.  The
+            first analysis reuses its ACFG and abstract fixpoints
+            instead of recomputing them.
 
     Returns:
         ``(optimized_program, report)``.  The optimized program is
@@ -276,18 +284,22 @@ def optimize(
     work = cfg if inplace else cfg.clone()
 
     if pipeline is None:
-        pipeline = AnalysisPipeline.for_options(config, timing, opts)
-    elif (
+        pipeline = (
+            start.owner if start is not None
+            else AnalysisPipeline.for_options(config, timing, opts)
+        )
+    if (
         pipeline.config != config
         or pipeline.timing != timing
         or not pipeline.matches_options(opts)
+        or (start is not None and start.owner is not pipeline)
     ):
         raise OptimizationError(
-            "shared analysis pipeline disagrees with the optimizer's "
-            "config/timing/options"
+            "shared analysis pipeline (or start analysis) disagrees with "
+            "the optimizer's config/timing/options"
         )
 
-    base = pipeline.analyze(work, with_may=False)
+    base = pipeline.analyze(work, with_may=False, reuse=start)
     report = OptimizationReport(
         program=work.name,
         config=config,
@@ -336,8 +348,9 @@ def _run_pass(
 
     The per-pass artifacts — reverse events, miss uses, execution
     counts, loop ranges — all come (cached) from ``base``; candidate
-    evaluations delta-analyse against ``base`` so only the suffix behind
-    the insertion point is recomputed.
+    evaluations name their insertion to the pipeline, which splices
+    ``base``'s ACFG and delta-analyses against ``base``, so only the
+    suffix behind the insertion point is recomputed.
     """
     acfg = base.acfg
     wcet = base.wcet
@@ -385,7 +398,10 @@ def _run_pass(
             prefetch = work.insert_prefetch(
                 point.block_name, index, miss_vertex.instr.uid
             )
-            candidate = pipeline.analyze(work, with_may=False, base=base)
+            candidate = pipeline.analyze(
+                work, with_may=False, base=base,
+                edit=(point.block_name, index),
+            )
             new_wcet = candidate.wcet
             ok = True
             if (

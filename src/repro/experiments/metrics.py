@@ -44,7 +44,7 @@ class UseCaseMetrics:
             when it was (originally) computed.
         prefetches: Accepted prefetch insertions.
         worker_pid: OS pid of the process that produced the result.
-        pipeline: Analysis-pipeline cache counters of the run
+        pipeline: Analysis-pipeline counters of the run
             (hits/misses/delta runs...; empty for records produced
             before the pipeline existed).
     """

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.pipeline import AnalysisPipeline
+from repro.analysis.pipeline import AnalysisPipeline, PipelineResult
 from repro.analysis.wcet import analyze_wcet
 from repro.bench.registry import load
 from repro.cache.config import (
@@ -203,13 +203,15 @@ def measure_program(
     with_persistence: bool = True,
     pipeline: Optional[AnalysisPipeline] = None,
     l2: Optional[str] = None,
+    analysis: Optional[PipelineResult] = None,
 ) -> ProgramMeasurement:
     """Analyse + simulate one executable on one hierarchy/technology.
 
-    When ``pipeline`` is given the WCET analysis runs through it —
-    sharing artifacts with the optimization phase of the same use case —
-    and the pipeline's own persistence/base-address/hierarchy settings
-    apply (pass an ``l2`` that matches the pipeline's).
+    When ``pipeline`` is given the WCET analysis runs through it and the
+    pipeline's own persistence/base-address/hierarchy settings apply
+    (pass an ``l2`` that matches the pipeline's).  ``analysis`` is that
+    pipeline's analysis of ``cfg`` when the caller already holds it; it
+    is measured instead of analysing again.
     """
     tech = technology(tech_name)
     hierarchy = hierarchy_for(config, l2)
@@ -217,7 +219,7 @@ def measure_program(
     model, l2_model, timing = models.l1, models.l2, models.timing
     if pipeline is not None:
         base_address = pipeline.base_address
-        wcet = pipeline.analyze(cfg).wcet
+        wcet = (analysis or pipeline.analyze(cfg)).wcet
     else:
         acfg = build_acfg(cfg, config.block_size, base_address)
         wcet = analyze_wcet(
@@ -284,7 +286,7 @@ def pipeline_for_usecase(
     Honors the optimizer options' analysis-relevant knobs (persistence
     domain, locked blocks, base address, hierarchy) so the same pipeline
     serves the measure → optimize → measure sequence of
-    :func:`run_usecase`.
+    :func:`run_usecase` (its transfer and segment memos carry over).
     """
     config = usecase.cache_config()
     opts, l2 = _effective_options(usecase, options)
@@ -304,10 +306,12 @@ def run_usecase(
     Builds the program, measures the original, optimizes for the use
     case's cache/technology, and measures the optimized executable on
     the same cache/technology.  All three phases share one analysis
-    pipeline (``pipeline`` or a fresh :func:`pipeline_for_usecase`), so
-    the optimizer starts from the original measurement's analysis and
-    the final measurement reuses the last accepted candidate's
-    artifacts.
+    pipeline (``pipeline`` or a fresh :func:`pipeline_for_usecase`).
+    The original measurement's analysis is handed to :func:`optimize`
+    as its ``start``.  A program the optimizer left unchanged is not
+    measured again: analysis and simulation are pure functions of the
+    program and the seed, so its optimized measurement is the
+    original's.
     """
     config = usecase.cache_config()
     tech = technology(usecase.tech)
@@ -326,13 +330,15 @@ def run_usecase(
     ):
         original_cfg = load(usecase.program)
         with tracer.start_span("usecase.measure_original"):
+            start = pipeline.analyze(original_cfg)
             original = measure_program(
                 original_cfg, config, usecase.tech, seed=seed,
-                pipeline=pipeline, l2=l2,
+                pipeline=pipeline, l2=l2, analysis=start,
             )
         with tracer.start_span("usecase.optimize") as opt_span:
             optimized_cfg, report = optimize(
-                original_cfg, config, timing, options=opts, pipeline=pipeline
+                original_cfg, config, timing, options=opts,
+                pipeline=pipeline, start=start,
             )
             if opt_span.recording:
                 opt_span.set_attributes(
@@ -342,11 +348,13 @@ def run_usecase(
                         "evaluations": report.candidates_evaluated,
                     }
                 )
-        with tracer.start_span("usecase.measure_optimized"):
-            optimized = measure_program(
-                optimized_cfg, config, usecase.tech, seed=seed,
-                pipeline=pipeline, l2=l2,
-            )
+        optimized = original
+        if report.inserted:
+            with tracer.start_span("usecase.measure_optimized"):
+                optimized = measure_program(
+                    optimized_cfg, config, usecase.tech, seed=seed,
+                    pipeline=pipeline, l2=l2,
+                )
     return UseCaseResult(
         usecase=usecase, original=original, optimized=optimized, report=report
     )

@@ -46,14 +46,15 @@ METRICS: Tuple[Tuple[str, str, str], ...] = (
     ("queue_depth", "gauge", "Current job-queue occupancy"),
     ("jobs_inflight", "gauge", "Computations currently queued or running"),
     ("pipeline_stage_hits", "counter",
-     "Analysis-pipeline cache hits across completed jobs"),
+     "Analysis-pipeline stage products reused from a handed-over "
+     "analysis across completed jobs"),
     ("pipeline_stage_misses", "counter",
-     "Analysis-pipeline cache misses across completed jobs"),
+     "Analysis-pipeline stage computations across completed jobs"),
     ("pipeline_delta_runs", "counter", "Delta (warm-start) re-analyses"),
     ("pipeline_delta_fallbacks", "counter",
      "Delta re-analyses that fell back to a cold run"),
     ("pipeline_invalidations", "counter",
-     "Pipeline cache evictions and clears"),
+     "Pipeline memo clears and kernel block-universe rebuilds"),
     ("job_retries", "counter",
      "Computations retried after a transient pool failure"),
     ("pool_rebuilds", "counter", "Broken process pools replaced"),
@@ -65,8 +66,7 @@ METRICS: Tuple[Tuple[str, str, str], ...] = (
 
 #: Each ``pipeline_*`` metric sums these keys of a result's counters.
 _PIPELINE_SUMS = (
-    ("pipeline_stage_hits",
-     ("structural_hits", "dataflow_hits", "result_hits")),
+    ("pipeline_stage_hits", ("structural_hits", "dataflow_hits")),
     ("pipeline_stage_misses", ("structural_misses", "dataflow_misses")),
     ("pipeline_delta_runs", ("delta_runs",)),
     ("pipeline_delta_fallbacks", ("delta_fallbacks",)),

@@ -221,9 +221,10 @@ class TestPipelineSplice:
         cfg = load("ndes")
         pipeline = AnalysisPipeline(CONFIG, TIMING)
         base = pipeline.analyze(cfg, with_may=False)
-        cfg.insert_prefetch(cfg.blocks[3].name, 1, cfg.blocks[0].instructions[0].uid)
+        edit = (cfg.blocks[3].name, 1)
+        cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
         candidate, spans = _traced(
-            lambda: pipeline.analyze(cfg, with_may=False, base=base)
+            lambda: pipeline.analyze(cfg, with_may=False, base=base, edit=edit)
         )
         acfg_spans = [s for s in spans if s.name == "pipeline.acfg"]
         assert [s.attributes.get("spliced") for s in acfg_spans] == [True]
@@ -257,6 +258,7 @@ class TestPipelineSplice:
         cfg = load("ndes")
         pipeline = AnalysisPipeline(CONFIG, TIMING, differential=True)
         base = pipeline.analyze(cfg, with_may=False)
-        cfg.insert_prefetch(cfg.blocks[3].name, 1, cfg.blocks[0].instructions[0].uid)
+        edit = (cfg.blocks[3].name, 1)
+        cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
         with pytest.raises(AnalysisError, match="spliced ACFG differs"):
-            pipeline.analyze(cfg, with_may=False, base=base)
+            pipeline.analyze(cfg, with_may=False, base=base, edit=edit)

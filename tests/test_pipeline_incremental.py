@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.pipeline import AnalysisPipeline, content_key
+from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.wcet import analyze_wcet
 from repro.bench.generator import random_program
 from repro.bench.registry import load
@@ -63,15 +63,6 @@ class TestColdEqualsStandalone:
         )
         assert _wcet_fingerprint(via_pipeline) == _wcet_fingerprint(standalone)
 
-    def test_repeated_analyze_hits_result_cache(self):
-        cfg = load("bs")
-        pipeline = AnalysisPipeline(CONFIG, TIMING)
-        first = pipeline.analyze(cfg)
-        again = pipeline.analyze(cfg)
-        assert again is first
-        assert pipeline.stats.result_hits == 1
-        assert pipeline.stats.cold_runs == 1
-
 
 class TestIncrementalEqualsCold:
     """Delta re-analysis across optimizer passes is bit-identical."""
@@ -101,9 +92,9 @@ class TestIncrementalEqualsCold:
     )
     def test_optimize_differential_refined(self, program, l2,
                                            with_persistence):
-        # The refine stage explores only the NC sets, keys its cache on
-        # them and warm-starts from the base's completed sets; every
-        # delta must still equal a cold refined analyze_wcet.
+        # The refine stage explores only the NC sets and warm-starts
+        # from the base's completed sets; every delta must still equal a
+        # cold refined analyze_wcet.
         opts = OptimizerOptions(
             max_evaluations=12, refine=True, l2=l2,
             with_persistence=with_persistence,
@@ -155,9 +146,6 @@ class TestIncrementalEqualsCold:
             assert report.misses_final == fresh.misses_final
             assert report.prefetch_count == fresh.prefetch_count
             assert report.passes == fresh.passes
-        # The second run re-analyses the same original program: its base
-        # analysis comes straight from the shared result cache.
-        assert shared.stats.result_hits >= 1
 
     def test_mismatched_pipeline_rejected(self):
         from repro.errors import OptimizationError
@@ -170,19 +158,6 @@ class TestIncrementalEqualsCold:
         pipeline = AnalysisPipeline(other_config, other_timing)
         with pytest.raises(OptimizationError):
             optimize(cfg, CONFIG, TIMING, pipeline=pipeline)
-
-
-class TestContentKeys:
-    def test_key_is_stable_across_rebuilds(self):
-        a = content_key(load("fac"), CONFIG.block_size, 0)
-        b = content_key(load("fac"), CONFIG.block_size, 0)
-        assert a == b
-
-    def test_key_separates_programs_and_parameters(self):
-        fac = content_key(load("fac"), CONFIG.block_size, 0)
-        assert fac != content_key(load("bs"), CONFIG.block_size, 0)
-        assert fac != content_key(load("fac"), 32, 0)
-        assert fac != content_key(load("fac"), CONFIG.block_size, 64)
 
 
 @pytest.mark.slow

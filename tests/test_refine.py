@@ -576,23 +576,28 @@ class TestWalkerOracle:
         )
         assert scoped.solution.objective == full.solution.objective
 
-    def test_exploration_cache_is_keyed_on_the_nc_sets(self):
+    def test_may_result_handed_to_a_must_only_analysis(self):
         """The must-only mode leaves more references NC (no may domain
-        proves always-misses), so it must not reuse the exploration the
-        may mode cached for the same program."""
+        proves always-misses), so an analysis handed a may-mode result
+        reuses its fixpoints but must explore its own NC sets."""
         config = TABLE2["k1"]
         timing = _single_level_timing(config)
         pipeline = AnalysisPipeline(
             config, timing, with_persistence=False, refine=True
         )
-        pipeline.analyze(load("bs"), with_may=True)
-        via_pipeline = pipeline.analyze(load("bs"), with_may=False).wcet
+        start = pipeline.analyze(load("bs"), with_may=True)
+        handed = pipeline.analyze(load("bs"), with_may=False, reuse=start)
+        assert pipeline.stats.dataflow_hits == 1  # the must fixpoint
+        assert set(handed.dataflows["refine"].per_set) != set(
+            start.dataflows["refine"].per_set
+        )
         acfg = build_acfg(load("bs"), block_size=config.block_size)
         cold = analyze_wcet(
             acfg, config, timing, with_may=False, with_persistence=False,
             refine=True,
         )
-        assert list(via_pipeline.cache.classifications) == list(
+        assert handed.wcet.tau_w == cold.tau_w
+        assert list(handed.wcet.cache.classifications) == list(
             cold.cache.classifications
         )
 

@@ -187,8 +187,9 @@ class TestUniverseProbe:
         base = pipeline.analyze(cfg, with_may=False)
         universe = pipeline._universe
         pipeline._universe = BlockUniverse(CONFIG, universe.base_block, 1)
-        cfg.insert_prefetch(cfg.blocks[3].name, 1, cfg.blocks[0].instructions[0].uid)
-        candidate = pipeline.analyze(cfg, with_may=False, base=base)
+        edit = (cfg.blocks[3].name, 1)
+        cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
+        candidate = pipeline.analyze(cfg, with_may=False, base=base, edit=edit)
         assert pipeline._universe.width > 1
         assert candidate.artifacts.schedule.universe is pipeline._universe
 
@@ -205,9 +206,10 @@ class TestUniverseProbe:
         cfg = load("ndes")
         pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
         base = pipeline.analyze(cfg, with_may=False)
-        cfg.insert_prefetch(cfg.blocks[3].name, 1, cfg.blocks[0].instructions[0].uid)
+        edit = (cfg.blocks[3].name, 1)
+        cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
         with pytest.raises(AnalysisError, match="broken splice"):
-            pipeline.analyze(cfg, with_may=False, base=base)
+            pipeline.analyze(cfg, with_may=False, base=base, edit=edit)
 
 
 class TestDifferentialSchedule:
@@ -236,9 +238,10 @@ class TestDifferentialSchedule:
             CONFIG, TIMING, kernel="vectorized", differential=True
         )
         base = pipeline.analyze(cfg, with_may=False)
-        cfg.insert_prefetch(cfg.blocks[3].name, 1, cfg.blocks[0].instructions[0].uid)
+        edit = (cfg.blocks[3].name, 1)
+        cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
         with pytest.raises(AnalysisError, match="spliced kernel schedule"):
-            pipeline.analyze(cfg, with_may=False, base=base)
+            pipeline.analyze(cfg, with_may=False, base=base, edit=edit)
 
 
 def _traced(fn):
@@ -258,9 +261,10 @@ class TestObservability:
         cfg = load("ndes")
         pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
         base = pipeline.analyze(cfg, with_may=False)
-        cfg.insert_prefetch(cfg.blocks[3].name, 1, cfg.blocks[0].instructions[0].uid)
+        edit = (cfg.blocks[3].name, 1)
+        cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
         candidate, spans = _traced(
-            lambda: pipeline.analyze(cfg, with_may=False, base=base)
+            lambda: pipeline.analyze(cfg, with_may=False, base=base, edit=edit)
         )
         schedule = candidate.artifacts.schedule
         (acfg_span,) = [s for s in spans if s.name == "pipeline.acfg"]
@@ -281,8 +285,9 @@ class TestObservability:
         cfg = load("ndes")
         pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
         base = pipeline.analyze(cfg, with_may=False)
-        cfg.insert_prefetch(cfg.blocks[3].name, 1, cfg.blocks[0].instructions[0].uid)
-        pipeline.analyze(cfg, with_may=False, base=base)
+        edit = (cfg.blocks[3].name, 1)
+        cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
+        pipeline.analyze(cfg, with_may=False, base=base, edit=edit)
 
 
 class TestLockedDifferential:
