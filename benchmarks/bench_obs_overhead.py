@@ -1,9 +1,9 @@
 """Microbenchmark of tracing overhead on the analysis pipeline.
 
-Times the same multi-pass ``optimize`` loop twice — once with the
-module-default tracer disabled (the production default: every span call
-returns the no-op singleton) and once fully sampled into an in-memory
-collector under an active root span — and reports the relative cost.
+Times the same multi-pass ``optimize`` loop twice — once with no
+tracer activated (the production default: every span call returns the
+no-op singleton) and once under an activated, fully sampled tracer that
+collects into memory below a root span — and reports the relative cost.
 
 Two figures gate the observability layer's "near zero when off" claim:
 
@@ -36,7 +36,7 @@ from repro.cache.config import TABLE2
 from repro.core.optimizer import OptimizerOptions, optimize
 from repro.energy.cacti import cacti_model
 from repro.energy.technology import technology
-from repro.obs.trace import SpanCollector, Tracer, configure, use_span
+from repro.obs.trace import SpanCollector, Tracer, activate_tracer
 
 PROGRAM = "ndes"
 CONFIG_ID = "k1"
@@ -74,15 +74,12 @@ def bench_modes(budget: int, repeats: int) -> Dict[str, Any]:
         off_s.append(_run_optimize(budget))
 
         collector = SpanCollector(limit=100_000)
-        tracer = configure(service="bench", sample=1.0, sink=collector.add)
-        try:
-            root = tracer.start_span("bench.optimize", root=True)
-            with use_span(root):
-                on_s.append(_run_optimize(budget))
-            root.end()
-            spans_recorded = max(spans_recorded, len(collector.drain()))
-        finally:
-            configure(sample=0.0, sink=None)  # restore the disabled default
+        tracer = Tracer(service="bench", sample=1.0, sink=collector.add)
+        with activate_tracer(tracer), tracer.start_span(
+            "bench.optimize", root=True
+        ):
+            on_s.append(_run_optimize(budget))
+        spans_recorded = max(spans_recorded, len(collector.drain()))
 
     best_off = min(off_s)
     best_on = min(on_s)

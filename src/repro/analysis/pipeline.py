@@ -50,20 +50,20 @@ weight list per analysis; the pairwise slack functions of
 :mod:`repro.analysis.slack` remain its oracle.
 
 Counters (stage runs and handoff reuses, transfer-memo hits, delta
-runs and fallbacks, invalidations) and per-stage wall-clock accumulate
-in :class:`PipelineStats`; the counters are deterministic (pure
-functions of the analysis sequence) and flow into
-:class:`~repro.core.optimizer.OptimizationReport`, sweep metrics and the
-service's telemetry, while the wall-clock profile stays out of
-serialized reports (see ``repro optimize --profile``).  A splice counts
-as a structural miss like a build, so the counters do not depend on
-it; the ``pipeline.acfg`` span's ``spliced`` attribute tells the two
-apart.
+runs and fallbacks, invalidations) accumulate in :class:`PipelineStats`;
+they are deterministic (pure functions of the analysis sequence) and
+flow into :class:`~repro.core.optimizer.OptimizationReport`, sweep
+metrics and the service's telemetry.  Wall-clock lives only in the
+aggregate ``pipeline.<stage>`` spans of the active tracer (no-ops when
+nothing traces), from which ``repro optimize --profile`` sums its
+per-stage table.  A splice counts as a structural miss like a build,
+so the counters do not depend on it; the ``pipeline.acfg`` span's
+``spliced`` attribute tells the two apart.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.analysis.refine import (
@@ -106,7 +106,7 @@ from repro.cache.kernel import (
 )
 from repro.cache.persistence import PersistenceState
 from repro.errors import AnalysisError, UniverseOutgrown
-from repro.obs.trace import active_tracer
+from repro.obs.trace import SpanLike, active_tracer
 from repro.program.acfg import (
     ACFG,
     build_acfg,
@@ -118,13 +118,11 @@ from repro.program.cfg import ControlFlowGraph
 
 @dataclass
 class PipelineStats:
-    """Counters and stage timings of one :class:`AnalysisPipeline`.
+    """Counters of one :class:`AnalysisPipeline`.
 
     All counters are deterministic functions of the analysis sequence
     (no wall-clock, no memory addresses), so they can be embedded in
-    serialized reports and compared across serial/parallel runs.  The
-    wall-clock numbers live only in :attr:`stage_seconds` and are
-    surfaced separately (``--profile``).
+    serialized reports and compared across serial/parallel runs.
     """
 
     #: ``structural_``/``dataflow_hits`` count stage products reused
@@ -148,11 +146,6 @@ class PipelineStats:
     refine_promotions: int = 0
     refine_states: int = 0
     refine_exhausted: int = 0
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
-
-    def add_time(self, stage: str, seconds: float) -> None:
-        """Accumulate wall-clock into one stage bucket."""
-        self.stage_seconds[stage] = self.stage_seconds.get(stage, 0.0) + seconds
 
     def counters(self) -> Dict[str, int]:
         """Deterministic counter snapshot (safe to serialize in reports)."""
@@ -181,41 +174,6 @@ class PipelineStats:
             data["refine_states"] = self.refine_states
             data["refine_exhausted"] = self.refine_exhausted
         return data
-
-    def profile(self) -> Dict[str, float]:
-        """Per-stage wall-clock snapshot (never serialized into reports)."""
-        return dict(self.stage_seconds)
-
-
-class _StageTimer:
-    """Span-backed stage clock: the one timing source for the pipeline.
-
-    Wraps a ``pipeline.<stage>`` span (``timed=True``, so a real clock
-    exists even with tracing off; ``aggregate=True``, so sinks fold the
-    hundreds of per-candidate occurrences into one statistical span per
-    parent) and folds its duration into ``stats.stage_seconds`` on exit
-    — ``--profile`` and exported traces therefore always agree.
-    """
-
-    __slots__ = ("stats", "stage", "span")
-
-    def __init__(self, stats: PipelineStats, stage: str):
-        self.stats = stats
-        self.stage = stage
-        self.span = active_tracer().start_span(
-            "pipeline." + stage, timed=True, aggregate=True
-        )
-
-    def __enter__(self):
-        return self.span
-
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        span = self.span
-        if exc_type is not None:
-            span.set_status("error", f"{exc_type.__name__}: {exc}")
-        span.end()
-        self.stats.add_time(self.stage, span.duration_s)
-        return False
 
 
 class TransferCache:
@@ -847,8 +805,9 @@ class AnalysisPipeline:
     # ------------------------------------------------------------------
     # stages
     # ------------------------------------------------------------------
-    def _stage(self, name: str) -> _StageTimer:
-        return _StageTimer(self.stats, name)
+    def _stage(self, name: str) -> SpanLike:
+        """The aggregate ``pipeline.<name>`` span (a no-op untraced)."""
+        return active_tracer().start_span("pipeline." + name, aggregate=True)
 
     def _structural_stage(
         self,

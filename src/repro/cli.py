@@ -54,6 +54,7 @@ from repro.experiments.scenario import (
 from repro.experiments.sweep import full_grid, run_sweep
 from repro.experiments.tables import table1, table2
 from repro.experiments.usecase import UseCase, run_usecase
+from repro.obs.trace import Span, Tracer, activate_tracer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -201,6 +202,13 @@ def _cmd_list_configs() -> int:
     return 0
 
 
+def _add_stage_time(profile: Dict[str, float], span: Span) -> None:
+    """Sink of ``--profile``: seconds per ``pipeline.<stage>`` span name."""
+    if span.name.startswith("pipeline."):
+        stage = span.name[len("pipeline."):]
+        profile[stage] = profile.get(stage, 0.0) + span.duration_s
+
+
 def _cmd_optimize(args: argparse.Namespace) -> int:
     from repro.experiments.report import optimize_to_json
 
@@ -211,7 +219,13 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     cfg = load(args.program)
     # No UseCase here to carry the L2 spec: it rides on the options.
     options = replace(options_from_params(_axis_params(args)), l2=args.l2)
-    optimized, report = optimize(cfg, config, timing, options=options)
+    # --profile sums the pipeline's stage spans; without it nothing is
+    # sampled and every span is the no-op.
+    profile: Optional[Dict[str, float]] = {} if args.profile else None
+    tracer = Tracer(sample=1.0 if args.profile else 0.0,
+                    sink=lambda span: _add_stage_time(profile, span))
+    with activate_tracer(tracer), tracer.start_span("optimize", root=True):
+        optimized, report = optimize(cfg, config, timing, options=options)
     check = verify_wcet_guarantee(
         cfg, optimized, config, timing,
         with_persistence=options.with_persistence,
@@ -234,7 +248,6 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     print(f"Theorem 1  : {check.theorem1_holds}   Condition 2: "
           f"{check.condition2_holds}   latency-sound: {check.all_effective}",
           file=out)
-    profile = report.profile if getattr(args, "profile", False) else None
     if profile is not None:
         # Always on stderr: diagnostics, not part of the result proper.
         total = sum(profile.values())

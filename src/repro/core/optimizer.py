@@ -204,16 +204,13 @@ class OptimizationReport:
     candidates_evaluated: int = 0
     candidates_rejected: int = 0
     passes: int = 0
-    #: Snapshot of the analysis pipeline's counters at the end of the
-    #: run: cumulative over the pipeline's lifetime when a shared
-    #: pipeline was passed in (``run_usecase``'s include the original
-    #: measurement, whose analysis seeds the run as ``start``).
-    #: Deterministic; serialized in reports.
+    #: Snapshot of the analysis pipeline's counters, cumulative over
+    #: the pipeline's lifetime when a shared one was passed in: taken
+    #: at the end of the run, and retaken by ``run_usecase`` after the
+    #: use case's last analysis, so its reports count every phase (the
+    #: original measurement, the search and, with insertions, the
+    #: optimized measurement).  Deterministic; serialized in reports.
     pipeline: Dict[str, int] = field(default_factory=dict)
-    #: Per-stage wall-clock seconds (``repro optimize --profile``).
-    #: Machine-dependent, therefore excluded from equality and never
-    #: serialized.
-    profile: Optional[Dict[str, float]] = field(default=None, compare=False)
 
     @property
     def prefetch_count(self) -> int:
@@ -324,7 +321,6 @@ def optimize(
     report.misses_final = base.wcet.wcet_path_misses
     report.static_instructions_final = work.instruction_count
     report.pipeline = pipeline.stats.counters()
-    report.profile = pipeline.stats.profile()
 
     if opts.verify_guarantee and opts.require_wcet_nonincrease:
         if report.tau_final > report.tau_original + TAU_EPSILON:

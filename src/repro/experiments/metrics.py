@@ -45,8 +45,8 @@ class UseCaseMetrics:
         prefetches: Accepted prefetch insertions.
         worker_pid: OS pid of the process that produced the result.
         pipeline: Analysis-pipeline counters of the run
-            (hits/misses/delta runs...; empty for records produced
-            before the pipeline existed).
+            (hits/misses/delta runs...); empty for cache hits, which
+            cost no analysis.
     """
 
     usecase: UseCase
@@ -105,7 +105,8 @@ class SweepMetrics:
             evaluations=result.report.candidates_evaluated,
             prefetches=result.report.prefetch_count,
             worker_pid=worker_pid or os.getpid(),
-            pipeline=dict(getattr(result.report, "pipeline", {}) or {}),
+            pipeline=(dict(result.report.pipeline)
+                      if source == SOURCE_COMPUTED else {}),
         )
         self.records.append(entry)
         return entry

@@ -311,7 +311,8 @@ def run_usecase(
     as its ``start``.  A program the optimizer left unchanged is not
     measured again: analysis and simulation are pure functions of the
     program and the seed, so its optimized measurement is the
-    original's.
+    original's.  The report's pipeline counters are taken after the
+    last phase, so they count all three.
     """
     config = usecase.cache_config()
     tech = technology(usecase.tech)
@@ -355,6 +356,7 @@ def run_usecase(
                     optimized_cfg, config, usecase.tech, seed=seed,
                     pipeline=pipeline, l2=l2,
                 )
+    report.pipeline = pipeline.stats.counters()
     return UseCaseResult(
         usecase=usecase, original=original, optimized=optimized, report=report
     )

@@ -14,7 +14,6 @@ from repro.obs.trace import (
     Tracer,
     activate_tracer,
     active_tracer,
-    configure,
     current_context,
     current_span,
     format_traceparent,
@@ -35,7 +34,6 @@ __all__ = [
     "Tracer",
     "activate_tracer",
     "active_tracer",
-    "configure",
     "current_context",
     "current_span",
     "format_traceparent",

@@ -1,10 +1,11 @@
 """In-memory ring-buffer trace store behind ``GET /v1/traces/<id>``.
 
 Traces are kept per trace id in insertion order; when ``max_traces`` is
-exceeded the least-recently-touched trace is evicted.  Per-trace span
-count is capped at ``max_spans`` (aggregate spans fold instead of
-appending, so pipeline-stage volume does not count against the cap
-beyond its first occurrence per parent).
+exceeded the least-recently-touched trace is evicted.  Each trace is a
+:class:`~repro.obs.trace.SpanCollector` capped at ``max_spans``
+(aggregate spans fold instead of appending, so pipeline-stage volume
+does not count against the cap beyond its first occurrence per parent
+and service).
 """
 
 from __future__ import annotations
@@ -13,18 +14,9 @@ import threading
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, List, Optional
 
-from repro.obs.trace import Span, fold_aggregate
+from repro.obs.trace import Span, SpanCollector
 
 __all__ = ["TraceStore"]
-
-
-class _TraceEntry:
-    __slots__ = ("spans", "agg", "dropped")
-
-    def __init__(self) -> None:
-        self.spans: List[Dict[str, Any]] = []
-        self.agg: Dict[tuple, int] = {}
-        self.dropped = 0
 
 
 class TraceStore:
@@ -33,7 +25,7 @@ class TraceStore:
     def __init__(self, max_traces: int = 256, max_spans: int = 5000):
         self.max_traces = max_traces
         self.max_spans = max_spans
-        self._traces: "OrderedDict[str, _TraceEntry]" = OrderedDict()
+        self._traces: "OrderedDict[str, SpanCollector]" = OrderedDict()
         self._lock = threading.Lock()
 
     def sink(self, span: Span) -> None:
@@ -45,30 +37,14 @@ class TraceStore:
         if not trace_id:
             return
         with self._lock:
-            entry = self._traces.get(trace_id)
-            if entry is None:
-                entry = _TraceEntry()
-                self._traces[trace_id] = entry
+            trace = self._traces.get(trace_id)
+            if trace is None:
+                trace = self._traces[trace_id] = SpanCollector(self.max_spans)
                 while len(self._traces) > self.max_traces:
                     self._traces.popitem(last=False)
             else:
                 self._traces.move_to_end(trace_id)
-            if doc.get("aggregate"):
-                key = (doc.get("parent_id"), doc.get("name"), doc.get("service"))
-                idx = entry.agg.get(key)
-                if idx is not None:
-                    fold_aggregate(entry.spans[idx], doc)
-                    return
-                if len(entry.spans) >= self.max_spans:
-                    entry.dropped += 1
-                    return
-                entry.agg[key] = len(entry.spans)
-                entry.spans.append(dict(doc))
-                return
-            if len(entry.spans) >= self.max_spans:
-                entry.dropped += 1
-                return
-            entry.spans.append(dict(doc))
+            trace.add_json(doc)
 
     def add_many(self, docs: Iterable[Dict[str, Any]]) -> None:
         for doc in docs:
@@ -77,10 +53,8 @@ class TraceStore:
     def get(self, trace_id: str) -> Optional[List[Dict[str, Any]]]:
         """Spans of ``trace_id`` (copies), or ``None`` if unknown."""
         with self._lock:
-            entry = self._traces.get(trace_id)
-            if entry is None:
-                return None
-            return [dict(doc) for doc in entry.spans]
+            trace = self._traces.get(trace_id)
+            return None if trace is None else trace.snapshot()
 
     def trace_ids(self) -> List[str]:
         with self._lock:
@@ -90,6 +64,6 @@ class TraceStore:
         with self._lock:
             return {
                 "traces": len(self._traces),
-                "spans": sum(len(e.spans) for e in self._traces.values()),
-                "dropped": sum(e.dropped for e in self._traces.values()),
+                "spans": sum(len(t) for t in self._traces.values()),
+                "dropped": sum(t.dropped for t in self._traces.values()),
             }

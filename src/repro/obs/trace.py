@@ -17,22 +17,21 @@ Three tiers of span keep the disabled path near free:
 1. sampled → recording :class:`Span` with ids, delivered to the
    tracer's sink on :meth:`Span.end`;
 2. unsampled but ``timed=True`` → a timing-only :class:`Span` (no id
-   generation, never exported).  Pipeline stage timings and job
-   latency histograms read these, so tracing and ``--profile`` share
-   one clock even when nothing is being recorded;
+   generation, never exported).  Only the service's job span uses
+   this tier: the ``/metrics`` latency histograms read it whether or
+   not the job is traced;
 3. otherwise → the shared :data:`NOOP_SPAN` singleton.
 
 Spans with ``aggregate=True`` (pipeline stages, which fire hundreds of
-times per optimize) are statistically merged by sinks — see
-:class:`SpanCollector` — keyed on ``(trace_id, parent_id, name)``, so
-stage detail stays visible without unbounded span volume.
+times per optimize) are statistically merged by :class:`SpanCollector`
+keyed on ``(trace_id, parent_id, name, service)``, so stage detail
+stays visible without unbounded span volume.
 
-Because tests boot several services in one process
-(:class:`~repro.service.app.BackgroundServer`), tracers are per
-:class:`~repro.service.app.ServiceApp` instances selected through the
-:func:`activate_tracer` contextvar, not process globals.  The module
-default tracer (used by the CLI and by pool workers) starts disabled;
-:func:`configure` swaps it.
+Tracers are not process globals: several services share one process
+in tests (:class:`~repro.service.app.BackgroundServer`), so each
+:class:`~repro.service.app.ServiceApp`, pool job or ``repro optimize
+--profile`` run selects its own through the :func:`activate_tracer`
+contextvar.  Outside one, :func:`active_tracer` is a disabled tracer.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ __all__ = [
     "use_span",
     "active_tracer",
     "activate_tracer",
-    "configure",
 ]
 
 _TRACEPARENT_VERSION = "00"
@@ -429,7 +427,6 @@ class Tracer:
 
 
 _DISABLED_TRACER = Tracer()
-_DEFAULT_TRACER = _DISABLED_TRACER
 
 _ACTIVE_TRACER: "contextvars.ContextVar[Optional[Tracer]]" = contextvars.ContextVar(
     "repro_active_tracer", default=None
@@ -437,11 +434,8 @@ _ACTIVE_TRACER: "contextvars.ContextVar[Optional[Tracer]]" = contextvars.Context
 
 
 def active_tracer() -> Tracer:
-    """The tracer for this context: activated > module default."""
-    tracer = _ACTIVE_TRACER.get()
-    if tracer is not None:
-        return tracer
-    return _DEFAULT_TRACER
+    """The tracer activated for this context, else a disabled one."""
+    return _ACTIVE_TRACER.get() or _DISABLED_TRACER
 
 
 @contextlib.contextmanager
@@ -454,25 +448,14 @@ def activate_tracer(tracer: Tracer) -> Iterator[Tracer]:
         _ACTIVE_TRACER.reset(token)
 
 
-def configure(
-    service: str = "repro",
-    sample: float = 1.0,
-    sink: Optional[Callable[[Span], None]] = None,
-) -> Tracer:
-    """Replace the module-default tracer (CLI / pool-worker entry)."""
-    global _DEFAULT_TRACER
-    _DEFAULT_TRACER = Tracer(service=service, sample=sample, sink=sink)
-    return _DEFAULT_TRACER
-
-
 class SpanCollector:
     """Thread-safe list sink with aggregate folding and a hard cap.
 
     Aggregate spans (``aggregate=True``) are merged in place by
-    ``(trace_id, parent_id, name)``: durations and numeric attributes
-    sum, ``count`` increments, the earliest wall start wins.  Everything
-    else appends until ``limit`` spans, after which additions are
-    dropped (and counted in ``dropped``).
+    ``(trace_id, parent_id, name, service)``: durations and numeric
+    attributes sum, ``count`` increments, the earliest wall start wins.
+    Everything else appends until ``limit`` spans, after which additions
+    are dropped (and counted in ``dropped``).
     """
 
     def __init__(self, limit: int = 2000):
@@ -482,27 +465,33 @@ class SpanCollector:
         self._agg: Dict[Tuple, int] = {}
         self._lock = threading.Lock()
 
+    def __len__(self) -> int:
+        return len(self._spans)
+
     def add(self, span: Span) -> None:
         self.add_json(span.to_json())
 
     def add_json(self, doc: Dict[str, Any]) -> None:
         with self._lock:
+            key = None
             if doc.get("aggregate"):
-                key = (doc.get("trace_id"), doc.get("parent_id"), doc.get("name"))
+                key = (doc.get("trace_id"), doc.get("parent_id"),
+                       doc.get("name"), doc.get("service"))
                 idx = self._agg.get(key)
                 if idx is not None:
                     fold_aggregate(self._spans[idx], doc)
                     return
-                if len(self._spans) >= self.limit:
-                    self.dropped += 1
-                    return
-                self._agg[key] = len(self._spans)
-                self._spans.append(dict(doc))
-                return
             if len(self._spans) >= self.limit:
                 self.dropped += 1
                 return
-            self._spans.append(doc)
+            if key is not None:
+                self._agg[key] = len(self._spans)
+            self._spans.append(dict(doc))
+
+    def snapshot(self) -> List[Dict[str, Any]]:
+        """Copies of the spans collected so far; the collector keeps them."""
+        with self._lock:
+            return [dict(doc) for doc in self._spans]
 
     def drain(self) -> List[Dict[str, Any]]:
         with self._lock:

@@ -114,11 +114,25 @@ class TestUsecaseHandoffs:
         counters = result.report.pipeline
         # The original measurement built the ACFG and ran must, may and
         # persistence; the optimizer's must-only first analysis reused
-        # the ACFG and the must and persistence fixpoints.
+        # the ACFG and the must and persistence fixpoints.  matmult
+        # takes prefetches, so the optimized program's measurement runs
+        # the third cold analysis.
+        assert result.report.inserted
         assert counters["structural_hits"] == 1
         assert counters["dataflow_hits"] == 2
-        assert counters["cold_runs"] == 2
+        assert counters["cold_runs"] == 3
         assert counters["delta_runs"] == result.report.candidates_evaluated
+
+    @pytest.mark.parametrize("program,inserts", [
+        ("bs", True), ("matmult", True), ("lcdnum", False),
+    ])
+    def test_report_counts_every_phase(self, program, inserts):
+        case = UseCase(program, "k1", "45nm")
+        opts = OptimizerOptions(max_evaluations=20, with_persistence=False)
+        pipeline = pipeline_for_usecase(case, opts)
+        result = run_usecase(case, options=opts, pipeline=pipeline)
+        assert bool(result.report.inserted) == inserts
+        assert result.report.pipeline == pipeline.stats.counters()
 
     def test_unchanged_program_is_simulated_once(self, simulated):
         case = UseCase("lcdnum", "k1", "45nm")

@@ -270,6 +270,26 @@ class TestSpanCollector:
         assert len(collector.drain()) == 2
         assert collector.dropped == 2
 
+    def test_aggregates_fold_per_service(self):
+        collector = SpanCollector()
+        for service in ("service", "pool", "pool"):
+            collector.add_json(_doc(
+                name="pipeline.ipet", parent=SPAN, service=service,
+                aggregate=True, count=1, duration=0.5,
+            ))
+        spans = collector.snapshot()
+        assert {s["service"]: s["count"] for s in spans} == {
+            "service": 1, "pool": 2,
+        }
+        assert len(collector.drain()) == 2
+
+    def test_snapshot_copies_without_draining(self):
+        collector = SpanCollector()
+        collector.add_json(_doc(name="kept"))
+        collector.snapshot()[0]["name"] = "clobbered"
+        assert collector.snapshot()[0]["name"] == "kept"
+        assert collector.drain()[0]["name"] == "kept"
+
     def test_drain_resets_the_aggregate_index(self):
         collector = SpanCollector()
         collector.add_json(_doc(name="agg", aggregate=True, count=1))
@@ -304,6 +324,16 @@ class TestTraceStore:
         assert len(spans) == 1
         assert spans[0]["count"] == 2
         assert spans[0]["duration_s"] == pytest.approx(0.2)
+
+    def test_aggregates_of_two_services_stay_apart(self):
+        store = TraceStore()
+        for service in ("service", "pool", "pool"):
+            store.add(_doc(name="pipeline.acfg", parent=SPAN,
+                           service=service, aggregate=True, count=1))
+        spans = store.get(TRACE)
+        assert {s["service"]: s["count"] for s in spans} == {
+            "service": 1, "pool": 2,
+        }
 
     def test_ring_evicts_the_oldest_trace(self):
         store = TraceStore(max_traces=2)
@@ -556,3 +586,59 @@ class TestServiceTraces:
         assert set(profile) >= {"acfg", "fixpoint", "classify",
                                 "guard", "ipet"}
         assert all(v >= 0.0 for v in profile.values())
+
+
+class TestPipelineStageSpans:
+    """Stage time is span time: nothing times a stage nobody traces."""
+
+    def test_untraced_stages_are_noop_spans(self, monkeypatch):
+        from repro.analysis.pipeline import AnalysisPipeline
+        from repro.bench.registry import load
+        from repro.experiments.usecase import UseCase, pipeline_for_usecase
+
+        seen = []
+        stage = AnalysisPipeline._stage
+
+        def spy(self, name):
+            span = stage(self, name)
+            seen.append((name, span))
+            return span
+
+        monkeypatch.setattr(AnalysisPipeline, "_stage", spy)
+        pipeline_for_usecase(UseCase("bs", "k1", "45nm")).analyze(load("bs"))
+        assert {name for name, _span in seen} >= {
+            "acfg", "fixpoint", "classify", "guard", "ipet",
+        }
+        assert all(span is NOOP_SPAN for _name, span in seen)
+
+    @pytest.mark.parametrize("flags", [[], ["--refine", "--l2",
+                                            "4:16:4096:10"]])
+    def test_profile_keys_are_the_traced_stage_names(self, flags):
+        from repro.bench.registry import load
+        from repro.cache.config import TABLE2, hierarchy_for
+        from repro.cli import main
+        from repro.core.optimizer import OptimizerOptions, optimize
+        from repro.energy.cacti import hierarchy_model
+        from repro.energy.technology import technology
+
+        out = io.StringIO()
+        import contextlib as _ctx
+        with _ctx.redirect_stdout(out), _ctx.redirect_stderr(io.StringIO()):
+            assert main(["optimize", "bs", "k1", "--budget", "5", "--json",
+                         "--profile", *flags]) == 0
+        profile = json.loads(out.getvalue())["profile"]
+
+        l2 = "4:16:4096:10" if flags else None
+        config = TABLE2["k1"]
+        timing = hierarchy_model(hierarchy_for(config, l2),
+                                 technology("45nm")).timing
+        options = OptimizerOptions(max_evaluations=5, refine=bool(flags),
+                                   l2=l2)
+        collector = SpanCollector()
+        tracer = Tracer(sample=1.0, sink=collector.add)
+        with activate_tracer(tracer), tracer.start_span("root", root=True):
+            optimize(load("bs"), config, timing, options=options)
+        traced = {s["name"][len("pipeline."):] for s in collector.drain()
+                  if s["name"].startswith("pipeline.")}
+        assert set(profile) == traced
+        assert ("refine" in traced) == bool(flags)

@@ -23,7 +23,7 @@ from repro.experiments.cache import (
     result_to_dict,
     usecase_key,
 )
-from repro.experiments.metrics import SweepMetrics
+from repro.experiments.metrics import SOURCE_MEMORY, SweepMetrics
 from repro.experiments.sweep import (
     SweepSpec,
     resolve_workers,
@@ -205,6 +205,27 @@ class TestDiskCache:
         assert metrics_warm.computed == 0
         # bit-exact: every float, count and nested report field agrees
         assert _dicts(second) == _dicts(first) == _dicts(serial_results)
+
+    def test_cache_hits_count_no_pipeline_work(self, tmp_path,
+                                               serial_results):
+        cold, warm = SweepMetrics(), SweepMetrics()
+        results = run_sweep(TINY_SPEC, use_cache=False, workers=1,
+                            cache_dir=tmp_path, metrics=cold)
+        run_sweep(TINY_SPEC, use_cache=False, workers=1,
+                  cache_dir=tmp_path, metrics=warm)
+        expected = {}
+        for result in results:
+            for name, value in result.report.pipeline.items():
+                expected[name] = expected.get(name, 0) + value
+        assert cold.pipeline_totals() == expected
+        assert "\npipeline: " in cold.summary()
+        assert warm.disk_hits == TINY_SPEC.size
+        assert warm.pipeline_totals() == {}
+        assert "pipeline:" not in warm.summary()
+        memory = SweepMetrics().record(
+            results[0].usecase, serial_results[0], SOURCE_MEMORY
+        )
+        assert memory.pipeline == {}
 
     def test_serializer_round_trip(self, serial_results):
         result = serial_results[0]
