@@ -11,14 +11,19 @@ Two figures gate the observability layer's "near zero when off" claim:
   path, measured over a tight loop.  This is the only cost untraced
   runs pay at each instrumentation point.
 * ``overhead_pct`` — wall-clock penalty of fully-sampled tracing on
-  ``optimize``.  ``--check`` gates on it (default limit 25%); the
-  tracing-disabled regression is guarded separately by perfbench's
-  same-machine parent-vs-change rule on the untraced workloads.
+  ``optimize``: the median over ``--pairs`` off/on pairs of the
+  per-pair on/off time ratio, after one untimed warm-up run.  The mode
+  that runs first alternates from pair to pair, so drift between the
+  two runs of a pair (other tenants, clock changes) favours neither
+  mode, and one slow sample moves the median by at most one rank.
+  ``--check`` gates on it (default limit 25%); the tracing-disabled
+  regression is guarded separately by perfbench's same-machine
+  parent-vs-change rule on the untraced workloads.
 
 Usage::
 
     python benchmarks/bench_obs_overhead.py
-        [--output BENCH_obs_overhead.json] [--budget 60] [--repeats 3]
+        [--output BENCH_obs_overhead.json] [--budget 60] [--pairs 9]
         [--limit-pct 25] [--check]
 """
 
@@ -27,9 +32,10 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
-from typing import Any, Dict
+from typing import Any, Dict, Tuple
 
 from repro.bench.registry import load
 from repro.cache.config import TABLE2
@@ -64,29 +70,39 @@ def bench_noop_dispatch() -> float:
     return elapsed / NOOP_CALLS * 1e9
 
 
-def bench_modes(budget: int, repeats: int) -> Dict[str, Any]:
-    """Best-of-N optimize wall time, tracing off vs fully sampled."""
+def _run_traced(budget: int) -> Tuple[float, int]:
+    """One optimize under a fully sampled tracer: (seconds, spans)."""
+    collector = SpanCollector(limit=100_000)
+    tracer = Tracer(service="bench", sample=1.0, sink=collector.add)
+    with activate_tracer(tracer), tracer.start_span(
+        "bench.optimize", root=True
+    ):
+        elapsed = _run_optimize(budget)
+    return elapsed, len(collector.drain())
+
+
+def bench_modes(budget: int, pairs: int) -> Dict[str, Any]:
+    """Median per-pair optimize wall-time ratio, tracing on vs off."""
+    _run_optimize(budget)  # untimed warm-up
     off_s = []
     on_s = []
     spans_recorded = 0
-    # Interleave the modes so drift (thermal, other tenants) hits both.
-    for _ in range(repeats):
-        off_s.append(_run_optimize(budget))
+    for pair in range(pairs):
+        # Even pairs run tracing off first, odd pairs on first.
+        for traced in (pair % 2 == 1, pair % 2 == 0):
+            if traced:
+                elapsed, spans = _run_traced(budget)
+                on_s.append(elapsed)
+                spans_recorded = max(spans_recorded, spans)
+            else:
+                off_s.append(_run_optimize(budget))
 
-        collector = SpanCollector(limit=100_000)
-        tracer = Tracer(service="bench", sample=1.0, sink=collector.add)
-        with activate_tracer(tracer), tracer.start_span(
-            "bench.optimize", root=True
-        ):
-            on_s.append(_run_optimize(budget))
-        spans_recorded = max(spans_recorded, len(collector.drain()))
-
-    best_off = min(off_s)
-    best_on = min(on_s)
+    ratios = [on / off for on, off in zip(on_s, off_s)]
     return {
-        "off_s": round(best_off, 4),
-        "on_s": round(best_on, 4),
-        "overhead_pct": round((best_on - best_off) / best_off * 100.0, 2),
+        "off_s": round(statistics.median(off_s), 4),
+        "on_s": round(statistics.median(on_s), 4),
+        "overhead_pct": round((statistics.median(ratios) - 1.0) * 100.0, 2),
+        "pair_overhead_pct": [round((r - 1.0) * 100.0, 2) for r in ratios],
         "spans_recorded": spans_recorded,
     }
 
@@ -95,13 +111,18 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--output", default="BENCH_obs_overhead.json")
     parser.add_argument("--budget", type=int, default=BUDGET)
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--pairs", type=int, default=9,
+        help="timed off/on optimize pairs (the gate takes their median)",
+    )
     parser.add_argument(
         "--limit-pct", type=float, default=25.0,
         help="--check fails if fully-sampled overhead exceeds this",
     )
     parser.add_argument("--check", action="store_true")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
 
     print(f"timing no-op span dispatch ({NOOP_CALLS} calls)...",
           file=sys.stderr)
@@ -109,14 +130,14 @@ def main(argv=None) -> int:
     print(f"  {noop_ns:.0f} ns/call", file=sys.stderr)
 
     print(f"benchmarking optimize on {PROGRAM} ({CONFIG_ID}/{TECH}, "
-          f"budget {args.budget}, {args.repeats} repeats)...",
+          f"budget {args.budget}, {args.pairs} off/on pairs)...",
           file=sys.stderr)
-    modes = bench_modes(args.budget, args.repeats)
+    modes = bench_modes(args.budget, args.pairs)
     print(
         f"  tracing off {modes['off_s']:.3f}s, "
-        f"on {modes['on_s']:.3f}s "
-        f"({modes['overhead_pct']:+.1f}%, "
-        f"{modes['spans_recorded']} spans)",
+        f"on {modes['on_s']:.3f}s (medians); "
+        f"median pair {modes['overhead_pct']:+.1f}%, "
+        f"{modes['spans_recorded']} spans",
         file=sys.stderr,
     )
 
@@ -126,7 +147,7 @@ def main(argv=None) -> int:
         "config": CONFIG_ID,
         "tech": TECH,
         "budget": args.budget,
-        "repeats": args.repeats,
+        "pairs": args.pairs,
         "noop_ns_per_call": round(noop_ns, 1),
         "python": platform.python_version(),
         "machine": platform.machine(),

@@ -33,7 +33,6 @@ from repro.cache.kernel import (
     KernelSchedule,
     SegmentMemo,
     classify_references_dense,
-    propagate_kernel,
     propagate_kernel_batch,
     resolve_kernel,
     row_to_state,
@@ -74,7 +73,6 @@ __all__ = [
     "configs_with_capacity",
     "join_all",
     "propagate",
-    "propagate_kernel",
     "propagate_kernel_batch",
     "resolve_kernel",
     "row_to_state",

@@ -5,10 +5,10 @@ The pure-python must/may/persistence domains of
 one cache set as per-age block sets.  That representation is the
 *oracle*: verified against the concrete LRU semantics by
 ``tests/test_cache_differential.py`` and deliberately written for
-auditability, not speed.  This module is the fast path: the same
-domains re-implemented over **dense age vectors**, selected with
-``REPRO_CACHE_KERNEL=vectorized`` (or ``--kernel``/pipeline options) and
-proven bit-identical to the oracle by the differential test layer.
+auditability, not speed.  This module is the fast path and the default
+kernel (``REPRO_CACHE_KERNEL=python`` or ``--kernel python`` selects the
+oracle instead): the same domains over **dense age vectors**, proven
+bit-identical to the oracle by the differential test layer.
 
 Representation
 --------------
@@ -18,44 +18,39 @@ A state is an ``int8`` vector over a contiguous *block universe*
 of memory block ``base_block + c``:
 
 * **must / may** — ages ``0 .. assoc-1``; the value ``assoc`` means
-  *absent*.  With that encoding the classical domain operations become
-  single array expressions:
-
-  - LRU update on an access to column ``j``: every block in ``j``'s
-    cache set with age ``< row[j]`` ages by one, then ``row[j] = 0``.
-    A miss (``row[j] == assoc``) ages every present block and pushes
-    age ``assoc-1`` blocks to ``assoc`` — i.e. out of the state —
-    with no special case.
-  - must join = ``np.maximum`` (intersection of contents, maximal age:
-    *absent* is the additive top), may join = ``np.minimum`` (union,
-    minimal age).
-
+  *absent*, so a miss ages every present block and pushes age
+  ``assoc-1`` blocks out of the state with no special case.  Must joins
+  by ``np.maximum`` (intersection of contents, maximal age: *absent* is
+  the additive top), may by ``np.minimum`` (union, minimal age).
 * **persistence** — ages ``0 .. assoc`` with ``assoc`` the sticky
   evicted-⊤ and ``-1`` for ⊥ (never loaded).  Join = ``np.maximum``
   (⊥ loses against any real bound, exactly the oracle's
   present-in-one-side rule).
 
-Because a cache set's columns are exactly ``c ≡ block (mod num_sets)``,
-the set of an access is a *strided view* — no gather, no index arrays.
-All primitives accept whole batches (any leading shape): one call
-updates or joins every state of a batch of VIVU contexts at once.
+The domains of one analysis are stacked into a ``(depth × width)``
+batch in :data:`BATCH_ORDER`.  Two functions are the whole dense
+transfer: :func:`replay_segment` applies an access plan (one LRU
+formula serves all three domains) and :func:`join_rows` joins a
+predecessor's batch.  Because a cache set's columns are exactly
+``c ≡ block (mod num_sets)``, the set of an access is a *strided view*
+— no gather, no index arrays.
 
 Fixpoint
 --------
 
-:func:`propagate_kernel` replays :func:`repro.cache.classify.propagate`
+:func:`propagate_kernel_batch` replays :func:`repro.cache.classify.propagate`
 on a :class:`KernelSchedule` — the ACFG compiled into maximal
 single-entry chain *segments* (a basic-block instance is one chain, and
 chains extend through straight-line control flow).  Per sweep a segment
-is one unit of work: its in-state row is joined from its predecessors,
-then either looked up in a content-keyed **segment memo** (the whole
-``(k × width)`` in/out matrices of the chain come back as one memcpy)
-or replayed with the dense primitives.  Convergence uses the same
-monotone-fixpoint argument as the oracle: both iterate the identical
-transfer equations from the identical initial state, so they converge
-to the identical least fixpoint, state for state.
+is one unit of work: its in-state batch is joined from its
+predecessors, then either looked up in a content-keyed **segment memo**
+(the whole ``(k × depth × width)`` out matrix of the chain comes back
+as one memcpy) or replayed.  Convergence uses the same monotone-fixpoint
+argument as the oracle: both iterate the identical transfer equations
+from the identical initial state, so they converge to the identical
+least fixpoint, state for state.
 
-The result is a :class:`DenseDataflowResult` — a drop-in
+The result is one :class:`DenseDataflowResult` per domain — a drop-in
 :class:`~repro.cache.classify.DataflowResult` whose per-vertex states
 materialize lazily into ordinary oracle states (so every downstream
 consumer, and the hash-consing interner, sees values indistinguishable
@@ -83,9 +78,6 @@ KERNEL_ENV = "REPRO_CACHE_KERNEL"
 
 #: Supported kernel names.
 KERNELS = ("python", "vectorized")
-
-#: Dense domain names (must match the pipeline's domain keys).
-DOMAINS = ("must", "may", "persistence")
 
 
 def resolve_kernel(kernel: Optional[str] = None) -> str:
@@ -164,118 +156,6 @@ class BlockUniverse:
         lo = int(blocks.min())
         hi = int(blocks.max())
         return cls(config, lo, hi - lo + 1 + max(headroom, 0))
-
-
-# ----------------------------------------------------------------------
-# batched domain primitives
-# ----------------------------------------------------------------------
-# All primitives operate in place on ``rows`` — an int8 array whose last
-# axis is the universe width; any leading batch shape is allowed, so one
-# call transforms a whole batch of states (e.g. every VIVU context of a
-# block) at once.
-
-def lru_update(rows: np.ndarray, col: int, num_sets: int) -> None:
-    """Must/may LRU update for an access to column ``col`` (in place).
-
-    Blocks of the accessed set younger than the accessed block age by
-    one; the accessed block becomes age 0.  With absent encoded as
-    ``assoc`` this covers hit, miss and eviction uniformly.
-    """
-    sub = rows[..., col % num_sets::num_sets]
-    h = rows[..., col:col + 1]
-    np.add(sub, sub < h, out=sub)
-    rows[..., col] = 0
-
-
-def must_join(a: np.ndarray, b: np.ndarray,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Must join: intersection of contents, maximal ages."""
-    return np.maximum(a, b, out=out)
-
-
-def may_join(a: np.ndarray, b: np.ndarray,
-             out: Optional[np.ndarray] = None) -> np.ndarray:
-    """May join: union of contents, minimal ages."""
-    return np.minimum(a, b, out=out)
-
-
-def must_unknown(rows: np.ndarray, associativity: int) -> None:
-    """Must transfer for a statically-unknown access (in place): the
-    guaranteed contents of *every* set age by one position."""
-    np.add(rows, rows < associativity, out=rows)
-
-
-def may_unknown(rows: np.ndarray) -> None:
-    """May transfer for an unknown access: the identity (aging a lower
-    bound could wrongly prove an always-miss)."""
-
-
-def persistence_update(rows: np.ndarray, col: int, num_sets: int,
-                       top: int) -> None:
-    """Persistence update (in place): LRU aging with sticky ⊤.
-
-    ⊥ (-1) blocks never age — absence means "never loaded", which an
-    access to another block cannot endanger — and an absent accessed
-    block behaves like the oldest (ages everything below ⊤).
-    """
-    sub = rows[..., col % num_sets::num_sets]
-    h = rows[..., col:col + 1]
-    h_eff = np.where(h < 0, np.int8(top), h)
-    np.add(sub, (sub >= 0) & (sub < h_eff), out=sub)
-    rows[..., col] = 0
-
-
-def persistence_join(a: np.ndarray, b: np.ndarray,
-                     out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Persistence join: pointwise maximal age bound, ⊥ (-1) losing
-    against any real bound."""
-    return np.maximum(a, b, out=out)
-
-
-def persistence_unknown(rows: np.ndarray, top: int) -> None:
-    """Persistence transfer for an unknown access (in place): every
-    tracked block's bound grows by one, saturating at the sticky ⊤."""
-    np.add(rows, (rows >= 0) & (rows < top), out=rows)
-
-
-class DenseDomain:
-    """One abstract domain's dense encoding: initial value, join,
-    update and unknown-access transfer over int8 rows."""
-
-    __slots__ = ("name", "config", "initial_value", "join")
-
-    def __init__(self, name: str, config: CacheConfig):
-        if name not in DOMAINS:
-            raise AnalysisError(f"unknown abstract domain {name!r}")
-        self.name = name
-        self.config = config
-        assoc = config.associativity
-        if name == "persistence":
-            self.initial_value = -1
-            self.join = persistence_join
-        else:
-            self.initial_value = assoc
-            self.join = must_join if name == "must" else may_join
-
-    def initial_row(self, width: int) -> np.ndarray:
-        """The all-⊥ (must/may: all-absent) state as a dense row."""
-        return np.full(width, self.initial_value, dtype=np.int8)
-
-    def update(self, rows: np.ndarray, col: int) -> None:
-        """Apply one access (in place, batched)."""
-        if self.name == "persistence":
-            persistence_update(rows, col, self.config.num_sets,
-                               self.config.associativity)
-        else:
-            lru_update(rows, col, self.config.num_sets)
-
-    def unknown(self, rows: np.ndarray) -> None:
-        """Apply one statically-unknown access (in place, batched)."""
-        if self.name == "must":
-            must_unknown(rows, self.config.associativity)
-        elif self.name == "persistence":
-            persistence_unknown(rows, self.config.associativity)
-        # may: identity
 
 
 # ----------------------------------------------------------------------
@@ -614,49 +494,38 @@ class SegmentMemo:
     the segment identity.  A row-count cap bounds memory; overflow
     clears the table (correctness never depends on residency).
 
-    ``stats`` may be any object with integer ``kernel_segment_hits`` /
+    ``stats`` is any object with integer ``kernel_segment_hits`` /
     ``kernel_segment_misses`` / ``invalidations`` attributes (the
-    pipeline's :class:`~repro.analysis.pipeline.PipelineStats`); counts
-    are mirrored into it.
+    pipeline's :class:`~repro.analysis.pipeline.PipelineStats`); the
+    memo counts its lookups and overflow clears there.
     """
 
-    __slots__ = ("max_rows", "rows", "hits", "misses", "clears", "stats",
-                 "_table")
+    __slots__ = ("max_rows", "rows", "stats", "_table")
 
-    def __init__(self, max_rows: int = 400_000, stats=None):
+    def __init__(self, stats, max_rows: int = 400_000):
         self.max_rows = max_rows
         self.rows = 0
-        self.hits = 0
-        self.misses = 0
-        self.clears = 0
         self.stats = stats
         self._table: Dict[Tuple[tuple, int, bytes], np.ndarray] = {}
 
     def get(self, key: Tuple[tuple, int, bytes]):
         found = self._table.get(key)
         if found is not None:
-            self.hits += 1
-            if self.stats is not None:
-                self.stats.kernel_segment_hits += 1
+            self.stats.kernel_segment_hits += 1
         return found
 
     def put(self, key: Tuple[tuple, int, bytes],
             seg_out: np.ndarray) -> None:
-        self.misses += 1
-        if self.stats is not None:
-            self.stats.kernel_segment_misses += 1
+        self.stats.kernel_segment_misses += 1
         self._table[key] = seg_out
         # Count dense rows (vertices × domains), not entries, so the cap
         # tracks actual memory.
         self.rows += seg_out.size // (seg_out.shape[-1] or 1)
         if self.rows > self.max_rows:
             self.clear()
-            if self.stats is not None:
-                self.stats.invalidations += 1
+            self.stats.invalidations += 1
 
     def clear(self) -> None:
-        if self._table:
-            self.clears += 1
         self._table.clear()
         self.rows = 0
 
@@ -730,9 +599,53 @@ class DenseDataflowResult(DataflowResult):
 MAX_SWEEPS = 64
 
 #: Canonical stacking order of a batched run.  Max-join domains (must,
-#: persistence) come first so joins and unknown-access transfers apply
-#: to contiguous row slices; may (min-join, identity unknown) is last.
+#: persistence) come first so their joins apply to one contiguous row
+#: slice; may (min-join) is last.
 BATCH_ORDER = ("must", "persistence", "may")
+
+
+def replay_segment(cur: np.ndarray, ops, out: np.ndarray,
+                   num_sets: int, top: int) -> None:
+    """Replay a segment's access plan on a stacked state batch.
+
+    ``cur`` is the ``(depth × width)`` in-state, updated in place to the
+    segment's out-state; ``ops`` is a :attr:`SegmentStep.ops` plan of
+    ``(offset, column, set)`` triples and ``out`` the ``(k × depth ×
+    width)`` matrix receiving every vertex's out-state (rows of
+    vertices without an access repeat the state of the last access
+    before them).  ``top`` is the associativity.
+
+    The LRU access update is the *same formula* for all three domains —
+    on the uint8 reinterpretation of the ages,
+    ``sub += (sub < h) & (sub < top)`` over the accessed set's columns,
+    with ``h`` the accessed block's stored age, then ``h = 0``.
+    Persistence ⊥ (-1) reads as 255: as ``h`` it bounds nothing beyond
+    the ``< top`` conjunct (⊥ behaves as the oldest line), as an aged
+    entry it fails ``< top`` and stays ⊥.  Must/may rows are never
+    negative and an absent block already carries the aging bound
+    ``assoc``, so the formula degrades to the plain LRU update there.
+    """
+    curu = cur.view(np.uint8)
+    topu = np.uint8(top)
+    filled = 0
+    for k, col, set_index in ops:
+        if k > filled:
+            out[filled:k] = cur
+            filled = k
+        sub = curu[:, set_index::num_sets]
+        # (sub < h) & (sub < top) in one comparison
+        np.add(sub, sub < np.minimum(curu[:, col:col + 1], topu), out=sub)
+        curu[:, col] = 0
+    out[filled:] = cur
+
+
+def join_rows(cur: np.ndarray, other: np.ndarray, num_max: int) -> None:
+    """Join the state batch ``other`` into ``cur`` (in place): the first
+    ``num_max`` rows (must, persistence) by ``np.maximum``, the rest
+    (may) by ``np.minimum``."""
+    np.maximum(cur[:num_max], other[:num_max], out=cur[:num_max])
+    if num_max < len(cur):
+        np.minimum(cur[num_max:], other[num_max:], out=cur[num_max:])
 
 
 def propagate_kernel_batch(
@@ -746,20 +659,9 @@ def propagate_kernel_batch(
     The dense counterpart of :func:`repro.cache.classify.propagate`,
     batched: one topological walk carries a stacked ``(domains ×
     width)`` state, so every join, access and memo probe is paid once
-    for the whole batch instead of once per domain.  The batching is
-    exact because the three domains share one transfer shape:
-
-    * the LRU access update is the *same formula* for all of them —
-      on the uint8 reinterpretation of the age matrix,
-      ``sub += (sub < h) & (sub < top)`` with ``h`` the accessed block's
-      stored age.  Persistence ⊥ (-1) reads as 255: as ``h`` it bounds
-      nothing beyond the ``< top`` conjunct (⊥ behaves as the oldest
-      line), as an aged entry it fails ``< top`` and stays ⊥.  Must/may
-      rows are never negative and an absent block already carries the
-      aging bound ``assoc``, so the formula degrades to the plain LRU
-      update there;
-    * must and persistence both join by ``np.maximum``; may joins by
-      ``np.minimum`` on its own row slice.
+    for the whole batch instead of once per domain.  A segment's
+    in-state is joined with :func:`join_rows` and, on a memo miss,
+    replayed with :func:`replay_segment` — the only dense transfer code.
 
     Transfer equations and initial states match the python kernel's, so
     the converged least fixpoint is identical state for state (the
@@ -786,11 +688,6 @@ def propagate_kernel_batch(
     depth = len(order)
     num_max = depth - (1 if "may" in order else 0)
     assoc = config.associativity
-    # The update runs on a uint8 view: persistence ⊥ (-1) reads as 255,
-    # which loses every `< h` comparison exactly as ⊥ should, and the
-    # `< top` conjunct reproduces the ⊥-as-oldest aging bound (see
-    # docstring above).
-    topu = np.uint8(assoc)
     num_sets = config.num_sets
     n = len(schedule.acfg.vertices)
     width = universe.width
@@ -838,7 +735,6 @@ def propagate_kernel_batch(
         changed[index] = False
 
     source = schedule.source
-    has_may = num_max < depth
 
     for sweep in range(1, MAX_SWEEPS + 1):
         any_changed = False
@@ -870,14 +766,7 @@ def propagate_kernel_batch(
                     continue  # unreachable this sweep (back edge pending)
                 cur = dense_out[contributions[0]].copy()
                 for extra in contributions[1:]:
-                    other = dense_out[extra]
-                    np.maximum(
-                        cur[:num_max], other[:num_max], out=cur[:num_max]
-                    )
-                    if has_may:
-                        np.minimum(
-                            cur[num_max:], other[num_max:], out=cur[num_max:]
-                        )
+                    join_rows(cur, dense_out[extra], num_max)
             in_bytes = cur.tobytes()
             if last_in[index] == in_bytes:
                 changed[index] = False
@@ -894,22 +783,7 @@ def propagate_kernel_batch(
             else:
                 dense_in[start] = cur
                 seg_out = dense_out[start:end]
-                curu = cur.view(np.uint8)
-                # Rows of vertices without an access repeat the state
-                # of the last access before them.
-                filled = 0
-                for k, col, set_index in step.ops:
-                    if k > filled:
-                        seg_out[filled:k] = cur
-                        filled = k
-                    sub = curu[:, set_index::num_sets]
-                    # (sub < h) & (sub < top) in one comparison
-                    np.add(
-                        sub, sub < np.minimum(curu[:, col:col + 1], topu),
-                        out=sub,
-                    )
-                    curu[:, col] = 0
-                seg_out[filled:] = cur
+                replay_segment(cur, step.ops, seg_out, num_sets, assoc)
                 if end - start > 1:
                     dense_in[start + 1:end] = seg_out[:-1]
                 if memo is not None:
@@ -933,23 +807,6 @@ def propagate_kernel_batch(
         f"dense abstract interpretation did not converge within "
         f"{MAX_SWEEPS} sweeps"
     )
-
-
-def propagate_kernel(
-    schedule: KernelSchedule,
-    domain_name: str,
-    memo: Optional[SegmentMemo] = None,
-    warm: Optional[Tuple[int, "DenseDataflowResult"]] = None,
-) -> "DenseDataflowResult":
-    """Single-domain convenience wrapper of
-    :func:`propagate_kernel_batch` (``warm`` takes the one domain's base
-    result directly)."""
-    batch_warm = None
-    if warm is not None:
-        batch_warm = (warm[0], {domain_name: warm[1]})
-    return propagate_kernel_batch(
-        schedule, (domain_name,), memo=memo, warm=batch_warm
-    )[domain_name]
 
 
 # ----------------------------------------------------------------------

@@ -37,6 +37,7 @@ from repro.analysis.timing import TimingModel
 from repro.analysis.wcet import WCETResult, prefetch_lambda
 from repro.cache.classify import Classification
 from repro.cache.config import CacheConfig, parse_l2_spec
+from repro.cache.kernel import KERNELS
 from repro.core.profit import ProfitTerms, estimate_profit, wraparound_slack
 from repro.core.relocation import (
     InsertionPoint,
@@ -140,9 +141,7 @@ class OptimizerOptions:
             raise OptimizationError(
                 f"unknown placement strategy {self.placement!r}"
             )
-        if self.kernel is not None and self.kernel not in (
-            "python", "vectorized"
-        ):
+        if self.kernel is not None and self.kernel not in KERNELS:
             raise OptimizationError(
                 f"unknown cache kernel {self.kernel!r}"
             )

@@ -242,21 +242,27 @@ class TestProgramLevelPropertyBased:
 
 
 # ----------------------------------------------------------------------
-# kernel vs oracle: the dense numpy kernel against the python domains
+# kernel vs oracle: the dense fixpoint's transfer against the python domains
 # ----------------------------------------------------------------------
-# The vectorized kernel (repro.cache.kernel) re-implements the three
-# abstract domains as in-place int8 age-vector transforms.  Its contract
-# is *bit-identity*, not mere soundness: every update/join must land on
-# exactly the state the python oracle produces, so the rest of this
-# section drives both implementations in lockstep and converts the dense
-# rows back through row_to_state after every step.
+# The vectorized kernel (repro.cache.kernel) runs the three abstract
+# domains as int8 age rows stacked into one batch, and its fixpoint has
+# exactly two pieces of transfer code: replay_segment (a segment's
+# accesses) and join_rows (a predecessor's join).  Their contract is
+# *bit-identity*, not mere soundness: every access and join must land on
+# exactly the state the python oracle produces, so this section drives
+# those two functions and the oracle in lockstep and converts every row
+# back through row_to_state after each access.  The dense kernel has no
+# unknown-access transfer; the oracle's is covered by
+# tests/test_data_analysis.py.
 
 import numpy as np
 
 from repro.cache.config import TABLE2
 from repro.cache.kernel import (
+    BATCH_ORDER,
     BlockUniverse,
-    DenseDomain,
+    join_rows,
+    replay_segment,
     row_to_state,
     state_to_row,
 )
@@ -275,76 +281,102 @@ FULL_GRID = tuple(TABLE2.values())
 TIER1_GRID = tuple(TABLE2[k] for k in ("k1", "k8", "k15", "k22", "k30", "k36"))
 
 #: Accessed block ids; wider than any grid config's num_blocks so every
-#: configuration sees evictions.  ``None`` marks a statically-unknown
-#: access.
+#: configuration sees evictions.
 BLOCK_SPAN = 48
 
-
-def _dual_universe(config):
-    return BlockUniverse(config, 0, BLOCK_SPAN)
+BLOCKS = st.integers(min_value=0, max_value=BLOCK_SPAN - 1)
 
 
-def _apply_oracle(state, block):
-    return state.unknown_access() if block is None else state.update(block)
+def _num_max(order):
+    """Leading rows the fixpoint joins by max: every domain but may,
+    which :data:`BATCH_ORDER` stacks last."""
+    return sum(name != "may" for name in order)
 
 
-def _apply_dense(dom, universe, row, block):
-    if block is None:
-        dom.unknown(row)
-    else:
-        dom.update(row, universe.column(block))
+def _dual_start(config, order):
+    """Initial oracle states and their stacked dense batch."""
+    universe = BlockUniverse(config, 0, BLOCK_SPAN)
+    states = [DOMAIN_ORACLES[name](config) for name in order]
+    batch = np.stack([state_to_row(state, universe) for state in states])
+    return states, batch, universe
+
+
+def _assert_rows_match(order, batch, states, universe, context=""):
+    """Every row decodes to its domain's state and re-encodes to itself."""
+    for name, row, state in zip(order, batch, states):
+        assert row_to_state(name, row, universe) == state, (
+            f"{name} diverged {context}on {universe.config.label()}"
+        )
+        assert state_to_row(state, universe).tobytes() == row.tobytes()
+
+
+def _replay_lockstep(order, states, batch, universe, blocks):
+    """Replay ``blocks`` on ``batch`` (in place) as one segment and on
+    the oracle states; assert bit-identity after every access.
+
+    Each access sits on its own vertex followed by an access-free one,
+    so the replay's fill of rows without an access is checked too.
+    """
+    config = universe.config
+    ops = tuple(
+        (2 * i, universe.column(block), universe.column(block) % config.num_sets)
+        for i, block in enumerate(blocks)
+    )
+    out = np.empty((2 * len(blocks),) + batch.shape, dtype=np.int8)
+    replay_segment(batch, ops, out, config.num_sets, config.associativity)
+    for step, block in enumerate(blocks):
+        states = [state.update(block) for state in states]
+        _assert_rows_match(order, out[2 * step], states, universe,
+                           f"at step {step} (access {block}) ")
+        assert out[2 * step + 1].tobytes() == out[2 * step].tobytes()
+    _assert_rows_match(order, batch, states, universe, "after the segment ")
+    return states
+
+
+def _joined(order, batch_a, batch_b):
+    """``join_rows`` of two batches, leaving both operands intact."""
+    joined = batch_a.copy()
+    join_rows(joined, batch_b, _num_max(order))
+    return joined
 
 
 def _run_dual_sequence(config, domain, sequence):
-    """Drive oracle and dense kernel in lockstep; assert bit-identity
-    after every access (both decode and encode directions)."""
-    universe = _dual_universe(config)
-    state = DOMAIN_ORACLES[domain](config)
-    dom = DenseDomain(domain, config)
-    row = dom.initial_row(universe.width)
-    assert state_to_row(state, universe).tobytes() == row.tobytes()
-    for step, block in enumerate(sequence):
-        state = _apply_oracle(state, block)
-        _apply_dense(dom, universe, row, block)
-        assert row_to_state(domain, row, universe) == state, (
-            f"{domain} diverged at step {step} (access {block!r}) on "
-            f"{config.label()}"
-        )
-        assert state_to_row(state, universe).tobytes() == row.tobytes()
-    return state, row, universe
+    """Drive oracle and dense replay in lockstep on a one-row batch;
+    assert bit-identity after every access (both decode and encode
+    directions)."""
+    order = (domain,)
+    states, batch, universe = _dual_start(config, order)
+    _assert_rows_match(order, batch, states, universe, "initially ")
+    _replay_lockstep(order, states, batch, universe, sequence)
 
 
 def _dual_states(config, domain, sequence):
-    universe = _dual_universe(config)
-    state = DOMAIN_ORACLES[domain](config)
-    dom = DenseDomain(domain, config)
-    row = dom.initial_row(universe.width)
-    for block in sequence:
-        state = _apply_oracle(state, block)
-        _apply_dense(dom, universe, row, block)
-    return state, row, universe, dom
+    order = (domain,)
+    states, batch, universe = _dual_start(config, order)
+    (state,) = _replay_lockstep(order, states, batch, universe, sequence)
+    return state, batch, universe
 
 
 def _assert_joins_agree(config, domain, seq_a, seq_b):
     """Joins agree across kernels, commute, and are extensive upper
     bounds in the domain order (monotonicity of the lattice join)."""
-    state_a, row_a, universe, dom = _dual_states(config, domain, seq_a)
-    state_b, row_b, _, _ = _dual_states(config, domain, seq_b)
+    order = (domain,)
+    state_a, row_a, universe = _dual_states(config, domain, seq_a)
+    state_b, row_b, _ = _dual_states(config, domain, seq_b)
 
     joined = state_a.join(state_b)
-    joined_row = dom.join(row_a.copy(), row_b)
+    joined_row = _joined(order, row_a, row_b)
 
     # cross-kernel bit-identity of the join itself
-    assert row_to_state(domain, joined_row, universe) == joined
-    assert state_to_row(joined, universe).tobytes() == joined_row.tobytes()
+    _assert_rows_match(order, joined_row, [joined], universe, "at the join ")
 
     # commutativity, in both kernels
     assert state_b.join(state_a) == joined
-    assert dom.join(row_b.copy(), row_a).tobytes() == joined_row.tobytes()
+    assert _joined(order, row_b, row_a).tobytes() == joined_row.tobytes()
 
     # idempotence, in both kernels
     assert state_a.join(state_a) == state_a
-    assert dom.join(row_a.copy(), row_a).tobytes() == row_a.tobytes()
+    assert _joined(order, row_a, row_a).tobytes() == row_a.tobytes()
 
     # the join is an upper bound of both operands (ages only grow for
     # the max-join domains, only shrink for may) — dense rows make the
@@ -356,15 +388,28 @@ def _assert_joins_agree(config, domain, seq_a, seq_b):
 
     # joining again with either operand changes nothing (absorption)
     assert joined.join(state_a) == joined
-    assert dom.join(joined_row.copy(), row_a).tobytes() == joined_row.tobytes()
+    assert _joined(order, joined_row, row_a).tobytes() == joined_row.tobytes()
+
+
+def _run_branch(config, order, prefix, seq_a, seq_b, suffix):
+    """Branch-shaped flow on a stacked batch: prefix, two arms,
+    ``join_rows``, suffix — lockstep with the oracle at every access
+    and at the join."""
+    states, batch, universe = _dual_start(config, order)
+    states = _replay_lockstep(order, states, batch, universe, prefix)
+    arm_b = batch.copy()
+    states_a = _replay_lockstep(order, states, batch, universe, seq_a)
+    states_b = _replay_lockstep(order, states, arm_b, universe, seq_b)
+    join_rows(batch, arm_b, _num_max(order))
+    states = [a.join(b) for a, b in zip(states_a, states_b)]
+    _assert_rows_match(order, batch, states, universe, "at the join ")
+    _replay_lockstep(order, states, batch, universe, suffix)
 
 
 def _deterministic_sequences(config):
     thrash = [b % BLOCK_SPAN for b in range(3 * config.num_blocks)] * 2
     working = list(range(config.associativity + 1)) * 5
     mixed = [(7 * i) % BLOCK_SPAN for i in range(40)]
-    mixed[9] = None   # exercise the unknown-access transfer
-    mixed[23] = None
     return (thrash, working, mixed)
 
 
@@ -384,6 +429,19 @@ class TestKernelVsOracleDeterministic:
         seq_b = [(11 * i + 3) % BLOCK_SPAN for i in range(18)]
         _assert_joins_agree(config, domain, seq_a, seq_b)
 
+    @pytest.mark.parametrize("config", TIER1_GRID, ids=lambda c: c.label())
+    def test_stacked_batch_bit_identical(self, config):
+        """The layout the fixpoint runs: must, persistence and may
+        stacked in BATCH_ORDER (two max-joined rows, then may)."""
+        assert _num_max(BATCH_ORDER) == 2
+        _run_branch(
+            config, BATCH_ORDER,
+            prefix=[(3 * i) % BLOCK_SPAN for i in range(20)],
+            seq_a=[(5 * i + 1) % BLOCK_SPAN for i in range(12)],
+            seq_b=[(11 * i + 2) % BLOCK_SPAN for i in range(9)],
+            suffix=[(7 * i) % BLOCK_SPAN for i in range(15)],
+        )
+
 
 @pytest.mark.slow
 class TestKernelVsOraclePropertyBased:
@@ -393,13 +451,7 @@ class TestKernelVsOraclePropertyBased:
     @given(
         config=st.sampled_from(FULL_GRID),
         domain=st.sampled_from(DOMAINS),
-        sequence=st.lists(
-            st.one_of(
-                st.integers(min_value=0, max_value=BLOCK_SPAN - 1),
-                st.none(),
-            ),
-            max_size=50,
-        ),
+        sequence=st.lists(BLOCKS, max_size=50),
     )
     def test_random_sequences_bit_identical(self, config, domain, sequence):
         _run_dual_sequence(config, domain, sequence)
@@ -408,8 +460,8 @@ class TestKernelVsOraclePropertyBased:
     @given(
         config=st.sampled_from(FULL_GRID),
         domain=st.sampled_from(DOMAINS),
-        seq_a=st.lists(st.integers(0, BLOCK_SPAN - 1), max_size=30),
-        seq_b=st.lists(st.integers(0, BLOCK_SPAN - 1), max_size=30),
+        seq_a=st.lists(BLOCKS, max_size=30),
+        seq_b=st.lists(BLOCKS, max_size=30),
     )
     def test_joins_agree_on_random_states(self, config, domain, seq_a, seq_b):
         _assert_joins_agree(config, domain, seq_a, seq_b)
@@ -418,25 +470,27 @@ class TestKernelVsOraclePropertyBased:
     @given(
         config=st.sampled_from(FULL_GRID),
         domain=st.sampled_from(DOMAINS),
-        prefix=st.lists(st.integers(0, BLOCK_SPAN - 1), max_size=20),
-        seq_a=st.lists(st.integers(0, BLOCK_SPAN - 1), max_size=15),
-        seq_b=st.lists(st.integers(0, BLOCK_SPAN - 1), max_size=15),
-        suffix=st.lists(st.integers(0, BLOCK_SPAN - 1), max_size=15),
+        prefix=st.lists(BLOCKS, max_size=20),
+        seq_a=st.lists(BLOCKS, max_size=15),
+        seq_b=st.lists(BLOCKS, max_size=15),
+        suffix=st.lists(BLOCKS, max_size=15),
     )
     def test_join_then_update_bit_identical(
         self, config, domain, prefix, seq_a, seq_b, suffix
     ):
         """Branch-shaped flows: updating a joined state stays lockstep —
         the composition the fixpoint engine exercises constantly."""
-        state_a, row_a, universe, dom = _dual_states(
-            config, domain, prefix + seq_a
-        )
-        state_b, row_b, _, _ = _dual_states(config, domain, prefix + seq_b)
-        state = state_a.join(state_b)
-        row = dom.join(row_a.copy(), row_b)
-        assert row_to_state(domain, row, universe) == state
-        for block in suffix:
-            state = _apply_oracle(state, block)
-            _apply_dense(dom, universe, row, block)
-            assert row_to_state(domain, row, universe) == state
-            assert state_to_row(state, universe).tobytes() == row.tobytes()
+        _run_branch(config, (domain,), prefix, seq_a, seq_b, suffix)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        config=st.sampled_from(FULL_GRID),
+        prefix=st.lists(BLOCKS, max_size=20),
+        seq_a=st.lists(BLOCKS, max_size=15),
+        seq_b=st.lists(BLOCKS, max_size=15),
+        suffix=st.lists(BLOCKS, max_size=15),
+    )
+    def test_stacked_branch_bit_identical(
+        self, config, prefix, seq_a, seq_b, suffix
+    ):
+        _run_branch(config, BATCH_ORDER, prefix, seq_a, seq_b, suffix)

@@ -106,21 +106,28 @@ class TestJoinCounterexample:
         assert not state.is_persistent(self.X)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: the dense kernel's persistence join/update "
-        "share the object domain's unsoundness (Cullmann, TECS 2013)"))
+        "ROADMAP item 1: the fixpoint's dense replay and join share the "
+        "object domain's unsoundness (Cullmann, TECS 2013)"))
     def test_dense_kernel_evicts_x(self):
         import numpy as np
 
-        from repro.cache.kernel import persistence_join, persistence_update
+        from repro.cache.kernel import join_rows, replay_segment
 
         top, num_sets = self.DIRECT.associativity, self.DIRECT.num_sets
-        x_path = np.full(8, -1, dtype=np.int8)
+
+        def access(batch, block):
+            out = np.empty((1,) + batch.shape, dtype=np.int8)
+            replay_segment(batch, ((0, block, block % num_sets),), out,
+                           num_sets, top)
+
+        # one-row persistence batches over blocks 0..7; ⊥ is -1
+        x_path = np.full((1, 8), -1, dtype=np.int8)
         y_path = x_path.copy()
-        persistence_update(x_path, self.X, num_sets, top)
-        persistence_update(y_path, self.Y, num_sets, top)
-        state = persistence_join(x_path, y_path)
-        persistence_update(state, self.Y, num_sets, top)
-        assert state[self.X] == top  # ⊤: not persistent
+        access(x_path, self.X)
+        access(y_path, self.Y)
+        join_rows(x_path, y_path, num_max=1)
+        access(x_path, self.Y)
+        assert x_path[0, self.X] == top  # ⊤: not persistent
 
 
 class TestSoundness:
