@@ -5,18 +5,25 @@ tracer activated (the production default: every span call returns the
 no-op singleton) and once under an activated, fully sampled tracer that
 collects into memory below a root span — and reports the relative cost.
 
-Two figures gate the observability layer's "near zero when off" claim:
+Three figures describe the observability layer's cost:
 
 * ``noop_ns`` — nanoseconds per ``start_span`` call on the disabled
   path, measured over a tight loop.  This is the only cost untraced
   runs pay at each instrumentation point.
+* ``span_us`` — microseconds per sampled ``aggregate=True`` span
+  (started, entered and ended into a collector under an activated
+  ``Tracer(sample=1.0)``): the median over ``SPAN_REPS`` loops of
+  ``SPAN_CALLS`` spans.  ``--check`` gates it on an absolute limit
+  (``SPAN_LIMIT_US``, 25 µs): unlike a relative share it does not
+  shrink on a slower host, and it does not need the few hundred spans
+  one ``optimize`` opens to add up to a visible slowdown.
 * ``overhead_pct`` — wall-clock penalty of fully-sampled tracing on
   ``optimize``: the median over ``--pairs`` off/on pairs of the
   per-pair on/off time ratio, after one untimed warm-up run.  The mode
   that runs first alternates from pair to pair, so drift between the
   two runs of a pair (other tenants, clock changes) favours neither
   mode, and one slow sample moves the median by at most one rank.
-  ``--check`` gates on it (default limit 25%); the tracing-disabled
+  ``--check`` also gates on it (default limit 25%); the tracing-disabled
   regression is guarded separately by perfbench's same-machine
   parent-vs-change rule on the untraced workloads.
 
@@ -42,13 +49,23 @@ from repro.cache.config import TABLE2
 from repro.core.optimizer import OptimizerOptions, optimize
 from repro.energy.cacti import cacti_model
 from repro.energy.technology import technology
-from repro.obs.trace import SpanCollector, Tracer, activate_tracer
+from repro.obs.trace import (
+    SpanCollector,
+    Tracer,
+    activate_tracer,
+    active_tracer,
+)
 
 PROGRAM = "ndes"
 CONFIG_ID = "k1"
 TECH = "45nm"
 BUDGET = 60
 NOOP_CALLS = 200_000
+SPAN_CALLS = 20_000
+SPAN_REPS = 7
+#: ``--check`` limit on ``span_us``: about 5x the 4.6 µs measured on a
+#: shared 2-vCPU x86_64 host (Python 3.11).
+SPAN_LIMIT_US = 25.0
 
 
 def _run_optimize(budget: int) -> float:
@@ -68,6 +85,27 @@ def bench_noop_dispatch() -> float:
         tracer.start_span("pipeline.fixpoint", aggregate=True)
     elapsed = time.perf_counter() - start
     return elapsed / NOOP_CALLS * 1e9
+
+
+def bench_span_cost() -> float:
+    """Median µs per sampled aggregate span, as a pipeline stage opens
+    one: through the activated tracer, below a sampled root span."""
+    per_span = []
+    for _ in range(SPAN_REPS):
+        collector = SpanCollector(limit=100_000)
+        tracer = Tracer(service="bench", sample=1.0, sink=collector.add)
+        with activate_tracer(tracer), tracer.start_span(
+            "bench.spans", root=True
+        ):
+            start = time.perf_counter()
+            for _ in range(SPAN_CALLS):
+                with active_tracer().start_span(
+                    "pipeline.fixpoint", aggregate=True
+                ):
+                    pass
+            elapsed = time.perf_counter() - start
+        per_span.append(elapsed / SPAN_CALLS * 1e6)
+    return statistics.median(per_span)
 
 
 def _run_traced(budget: int) -> Tuple[float, int]:
@@ -129,6 +167,11 @@ def main(argv=None) -> int:
     noop_ns = bench_noop_dispatch()
     print(f"  {noop_ns:.0f} ns/call", file=sys.stderr)
 
+    print(f"timing sampled aggregate spans ({SPAN_REPS} x {SPAN_CALLS})...",
+          file=sys.stderr)
+    span_us = bench_span_cost()
+    print(f"  {span_us:.2f} µs/span (median)", file=sys.stderr)
+
     print(f"benchmarking optimize on {PROGRAM} ({CONFIG_ID}/{TECH}, "
           f"budget {args.budget}, {args.pairs} off/on pairs)...",
           file=sys.stderr)
@@ -149,6 +192,7 @@ def main(argv=None) -> int:
         "budget": args.budget,
         "pairs": args.pairs,
         "noop_ns_per_call": round(noop_ns, 1),
+        "span_us": round(span_us, 2),
         "python": platform.python_version(),
         "machine": platform.machine(),
         **modes,
@@ -163,6 +207,10 @@ def main(argv=None) -> int:
         failures.append(
             f"sampled tracing overhead {modes['overhead_pct']}% "
             f"> {args.limit_pct}% limit"
+        )
+    if args.check and span_us > SPAN_LIMIT_US:
+        failures.append(
+            f"sampled span cost {span_us:.2f} µs > {SPAN_LIMIT_US} µs limit"
         )
     if args.check and modes["spans_recorded"] == 0:
         failures.append("sampled run recorded no spans")

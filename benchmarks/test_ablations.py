@@ -22,7 +22,7 @@ from __future__ import annotations
 from conftest import emit
 
 from repro.cache.config import CacheConfig
-from repro.core.guarantees import verify_effectiveness, verify_wcet_guarantee
+from repro.core.guarantees import verify_wcet_guarantee
 from repro.core.optimizer import OptimizerOptions, optimize
 from repro.energy.cacti import cacti_model
 from repro.energy.technology import TECH_45NM
@@ -83,7 +83,6 @@ def test_ablation_gates(benchmark, results_dir):
         ]
         for label, options in variants:
             cfg, optimized, report, check = _run(options)
-            ineffective = verify_effectiveness(optimized, CONFIG, TIMING)
             rows.append(
                 (
                     label,
@@ -91,7 +90,7 @@ def test_ablation_gates(benchmark, results_dir):
                     report.candidates_evaluated,
                     1.0 - check.tau_optimized / check.tau_original,
                     check.theorem1_holds,
-                    len(ineffective),
+                    len(check.ineffective_prefetches),
                 )
             )
         return rows

@@ -86,7 +86,6 @@ from repro.analysis.wcet import (
 from repro.cache.abstract import MayState, MustState
 from repro.cache.classify import (
     CacheAnalysis,
-    Classification,
     DataflowResult,
     analyze_l2_must,
     classify_references,
@@ -278,16 +277,10 @@ class StructuralArtifacts:
 
 
 class PipelineResult:
-    """One analysis run: WCET bundle + reusable solver/dataflow state.
-
-    Also carries the optimizer's per-pass derived artifacts
-    (:meth:`reverse_events`, :meth:`exec_counts`, :meth:`miss_uses`)
-    lazily, so ``_run_pass`` stops recomputing them per pass.
-    """
+    """One analysis run: WCET bundle + reusable solver/dataflow state."""
 
     __slots__ = ("owner", "artifacts", "wcet", "dataflows", "best",
-                 "best_pred", "with_may", "locked_blocks",
-                 "_reverse_events", "_exec_counts", "_miss_uses")
+                 "best_pred", "with_may", "locked_blocks")
 
     def __init__(self, owner, artifacts, wcet, dataflows, best, best_pred,
                  with_may, locked_blocks):
@@ -300,63 +293,11 @@ class PipelineResult:
         self.best_pred = best_pred
         self.with_may = with_may
         self.locked_blocks = locked_blocks
-        self._reverse_events = None
-        self._exec_counts = None
-        self._miss_uses = None
 
     @property
     def acfg(self) -> ACFG:
         """The analysed ACFG."""
         return self.artifacts.acfg
-
-    def loop_ranges(self) -> Dict[int, Tuple[int, Tuple[int, ...]]]:
-        """``{entry_join: (last_rid, exit_rids)}`` from the cached spans."""
-        return {
-            join: (last, exits)
-            for join, last, exits in self.artifacts.loop_spans
-        }
-
-    def reverse_events(self):
-        """Cached replacement events of the WCET path (Property 3)."""
-        if self._reverse_events is None:
-            from repro.core.update import collect_reverse_events
-
-            self._reverse_events = collect_reverse_events(
-                self.artifacts.acfg,
-                self.wcet.cache.config,
-                self.wcet.solution,
-                locked_blocks=self.locked_blocks,
-                loop_spans=self.artifacts.loop_spans,
-            )
-        return self._reverse_events
-
-    def exec_counts(self) -> Dict[int, int]:
-        """Cached per-instruction-uid WCET execution counts."""
-        if self._exec_counts is None:
-            counts: Dict[int, int] = {}
-            n_w = self.wcet.solution.n_w
-            uids = self.artifacts.acfg.uid_arr.tolist()
-            for rid in self.artifacts.acfg.ref_rids:
-                uid = uids[rid]
-                counts[uid] = counts.get(uid, 0) + n_w[rid]
-            self._exec_counts = counts
-        return self._exec_counts
-
-    def miss_uses(self) -> Dict[int, List[int]]:
-        """Per memory block: sorted rids of on-path references still
-        paying for a miss — the misses a prefetch could preclude."""
-        if self._miss_uses is None:
-            uses: Dict[int, List[int]] = {}
-            acfg = self.artifacts.acfg
-            n_w = self.wcet.solution.n_w
-            classifications = self.wcet.cache.classifications
-            ref_block = acfg._ref_block
-            always_hit = Classification.ALWAYS_HIT
-            for rid in acfg.ref_rids:
-                if n_w[rid] and classifications[rid] is not always_hit:
-                    uses.setdefault(ref_block[rid], []).append(rid)
-            self._miss_uses = uses
-        return self._miss_uses
 
 
 def _vertex_matches(old: ACFG, new: ACFG, rid: int) -> bool:
@@ -469,7 +410,6 @@ class AnalysisPipeline:
         differential: Verify every delta or ``reuse=`` analysis against
             a cold :func:`~repro.analysis.wcet.analyze_wcet` run (slow;
             used by the equivalence tests).
-        stats: Optionally share a :class:`PipelineStats` instance.
         kernel: Abstract-domain implementation: ``"python"`` (the
             verified oracle), ``"vectorized"`` (the dense numpy kernel,
             bit-identical by the differential suite), or ``None`` to
@@ -484,10 +424,10 @@ class AnalysisPipeline:
         refine: Run the model-checking refinement
             (:mod:`repro.analysis.refine`) after classification and
             apply its NC->AH / NC->AM / NC->PS promotions (PS only
-            without an L2) before the L2, guard and IPET stages.  Only
-            the cache sets holding a ``NOT_CLASSIFIED`` reference are
-            explored, warm-started at the divergence boundary like the
-            abstract fixpoints.  ``False`` keeps every output
+            under the persistence baseline without an L2) before the
+            L2, guard and IPET stages.  Only the cache sets holding a
+            ``NOT_CLASSIFIED`` reference are explored, warm-started at
+            the divergence boundary like the abstract fixpoints.  ``False`` keeps every output
             byte-identical to before.
         refine_budget: Exploration budget override for the refinement
             (:data:`repro.analysis.refine.DEFAULT_BUDGET` when ``None``).
@@ -501,7 +441,6 @@ class AnalysisPipeline:
         locked_blocks: frozenset = frozenset(),
         base_address: int = 0,
         differential: bool = False,
-        stats: Optional[PipelineStats] = None,
         kernel: Optional[str] = None,
         hierarchy: Optional[HierarchyConfig] = None,
         refine: bool = False,
@@ -513,7 +452,7 @@ class AnalysisPipeline:
         self.locked_blocks = frozenset(locked_blocks or ())
         self.base_address = base_address
         self.differential = differential
-        self.stats = stats if stats is not None else PipelineStats()
+        self.stats = PipelineStats()
         self.kernel = resolve_kernel(kernel)
         self.refine = bool(refine)
         self.refine_budget = refine_budget
@@ -710,12 +649,14 @@ class AnalysisPipeline:
                 # PS promotions would charge the one-time penalty at
                 # the DRAM rate; with an L2 the unrefined bound can be
                 # tighter (L2 service time), so they are single-level
-                # only (see the refine module's soundness note).
+                # only, and only where the baseline already charges
+                # persistent blocks (see the refine module's soundness
+                # note).
                 promotions = refine_classifications(
                     acfg,
                     exploration,
                     classifications,
-                    persistence=level2 is None,
+                    persistence=level2 is None and self.with_persistence,
                 )
                 self.stats.refine_runs += 1
                 self.stats.refine_promotions += len(promotions)

@@ -73,11 +73,16 @@ Design notes:
   ``PERSISTENT`` charging assumes.  Hence refined WCET <= unrefined
   WCET, and every promotion agrees with exhaustive concrete simulation
   (enforced by tests/test_refine.py).  ``PS`` promotions are only
-  emitted for single-level analyses: with a second level the one-time
-  penalty is charged at the DRAM rate while the unrefined bound may
-  already charge the reference only the L2 service time, so the
-  promotion could loosen the bound (callers gate it via
-  ``persistence=False``).
+  emitted for single-level analyses under the persistence baseline
+  (callers gate them via ``persistence=False``).  With a second level
+  the one-time penalty is charged at the DRAM rate while the unrefined
+  bound may already charge the reference only the L2 service time, so
+  the promotion could loosen the bound.  The classic baseline has no
+  persistence domain: a promotion there would be the only ``PS`` label,
+  priced by the per-block first-miss charge, and on the Mälardalen
+  programs that charge let measured ``τ_a`` exceed ``τ_w`` (cover,
+  icall, lcdnum and statemate; cover/k25 measured 1818 cycles against
+  a 730-cycle bound; ``tests/test_tau_soundness.py``).
 
 * **Warm start.**  Like the abstract fixpoints, a re-analysis may copy
   the per-vertex line sets below a divergence boundary from a base

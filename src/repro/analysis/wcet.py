@@ -21,6 +21,12 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.analysis.ipet import solve_ipet
+from repro.analysis.refine import (
+    apply_promotions,
+    explore_concrete_states,
+    nc_sets,
+    refine_classifications,
+)
 from repro.analysis.structural import PathSolution, solve_wcet_path
 from repro.analysis.timing import TimingModel
 from repro.cache.classify import (
@@ -210,10 +216,11 @@ def analyze_wcet(
         backend: ``"structural"`` (exact DP, default) or ``"ilp"``
             (scipy/HiGHS IPET; slower, used for cross-validation).
         cache_analysis: Optionally reuse an existing classification
-            (``refine`` is then the caller's business: the reused
-            classification is taken as-is).
+            (``refine`` and the second level are then the caller's
+            business: the reused classification is taken as-is).
         with_may: Forwarded to :func:`repro.cache.classify.analyze_cache`
-            (the WCET bound is identical either way; ``False`` is faster).
+            (the WCET bound is identical either way; ``False`` is faster;
+            forced on with a second level).
         with_persistence: Include the persistence ("first miss") domain.
             ``True`` is the tighter modern baseline; ``False`` is the
             classic must/may baseline of the paper's era — see
@@ -231,10 +238,11 @@ def analyze_wcet(
             (:mod:`repro.analysis.refine`) on the ``NOT_CLASSIFIED``
             references — exploring only the cache sets they map to,
             exactly as the pipeline does — and apply its NC->AH /
-            NC->AM / NC->PS promotions (PS only without an L2) before
-            computing ``t_w`` — and, in hierarchy mode, before deriving
-            the L2 access plan, mirroring the staged pipeline's
-            classify -> refine -> l2 order exactly.
+            NC->AM / NC->PS promotions (PS only under the persistence
+            baseline without an L2) before computing ``t_w`` — and, in
+            hierarchy mode, before deriving the L2 access plan,
+            mirroring the staged pipeline's classify -> refine -> l2
+            order exactly.
         refine_budget: Exploration budget override
             (:data:`repro.analysis.refine.DEFAULT_BUDGET` when ``None``).
 
@@ -243,62 +251,47 @@ def analyze_wcet(
     """
     if cache_analysis is not None:
         cache = cache_analysis
-    elif not refine:
-        cache = analyze_cache(
-            acfg,
-            config,
-            with_may=with_may,
-            with_persistence=with_persistence,
-            locked_blocks=locked_blocks,
-            hierarchy=hierarchy,
-        )
     else:
-        from repro.analysis.refine import (
-            apply_promotions,
-            explore_concrete_states,
-            nc_sets,
-            refine_classifications,
-        )
-
-        # Promotions must land before the L2 plan is derived (an NC->AH
-        # promotion removes the reference from the L2 access stream),
-        # so in hierarchy mode the L1 analysis runs alone, refinement
-        # is applied, and the L2 stage re-runs on the refined labels —
-        # the exact stage order of the incremental pipeline.
+        if hierarchy is not None and hierarchy.l1 != config:
+            raise AnalysisError(
+                f"hierarchy L1 {hierarchy.l1.label()} does not match the "
+                f"analysed configuration {config.label()}"
+            )
         level2 = hierarchy.l2_level if hierarchy is not None else None
         cache = analyze_cache(
             acfg,
             config,
-            # A second level implies the may analysis (see analyze_cache);
-            # re-force it here since the L1-only call cannot know.
+            # A second level implies the may analysis: only an L1
+            # always-miss is a *definite* L2 access, and definite accesses
+            # are the only way the L2 must domain gains blocks (see
+            # l2_access_plan).  Forcing it also keeps the L2 plan — and
+            # hence τ_w — independent of the caller's with_may choice.
             with_may=with_may or level2 is not None,
             with_persistence=with_persistence,
             locked_blocks=locked_blocks,
-            hierarchy=None,
         )
-        exploration = explore_concrete_states(
-            acfg,
-            config,
-            locked_blocks=locked_blocks,
-            budget=refine_budget,
-            sets=nc_sets(acfg, config, cache.classifications),
-        )
-        promotions = refine_classifications(
-            acfg,
-            exploration,
-            cache.classifications,
-            persistence=level2 is None,
-        )
-        if promotions:
-            cache.classifications = apply_promotions(
-                cache.classifications, promotions
+        if refine:
+            # Promotions land before the L2 plan is derived (an NC->AH
+            # promotion removes the reference from the L2 access stream):
+            # the staged pipeline's classify -> refine -> l2 order.
+            exploration = explore_concrete_states(
+                acfg,
+                config,
+                locked_blocks=locked_blocks,
+                budget=refine_budget,
+                sets=nc_sets(acfg, config, cache.classifications),
             )
-        if level2 is not None:
-            if hierarchy.l1 != config:
-                raise AnalysisError(
-                    f"hierarchy L1 {hierarchy.l1.label()} does not match "
-                    f"the analysed configuration {config.label()}"
+            promotions = refine_classifications(
+                acfg,
+                exploration,
+                cache.classifications,
+                persistence=level2 is None and with_persistence,
+            )
+            if promotions:
+                cache.classifications = apply_promotions(
+                    cache.classifications, promotions
                 )
+        if level2 is not None:
             cache.l2_must = analyze_l2_must(
                 acfg,
                 level2.config,

@@ -27,14 +27,14 @@ gate (Definition 10) and re-checked by
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.abstract import AbstractCacheState, MayState, MustState
 from repro.cache.config import CacheConfig
 from repro.cache.persistence import PersistenceState
 from repro.errors import AnalysisError
-from repro.program.acfg import ACFG, RefVertex, VertexKind
+from repro.program.acfg import ACFG
 
 #: Hard cap on fixpoint passes; reaching it indicates a bug, since the
 #: must/may lattices have height bounded by associativity x blocks.
@@ -322,7 +322,6 @@ def analyze_cache(
     with_persistence: bool = True,
     locked_blocks: Optional[frozenset] = None,
     kernel: Optional[str] = None,
-    hierarchy=None,
 ) -> CacheAnalysis:
     """Classify every reference of ``acfg`` under ``config``.
 
@@ -332,6 +331,9 @@ def analyze_cache(
     Classification precedence per reference: ``ALWAYS_HIT`` (must) >
     ``PERSISTENT`` (first-miss) > ``ALWAYS_MISS`` (may) >
     ``NOT_CLASSIFIED``.
+
+    Only the L1 is classified; :func:`~repro.analysis.wcet.analyze_wcet`
+    composes refinement and a second level on top.
 
     Args:
         acfg: The program's ACFG.
@@ -352,12 +354,6 @@ def analyze_cache(
             the ``REPRO_CACHE_KERNEL`` environment variable.  Both
             produce bit-identical classifications (enforced by the
             differential test layer).
-        hierarchy: Optional
-            :class:`~repro.cache.config.HierarchyConfig`; when it has a
-            second level, the L2 must fixpoint runs over the
-            classification-filtered access stream and the result
-            carries ``l2_must``/``l2_hits``.  Its L1 must equal
-            ``config``.
     """
     if config.block_size != acfg.memory_map.block_size:
         raise AnalysisError(
@@ -373,19 +369,6 @@ def analyze_cache(
         resolve_kernel,
     )
 
-    if hierarchy is not None and hierarchy.l1 != config:
-        raise AnalysisError(
-            f"hierarchy L1 {hierarchy.l1.label()} does not match the "
-            f"analysed configuration {config.label()}"
-        )
-    level2 = hierarchy.l2_level if hierarchy is not None else None
-    # A second level implies the may analysis: only an L1 always-miss is
-    # a *definite* L2 access, and definite accesses are the only way the
-    # L2 must domain gains blocks (see l2_access_plan).  Forcing it here
-    # also keeps the L2 plan — and hence τ_w — independent of the
-    # caller's with_may choice.
-    if level2 is not None:
-        with_may = True
     if resolve_kernel(kernel) == "vectorized":
         universe = BlockUniverse.for_acfg(acfg, config)
         schedule = KernelSchedule(
@@ -418,15 +401,7 @@ def analyze_cache(
         classifications = classify_references(
             acfg, must, may, persistence, locked_blocks
         )
-    analysis = CacheAnalysis(config, classifications, must, may, persistence)
-    if level2 is not None:
-        analysis.l2_must = analyze_l2_must(
-            acfg, level2.config, classifications, locked_blocks, may=may
-        )
-        analysis.l2_hits = l2_guaranteed_hits(
-            acfg, classifications, analysis.l2_must
-        )
-    return analysis
+    return CacheAnalysis(config, classifications, must, may, persistence)
 
 
 def classify_references(
@@ -492,7 +467,8 @@ def l2_access_plan(
       every loop head — definite accesses are the only op that grows
       the L2 must state (a maybe-access joins with the untouched state
       and therefore never adds blocks).  This is also why a second
-      level implies the may analysis (see :func:`analyze_cache`);
+      level implies the may analysis (see
+      :func:`~repro.analysis.wcet.analyze_wcet`);
     * anything else — *uncertain*: a :data:`MAYBE_ACCESS`.
 
     A prefetch's target transfer reaches L2 exactly when the target

@@ -12,7 +12,6 @@ from repro.core.guarantees import (
     GuaranteeCheck,
     find_undercharged_references,
     verify_effectiveness,
-    verify_miss_reduction,
     verify_prefetch_equivalence,
     verify_wcet_guarantee,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "relocation_cost",
     "select_join_predecessor",
     "verify_effectiveness",
-    "verify_miss_reduction",
     "verify_prefetch_equivalence",
     "verify_wcet_guarantee",
 ]

@@ -8,14 +8,14 @@ having are guarantees worth checking independently — these functions are
 used by the test suite, the examples, and the benchmark harness to
 re-derive the claim from scratch on every optimized program:
 
-* :func:`verify_wcet_guarantee` — re-analyses both programs and compares
-  ``τ_w`` (Theorem 1);
+* :func:`verify_wcet_guarantee` — re-analyses both programs once each
+  and compares ``τ_w`` (Theorem 1) and the worst-case miss counts
+  (Condition 2), and checks Definition 10 on the optimized analysis;
 * :func:`verify_prefetch_equivalence` — Definition 5: stripping the
   prefetches must recover the original instruction stream exactly;
 * :func:`verify_effectiveness` — Definition 10 for every inserted
   prefetch: the latency Λ fits in the minimum memory time between the
-  prefetch and the first on-path use of its target block;
-* :func:`verify_miss_reduction` — Condition 2 on the WCET path.
+  prefetch and the first on-path use of its target block.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import List, Optional
 from repro.analysis.timing import TimingModel
 from repro.analysis.wcet import analyze_wcet, prefetch_lambda
 from repro.cache.config import CacheConfig, HierarchyConfig
-from repro.core.profit import min_path_slack, wraparound_slack
 from repro.errors import GuaranteeViolation
 from repro.program.acfg import build_acfg
 from repro.program.cfg import ControlFlowGraph
@@ -41,7 +40,10 @@ class GuaranteeCheck:
         tau_optimized: τ_w of the optimized program.
         misses_original: Worst-case miss count before.
         misses_optimized: Worst-case miss count after.
-        ineffective_prefetches: uids of prefetches violating Def. 10.
+        ineffective_prefetches: rids of optimized-program references
+            charged a hit less than Λ behind the prefetch supplying
+            their block (Def. 10; see
+            :func:`find_undercharged_references`).
     """
 
     tau_original: float
@@ -114,17 +116,14 @@ def verify_wcet_guarantee(
         acfg_opt, config, timing, with_persistence=with_persistence,
         hierarchy=hierarchy, refine=refine,
     )
-    ineffective = verify_effectiveness(
-        optimized, config, timing, base_address,
-        with_persistence=with_persistence, hierarchy=hierarchy,
-        refine=refine,
-    )
     check = GuaranteeCheck(
         tau_original=wcet_orig.tau_w,
         tau_optimized=wcet_opt.tau_w,
         misses_original=wcet_orig.wcet_path_misses,
         misses_optimized=wcet_opt.wcet_path_misses,
-        ineffective_prefetches=ineffective,
+        ineffective_prefetches=find_undercharged_references(
+            acfg_opt, wcet_opt, timing
+        ),
     )
     if strict and not check.theorem1_holds:
         raise GuaranteeViolation(
@@ -241,33 +240,3 @@ def find_undercharged_references(acfg, wcet, timing: TimingModel) -> List[int]:
                             violations.append(use)
                     break
     return sorted(set(violations))
-
-
-def verify_miss_reduction(
-    original: ControlFlowGraph,
-    optimized: ControlFlowGraph,
-    config: CacheConfig,
-    timing: TimingModel,
-    base_address: int = 0,
-    with_persistence: bool = True,
-    hierarchy: Optional[HierarchyConfig] = None,
-    refine: bool = False,
-) -> bool:
-    """Condition 2 on the WCET path: misses must not have increased.
-
-    Like Theorem 1 (see :func:`verify_wcet_guarantee`), the condition is
-    relative to the analysis that gated the insertions — pass the same
-    ``with_persistence``, ``hierarchy`` and ``refine`` the optimizer
-    used.
-    """
-    acfg_orig = build_acfg(original, config.block_size, base_address)
-    acfg_opt = build_acfg(optimized, config.block_size, base_address)
-    wcet_orig = analyze_wcet(
-        acfg_orig, config, timing, with_persistence=with_persistence,
-        hierarchy=hierarchy, refine=refine,
-    )
-    wcet_opt = analyze_wcet(
-        acfg_opt, config, timing, with_persistence=with_persistence,
-        hierarchy=hierarchy, refine=refine,
-    )
-    return wcet_opt.wcet_path_misses <= wcet_orig.wcet_path_misses

@@ -44,7 +44,7 @@ from repro.core.relocation import (
     insertion_point_after,
     relocation_cost,
 )
-from repro.core.update import PrefetchCandidateEvent
+from repro.core.update import PrefetchCandidateEvent, collect_reverse_events
 from repro.errors import GuaranteeViolation, OptimizationError
 from repro.program.acfg import ACFG
 from repro.program.cfg import ControlFlowGraph
@@ -342,17 +342,38 @@ def _run_pass(
     """One reverse walk; returns the accepted candidate's analysis.
 
     The per-pass artifacts — reverse events, miss uses, execution
-    counts, loop ranges — all come (cached) from ``base``; candidate
+    counts, loop ranges — are derived once from ``base``; candidate
     evaluations name their insertion to the pipeline, which splices
     ``base``'s ACFG and delta-analyses against ``base``, so only the
     suffix behind the insertion point is recomputed.
     """
     acfg = base.acfg
     wcet = base.wcet
-    events = base.reverse_events()
-    uses_by_block = base.miss_uses()
-    exec_count_by_uid = base.exec_counts()
-    loop_ranges = base.loop_ranges()
+    loop_spans = base.artifacts.loop_spans
+    events = collect_reverse_events(
+        acfg,
+        wcet.cache.config,
+        wcet.solution,
+        locked_blocks=base.locked_blocks,
+        loop_spans=loop_spans,
+    )
+    # Per memory block: sorted rids of on-path references still paying
+    # for a miss — the misses a prefetch could preclude.  Per
+    # instruction uid: its WCET execution count.
+    uses_by_block: Dict[int, List[int]] = {}
+    exec_count_by_uid: Dict[int, int] = {}
+    n_w = wcet.solution.n_w
+    classifications = wcet.cache.classifications
+    ref_block = acfg._ref_block
+    uids = acfg.uid_arr.tolist()
+    always_hit = Classification.ALWAYS_HIT
+    for rid in acfg.ref_rids:
+        count = n_w[rid]
+        uid = uids[rid]
+        exec_count_by_uid[uid] = exec_count_by_uid.get(uid, 0) + count
+        if count and classifications[rid] is not always_hit:
+            uses_by_block.setdefault(ref_block[rid], []).append(rid)
+    loop_ranges = {join: (last, exits) for join, last, exits in loop_spans}
 
     for event in events:
         located = _locate_candidate(

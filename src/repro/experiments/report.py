@@ -43,7 +43,6 @@ def render_bar_chart(
     series: Sequence[CapacitySeries],
     title: str,
     width: int = 40,
-    symbols: str = "#*o+x",
 ) -> str:
     """ASCII bar chart of per-capacity series (the paper's figures are
     grouped bar charts over the capacity axis).
@@ -56,6 +55,7 @@ def render_bar_chart(
         (abs(s.points.get(c, 0.0)) for s in series for c in capacities),
         default=0.0,
     )
+    symbols = "#*o+x"
     lines = [title]
     for idx, s in enumerate(series):
         lines.append(f"  [{symbols[idx % len(symbols)]}] {s.label}")

@@ -280,11 +280,32 @@ DOMAINS = tuple(DOMAIN_ORACLES)
 FULL_GRID = tuple(TABLE2.values())
 TIER1_GRID = tuple(TABLE2[k] for k in ("k1", "k8", "k15", "k22", "k30", "k36"))
 
-#: Accessed block ids; wider than any grid config's num_blocks so every
-#: configuration sees evictions.
-BLOCK_SPAN = 48
+#: Sets a generated sequence touches, spread over the index range.
+SETS_TOUCHED = 4
 
-BLOCKS = st.integers(min_value=0, max_value=BLOCK_SPAN - 1)
+#: Raw draws of the generated sequences; :func:`_blocks` maps them onto
+#: ``SETS_TOUCHED`` sets x up to six tags (associativity 4 + 2).
+RAW_SPAN = SETS_TOUCHED * 6
+RAW_BLOCKS = st.integers(min_value=0, max_value=RAW_SPAN - 1)
+
+
+def _width(config):
+    """Columns of a config's test universe: ``associativity + 2`` tags
+    per set, so every set of every configuration can age and evict."""
+    return (config.associativity + 2) * config.num_sets
+
+
+def _blocks(config, raw):
+    """Block ids for raw draws: a few sets spread over the index range,
+    ``associativity + 2`` tags each, so a short sequence ages and evicts
+    lines even in a cache with hundreds of sets."""
+    sets = min(SETS_TOUCHED, config.num_sets)
+    stride = config.num_sets // sets
+    tags = config.associativity + 2
+    return [
+        (r % sets) * stride + config.num_sets * ((r // sets) % tags)
+        for r in raw
+    ]
 
 
 def _num_max(order):
@@ -295,7 +316,7 @@ def _num_max(order):
 
 def _dual_start(config, order):
     """Initial oracle states and their stacked dense batch."""
-    universe = BlockUniverse(config, 0, BLOCK_SPAN)
+    universe = BlockUniverse(config, 0, _width(config))
     states = [DOMAIN_ORACLES[name](config) for name in order]
     batch = np.stack([state_to_row(state, universe) for state in states])
     return states, batch, universe
@@ -407,9 +428,13 @@ def _run_branch(config, order, prefix, seq_a, seq_b, suffix):
 
 
 def _deterministic_sequences(config):
-    thrash = [b % BLOCK_SPAN for b in range(3 * config.num_blocks)] * 2
-    working = list(range(config.associativity + 1)) * 5
-    mixed = [(7 * i) % BLOCK_SPAN for i in range(40)]
+    width = _width(config)
+    thrash = [b % width for b in range(3 * config.num_blocks)] * 2
+    # one set cycling through one block more than it holds
+    working = [
+        config.num_sets * tag for tag in range(config.associativity + 1)
+    ] * 5
+    mixed = _blocks(config, [(7 * i) % RAW_SPAN for i in range(40)])
     return (thrash, working, mixed)
 
 
@@ -425,8 +450,8 @@ class TestKernelVsOracleDeterministic:
     @pytest.mark.parametrize("config", TIER1_GRID, ids=lambda c: c.label())
     @pytest.mark.parametrize("domain", DOMAINS)
     def test_joins_agree_and_commute(self, config, domain):
-        seq_a = [(5 * i) % BLOCK_SPAN for i in range(25)]
-        seq_b = [(11 * i + 3) % BLOCK_SPAN for i in range(18)]
+        seq_a = _blocks(config, [(5 * i) % RAW_SPAN for i in range(25)])
+        seq_b = _blocks(config, [(11 * i + 3) % RAW_SPAN for i in range(18)])
         _assert_joins_agree(config, domain, seq_a, seq_b)
 
     @pytest.mark.parametrize("config", TIER1_GRID, ids=lambda c: c.label())
@@ -436,10 +461,10 @@ class TestKernelVsOracleDeterministic:
         assert _num_max(BATCH_ORDER) == 2
         _run_branch(
             config, BATCH_ORDER,
-            prefix=[(3 * i) % BLOCK_SPAN for i in range(20)],
-            seq_a=[(5 * i + 1) % BLOCK_SPAN for i in range(12)],
-            seq_b=[(11 * i + 2) % BLOCK_SPAN for i in range(9)],
-            suffix=[(7 * i) % BLOCK_SPAN for i in range(15)],
+            prefix=_blocks(config, [(3 * i) % RAW_SPAN for i in range(20)]),
+            seq_a=_blocks(config, [(5 * i + 1) % RAW_SPAN for i in range(12)]),
+            seq_b=_blocks(config, [(11 * i + 2) % RAW_SPAN for i in range(9)]),
+            suffix=_blocks(config, [(7 * i) % RAW_SPAN for i in range(15)]),
         )
 
 
@@ -451,46 +476,52 @@ class TestKernelVsOraclePropertyBased:
     @given(
         config=st.sampled_from(FULL_GRID),
         domain=st.sampled_from(DOMAINS),
-        sequence=st.lists(BLOCKS, max_size=50),
+        sequence=st.lists(RAW_BLOCKS, max_size=50),
     )
     def test_random_sequences_bit_identical(self, config, domain, sequence):
-        _run_dual_sequence(config, domain, sequence)
+        _run_dual_sequence(config, domain, _blocks(config, sequence))
 
     @settings(max_examples=100, deadline=None)
     @given(
         config=st.sampled_from(FULL_GRID),
         domain=st.sampled_from(DOMAINS),
-        seq_a=st.lists(BLOCKS, max_size=30),
-        seq_b=st.lists(BLOCKS, max_size=30),
+        seq_a=st.lists(RAW_BLOCKS, max_size=30),
+        seq_b=st.lists(RAW_BLOCKS, max_size=30),
     )
     def test_joins_agree_on_random_states(self, config, domain, seq_a, seq_b):
-        _assert_joins_agree(config, domain, seq_a, seq_b)
+        _assert_joins_agree(
+            config, domain, _blocks(config, seq_a), _blocks(config, seq_b)
+        )
 
     @settings(max_examples=60, deadline=None)
     @given(
         config=st.sampled_from(FULL_GRID),
         domain=st.sampled_from(DOMAINS),
-        prefix=st.lists(BLOCKS, max_size=20),
-        seq_a=st.lists(BLOCKS, max_size=15),
-        seq_b=st.lists(BLOCKS, max_size=15),
-        suffix=st.lists(BLOCKS, max_size=15),
+        prefix=st.lists(RAW_BLOCKS, max_size=20),
+        seq_a=st.lists(RAW_BLOCKS, max_size=15),
+        seq_b=st.lists(RAW_BLOCKS, max_size=15),
+        suffix=st.lists(RAW_BLOCKS, max_size=15),
     )
     def test_join_then_update_bit_identical(
         self, config, domain, prefix, seq_a, seq_b, suffix
     ):
         """Branch-shaped flows: updating a joined state stays lockstep —
         the composition the fixpoint engine exercises constantly."""
-        _run_branch(config, (domain,), prefix, seq_a, seq_b, suffix)
+        _run_branch(config, (domain,), *(
+            _blocks(config, raw) for raw in (prefix, seq_a, seq_b, suffix)
+        ))
 
     @settings(max_examples=40, deadline=None)
     @given(
         config=st.sampled_from(FULL_GRID),
-        prefix=st.lists(BLOCKS, max_size=20),
-        seq_a=st.lists(BLOCKS, max_size=15),
-        seq_b=st.lists(BLOCKS, max_size=15),
-        suffix=st.lists(BLOCKS, max_size=15),
+        prefix=st.lists(RAW_BLOCKS, max_size=20),
+        seq_a=st.lists(RAW_BLOCKS, max_size=15),
+        seq_b=st.lists(RAW_BLOCKS, max_size=15),
+        suffix=st.lists(RAW_BLOCKS, max_size=15),
     )
     def test_stacked_branch_bit_identical(
         self, config, prefix, seq_a, seq_b, suffix
     ):
-        _run_branch(config, BATCH_ORDER, prefix, seq_a, seq_b, suffix)
+        _run_branch(config, BATCH_ORDER, *(
+            _blocks(config, raw) for raw in (prefix, seq_a, seq_b, suffix)
+        ))

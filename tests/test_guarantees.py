@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.wcet import analyze_wcet
 from repro.core.guarantees import (
     GuaranteeCheck,
     verify_effectiveness,
-    verify_miss_reduction,
     verify_prefetch_equivalence,
     verify_wcet_guarantee,
 )
@@ -64,6 +64,29 @@ class TestVerifyWCETGuarantee:
         optimized, _ = optimize(cfg, tiny_cache, timing)
         check = verify_wcet_guarantee(cfg, optimized, tiny_cache, timing)
         assert check.theorem1_holds
+
+    def test_analyses_each_program_once(self, tiny_cache, timing,
+                                        monkeypatch):
+        """Theorem 1, Condition 2 and Definition 10 all come from one
+        analysis of each program."""
+        from repro.core import guarantees
+
+        calls = []
+
+        def counting(acfg, *args, **kwargs):
+            calls.append(acfg)
+            return analyze_wcet(acfg, *args, **kwargs)
+
+        monkeypatch.setattr(guarantees, "analyze_wcet", counting)
+        cfg = _program()
+        optimized, report = optimize(cfg, tiny_cache, timing)
+        assert report.inserted
+        check = verify_wcet_guarantee(cfg, optimized, tiny_cache, timing)
+        assert len(calls) == 2
+        assert check.all_effective
+        assert check.ineffective_prefetches == verify_effectiveness(
+            optimized, tiny_cache, timing
+        )
 
 
 class TestPrefetchEquivalence:
@@ -138,4 +161,5 @@ class TestMissReduction:
     def test_optimizer_reduces_misses(self, tiny_cache, timing):
         cfg = _program()
         optimized, _ = optimize(cfg, tiny_cache, timing)
-        assert verify_miss_reduction(cfg, optimized, tiny_cache, timing)
+        check = verify_wcet_guarantee(cfg, optimized, tiny_cache, timing)
+        assert check.condition2_holds

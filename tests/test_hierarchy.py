@@ -26,7 +26,11 @@ from pathlib import Path
 import pytest
 
 from repro.bench.generator import random_program
-from repro.cache.classify import analyze_cache
+from repro.cache.classify import (
+    analyze_cache,
+    analyze_l2_must,
+    l2_guaranteed_hits,
+)
 from repro.cache.concrete import ConcreteCache
 from repro.cache.config import (
     CacheConfig,
@@ -277,11 +281,25 @@ def _two_level_outcomes(cfg, hierarchy, seed):
             yield instr.uid, l1_hit, l2_hit
 
 
+def _analyze_two_levels(acfg, hierarchy, kernel=None):
+    """The L1 classification plus the L2 must stage and its guaranteed
+    hits, composed as :func:`analyze_wcet` composes them."""
+    analysis = analyze_cache(acfg, hierarchy.l1, kernel=kernel)
+    analysis.l2_must = analyze_l2_must(
+        acfg, hierarchy.l2_level.config, analysis.classifications,
+        may=analysis.may,
+    )
+    analysis.l2_hits = l2_guaranteed_hits(
+        acfg, analysis.classifications, analysis.l2_must
+    )
+    return analysis
+
+
 def _assert_l2_classification_never_optimistic(program_seed, hierarchy,
                                                run_seeds):
     cfg = random_program(program_seed, target_size=90)
     acfg = build_acfg(cfg, block_size=hierarchy.l1.block_size)
-    analysis = analyze_cache(acfg, hierarchy.l1, hierarchy=hierarchy)
+    analysis = _analyze_two_levels(acfg, hierarchy)
     assert analysis.l2_hits is not None
     # a uid is L2-guaranteed only when *every* context of it is
     guaranteed_rids = analysis.l2_hits
@@ -332,7 +350,7 @@ def _assert_per_context_l2_claims_hold(cfg, hierarchy, run_seeds):
     can assert the check was not vacuous.
     """
     acfg = build_acfg(cfg, block_size=hierarchy.l1.block_size)
-    analysis = analyze_cache(acfg, hierarchy.l1, hierarchy=hierarchy)
+    analysis = _analyze_two_levels(acfg, hierarchy)
     assert analysis.l2_hits is not None
     contexts_of: dict = {}
     for vertex in acfg.ref_vertices():
@@ -510,9 +528,7 @@ def _analyze_golden_point(document, kernel):
     config = TABLE2[document["config"]]
     acfg = build_acfg(load(document["program"]), config.block_size, 0)
     hierarchy = hierarchy_for(config, document["l2"])
-    return acfg, analyze_cache(
-        acfg, config, hierarchy=hierarchy, kernel=kernel
-    )
+    return acfg, _analyze_two_levels(acfg, hierarchy, kernel=kernel)
 
 
 class TestHierarchyGoldenCorpus:

@@ -34,7 +34,7 @@ from repro.bench.generator import (
 from repro.bench.registry import load
 from repro.cache.abstract import MustState
 from repro.cache.config import TABLE2, CacheConfig
-from repro.core import update
+from repro.core import optimizer
 from repro.core.optimizer import OptimizerOptions, optimize
 from repro.core.update import PrefetchCandidateEvent, collect_reverse_events
 from repro.energy.cacti import cacti_model
@@ -225,7 +225,7 @@ class OracleCheckingWalk:
 @pytest.fixture
 def checking_walk(monkeypatch):
     walk = OracleCheckingWalk()
-    monkeypatch.setattr(update, "collect_reverse_events", walk)
+    monkeypatch.setattr(optimizer, "collect_reverse_events", walk)
     return walk
 
 
