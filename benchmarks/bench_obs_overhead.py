@@ -27,6 +27,9 @@ Three figures describe the observability layer's cost:
   regression is guarded separately by perfbench's same-machine
   parent-vs-change rule on the untraced workloads.
 
+``spans_recorded`` is the number of spans one traced ``optimize``
+ended (the largest over the pairs); ``--check`` fails when it is 0.
+
 Usage::
 
     python benchmarks/bench_obs_overhead.py
@@ -109,14 +112,18 @@ def bench_span_cost() -> float:
 
 
 def _run_traced(budget: int) -> Tuple[float, int]:
-    """One optimize under a fully sampled tracer: (seconds, spans)."""
+    """One optimize under a fully sampled tracer: (seconds, spans).
+
+    The collector folds aggregate spans into one document per name, so
+    the spans that ended are the sum of the documents' ``count``.
+    """
     collector = SpanCollector(limit=100_000)
     tracer = Tracer(service="bench", sample=1.0, sink=collector.add)
     with activate_tracer(tracer), tracer.start_span(
         "bench.optimize", root=True
     ):
         elapsed = _run_optimize(budget)
-    return elapsed, len(collector.drain())
+    return elapsed, sum(doc.get("count", 1) for doc in collector.drain())
 
 
 def bench_modes(budget: int, pairs: int) -> Dict[str, Any]:

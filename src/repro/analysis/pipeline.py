@@ -4,8 +4,8 @@
 CFG on every call.  That is the right interface for one-shot analyses,
 but the optimizer's loop calls it once per candidate insertion and most
 of the work is identical between calls: the ACFG of the unmodified
-program, the abstract fixpoint over the untouched prefix, transfer
-functions applied to states already seen.  :class:`AnalysisPipeline`
+program, the abstract fixpoint over the untouched prefix, segments
+replayed on in-states already seen.  :class:`AnalysisPipeline`
 decomposes the analysis into stages whose products the caller hands
 along explicitly; the pipeline keeps no results of its own:
 
@@ -20,12 +20,15 @@ along explicitly; the pipeline keeps no results of its own:
    analysis of the same program (``reuse=``, how ``run_usecase`` passes
    the original measurement to ``optimize``) takes its artifacts and
    abstract fixpoints as they are.
-2. **Hash-consed abstract states** — a per-domain
-   :class:`TransferCache` interns every
-   :class:`~repro.cache.abstract.AbstractCacheState` it produces and
-   memoizes ``update``/``join``/``unknown_access`` by value, so the
-   fixpoint engine never recomputes a transfer it has already seen —
-   across candidates, passes, and use-case phases.
+2. **One fixpoint engine per kernel** — the kernel picks the engine of
+   every fixpoint, the L2 must pass included.  Under ``vectorized``
+   the L1 domains and the L2 run on
+   :func:`~repro.cache.kernel.propagate_kernel_batch`, each level with
+   its own :class:`~repro.cache.kernel.SegmentMemo`, so a chain
+   replayed on an in-state already seen — across candidates, sweeps
+   and use-case phases — comes back from the memo.  Under ``python``
+   the plain :func:`~repro.cache.classify.propagate` runs, the oracle,
+   with no memo.
 3. **Delta re-analysis** — after a prefetch insertion the pipeline
    computes the *divergence boundary*: the first reference vertex at
    which the old and new ACFGs differ, lowered (closure) until no back
@@ -49,7 +52,7 @@ prefetch rids, per-rid memory blocks, straight-line runs — and one
 weight list per analysis; the pairwise slack functions of
 :mod:`repro.analysis.slack` remain its oracle.
 
-Counters (stage runs and handoff reuses, transfer-memo hits, delta
+Counters (stage runs and handoff reuses, segment-memo hits, delta
 runs and fallbacks, invalidations) accumulate in :class:`PipelineStats`;
 they are deterministic (pure functions of the analysis sequence) and
 flow into :class:`~repro.core.optimizer.OptimizationReport`, sweep
@@ -99,6 +102,8 @@ from repro.cache.kernel import (
     KernelSchedule,
     SegmentMemo,
     classify_references_dense,
+    l2_hits_dense,
+    l2_schedule,
     propagate_kernel_batch,
     resolve_kernel,
     schedule_differences,
@@ -132,8 +137,6 @@ class PipelineStats:
     structural_misses: int = 0
     dataflow_hits: int = 0
     dataflow_misses: int = 0
-    transfer_hits: int = 0
-    transfer_misses: int = 0
     kernel_segment_hits: int = 0
     kernel_segment_misses: int = 0
     delta_runs: int = 0
@@ -153,8 +156,6 @@ class PipelineStats:
             "structural_misses": self.structural_misses,
             "dataflow_hits": self.dataflow_hits,
             "dataflow_misses": self.dataflow_misses,
-            "transfer_hits": self.transfer_hits,
-            "transfer_misses": self.transfer_misses,
             "kernel_segment_hits": self.kernel_segment_hits,
             "kernel_segment_misses": self.kernel_segment_misses,
             "delta_runs": self.delta_runs,
@@ -173,91 +174,6 @@ class PipelineStats:
             data["refine_states"] = self.refine_states
             data["refine_exhausted"] = self.refine_exhausted
         return data
-
-
-class TransferCache:
-    """Hash-consing interner + transfer memos for one abstract domain.
-
-    ``update``/``join``/``unknown`` are pure functions of immutable
-    states, so memoizing them by value is exact.  Results are interned,
-    which (a) dedupes state memory and (b) makes the value-keyed memo
-    lookups cheap: interned keys hit the ``__eq__`` identity fast path.
-    When the combined tables exceed ``max_entries`` everything is
-    cleared at once (counted as an invalidation) — correctness never
-    depends on residency.
-
-    Plugs into :func:`repro.cache.classify.propagate` via its
-    ``transfer`` parameter.
-    """
-
-    __slots__ = ("stats", "max_entries", "_intern", "_update", "_join",
-                 "_unknown")
-
-    def __init__(self, stats: PipelineStats, max_entries: int = 200_000):
-        self.stats = stats
-        self.max_entries = max_entries
-        self._intern: Dict[Any, Any] = {}
-        self._update: Dict[Tuple[Any, int], Any] = {}
-        self._join: Dict[Tuple[Any, Any], Any] = {}
-        self._unknown: Dict[Any, Any] = {}
-
-    def intern(self, state):
-        """The canonical object for ``state``'s value."""
-        canonical = self._intern.get(state)
-        if canonical is None:
-            self._intern[state] = state
-            canonical = state
-        return canonical
-
-    def update(self, state, block: int):
-        """Memoized ``state.update(block)``."""
-        key = (state, block)
-        hit = self._update.get(key)
-        if hit is not None:
-            self.stats.transfer_hits += 1
-            return hit
-        self.stats.transfer_misses += 1
-        result = self.intern(state.update(block))
-        self._update[key] = result
-        self._maybe_clear()
-        return result
-
-    def join(self, a, b):
-        """Memoized ``a.join(b)``."""
-        key = (a, b)
-        hit = self._join.get(key)
-        if hit is not None:
-            self.stats.transfer_hits += 1
-            return hit
-        self.stats.transfer_misses += 1
-        result = self.intern(a.join(b))
-        self._join[key] = result
-        self._maybe_clear()
-        return result
-
-    def unknown(self, state):
-        """Memoized ``state.unknown_access()``."""
-        hit = self._unknown.get(state)
-        if hit is not None:
-            self.stats.transfer_hits += 1
-            return hit
-        self.stats.transfer_misses += 1
-        result = self.intern(state.unknown_access())
-        self._unknown[state] = result
-        self._maybe_clear()
-        return result
-
-    def _maybe_clear(self) -> None:
-        total = (
-            len(self._intern) + len(self._update) + len(self._join)
-            + len(self._unknown)
-        )
-        if total > self.max_entries:
-            self._intern.clear()
-            self._update.clear()
-            self._join.clear()
-            self._unknown.clear()
-            self.stats.invalidations += 1
 
 
 @dataclass
@@ -396,9 +312,9 @@ class AnalysisPipeline:
     model, persistence setting, locked blocks and base address are fixed
     at construction, so every result it returns can seed a later call
     (``base=`` for a delta, ``reuse=`` for the same program).  It keeps
-    no results itself; only the transfer memos and the kernel's segment
-    memo live as long as the pipeline.  Not thread-safe; sweep workers
-    build one per use case.
+    no results itself; only the kernel's segment memos live as long as
+    the pipeline.  Not thread-safe; sweep workers build one per use
+    case.
 
     Args:
         config: Cache configuration.
@@ -416,11 +332,11 @@ class AnalysisPipeline:
             follow ``REPRO_CACHE_KERNEL`` (default ``vectorized``).
         hierarchy: Optional multi-level
             :class:`~repro.cache.config.HierarchyConfig`; its L1 must
-            equal ``config``.  Adds an L2 must stage (python-kernel
-            :func:`~repro.cache.classify.analyze_l2_must` over the
-            classification-filtered stream, delta-warm-started at the
-            same divergence boundary) after classification.  ``None``
-            keeps the single-level analysis bit-identical to before.
+            equal ``config``.  Adds an L2 must stage over the
+            classification-filtered stream after classification, on
+            the pipeline's kernel and delta-warm-started at the same
+            divergence boundary as the L1 stages.  ``None`` keeps the
+            single-level analysis bit-identical to before.
         refine: Run the model-checking refinement
             (:mod:`repro.analysis.refine`) after classification and
             apply its NC->AH / NC->AM / NC->PS promotions (PS only
@@ -462,18 +378,14 @@ class AnalysisPipeline:
                 f"pipeline configuration {config.label()}"
             )
         self.hierarchy = hierarchy
-        self._transfer: Dict[str, TransferCache] = {
-            "must": TransferCache(self.stats),
-            "may": TransferCache(self.stats),
-            "persistence": TransferCache(self.stats),
-            "l2-must": TransferCache(self.stats),
-        }
         #: Vectorized-kernel state: one block universe shared by every
         #: schedule/dense matrix of this pipeline (rebuilt with headroom
-        #: when a program outgrows it) and one segment memo keyed by
-        #: (domain batch, segment ops, in-state bytes).
+        #: when a program outgrows it), the L2's over the same columns,
+        #: and one segment memo per level (the replays differ).
         self._universe: Optional[BlockUniverse] = None
+        self._l2_universe: Optional[BlockUniverse] = None
         self._segment_memo = SegmentMemo(stats=self.stats)
+        self._l2_memo = SegmentMemo(stats=self.stats)
 
     @classmethod
     def for_options(cls, config: CacheConfig, timing: TimingModel, options,
@@ -687,19 +599,17 @@ class AnalysisPipeline:
 
         if level2 is not None:
             with self._stage("l2"):
-                l2_must = self._l2_stage(
+                l2_must, l2_hits = self._l2_stage(
                     artifacts,
                     classifications,
                     base if use_warm else None,
                     warm_boundary,
                     level2.config,
-                    dataflows.get("may"),
+                    dataflows["may"],
                 )
                 dataflows["l2-must"] = l2_must
                 cache_analysis.l2_must = l2_must
-                cache_analysis.l2_hits = l2_guaranteed_hits(
-                    acfg, classifications, l2_must
-                )
+                cache_analysis.l2_hits = l2_hits
 
         with self._stage("guard"):
             t_w = compute_ref_times(acfg, cache_analysis, self.timing)
@@ -849,16 +759,14 @@ class AnalysisPipeline:
             if base is not None and boundary > 0
             else None
         )
-        transfer = self._transfer[domain]
         warm = None
         if base_df is not None:
             warm = (boundary, base_df.in_states, base_df.out_states)
         return propagate(
             artifacts.acfg,
             self.config,
-            transfer.intern(self._initial_state(domain)),
+            self._initial_state(domain),
             locked_blocks=self.locked_blocks or None,
-            transfer=transfer,
             warm=warm,
         )
 
@@ -869,15 +777,13 @@ class AnalysisPipeline:
         base: Optional[PipelineResult],
         boundary: int,
         l2_config: CacheConfig,
-        may: Optional[DataflowResult],
-    ) -> DataflowResult:
-        """The L2 must fixpoint over the classification-filtered stream.
-
-        Runs the python :func:`~repro.cache.classify.analyze_l2_must`
-        under both kernels (the maybe-access op has no dense
-        counterpart; the plan is derived from the kernel-independent L1
-        classification and may states, so the result is too).
-        Warm-starting at the divergence boundary is sound because the
+        may: DataflowResult,
+    ) -> Tuple[DataflowResult, frozenset]:
+        """The L2 must fixpoint over the classification-filtered stream,
+        and the references it proves to hit L2, on the pipeline's
+        kernel: the dense pass over
+        :func:`~repro.cache.kernel.l2_schedule` or its python oracle
+        :func:`~repro.cache.classify.analyze_l2_must`.  Warm-starting at the divergence boundary is sound because the
         prefix classifications and may in-states — and with them the
         L2 access plan — are unchanged there.
         """
@@ -887,18 +793,25 @@ class AnalysisPipeline:
             if base is not None and boundary > 0
             else None
         )
-        warm = None
-        if base_df is not None:
-            warm = (boundary, base_df.in_states, base_df.out_states)
-        return analyze_l2_must(
-            artifacts.acfg,
-            l2_config,
-            classifications,
-            locked_blocks=self.locked_blocks or None,
-            transfer=self._transfer["l2-must"],
-            warm=warm,
-            may=may,
+        acfg = artifacts.acfg
+        if self.kernel == "python":
+            warm = None
+            if base_df is not None:
+                warm = (boundary, base_df.in_states, base_df.out_states)
+            l2_must = analyze_l2_must(
+                acfg, l2_config, classifications,
+                locked_blocks=self.locked_blocks or None, warm=warm, may=may,
+            )
+            return l2_must, l2_guaranteed_hits(acfg, classifications, l2_must)
+        schedule = l2_schedule(
+            self._schedule_for(artifacts), self._l2_universe,
+            classifications, may,
         )
+        warm = (boundary, {"must": base_df}) if base_df is not None else None
+        l2_must = propagate_kernel_batch(
+            schedule, ("must",), memo=self._l2_memo, warm=warm
+        )["must"]
+        return l2_must, l2_hits_dense(schedule, classifications, l2_must)
 
     def _refine_stage(
         self,
@@ -1025,6 +938,10 @@ class AnalysisPipeline:
         universe = BlockUniverse(self.config, lo, hi - lo + 1 + 32)
         self._universe = universe
         self._segment_memo.clear()
+        self._l2_memo.clear()
+        if self.hierarchy is not None and self.hierarchy.multi_level:
+            l2_config = self.hierarchy.l2_level.config
+            self._l2_universe = BlockUniverse(l2_config, lo, universe.width)
         if current is not None:
             self.stats.invalidations += 1
         return universe

@@ -57,11 +57,10 @@ class AbstractCacheState:
 
     __slots__ = ("config", "_sets", "_hash", "_ages")
 
-    #: Domain identity for ``__eq__``/``__hash__``.  States compare (and
-    #: hash-cons in the pipeline's :class:`TransferCache`) by *domain*,
-    #: not concrete class, so states materialized by the vectorized
-    #: kernel — possibly via subclasses — share one interning table with
-    #: the pure-python oracle's states instead of double-populating it.
+    #: Domain identity for ``__eq__``/``__hash__``.  States compare and
+    #: hash by *domain*, not concrete class, so a state materialized
+    #: from a dense row by the vectorized kernel equals — and hashes
+    #: with — the pure-python oracle's state of the same value.
     domain_tag = ""
 
     def __init__(

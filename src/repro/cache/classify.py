@@ -125,26 +125,22 @@ def propagate(
     initial: AbstractCacheState,
     locked_blocks: Optional[frozenset] = None,
     plan: Optional[List[Optional[tuple]]] = None,
-    transfer=None,
     warm: Optional[tuple] = None,
 ) -> DataflowResult:
     """Run one abstract domain over the ACFG to fixpoint.
 
+    The python kernel and the oracle of the dense engine
+    (:func:`repro.cache.kernel.propagate_kernel_batch`): it calls the
+    domain's own ``update``/``join``/``unknown_access`` state by state.
     Pass 1 is a full topological sweep; every later pass only
     re-processes vertices whose (forward or back-edge) inputs changed —
-    the standard worklist optimisation, which matters because this
-    routine is the inner loop of the optimizer's candidate evaluation.
+    the standard worklist optimisation.
 
     Args:
         acfg: The program's ACFG.
         config: Cache configuration (defines set mapping).
         initial: State at the source — typically the all-invalid state
             of the chosen domain (``MustState(config)``/``MayState(config)``).
-        transfer: Optional transfer-function provider with
-            ``update(state, block)``, ``join(a, b)`` and
-            ``unknown(state)`` — the pipeline's hash-consing
-            :class:`~repro.analysis.pipeline.TransferCache` plugs in
-            here.  ``None`` calls the domain methods directly.
         warm: Optional warm start ``(boundary, base_in, base_out)``:
             states of every vertex below ``boundary`` are copied from
             the base run and the sweeps start at ``boundary``.  Only
@@ -172,14 +168,9 @@ def propagate(
             start = boundary
 
     domain = type(initial)
-    if transfer is None:
-        join_op = domain.join
-        update_op = domain.update
-        unknown_op = domain.unknown_access
-    else:
-        join_op = transfer.join
-        update_op = transfer.update
-        unknown_op = transfer.unknown
+    join_op = domain.join
+    update_op = domain.update
+    unknown_op = domain.unknown_access
 
     # Per-rid access plan: None for no accesses, else a tuple of ops —
     # each op a memory-block id or :data:`UNKNOWN_ACCESS`.  The default
@@ -505,16 +496,16 @@ def analyze_l2_must(
     l2_config: CacheConfig,
     classifications: Sequence[Optional[Classification]],
     locked_blocks: Optional[frozenset] = None,
-    transfer=None,
     warm: Optional[tuple] = None,
     may: Optional[DataflowResult] = None,
 ) -> DataflowResult:
     """Run the must domain of the second-level cache to fixpoint.
 
-    Always executes the pure-python :func:`propagate` (the maybe-access
-    op has no dense-kernel counterpart); the plan is derived solely
-    from the L1 classification and may result, which both kernels
-    produce bit-identically, so the L2 result is kernel-independent too.
+    The python :func:`propagate` over :func:`l2_access_plan`: the L2
+    stage of the python kernel and of
+    :func:`~repro.analysis.wcet.analyze_wcet`, and the oracle of the
+    dense L2 pass (:func:`repro.cache.kernel.l2_schedule`), which
+    replays the same plan on the L1 schedule's chains.
     """
     plan = l2_access_plan(acfg, classifications, locked_blocks, may=may)
     return propagate(
@@ -523,7 +514,6 @@ def analyze_l2_must(
         MustState(l2_config),
         locked_blocks=None,  # locked blocks are already filtered out
         plan=plan,
-        transfer=transfer,
         warm=warm,
     )
 

@@ -53,21 +53,31 @@ least fixpoint, state for state.
 The result is one :class:`DenseDataflowResult` per domain — a drop-in
 :class:`~repro.cache.classify.DataflowResult` whose per-vertex states
 materialize lazily into ordinary oracle states (so every downstream
-consumer, and the hash-consing interner, sees values indistinguishable
-from a python-kernel run), plus the dense matrices themselves for
-warm-started delta re-analysis and the vectorized classifier
-(:func:`classify_references_dense`).
+consumer sees values indistinguishable from a python-kernel run), plus
+the dense matrices themselves for warm-started delta re-analysis and
+the vectorized classifier (:func:`classify_references_dense`).
+
+The L2 must pass runs on the same engine over the L1 schedule's chains
+(:func:`l2_schedule`), and its hits are a dense gather
+(:func:`l2_hits_dense`).
 """
 
 from __future__ import annotations
 
+import copy
+import itertools
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.abstract import MayState, MustState
-from repro.cache.classify import CLASSIFICATION_LAYERS, DataflowResult
+from repro.cache.classify import (
+    CLASSIFICATION_LAYERS,
+    HIT_CLASSES,
+    Classification,
+    DataflowResult,
+)
 from repro.cache.config import CacheConfig
 from repro.cache.persistence import PersistenceState
 from repro.errors import AnalysisError, UniverseOutgrown
@@ -240,10 +250,11 @@ class SegmentStep:
         preds: Forward predecessors of the first vertex.
         back_srcs: Back-edge source rids targeting the first vertex.
         ops: The chain's access plan, in order: one ``(offset, column,
-            set)`` triple per access, ``offset`` the accessing vertex's
-            position in the chain (a prefetch contributes its own block,
-            then its target).  Vertices without an access — JOINs,
-            locked blocks, elided MRU re-accesses — appear nowhere.
+            set, maybe)`` tuple per access, ``offset`` the accessing
+            vertex's position in the chain (a prefetch contributes its
+            own block, then its target), ``maybe`` set on an uncertain
+            L2 access.  Vertices without an access — JOINs, locked
+            blocks, elided MRU re-accesses — appear nowhere.
         elided: Accesses the plan omits as MRU re-accesses.
         deps: Indices of the steps holding ``preds`` and ``back_srcs``.
         ops_key: Interned id of ``(chain length, ops)`` — segment-memo
@@ -257,7 +268,7 @@ class SegmentStep:
     def __init__(self, index: int, start: int, end: int,
                  preds: Tuple[int, ...], back_srcs: Tuple[int, ...],
                  deps: Tuple[int, ...],
-                 ops: Tuple[Tuple[int, int, int], ...], elided: int):
+                 ops: Tuple[Tuple[int, int, int, bool], ...], elided: int):
         self.index = index
         self.start = start
         self.end = end
@@ -275,8 +286,7 @@ class SegmentStep:
 #: when the optimizer re-evaluates a site on a slightly mutated program,
 #: the far-away chunks see the same ``(ops, in-state)`` pairs as the
 #: previous iteration and replay from the memo instead of access by
-#: access — the dense analogue of the python kernel's per-state
-#: transfer cache.
+#: access.
 MAX_SEGMENT_LEN = 32
 
 
@@ -300,6 +310,46 @@ def _outgrown(cols: np.ndarray, universe: BlockUniverse) -> None:
 def _deps(step_of: List[int], rids: Tuple[int, ...]) -> Tuple[int, ...]:
     """The distinct steps holding ``rids``, in first-seen order."""
     return tuple(dict.fromkeys([step_of[rid] for rid in rids]))
+
+
+def _target_stream(acfg: ACFG, universe: BlockUniverse,
+                   locked_blocks: frozenset) -> np.ndarray:
+    """Per-rid prefetch-target column, ``-1`` for none or locked."""
+    targets = acfg.target_arr
+    targeted = targets >= 0
+    if locked_blocks:
+        targeted &= ~_locked_mask(targets, locked_blocks)
+    cols = targets - universe.base_block
+    _outgrown(cols[targeted], universe)
+    return np.where(targeted, cols, -1)
+
+
+def _compile_ops(chain, starts, local_step, own, target, maybe, num_sets):
+    """``(ops, bounds, elided)`` of the segments ``starts`` over the
+    vertices ``chain`` (segment ``j``'s ops are ``ops[bounds[j]:bounds[j
+    + 1]]``), from per-vertex own/target columns (``-1``: none) and
+    their ``(vertex, 2)`` maybe flags (``None``: all definite).  A
+    repeat of the previous column is elided only after a definite
+    access: that leaves the block at age 0, where any access is a
+    no-op; a maybe access leaves its age."""
+    stream = np.stack([own, target], axis=1).ravel()
+    present = stream >= 0
+    col = stream[present]
+    seg = np.repeat(local_step, 2)[present]
+    repeat = np.zeros(len(col), dtype=bool)
+    repeat[1:] = (col[1:] == col[:-1]) & (seg[1:] == seg[:-1])
+    if maybe is not None:
+        maybe = maybe.ravel()[present]
+        repeat[1:] &= ~maybe[:-1]
+    elided = np.bincount(seg[repeat], minlength=len(starts)).tolist()
+    keep = ~repeat
+    col, seg = col[keep], seg[keep]
+    offsets = np.repeat(chain, 2)[present][keep] - starts[seg]
+    flags = itertools.repeat(False) if maybe is None else maybe[keep].tolist()
+    ops = list(zip(offsets.tolist(), col.tolist(),
+                   (col % num_sets).tolist(), flags))
+    bounds = np.searchsorted(seg, np.arange(len(starts) + 1)).tolist()
+    return ops, bounds, elided
 
 
 class KernelSchedule:
@@ -351,14 +401,10 @@ class KernelSchedule:
         blocks = acfg.block_arr[rids]
         cols = blocks - lo
         _outgrown(cols, universe)
-        targets = acfg.target_arr
-        targeted = targets >= 0
-        locked = None
-        if locked_blocks:
-            locked = _locked_mask(blocks, locked_blocks)
-            targeted &= ~_locked_mask(targets, locked_blocks)
-        target_cols = targets - lo
-        _outgrown(target_cols[targeted], universe)
+        target = _target_stream(acfg, universe, locked_blocks)
+        locked = (
+            _locked_mask(blocks, locked_blocks) if locked_blocks else None
+        )
         self.ref_rids = rids
         self.ref_cols = cols
         self.ref_locked = locked
@@ -408,22 +454,10 @@ class KernelSchedule:
         own[rids[suffix_refs] - start] = cols[suffix_refs]
         if locked is not None:
             own[rids[suffix_refs & locked] - start] = -1
-        target = np.where(targeted[start:], target_cols[start:], -1)
-        stream = np.stack([own, target], axis=1).ravel()
-        present = stream >= 0
-        col = stream[present]
-        where = np.repeat(chain, 2)[present]
-        seg = np.repeat(local_step, 2)[present]
-        repeat = np.zeros(len(col), dtype=bool)
-        repeat[1:] = (col[1:] == col[:-1]) & (seg[1:] == seg[:-1])
-        elided = np.bincount(seg[repeat], minlength=len(starts)).tolist()
-        keep_ops = ~repeat
-        col = col[keep_ops]
-        seg = seg[keep_ops]
-        offsets = where[keep_ops] - starts[seg]
-        num_sets = universe.config.num_sets
-        ops = list(zip(offsets.tolist(), col.tolist(), (col % num_sets).tolist()))
-        bounds = np.searchsorted(seg, np.arange(len(starts) + 1)).tolist()
+        ops, bounds, elided = _compile_ops(
+            chain, starts, local_step, own, target[start:], None,
+            universe.config.num_sets,
+        )
 
         pred = acfg._pred
         ends = starts.tolist()[1:] + [n]
@@ -610,8 +644,8 @@ def replay_segment(cur: np.ndarray, ops, out: np.ndarray,
 
     ``cur`` is the ``(depth × width)`` in-state, updated in place to the
     segment's out-state; ``ops`` is a :attr:`SegmentStep.ops` plan of
-    ``(offset, column, set)`` triples and ``out`` the ``(k × depth ×
-    width)`` matrix receiving every vertex's out-state (rows of
+    ``(offset, column, set, maybe)`` tuples and ``out`` the ``(k ×
+    depth × width)`` matrix receiving every vertex's out-state (rows of
     vertices without an access repeat the state of the last access
     before them).  ``top`` is the associativity.
 
@@ -624,18 +658,22 @@ def replay_segment(cur: np.ndarray, ops, out: np.ndarray,
     entry it fails ``< top`` and stays ⊥.  Must/may rows are never
     negative and an absent block already carries the aging bound
     ``assoc``, so the formula degrades to the plain LRU update there.
+    A ``maybe`` op (L2 must only) is ``join(update(s, b), s)``: the
+    max-join keeps ``b`` at ``h`` and the younger blocks aged, so it is
+    the aging step without the reset.
     """
     curu = cur.view(np.uint8)
     topu = np.uint8(top)
     filled = 0
-    for k, col, set_index in ops:
+    for k, col, set_index, maybe in ops:
         if k > filled:
             out[filled:k] = cur
             filled = k
         sub = curu[:, set_index::num_sets]
         # (sub < h) & (sub < top) in one comparison
         np.add(sub, sub < np.minimum(curu[:, col:col + 1], topu), out=sub)
-        curu[:, col] = 0
+        if not maybe:
+            curu[:, col] = 0
     out[filled:] = cur
 
 
@@ -876,3 +914,73 @@ def classify_references_dense(
     for rid, code in zip(rids.tolist(), codes.tolist()):
         classifications[rid] = table[code]
     return classifications
+
+
+# ----------------------------------------------------------------------
+# second level (L2 must pass)
+# ----------------------------------------------------------------------
+_LAYER_CODE = {label: code for code, label in enumerate(CLASSIFICATION_LAYERS)}
+
+
+def _ref_codes(schedule: KernelSchedule, classifications) -> np.ndarray:
+    """Layer codes of the references, in ``schedule.ref_rids`` order."""
+    rids = schedule.ref_rids
+    return np.fromiter(
+        (_LAYER_CODE[classifications[rid]] for rid in rids.tolist()),
+        dtype=np.int8, count=len(rids),
+    )
+
+
+def l2_schedule(schedule: KernelSchedule, universe: BlockUniverse,
+                classifications, may: DenseDataflowResult) -> KernelSchedule:
+    """``schedule``'s chains with :func:`~repro.cache.classify.l2_access_plan`
+    on the L2 ``universe`` (same base and width, so the columns carry
+    over): always-hits (locked blocks included) make no access, a
+    definite L1 miss — always-miss, or absent from a reached may
+    in-state — a definite one, anything else and every target a maybe.
+    """
+    acfg = schedule.acfg
+    n = len(acfg)
+    rids, cols = schedule.ref_rids, schedule.ref_cols
+    codes = _ref_codes(schedule, classifications)
+    reaches = codes != _LAYER_CODE[Classification.ALWAYS_HIT]
+    definite = (codes == _LAYER_CODE[Classification.ALWAYS_MISS]) | (
+        may.reachable[rids]
+        & (may.dense_in[rids, cols] >= may.universe.config.associativity)
+    )
+    own = np.full(n, -1, dtype=np.int64)
+    own[rids[reaches]] = cols[reaches]
+    maybe = np.ones((n, 2), dtype=bool)
+    maybe[rids, 0] = ~definite
+    target = _target_stream(acfg, schedule.universe, schedule.locked_blocks)
+    steps = schedule.steps
+    ops, bounds, elided = _compile_ops(
+        np.arange(n), np.array([step.start for step in steps]),
+        np.asarray(schedule.step_of), own, target, maybe,
+        universe.config.num_sets,
+    )
+    level = copy.copy(schedule)
+    level.universe = universe
+    level.steps = [
+        SegmentStep(
+            step.index, step.start, step.end, step.preds, step.back_srcs,
+            step.deps, tuple(ops[bounds[j]:bounds[j + 1]]), elided[j],
+        )
+        for j, step in enumerate(steps)
+    ]
+    level.steps_reused = 0
+    return level
+
+
+def l2_hits_dense(schedule: KernelSchedule, classifications,
+                  l2_must: DenseDataflowResult) -> frozenset:
+    """Vectorized :func:`repro.cache.classify.l2_guaranteed_hits`."""
+    rids, cols = schedule.ref_rids, schedule.ref_cols
+    missed = ~np.isin(
+        _ref_codes(schedule, classifications),
+        [_LAYER_CODE[label] for label in HIT_CLASSES],
+    )
+    held = l2_must.reachable[rids] & (
+        l2_must.dense_in[rids, cols] < l2_must.universe.config.associativity
+    )
+    return frozenset(rids[missed & held].tolist())

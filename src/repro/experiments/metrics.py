@@ -225,7 +225,6 @@ class SweepMetrics:
             lines.append(
                 f"pipeline: {delta} delta / {cold} cold analyses, "
                 f"{totals.get('delta_fallbacks', 0)} fallbacks, "
-                f"{totals.get('transfer_hits', 0)} transfer hits, "
                 f"{totals.get('structural_hits', 0)} structural hits, "
                 f"{totals.get('invalidations', 0)} invalidations"
             )

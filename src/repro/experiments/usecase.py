@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.pipeline import AnalysisPipeline, PipelineResult
-from repro.analysis.wcet import analyze_wcet
 from repro.bench.registry import load
 from repro.cache.config import (
     CacheConfig,
@@ -35,7 +34,6 @@ from repro.energy.metrics import EnergyBreakdown, account_energy
 from repro.energy.technology import technology
 from repro.errors import ExperimentError
 from repro.obs.trace import active_tracer
-from repro.program.acfg import build_acfg
 from repro.program.cfg import ControlFlowGraph
 from repro.sim.machine import simulate
 
@@ -199,36 +197,28 @@ def measure_program(
     config: CacheConfig,
     tech_name: str,
     seed: int = 1,
-    base_address: int = 0,
-    with_persistence: bool = True,
-    pipeline: Optional[AnalysisPipeline] = None,
+    *,
+    pipeline: AnalysisPipeline,
     l2: Optional[str] = None,
     analysis: Optional[PipelineResult] = None,
 ) -> ProgramMeasurement:
     """Analyse + simulate one executable on one hierarchy/technology.
 
-    When ``pipeline`` is given the WCET analysis runs through it and the
-    pipeline's own persistence/base-address/hierarchy settings apply
-    (pass an ``l2`` that matches the pipeline's).  ``analysis`` is that
-    pipeline's analysis of ``cfg`` when the caller already holds it; it
-    is measured instead of analysing again.
+    The WCET analysis runs through ``pipeline``, so its persistence,
+    refine, locked-block, base-address and hierarchy settings apply
+    (pass an ``l2`` that matches the pipeline's; the simulation uses
+    the pipeline's base address).  ``analysis`` is that pipeline's
+    analysis of ``cfg`` when the caller already holds it; it is
+    measured instead of analysing again.
     """
     tech = technology(tech_name)
     hierarchy = hierarchy_for(config, l2)
     models = hierarchy_model(hierarchy, tech)
     model, l2_model, timing = models.l1, models.l2, models.timing
-    if pipeline is not None:
-        base_address = pipeline.base_address
-        wcet = (analysis or pipeline.analyze(cfg)).wcet
-    else:
-        acfg = build_acfg(cfg, config.block_size, base_address)
-        wcet = analyze_wcet(
-            acfg, config, timing, with_persistence=with_persistence,
-            hierarchy=hierarchy if hierarchy.multi_level else None,
-        )
+    wcet = (analysis or pipeline.analyze(cfg)).wcet
     level2 = hierarchy.l2_level
     sim = simulate(
-        cfg, config, timing, seed=seed, base_address=base_address,
+        cfg, config, timing, seed=seed, base_address=pipeline.base_address,
         l2_config=level2.config if level2 is not None else None,
     )
     dram = DRAMModel(tech)
@@ -286,7 +276,7 @@ def pipeline_for_usecase(
     Honors the optimizer options' analysis-relevant knobs (persistence
     domain, locked blocks, base address, hierarchy) so the same pipeline
     serves the measure → optimize → measure sequence of
-    :func:`run_usecase` (its transfer and segment memos carry over).
+    :func:`run_usecase` (its segment memos carry over).
     """
     config = usecase.cache_config()
     opts, l2 = _effective_options(usecase, options)
@@ -390,19 +380,15 @@ def run_cross_capacity(
     small = big.scaled_capacity(capacity_factor)
     tech = technology(usecase.tech)
     opts, l2 = _effective_options(usecase, options)
+    timing_big = hierarchy_model(hierarchy_for(big, l2), tech).timing
     timing_small = hierarchy_model(hierarchy_for(small, l2), tech).timing
-    persistence = opts.with_persistence
-    # One pipeline for the small-cache phases; the original's big-cache
-    # measurement is a different configuration and stays standalone.
+    # Both sides are analysed through pipelines built from the same
+    # options (refine, locked blocks, base address), each on its cache.
     small_pipeline = AnalysisPipeline.for_options(small, timing_small, opts)
     original_cfg = load(usecase.program)
-    # Same base address as the optimized build (the pipeline's): both
-    # executables must be laid out identically or the big-cache side
-    # measures a different memory image than the comparison assumes.
     original = measure_program(
         original_cfg, big, usecase.tech, seed=seed,
-        base_address=opts.base_address,
-        with_persistence=persistence, l2=l2,
+        pipeline=AnalysisPipeline.for_options(big, timing_big, opts), l2=l2,
     )
     optimized_cfg, report = optimize(
         original_cfg, small, timing_small, options=opts,

@@ -143,7 +143,7 @@ class TestUsecaseHandoffs:
         assert len(simulated) == 1
         assert result.optimized == measure_program(
             load("lcdnum"), case.cache_config(), case.tech,
-            with_persistence=False,
+            pipeline=pipeline_for_usecase(case, opts),
         )
 
     @pytest.mark.slow

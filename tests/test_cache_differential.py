@@ -257,11 +257,21 @@ class TestProgramLevelPropertyBased:
 
 import numpy as np
 
-from repro.cache.config import TABLE2
+from repro.bench.registry import load
+from repro.cache.classify import (
+    analyze_l2_must,
+    l2_guaranteed_hits,
+)
+from repro.cache.config import TABLE2, hierarchy_for
 from repro.cache.kernel import (
     BATCH_ORDER,
     BlockUniverse,
+    KernelSchedule,
+    classify_references_dense,
     join_rows,
+    l2_hits_dense,
+    l2_schedule,
+    propagate_kernel_batch,
     replay_segment,
     row_to_state,
     state_to_row,
@@ -331,22 +341,29 @@ def _assert_rows_match(order, batch, states, universe, context=""):
         assert state_to_row(state, universe).tobytes() == row.tobytes()
 
 
-def _replay_lockstep(order, states, batch, universe, blocks):
+def _replay_lockstep(order, states, batch, universe, blocks, maybe=None):
     """Replay ``blocks`` on ``batch`` (in place) as one segment and on
     the oracle states; assert bit-identity after every access.
 
     Each access sits on its own vertex followed by an access-free one,
     so the replay's fill of rows without an access is checked too.
+    ``maybe`` flags uncertain accesses (the L2 must pass's op), which
+    the oracle runs as ``join(update(s, b), s)``.
     """
     config = universe.config
+    maybe = maybe or [False] * len(blocks)
     ops = tuple(
-        (2 * i, universe.column(block), universe.column(block) % config.num_sets)
-        for i, block in enumerate(blocks)
+        (2 * i, universe.column(block),
+         universe.column(block) % config.num_sets, uncertain)
+        for i, (block, uncertain) in enumerate(zip(blocks, maybe))
     )
     out = np.empty((2 * len(blocks),) + batch.shape, dtype=np.int8)
     replay_segment(batch, ops, out, config.num_sets, config.associativity)
-    for step, block in enumerate(blocks):
-        states = [state.update(block) for state in states]
+    for step, (block, uncertain) in enumerate(zip(blocks, maybe)):
+        if uncertain:
+            states = [state.join(state.update(block)) for state in states]
+        else:
+            states = [state.update(block) for state in states]
         _assert_rows_match(order, out[2 * step], states, universe,
                            f"at step {step} (access {block}) ")
         assert out[2 * step + 1].tobytes() == out[2 * step].tobytes()
@@ -427,6 +444,31 @@ def _run_branch(config, order, prefix, seq_a, seq_b, suffix):
     _replay_lockstep(order, states, batch, universe, suffix)
 
 
+def _run_mixed_sequence(config, accesses):
+    """Definite and maybe accesses ``(block, maybe)`` on a one-row must
+    batch, lockstep with :class:`MustState` at every step."""
+    order = ("must",)
+    states, batch, universe = _dual_start(config, order)
+    blocks = [block for block, _ in accesses]
+    maybe = [uncertain for _, uncertain in accesses]
+    _replay_lockstep(order, states, batch, universe, blocks, maybe)
+
+
+def _mixed_sequences(config):
+    """The deterministic sequences under three definite/maybe patterns:
+    every third access maybe, maybe runs after a definite access to the
+    same block (the MRU case the plan compiler must not elide), and
+    alternating halves."""
+    mixed = []
+    for sequence in _deterministic_sequences(config):
+        mixed.append([(b, i % 3 == 1) for i, b in enumerate(sequence)])
+        mixed.append([
+            (b, step > 0) for b in sequence[:20] for step in range(3)
+        ])
+        mixed.append([(b, (i // 4) % 2 == 1) for i, b in enumerate(sequence)])
+    return mixed
+
+
 def _deterministic_sequences(config):
     width = _width(config)
     thrash = [b % width for b in range(3 * config.num_blocks)] * 2
@@ -466,6 +508,115 @@ class TestKernelVsOracleDeterministic:
             seq_b=_blocks(config, [(11 * i + 2) % RAW_SPAN for i in range(9)]),
             suffix=_blocks(config, [(7 * i) % RAW_SPAN for i in range(15)]),
         )
+
+
+class TestMaybeAccessDeterministic:
+    """The L2 must pass's uncertain access on every Table 2 config: the
+    replay without the age-0 reset equals the oracle's
+    ``join(update(s, b), s)`` step by step, between definite accesses
+    and at the join of two branches."""
+
+    @pytest.mark.parametrize("config", FULL_GRID, ids=lambda c: c.label())
+    def test_mixed_sequences_bit_identical(self, config):
+        for accesses in _mixed_sequences(config):
+            _run_mixed_sequence(config, accesses)
+
+    @pytest.mark.parametrize("config", FULL_GRID, ids=lambda c: c.label())
+    def test_mixed_branches_bit_identical(self, config):
+        order = ("must",)
+        states, batch, universe = _dual_start(config, order)
+        prefix = _blocks(config, [(3 * i) % RAW_SPAN for i in range(20)])
+        states = _replay_lockstep(order, states, batch, universe, prefix,
+                                  [i % 2 == 0 for i in range(20)])
+        arm_b = batch.copy()
+        seq = _blocks(config, [(5 * i + 1) % RAW_SPAN for i in range(12)])
+        states_a = _replay_lockstep(order, states, batch, universe, seq,
+                                    [i % 3 == 0 for i in range(12)])
+        states_b = _replay_lockstep(order, states, arm_b, universe, seq[::-1],
+                                    [True] * 12)
+        join_rows(batch, arm_b, 1)
+        states = [a.join(b) for a, b in zip(states_a, states_b)]
+        _assert_rows_match(order, batch, states, universe, "at the join ")
+
+
+def _l2_of(config):
+    """An L2 behind ``config``: 8-way, same block size, at least four
+    times the capacity."""
+    return hierarchy_for(
+        config, f"8:{config.block_size}:{max(4 * config.capacity, 8192)}:6"
+    ).l2_level.config
+
+
+def _dense_and_python_l2(program, config, relabel=None):
+    """The dense L2 pass and its python oracle on one program, both fed
+    the vectorized L1 classification (or ``relabel``'s rewrite of it)
+    and may rows."""
+    acfg = build_acfg(load(program), config.block_size)
+    l2_config = _l2_of(config)
+    universe = BlockUniverse.for_acfg(acfg, config)
+    schedule = KernelSchedule(acfg, universe, frozenset())
+    l1 = propagate_kernel_batch(schedule, ("must", "may"))
+    labels = classify_references_dense(
+        acfg, l1["must"], l1["may"], None, schedule=schedule
+    )
+    if relabel is not None:
+        labels = [relabel(label) for label in labels]
+    level = l2_schedule(
+        schedule,
+        BlockUniverse(l2_config, universe.base_block, universe.width),
+        labels, l1["may"],
+    )
+    dense = propagate_kernel_batch(level, ("must",))["must"]
+    python = analyze_l2_must(acfg, l2_config, labels, may=l1["may"])
+    return acfg, labels, level, dense, python
+
+
+class TestDenseL2Deterministic:
+    """The dense L2 pass on real programs against ``analyze_l2_must``:
+    every in-state and the hit gather against ``l2_guaranteed_hits``."""
+
+    @pytest.mark.parametrize("config", FULL_GRID, ids=lambda c: c.label())
+    @pytest.mark.parametrize("program", ["bs", "crc", "ndes"])
+    def test_l2_states_and_hits_match_python(self, program, config):
+        acfg, labels, level, dense, python = _dense_and_python_l2(
+            program, config
+        )
+        assert list(dense.in_states) == list(python.in_states)
+        assert list(dense.out_states) == list(python.out_states)
+        assert l2_hits_dense(level, labels, dense) == l2_guaranteed_hits(
+            acfg, labels, python
+        )
+
+    @pytest.mark.parametrize("config_id", ["k1", "k13", "k36"])
+    @pytest.mark.parametrize("program", ["crc", "ndes"])
+    def test_maybe_repeats_stay_in_the_plan(self, program, config_id):
+        """With every L1 hit relabelled NOT_CLASSIFIED, consecutive
+        fetches from one block become repeated maybe accesses.  A
+        repeat after a maybe access still ages the younger blocks, so
+        the plan must keep it; only a repeat after a definite access is
+        a no-op."""
+        def unproven(label):
+            if label is Classification.ALWAYS_HIT:
+                return Classification.NOT_CLASSIFIED
+            return label
+
+        acfg, labels, level, dense, python = _dense_and_python_l2(
+            program, TABLE2[config_id], relabel=unproven
+        )
+        assert any(
+            a[1] == b[1] and a[3]
+            for step in level.steps for a, b in zip(step.ops, step.ops[1:])
+        )
+        assert list(dense.in_states) == list(python.in_states)
+        assert l2_hits_dense(level, labels, dense) == l2_guaranteed_hits(
+            acfg, labels, python
+        )
+
+    @pytest.mark.parametrize("config_id", ["k1", "k36"])
+    def test_plan_mixes_definite_and_maybe_accesses(self, config_id):
+        _, _, level, _, _ = _dense_and_python_l2("crc", TABLE2[config_id])
+        flags = {op[3] for step in level.steps for op in step.ops}
+        assert flags == {False, True}
 
 
 @pytest.mark.slow
@@ -525,3 +676,16 @@ class TestKernelVsOraclePropertyBased:
         _run_branch(config, BATCH_ORDER, *(
             _blocks(config, raw) for raw in (prefix, seq_a, seq_b, suffix)
         ))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        config=st.sampled_from(FULL_GRID),
+        accesses=st.lists(st.tuples(RAW_BLOCKS, st.booleans()), max_size=50),
+    )
+    def test_random_mixed_sequences_bit_identical(self, config, accesses):
+        """Random definite/maybe sequences, lockstep with MustState."""
+        blocks = _blocks(config, [raw for raw, _ in accesses])
+        _run_mixed_sequence(config, [
+            (block, uncertain)
+            for block, (_, uncertain) in zip(blocks, accesses)
+        ])

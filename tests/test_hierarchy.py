@@ -40,6 +40,7 @@ from repro.cache.config import (
     hierarchy_for,
     parse_l2_spec,
 )
+from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.timing import TimingModel
 from repro.analysis.wcet import analyze_wcet, prefetch_lambda
 from repro.energy.cacti import cacti_l2_model, cacti_model, hierarchy_model
@@ -281,10 +282,10 @@ def _two_level_outcomes(cfg, hierarchy, seed):
             yield instr.uid, l1_hit, l2_hit
 
 
-def _analyze_two_levels(acfg, hierarchy, kernel=None):
+def _analyze_two_levels(acfg, hierarchy):
     """The L1 classification plus the L2 must stage and its guaranteed
     hits, composed as :func:`analyze_wcet` composes them."""
-    analysis = analyze_cache(acfg, hierarchy.l1, kernel=kernel)
+    analysis = analyze_cache(acfg, hierarchy.l1)
     analysis.l2_must = analyze_l2_must(
         acfg, hierarchy.l2_level.config, analysis.classifications,
         may=analysis.may,
@@ -496,8 +497,8 @@ def serialize_hierarchy_analysis(acfg, analysis) -> str:
 
     Classifications, the L2-guaranteed rid set and every L2 must
     fixpoint state; both kernels must reproduce it byte for byte (the
-    L2 plan is derived from the kernel-independent classifications and
-    may states, so the whole document is kernel-independent too).
+    dense L2 pass replays the python plan, so the whole document is
+    kernel-independent).
     """
     from tests.test_kernel_equivalence import _state_repr
 
@@ -523,12 +524,17 @@ def _hierarchy_golden_files():
 
 
 def _analyze_golden_point(document, kernel):
+    """The pipeline's analysis of one golden point: under the vectorized
+    kernel its L2 stage is the dense pass, under python the oracle."""
     from repro.bench.registry import load
 
     config = TABLE2[document["config"]]
-    acfg = build_acfg(load(document["program"]), config.block_size, 0)
     hierarchy = hierarchy_for(config, document["l2"])
-    return acfg, _analyze_two_levels(acfg, hierarchy, kernel=kernel)
+    timing = hierarchy_model(hierarchy, TECH_45NM).timing
+    result = AnalysisPipeline(
+        config, timing, kernel=kernel, hierarchy=hierarchy
+    ).analyze(load(document["program"]))
+    return result.acfg, result.wcet.cache
 
 
 class TestHierarchyGoldenCorpus:

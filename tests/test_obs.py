@@ -642,3 +642,30 @@ class TestPipelineStageSpans:
                   if s["name"].startswith("pipeline.")}
         assert set(profile) == traced
         assert ("refine" in traced) == bool(flags)
+
+
+class TestOverheadBenchSpanCount:
+    def test_spans_recorded_counts_every_ended_span(self, monkeypatch):
+        """The tracing-overhead bench reports the spans a traced
+        ``optimize`` ended, not the collector's folded documents."""
+        import importlib.util
+        from pathlib import Path
+
+        path = (Path(__file__).resolve().parent.parent / "benchmarks"
+                / "bench_obs_overhead.py")
+        spec = importlib.util.spec_from_file_location("bench_obs", path)
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+
+        ended = []
+
+        class CountingCollector(SpanCollector):
+            def add(self, span):
+                ended.append(span.name)
+                super().add(span)
+
+        monkeypatch.setattr(bench, "SpanCollector", CountingCollector)
+        _, spans = bench._run_traced(budget=5)
+        assert spans == len(ended)
+        # aggregate stage spans fold, so the documents are far fewer
+        assert len(set(ended)) < spans

@@ -117,8 +117,8 @@ class TestJoinCounterexample:
 
         def access(batch, block):
             out = np.empty((1,) + batch.shape, dtype=np.int8)
-            replay_segment(batch, ((0, block, block % num_sets),), out,
-                           num_sets, top)
+            replay_segment(batch, ((0, block, block % num_sets, False),),
+                           out, num_sets, top)
 
         # one-row persistence batches over blocks 0..7; ⊥ is -1
         x_path = np.full((1, 8), -1, dtype=np.int8)

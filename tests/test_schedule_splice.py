@@ -143,7 +143,7 @@ class TestMruElision:
             raw += 1 + (acfg.target_block_or_none(rid) is not None)
         kept = 0
         for step in schedule.steps:
-            cols = [col for _, col, _ in step.ops]
+            cols = [col for _, col, _, _ in step.ops]
             assert all(a != b for a, b in zip(cols, cols[1:]))
             kept += len(cols)
         assert schedule.accesses_elided == raw - kept > kept

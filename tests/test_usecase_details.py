@@ -5,24 +5,33 @@ from __future__ import annotations
 import pytest
 
 from repro.bench.registry import load
-from repro.cache.config import TABLE2
 from repro.core.optimizer import OptimizerOptions
 from repro.experiments.usecase import (
     ProgramMeasurement,
     UseCase,
     _ratio,
     measure_program,
+    pipeline_for_usecase,
     run_cross_capacity,
     run_usecase,
 )
 
 
+def _measure(usecase, seed=1, **options):
+    """A measurement of the use case's program through a pipeline built
+    from ``OptimizerOptions(**options)``."""
+    return measure_program(
+        load(usecase.program), usecase.cache_config(), usecase.tech,
+        seed=seed,
+        pipeline=pipeline_for_usecase(usecase, OptimizerOptions(**options)),
+    )
+
+
 class TestMeasureProgram:
     def test_persistence_flag_changes_the_bound(self):
-        cfg = load("bsort100")
-        config = TABLE2["k1"]
-        tight = measure_program(cfg, config, "45nm", with_persistence=True)
-        loose = measure_program(cfg, config, "45nm", with_persistence=False)
+        case = UseCase("bsort100", "k1", "45nm")
+        tight = _measure(case, with_persistence=True)
+        loose = _measure(case, with_persistence=False)
         assert tight.tau_w <= loose.tau_w
         # the simulation is baseline-independent
         assert tight.tau_a == loose.tau_a
@@ -30,7 +39,7 @@ class TestMeasureProgram:
 
     def test_measurement_fields_consistent(self):
         cfg = load("crc")
-        m = measure_program(cfg, TABLE2["k7"], "32nm")
+        m = _measure(UseCase("crc", "k7", "32nm"))
         assert m.executed_instructions > 0
         assert m.static_instructions == cfg.instruction_count
         assert 0.0 <= m.miss_rate_acet <= 1.0
@@ -90,18 +99,13 @@ class TestCrossCapacityBaseAddress:
         result = run_cross_capacity(usecase, 0.5, seed=1, options=options)
         # the original side must equal a standalone measurement of the
         # same program at the same (nonzero) base address...
-        big = usecase.cache_config()
-        expected = measure_program(
-            load("bs"), big, "45nm", seed=1, base_address=64,
-        )
+        expected = _measure(usecase, base_address=64)
         assert result.original.tau_w == expected.tau_w
         assert result.original.tau_a == expected.tau_a
         assert result.original.miss_rate_acet == expected.miss_rate_acet
         # ...and differ from the base-address-0 layout whenever the
         # layout matters to this cache (guards against the fix rotting)
-        at_zero = measure_program(
-            load("bs"), big, "45nm", seed=1, base_address=0,
-        )
+        at_zero = _measure(usecase, base_address=0)
         if (at_zero.tau_w, at_zero.tau_a) != (expected.tau_w, expected.tau_a):
             assert (result.original.tau_w, result.original.tau_a) != (
                 at_zero.tau_w, at_zero.tau_a
@@ -111,12 +115,26 @@ class TestCrossCapacityBaseAddress:
         usecase = UseCase("bs", "k1", "45nm")
         options = OptimizerOptions(max_evaluations=5)
         result = run_cross_capacity(usecase, 0.5, seed=1, options=options)
-        expected = measure_program(
-            load("bs"), usecase.cache_config(), "45nm", seed=1,
-            base_address=0,
-        )
+        expected = _measure(usecase, base_address=0)
         assert result.original.tau_w == expected.tau_w
         assert result.original.tau_a == expected.tau_a
+
+
+class TestCrossCapacityOriginalOptions:
+    def test_original_measurement_is_refined(self):
+        """Regression: the big-cache original was analysed without
+        ``refine`` (or ``locked_blocks``) while the small-cache side ran
+        a full pipeline.  whet/k9 under the classic baseline: 5151
+        cycles unrefined, 5119 refined."""
+        usecase = UseCase("whet", "k9", "45nm")
+        options = dict(with_persistence=False, refine=True,
+                       max_evaluations=3)
+        result = run_cross_capacity(
+            usecase, 0.5, seed=1, options=OptimizerOptions(**options)
+        )
+        expected = _measure(usecase, **options)
+        assert result.original == expected
+        assert result.original.tau_w == 5119
 
 
 class TestBaselineThreading:
