@@ -26,6 +26,9 @@ class ConcreteCache:
 
     def __init__(self, config: CacheConfig):
         self.config = config
+        # Set count, fixed by the (frozen) config: the set of a block is
+        # ``block % self._num_sets`` (CacheConfig.set_index).
+        self._num_sets = config.num_sets
         # Per set: list of block ids, MRU first.  Sets are materialised
         # lazily; an absent set is entirely invalid.
         self._sets: Dict[int, List[int]] = {}
@@ -69,7 +72,7 @@ class ConcreteCache:
             (set not full, or block already present — in which case it is
             merely promoted to MRU).
         """
-        index = self.config.set_index(block)
+        index = block % self._num_sets
         line = self._sets.setdefault(index, [])
         if block in line:
             line.remove(block)
@@ -84,11 +87,11 @@ class ConcreteCache:
 
     def contains(self, block: int) -> bool:
         """Non-destructive lookup (no LRU update, no counters)."""
-        index = self.config.set_index(block)
+        index = block % self._num_sets
         return block in self._sets.get(index, ())
 
     def _touch(self, block: int) -> bool:
-        index = self.config.set_index(block)
+        index = block % self._num_sets
         line = self._sets.setdefault(index, [])
         if block in line:
             line.remove(block)
@@ -138,7 +141,7 @@ class ConcreteCache:
 
     def age_of(self, block: int) -> Optional[int]:
         """LRU age of a block in its set (0 = MRU), or ``None`` if absent."""
-        index = self.config.set_index(block)
+        index = block % self._num_sets
         line = self._sets.get(index, [])
         if block in line:
             return line.index(block)

@@ -17,7 +17,7 @@ execution, which is the paper's argument against it.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.structural import PathSolution, solve_wcet_path
 from repro.analysis.timing import TimingModel
@@ -25,8 +25,7 @@ from repro.cache.config import CacheConfig
 from repro.errors import SimulationError
 from repro.program.acfg import ACFG, build_acfg
 from repro.program.cfg import ControlFlowGraph
-from repro.program.layout import AddressLayout
-from repro.sim.executor import block_trace
+from repro.sim.machine import fetch_plans
 from repro.sim.trace import SimulationResult
 
 
@@ -176,25 +175,26 @@ def simulate_locked(
     for block in locked_blocks:
         if not isinstance(block, int) or block < 0:
             raise SimulationError(f"invalid locked block id {block!r}")
-    layout = AddressLayout(cfg, base_address)
-    result = SimulationResult(program=cfg.name)
-    result.fills = len(locked_blocks)
-    now = 0.0
-    for block in block_trace(cfg, seed=seed):
-        for instr in block.instructions:
-            if instr.is_prefetch:
+    hits = misses = 0
+    for plan in fetch_plans(cfg, config, seed, base_address=base_address):
+        for block, addresses, is_prefetch, _ in plan:
+            if is_prefetch:
                 raise SimulationError(
                     "locked-cache simulation expects a prefetch-free program"
                 )
-            address = layout.address(instr.uid)
-            mem_block = config.block_of_address(address)
-            result.fetches += 1
-            if mem_block in locked_blocks:
-                result.hits += 1
-                now += float(timing.hit_cycles)
+            if block in locked_blocks:
+                hits += len(addresses)
             else:
-                result.demand_misses += 1
-                now += float(timing.miss_cycles)
-    result.memory_cycles = now
+                misses += len(addresses)
+    result = SimulationResult(
+        program=cfg.name,
+        fetches=hits + misses,
+        hits=hits,
+        demand_misses=misses,
+        fills=len(locked_blocks),
+        memory_cycles=float(
+            hits * timing.hit_cycles + misses * timing.miss_cycles
+        ),
+    )
     result.validate()
     return result

@@ -25,7 +25,7 @@ instruction overhead of the optimization is reported separately (Fig. 8).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.analysis.timing import TimingModel
 from repro.cache.concrete import ConcreteCache
@@ -178,6 +178,37 @@ class MemorySystem:
         self.result.prefetch_transfers += 1
         return True
 
+    def _fetch_repeats(self, block: int, addresses: Tuple[int, ...]) -> None:
+        """Fetch ``addresses[1:]``, the rest of a run in ``block``.
+
+        The run's first address was just fetched, so ``block`` is the MRU
+        block of its set and every repeat is a hit.  They are charged in
+        one step unless something can come between them — a transfer in
+        flight, a hardware prefetcher, trace recording or a locked block
+        — and each repeat then takes its own :meth:`fetch`.  Cycle
+        counts are whole numbers, so ``now`` gains exactly what the
+        fetches one by one would add.
+        """
+        if (
+            self._in_flight
+            or self.prefetcher is not None
+            or self.record_trace
+            or self.locked_blocks
+        ):
+            for address in addresses[1:]:
+                self.fetch(address)
+            return
+        count = len(addresses) - 1
+        self.now += self.timing.hit_cycles * count
+        self.result.fetches += count
+        self.result.hits += count
+        self.cache.hits += count
+        # A demand miss may have installed a block still marked as
+        # prefetched-unused; its first hit claims the mark, as in fetch.
+        if block in self._prefetched_unused:
+            self._prefetched_unused.discard(block)
+            self.result.useful_prefetches += 1
+
     def advance(self, cycles: float) -> None:
         """Advance this machine's clock by externally-spent time.
 
@@ -213,6 +244,71 @@ class MemorySystem:
             self._prefetched_unused.discard(evicted)
 
 
+class FetchOp(NamedTuple):
+    """One step of a basic block's fetch plan (:func:`fetch_plans`).
+
+    Either one prefetch instruction (``is_prefetch``; one address, and
+    ``target`` the memory block it prefetches, ``None`` for a data
+    prefetch) or a run of consecutive non-prefetch instructions in one
+    memory block (their addresses in fetch order; no ``target``).
+    """
+
+    block: int
+    addresses: Tuple[int, ...]
+    is_prefetch: bool
+    target: Optional[int]
+
+
+def _compile_block(
+    basic_block: BasicBlock, layout: AddressLayout, config: CacheConfig
+) -> Tuple[FetchOp, ...]:
+    ops: List[FetchOp] = []
+    run: List[int] = []
+    run_block = -1
+    for instr in basic_block.instructions:
+        address = layout.address(instr.uid)
+        block = config.block_of_address(address)
+        if run and (instr.is_prefetch or block != run_block):
+            ops.append(FetchOp(run_block, tuple(run), False, None))
+            run = []
+        if instr.is_prefetch:
+            target = instr.prefetch_target
+            if target is not None:
+                target = config.block_of_address(layout.address(target))
+            ops.append(FetchOp(block, (address,), True, target))
+        else:
+            run.append(address)
+            run_block = block
+    if run:
+        ops.append(FetchOp(run_block, tuple(run), False, None))
+    return tuple(ops)
+
+
+def fetch_plans(
+    cfg: ControlFlowGraph,
+    config: CacheConfig,
+    seed: int = 0,
+    repeat: int = 1,
+    base_address: int = 0,
+) -> Iterator[Tuple[FetchOp, ...]]:
+    """The fetch plan of every executed basic block, in execution order.
+
+    Each basic block is compiled once per call, on its first execution,
+    into :class:`FetchOp` steps: its prefetch instructions, and the runs
+    of other instructions between them split where the memory block
+    changes.
+    """
+    layout = AddressLayout(cfg, base_address)
+    plans: Dict[str, Tuple[FetchOp, ...]] = {}
+    for basic_block in block_trace(cfg, seed=seed, repeat=repeat):
+        plan = plans.get(basic_block.name)
+        if plan is None:
+            plan = plans[basic_block.name] = _compile_block(
+                basic_block, layout, config
+            )
+        yield plan
+
+
 def simulate(
     cfg: ControlFlowGraph,
     config: CacheConfig,
@@ -227,6 +323,16 @@ def simulate(
 ) -> SimulationResult:
     """Run a program once and return its memory-system summary.
 
+    The fetch stream is priced run by run (:func:`fetch_plans`): the
+    first fetch of a same-block run goes through
+    :meth:`MemorySystem.fetch`, and the repeats, certain MRU hits, are
+    charged in one step.  Each repeat takes its own
+    :meth:`MemorySystem.fetch` instead whenever something could come
+    between them: a transfer in flight after the run's first fetch, a
+    hardware ``prefetcher`` (it observes every fetch), ``record_trace``
+    (one event per fetch) or ``locked_blocks``.  Both paths give the
+    same result, field for field.
+
     Args:
         cfg: Program to execute (prefetch instructions, if any, drive
             the software-prefetch path).
@@ -238,13 +344,15 @@ def simulate(
         repeat: Number of back-to-back runs (cache stays warm).
         record_trace: Keep per-fetch events (memory heavy).
         base_address: Code base address.
+        locked_blocks: Memory blocks pinned in locked ways (hybrid
+            locking): they always hit and never touch the LRU state of
+            ``config``, which then describes the unlocked ways.
         l2_config: Optional second-level cache; requires a timing model
             with ``l2_hit_penalty_cycles`` set.
 
     Returns:
         A validated :class:`SimulationResult`.
     """
-    layout = AddressLayout(cfg, base_address)
     machine = MemorySystem(
         config,
         timing,
@@ -254,27 +362,20 @@ def simulate(
         l2_config=l2_config,
     )
     machine.result.program = cfg.name
-    memory_map_cache: Dict[int, int] = {}
-    for block in block_trace(cfg, seed=seed, repeat=repeat):
-        for instr in block.instructions:
-            address = layout.address(instr.uid)
-            if instr.is_prefetch:
-                machine.fetch(address, is_prefetch_instr=True)
+    fetch = machine.fetch
+    for plan in fetch_plans(cfg, config, seed, repeat, base_address):
+        for block, addresses, is_prefetch, target in plan:
+            if is_prefetch:
+                fetch(addresses[0], is_prefetch_instr=True)
                 machine.result.prefetch_instructions += 1
-                target_uid = instr.prefetch_target
-                if target_uid is None:
-                    # data prefetch: its transfer runs on the data-cache
-                    # port (repro.data.machine); nothing to do here
-                    continue
-                target_block = memory_map_cache.get(target_uid)
-                if target_block is None:
-                    target_block = config.block_of_address(
-                        layout.address(target_uid)
-                    )
-                    memory_map_cache[target_uid] = target_block
-                machine.issue_prefetch(target_block)
-            else:
-                machine.fetch(address)
+                # a data prefetch (no target) transfers on the
+                # data-cache port (repro.data.machine); nothing to do here
+                if target is not None:
+                    machine.issue_prefetch(target)
+                continue
+            fetch(addresses[0])
+            if len(addresses) > 1:
+                machine._fetch_repeats(block, addresses)
     result = machine.result
     result.memory_cycles = machine.now
     if prefetcher is not None:

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.timing import TimingModel
 from repro.cache.config import CacheConfig
 from repro.program.builder import ProgramBuilder
+from repro.program.layout import AddressLayout
+from repro.sim import machine as machine_module
+from repro.sim.executor import block_trace
 from repro.sim.machine import MemorySystem, simulate
+from repro.sim.prefetchers import NextLinePrefetcher
+from tests.test_sim_runs import simulate_per_fetch
 
 
 @pytest.fixture
@@ -130,3 +137,93 @@ class TestSimulate:
         )
         assert a.fetches == b.fetches
         assert a.demand_misses == b.demand_misses  # alignment preserved
+
+
+class TestRunBatchingGuards:
+    """Each guard of `simulate`'s one-step run charge is load-bearing:
+    without it the batched result departs from the per-fetch loop."""
+
+    def test_prefetch_landing_mid_run_evicts_the_running_block(self):
+        # Direct-mapped, 2 sets of 64 B (16 instructions): memory blocks
+        # 0 and 2 share set 0.  bb0 starts with a prefetch of block 2 and
+        # then runs through block 0; the transfer (Λ = 4) lands after
+        # four of the run's hits and evicts block 0 under the run.  Block
+        # 0 is fetched by: the entry (miss, hit), the prefetch
+        # instruction, four run hits, then the re-miss.  That re-miss
+        # evicts block 2 unused, and bb0's later run through block 2
+        # misses; its next fetch still claims the prefetch as useful.
+        config = CacheConfig(1, 64, 128)
+        timing = TimingModel(hit_cycles=1, miss_penalty_cycles=4)
+        b = ProgramBuilder("landing")
+        b.code(48)
+        cfg = b.build()
+        bb0 = cfg.block("bb0")
+        cfg.insert_prefetch("bb0", 0, bb0.instructions[40].uid)
+        traced = simulate_per_fetch(cfg, config, timing, record_trace=True)
+        block0 = [event.hit for event in traced.result.trace if event.block == 0]
+        assert block0[:8] == [False] + [True] * 6 + [False]
+        assert block0.count(False) == 2
+        result = simulate(cfg, config, timing)
+        oracle = simulate_per_fetch(cfg, config, timing).result
+        assert dataclasses.asdict(result) == dataclasses.asdict(oracle)
+        assert result.demand_misses == traced.result.demand_misses
+        assert result.useful_prefetches == 1
+
+    @pytest.mark.parametrize("policy", ("always", "tagged"))
+    def test_hardware_prefetcher_observes_every_fetch(
+        self, loop_program, tiny_cache, timing, policy
+    ):
+        result = simulate(
+            loop_program, tiny_cache, timing, seed=2,
+            prefetcher=NextLinePrefetcher(policy),
+        )
+        oracle = simulate_per_fetch(
+            loop_program, tiny_cache, timing, seed=2,
+            prefetcher=NextLinePrefetcher(policy),
+        ).result
+        assert result.hw_table_probes == oracle.hw_table_probes
+        assert result.hw_table_probes == result.fetches
+        assert result.prefetch_transfers == oracle.prefetch_transfers
+        assert dataclasses.asdict(result) == dataclasses.asdict(oracle)
+
+    def test_trace_has_one_event_per_instruction(
+        self, loop_program, tiny_cache, timing
+    ):
+        result = simulate(
+            loop_program, tiny_cache, timing, seed=2, record_trace=True
+        )
+        layout = AddressLayout(loop_program)
+        addresses = [
+            layout.address(instr.uid)
+            for block in block_trace(loop_program, seed=2)
+            for instr in block.instructions
+        ]
+        assert [event.address for event in result.trace] == addresses
+        oracle = simulate_per_fetch(
+            loop_program, tiny_cache, timing, seed=2, record_trace=True
+        ).result
+        assert result.trace == oracle.trace
+
+    def test_locked_runs_leave_the_unlocked_ways_alone(
+        self, loop_program, timing, monkeypatch
+    ):
+        config = CacheConfig(1, 16, 128)  # the unlocked ways
+        locked = frozenset({0, 1, 2, 3})
+        machines = []
+
+        class Recording(MemorySystem):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                machines.append(self)
+
+        monkeypatch.setattr(machine_module, "MemorySystem", Recording)
+        result = simulate(
+            loop_program, config, timing, seed=2, locked_blocks=locked
+        )
+        oracle = simulate_per_fetch(
+            loop_program, config, timing, seed=2, locked_blocks=locked
+        )
+        (machine,) = machines
+        assert dataclasses.asdict(result) == dataclasses.asdict(oracle.result)
+        assert machine.cache.hits == oracle.cache.hits
+        assert machine.cache.misses == oracle.cache.misses
