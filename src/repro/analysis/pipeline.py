@@ -7,7 +7,12 @@ of the work is identical between calls: the ACFG of the unmodified
 program, the abstract fixpoint over the untouched prefix, segments
 replayed on in-states already seen.  :class:`AnalysisPipeline`
 decomposes the analysis into stages whose products the caller hands
-along explicitly; the pipeline keeps no results of its own:
+along explicitly; the pipeline keeps no results of its own.
+
+Under the ``python`` kernel every call is the cold oracle,
+:func:`~repro.analysis.wcet.analyze_wcet` on a freshly built ACFG,
+whatever the caller hands along.  The stages below are the
+``vectorized`` kernel's, the one incremental engine:
 
 1. **Structural artifacts** — ACFG, loop instance spans and the kernel
    schedule.  A call that names its ``base`` result and the ``edit``
@@ -20,15 +25,11 @@ along explicitly; the pipeline keeps no results of its own:
    analysis of the same program (``reuse=``, how ``run_usecase`` passes
    the original measurement to ``optimize``) takes its artifacts and
    abstract fixpoints as they are.
-2. **One fixpoint engine per kernel** — the kernel picks the engine of
-   every fixpoint, the L2 must pass included.  Under ``vectorized``
-   the L1 domains and the L2 run on
-   :func:`~repro.cache.kernel.propagate_kernel_batch`, each level with
-   its own :class:`~repro.cache.kernel.SegmentMemo`, so a chain
-   replayed on an in-state already seen — across candidates, sweeps
-   and use-case phases — comes back from the memo.  Under ``python``
-   the plain :func:`~repro.cache.classify.propagate` runs, the oracle,
-   with no memo.
+2. **One dense fixpoint engine** — the L1 domains and the L2 must pass
+   run on :func:`~repro.cache.kernel.propagate_kernel_batch`, each
+   level with its own :class:`~repro.cache.kernel.SegmentMemo`, so a
+   chain replayed on an in-state already seen — across candidates,
+   sweeps and use-case phases — comes back from the memo.
 3. **Delta re-analysis** — after a prefetch insertion the pipeline
    computes the *divergence boundary*: the first reference vertex at
    which the old and new ACFGs differ, lowered (closure) until no back
@@ -43,8 +44,10 @@ along explicitly; the pipeline keeps no results of its own:
    0) the pipeline falls back to a cold run; a ``differential`` mode
    rebuilds every spliced ACFG and asserts it equal field by field,
    then re-runs every delta or ``reuse=`` analysis from scratch on the
-   rebuilt graph and asserts bit-identical ``tau_w``, classifications
-   and ``wcet_path_misses``.
+   rebuilt graph — ``analyze_wcet`` on the session kernel
+   (``REPRO_CACHE_KERNEL``), so under ``python`` against the oracle —
+   and asserts bit-identical ``tau_w``, classifications and
+   ``wcet_path_misses``.
 
 The guard stage (per-reference times and the prefetch-latency guard)
 reads only the ACFG's flat arrays — predecessor tuples, REF and
@@ -59,9 +62,10 @@ flow into :class:`~repro.core.optimizer.OptimizationReport`, sweep
 metrics and the service's telemetry.  Wall-clock lives only in the
 aggregate ``pipeline.<stage>`` spans of the active tracer (no-ops when
 nothing traces), from which ``repro optimize --profile`` sums its
-per-stage table.  A splice counts as a structural miss like a build,
-so the counters do not depend on it; the ``pipeline.acfg`` span's
-``spliced`` attribute tells the two apart.
+per-stage table; under ``python`` only the ``acfg`` stage runs
+through the pipeline.  A splice counts as a structural miss like a
+build, so the counters do not depend on it; the ``pipeline.acfg``
+span's ``spliced`` attribute tells the two apart.
 """
 
 from __future__ import annotations
@@ -86,19 +90,10 @@ from repro.analysis.wcet import (
     analyze_wcet,
     compute_ref_times,
 )
-from repro.cache.abstract import MayState, MustState
-from repro.cache.classify import (
-    CacheAnalysis,
-    DataflowResult,
-    analyze_l2_must,
-    classify_references,
-    l2_guaranteed_hits,
-    propagate,
-)
+from repro.cache.classify import CacheAnalysis, DataflowResult
 from repro.cache.config import CacheConfig, HierarchyConfig, hierarchy_for
 from repro.cache.kernel import (
     BlockUniverse,
-    DenseDataflowResult,
     KernelSchedule,
     SegmentMemo,
     classify_references_dense,
@@ -108,7 +103,6 @@ from repro.cache.kernel import (
     resolve_kernel,
     schedule_differences,
 )
-from repro.cache.persistence import PersistenceState
 from repro.errors import AnalysisError, UniverseOutgrown
 from repro.obs.trace import SpanLike, active_tracer
 from repro.program.acfg import (
@@ -184,11 +178,10 @@ class StructuralArtifacts:
     #: REST instance spans ``(entry_join, last_rid, exit_rids)`` — the
     #: optimizer's loop ranges and the latency guard's wrap-around scopes.
     loop_spans: List[Tuple[int, int, Tuple[int, ...]]]
-    #: Lazily compiled :class:`~repro.cache.kernel.KernelSchedule` of the
-    #: vectorized kernel (``None`` until first dense analysis, or when
-    #: the pipeline runs the python kernel).  Invalidated implicitly
-    #: when the pipeline's block universe is rebuilt (the schedule keeps
-    #: a reference to the universe it was compiled against).
+    #: The compiled :class:`~repro.cache.kernel.KernelSchedule` (``None``
+    #: in the python oracle's artifacts).  Invalidated implicitly when
+    #: the pipeline's block universe is rebuilt (the schedule keeps a
+    #: reference to the universe it was compiled against).
     schedule: Optional[KernelSchedule] = None
 
 
@@ -196,19 +189,19 @@ class PipelineResult:
     """One analysis run: WCET bundle + reusable solver/dataflow state."""
 
     __slots__ = ("owner", "artifacts", "wcet", "dataflows", "best",
-                 "best_pred", "with_may", "locked_blocks")
+                 "best_pred")
 
-    def __init__(self, owner, artifacts, wcet, dataflows, best, best_pred,
-                 with_may, locked_blocks):
+    def __init__(self, owner, artifacts, wcet, dataflows=None, best=None,
+                 best_pred=None):
         #: The pipeline that produced this result.
         self.owner = owner
         self.artifacts = artifacts
         self.wcet = wcet
-        self.dataflows = dataflows
+        #: Fixpoints and IPET tables to hand along (none from the python
+        #: kernel's cold oracle).
+        self.dataflows = dataflows or {}
         self.best = best
         self.best_pred = best_pred
-        self.with_may = with_may
-        self.locked_blocks = locked_blocks
 
     @property
     def acfg(self) -> ACFG:
@@ -313,8 +306,9 @@ class AnalysisPipeline:
     at construction, so every result it returns can seed a later call
     (``base=`` for a delta, ``reuse=`` for the same program).  It keeps
     no results itself; only the kernel's segment memos live as long as
-    the pipeline.  Not thread-safe; sweep workers build one per use
-    case.
+    the pipeline.  A ``python``-kernel pipeline is the cold oracle: it
+    takes the same calls and runs every one of them from scratch.  Not
+    thread-safe; sweep workers build one per use case.
 
     Args:
         config: Cache configuration.
@@ -324,19 +318,20 @@ class AnalysisPipeline:
         locked_blocks: Hybrid-locking pinned blocks.
         base_address: Program load address.
         differential: Verify every delta or ``reuse=`` analysis against
-            a cold :func:`~repro.analysis.wcet.analyze_wcet` run (slow;
-            used by the equivalence tests).
+            a cold :func:`~repro.analysis.wcet.analyze_wcet` run on the
+            session kernel (slow; used by the equivalence tests).
         kernel: Abstract-domain implementation: ``"python"`` (the
-            verified oracle), ``"vectorized"`` (the dense numpy kernel,
-            bit-identical by the differential suite), or ``None`` to
-            follow ``REPRO_CACHE_KERNEL`` (default ``vectorized``).
+            verified oracle, every analysis cold), ``"vectorized"`` (the
+            dense numpy kernel and incremental engine, bit-identical by
+            the differential suite), or ``None`` to follow
+            ``REPRO_CACHE_KERNEL`` (default ``vectorized``).
         hierarchy: Optional multi-level
             :class:`~repro.cache.config.HierarchyConfig`; its L1 must
             equal ``config``.  Adds an L2 must stage over the
-            classification-filtered stream after classification, on
-            the pipeline's kernel and delta-warm-started at the same
-            divergence boundary as the L1 stages.  ``None`` keeps the
-            single-level analysis bit-identical to before.
+            classification-filtered stream after classification,
+            delta-warm-started at the same divergence boundary as the
+            L1 stages.  ``None`` keeps the single-level analysis
+            bit-identical to before.
         refine: Run the model-checking refinement
             (:mod:`repro.analysis.refine`) after classification and
             apply its NC->AH / NC->AM / NC->PS promotions (PS only
@@ -432,7 +427,8 @@ class AnalysisPipeline:
 
         Returns:
             A :class:`PipelineResult` whose ``wcet`` is bit-identical to
-            a fresh :func:`~repro.analysis.wcet.analyze_wcet` call.
+            a fresh :func:`~repro.analysis.wcet.analyze_wcet` call (on
+            the python kernel, it is that call).
         """
         if reuse is not None and (
             base is not None or reuse.owner is not self
@@ -443,6 +439,8 @@ class AnalysisPipeline:
         if base is not None and base.owner is not self:
             self.stats.delta_fallbacks += 1
             base = None
+        if self.kernel == "python":
+            return self._oracle_analysis(cfg, with_may)
         if reuse is not None:
             self.stats.structural_hits += 1
             artifacts, first_changed = reuse.artifacts, None
@@ -484,10 +482,7 @@ class AnalysisPipeline:
         dataflows: Dict[str, Any] = {}
         # Dense fixpoints are reusable only against the live universe (a
         # regrown one recompiles the schedule they were computed with).
-        if reuse is not None and (
-            artifacts.schedule is None
-            or artifacts.schedule.universe is self._universe
-        ):
+        if reuse is not None and artifacts.schedule.universe is self._universe:
             dataflows = {
                 domain: reuse.dataflows[domain]
                 for domain in domains
@@ -498,16 +493,10 @@ class AnalysisPipeline:
         with self._stage("fixpoint") as fixpoint_span:
             seg_hits = self.stats.kernel_segment_hits
             seg_misses = self.stats.kernel_segment_misses
-            if self.kernel == "vectorized":
-                dataflows.update(self._dense_dataflow_stage(
-                    artifacts, missing, base, boundary
-                ))
-            else:
-                for domain in missing:
-                    dataflows[domain] = self._dataflow_stage(
-                        artifacts, domain, base, boundary
-                    )
-            if fixpoint_span.recording and self.kernel == "vectorized":
+            dataflows.update(self._dense_dataflow_stage(
+                artifacts, missing, base, boundary
+            ))
+            if fixpoint_span.recording:
                 fixpoint_span.set_attributes(
                     {
                         "kernel_segment_hits": self.stats.kernel_segment_hits
@@ -519,26 +508,14 @@ class AnalysisPipeline:
                 )
 
         with self._stage("classify"):
-            locked = self.locked_blocks or None
-            if all(
-                isinstance(df, DenseDataflowResult) for df in dataflows.values()
-            ):
-                classifications = classify_references_dense(
-                    acfg,
-                    dataflows["must"],
-                    dataflows.get("may"),
-                    dataflows.get("persistence"),
-                    locked,
-                    schedule=artifacts.schedule,
-                )
-            else:
-                classifications = classify_references(
-                    acfg,
-                    dataflows["must"],
-                    dataflows.get("may"),
-                    dataflows.get("persistence"),
-                    locked,
-                )
+            classifications = classify_references_dense(
+                acfg,
+                dataflows["must"],
+                dataflows.get("may"),
+                dataflows.get("persistence"),
+                self.locked_blocks or None,
+                schedule=artifacts.schedule,
+            )
             cache_analysis = CacheAnalysis(
                 self.config,
                 classifications,
@@ -643,14 +620,7 @@ class AnalysisPipeline:
             self._differential_check(oracle_acfg, wcet, with_may)
 
         return PipelineResult(
-            owner=self,
-            artifacts=artifacts,
-            wcet=wcet,
-            dataflows=dataflows,
-            best=best,
-            best_pred=best_pred,
-            with_may=bool(with_may),
-            locked_blocks=locked,
+            self, artifacts, wcet, dataflows, best, best_pred
         )
 
     # ------------------------------------------------------------------
@@ -691,30 +661,27 @@ class AnalysisPipeline:
             artifacts = StructuralArtifacts(
                 acfg=acfg, loop_spans=rest_instance_spans(acfg)
             )
-            schedule = None
-            if self.kernel == "vectorized":
-                # Schedule compilation is structural work (per program
-                # content, domain-independent), so it rides the acfg
-                # stage; a spliced graph splices its base's schedule.
-                schedule = self._schedule_for(
-                    artifacts,
-                    base.artifacts.schedule if spliced is not None else None,
-                    first_changed or 0,
-                )
+            # Schedule compilation is structural work (per program
+            # content, domain-independent), so it rides the acfg stage;
+            # a spliced graph splices its base's schedule.
+            schedule = self._schedule_for(
+                artifacts,
+                base.artifacts.schedule if spliced is not None else None,
+                first_changed or 0,
+            )
             if span.recording:
-                span.set_attribute("spliced", spliced is not None)
-                if schedule is not None:
-                    span.set_attributes({
-                        "steps": len(schedule.steps),
-                        "steps_reused": schedule.steps_reused,
-                    })
+                span.set_attributes({
+                    "spliced": spliced is not None,
+                    "steps": len(schedule.steps),
+                    "steps_reused": schedule.steps_reused,
+                })
         return artifacts, first_changed
 
     def _check_splice(
         self,
         cfg: ControlFlowGraph,
         spliced: ACFG,
-        schedule: Optional[KernelSchedule],
+        schedule: KernelSchedule,
     ) -> ACFG:
         """Rebuild a spliced ACFG from scratch and prove it equal, and
         its kernel schedule equal to a full compile of the rebuild."""
@@ -725,50 +692,14 @@ class AnalysisPipeline:
                 "spliced ACFG differs from a full rebuild in: "
                 + ", ".join(problems)
             )
-        if schedule is not None:
-            compiled = KernelSchedule(
-                rebuilt, schedule.universe, self.locked_blocks
+        compiled = KernelSchedule(rebuilt, schedule.universe, self.locked_blocks)
+        problems = schedule_differences(schedule, compiled)
+        if problems:
+            raise AnalysisError(
+                "spliced kernel schedule differs from a full compile in: "
+                + ", ".join(problems)
             )
-            problems = schedule_differences(schedule, compiled)
-            if problems:
-                raise AnalysisError(
-                    "spliced kernel schedule differs from a full compile "
-                    "in: " + ", ".join(problems)
-                )
         return rebuilt
-
-    def _initial_state(self, domain: str):
-        if domain == "must":
-            return MustState(self.config)
-        if domain == "may":
-            return MayState(self.config)
-        if domain == "persistence":
-            return PersistenceState(self.config)
-        raise AnalysisError(f"unknown abstract domain {domain!r}")
-
-    def _dataflow_stage(
-        self,
-        artifacts: StructuralArtifacts,
-        domain: str,
-        base: Optional[PipelineResult],
-        boundary: int,
-    ) -> DataflowResult:
-        self.stats.dataflow_misses += 1
-        base_df = (
-            base.dataflows.get(domain)
-            if base is not None and boundary > 0
-            else None
-        )
-        warm = None
-        if base_df is not None:
-            warm = (boundary, base_df.in_states, base_df.out_states)
-        return propagate(
-            artifacts.acfg,
-            self.config,
-            self._initial_state(domain),
-            locked_blocks=self.locked_blocks or None,
-            warm=warm,
-        )
 
     def _l2_stage(
         self,
@@ -780,12 +711,12 @@ class AnalysisPipeline:
         may: DataflowResult,
     ) -> Tuple[DataflowResult, frozenset]:
         """The L2 must fixpoint over the classification-filtered stream,
-        and the references it proves to hit L2, on the pipeline's
-        kernel: the dense pass over
-        :func:`~repro.cache.kernel.l2_schedule` or its python oracle
-        :func:`~repro.cache.classify.analyze_l2_must`.  Warm-starting at the divergence boundary is sound because the
-        prefix classifications and may in-states — and with them the
-        L2 access plan — are unchanged there.
+        and the references it proves to hit L2: the dense pass over
+        :func:`~repro.cache.kernel.l2_schedule`, whose oracle is
+        :func:`~repro.cache.classify.analyze_l2_must`.  Warm-starting at
+        the divergence boundary is sound because the prefix
+        classifications and may in-states — and with them the L2 access
+        plan — are unchanged there.
         """
         self.stats.dataflow_misses += 1
         base_df = (
@@ -793,16 +724,6 @@ class AnalysisPipeline:
             if base is not None and boundary > 0
             else None
         )
-        acfg = artifacts.acfg
-        if self.kernel == "python":
-            warm = None
-            if base_df is not None:
-                warm = (boundary, base_df.in_states, base_df.out_states)
-            l2_must = analyze_l2_must(
-                acfg, l2_config, classifications,
-                locked_blocks=self.locked_blocks or None, warm=warm, may=may,
-            )
-            return l2_must, l2_guaranteed_hits(acfg, classifications, l2_must)
         schedule = l2_schedule(
             self._schedule_for(artifacts), self._l2_universe,
             classifications, may,
@@ -856,10 +777,11 @@ class AnalysisPipeline:
     ) -> Dict[str, DataflowResult]:
         """All requested domains in one batched dense fixpoint.
 
-        The vectorized counterpart of mapping :meth:`_dataflow_stage`
-        over ``domains``: every domain rides a single stacked
-        :func:`propagate_kernel_batch` walk — one schedule traversal,
-        one join, one memo probe per segment for the whole batch.
+        Every domain rides a single stacked
+        :func:`~repro.cache.kernel.propagate_kernel_batch` walk — one
+        schedule traversal, one join, one memo probe per segment for the
+        whole batch — warm-started at the divergence boundary when the
+        base holds every requested domain.
         """
         if not domains:
             return {}
@@ -871,7 +793,7 @@ class AnalysisPipeline:
                 domain: df
                 for domain in domains
                 for df in (base.dataflows.get(domain),)
-                if isinstance(df, DenseDataflowResult)
+                if df is not None
             }
             if len(bases) == len(domains):
                 warm = (boundary, bases)
@@ -946,11 +868,25 @@ class AnalysisPipeline:
             self.stats.invalidations += 1
         return universe
 
-    def _differential_check(self, acfg: ACFG, wcet: WCETResult,
-                            with_may: bool) -> None:
-        """Prove one delta analysis bit-identical to a from-scratch run."""
-        self.stats.differential_checks += 1
-        cold = analyze_wcet(
+    def _oracle_analysis(
+        self, cfg: ControlFlowGraph, with_may: bool
+    ) -> PipelineResult:
+        """The python kernel's analysis: the cold oracle, past an
+        ``acfg`` stage that builds the graph from scratch."""
+        self.stats.structural_misses += 1
+        self.stats.cold_runs += 1
+        with self._stage("acfg"):
+            acfg = build_acfg(cfg, self.config.block_size, self.base_address)
+            artifacts = StructuralArtifacts(acfg, rest_instance_spans(acfg))
+        wcet = self._cold_wcet(acfg, with_may, kernel="python")
+        return PipelineResult(self, artifacts, wcet)
+
+    def _cold_wcet(
+        self, acfg: ACFG, with_may: bool, kernel: Optional[str] = None
+    ) -> WCETResult:
+        """:func:`~repro.analysis.wcet.analyze_wcet` in this pipeline's
+        context, on ``kernel`` (``None`` follows ``REPRO_CACHE_KERNEL``)."""
+        return analyze_wcet(
             acfg,
             self.config,
             self.timing,
@@ -960,7 +896,15 @@ class AnalysisPipeline:
             hierarchy=self.hierarchy,
             refine=self.refine,
             refine_budget=self.refine_budget,
+            kernel=kernel,
         )
+
+    def _differential_check(self, acfg: ACFG, wcet: WCETResult,
+                            with_may: bool) -> None:
+        """Prove one delta analysis bit-identical to a from-scratch run
+        on the session kernel (``REPRO_CACHE_KERNEL``)."""
+        self.stats.differential_checks += 1
+        cold = self._cold_wcet(acfg, with_may)
         problems = []
         if wcet.tau_w != cold.tau_w:
             problems.append(f"tau_w {wcet.tau_w!r} != {cold.tau_w!r}")

@@ -133,10 +133,6 @@ class WCETResult:
         """``n^w`` of the basic-block instance holding ``rid``."""
         return self.solution.n_w[rid]
 
-    def on_wcet_path(self, rid: int) -> bool:
-        """Whether the vertex lies on the WCET path."""
-        return self.solution.on_path[rid]
-
     @property
     def wcet_path_misses(self) -> int:
         """Worst-case number of demand misses (Condition 2 tracking).
@@ -206,8 +202,15 @@ def analyze_wcet(
     hierarchy=None,
     refine: bool = False,
     refine_budget: Optional[int] = None,
+    kernel: Optional[str] = None,
 ) -> WCETResult:
     """Run the full preliminary WCET analysis.
+
+    The cold analysis of record: every stage runs from scratch, in one
+    classify -> refine -> L2 -> guard -> IPET sequence.  On the python
+    kernel it is the oracle of the incremental
+    :class:`~repro.analysis.pipeline.AnalysisPipeline`, and the
+    pipeline's own analysis when that pipeline runs the python kernel.
 
     Args:
         acfg: Program ACFG (built with the cache's block size).
@@ -245,6 +248,11 @@ def analyze_wcet(
             order exactly.
         refine_budget: Exploration budget override
             (:data:`repro.analysis.refine.DEFAULT_BUDGET` when ``None``).
+        kernel: Forwarded to :func:`repro.cache.classify.analyze_cache`:
+            the L1 abstract domains run on ``"python"`` or
+            ``"vectorized"``, or follow ``REPRO_CACHE_KERNEL`` when
+            ``None``.  The L2 must pass is always the python
+            :func:`~repro.cache.classify.analyze_l2_must`.
 
     Returns:
         The :class:`WCETResult`.
@@ -269,6 +277,7 @@ def analyze_wcet(
             with_may=with_may or level2 is not None,
             with_persistence=with_persistence,
             locked_blocks=locked_blocks,
+            kernel=kernel,
         )
         if refine:
             # Promotions land before the L2 plan is derived (an NC->AH

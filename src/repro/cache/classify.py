@@ -125,13 +125,14 @@ def propagate(
     initial: AbstractCacheState,
     locked_blocks: Optional[frozenset] = None,
     plan: Optional[List[Optional[tuple]]] = None,
-    warm: Optional[tuple] = None,
 ) -> DataflowResult:
     """Run one abstract domain over the ACFG to fixpoint.
 
     The python kernel and the oracle of the dense engine
     (:func:`repro.cache.kernel.propagate_kernel_batch`): it calls the
-    domain's own ``update``/``join``/``unknown_access`` state by state.
+    domain's own ``update``/``join``/``unknown_access`` state by state,
+    always from the source (the incremental warm starts are the dense
+    engine's alone).
     Pass 1 is a full topological sweep; every later pass only
     re-processes vertices whose (forward or back-edge) inputs changed —
     the standard worklist optimisation.
@@ -141,11 +142,6 @@ def propagate(
         config: Cache configuration (defines set mapping).
         initial: State at the source — typically the all-invalid state
             of the chosen domain (``MustState(config)``/``MayState(config)``).
-        warm: Optional warm start ``(boundary, base_in, base_out)``:
-            states of every vertex below ``boundary`` are copied from
-            the base run and the sweeps start at ``boundary``.  Only
-            sound when the caller has proven the prefix equations
-            unchanged (the pipeline's divergence-boundary closure).
 
     Returns:
         A :class:`DataflowResult` with the converged states.
@@ -156,16 +152,6 @@ def propagate(
     back_by_target: Dict[int, List[int]] = {}
     for src, dst in acfg.back_edges:
         back_by_target.setdefault(dst, []).append(src)
-
-    start = 0
-    if warm is not None:
-        boundary, base_in, base_out = warm
-        if 0 < boundary <= n and len(base_in) >= boundary and len(
-            base_out
-        ) >= boundary:
-            in_states[:boundary] = base_in[:boundary]
-            out_states[:boundary] = base_out[:boundary]
-            start = boundary
 
     domain = type(initial)
     join_op = domain.join
@@ -203,10 +189,7 @@ def propagate(
         changed = [False] * n
         any_changed = False
         first_pass = pass_count == 1
-        # Vertices below the warm-start boundary can never re-enter the
-        # worklist: their preds and back-edge sources all lie below the
-        # boundary too (the pipeline's closure), and those never change.
-        for rid in range(start, n):
+        for rid in range(n):
             if not first_pass:
                 need = any(changed[p] for p in preds[rid]) or any(
                     back_src_changed.get(src, False)
@@ -496,16 +479,15 @@ def analyze_l2_must(
     l2_config: CacheConfig,
     classifications: Sequence[Optional[Classification]],
     locked_blocks: Optional[frozenset] = None,
-    warm: Optional[tuple] = None,
     may: Optional[DataflowResult] = None,
 ) -> DataflowResult:
     """Run the must domain of the second-level cache to fixpoint.
 
-    The python :func:`propagate` over :func:`l2_access_plan`: the L2
-    stage of the python kernel and of
-    :func:`~repro.analysis.wcet.analyze_wcet`, and the oracle of the
-    dense L2 pass (:func:`repro.cache.kernel.l2_schedule`), which
-    replays the same plan on the L1 schedule's chains.
+    The python :func:`propagate` over :func:`l2_access_plan`, always
+    cold: the L2 stage of :func:`~repro.analysis.wcet.analyze_wcet`
+    (hence of a python-kernel pipeline) and the oracle of the dense L2
+    pass (:func:`repro.cache.kernel.l2_schedule`), which replays the
+    same plan on the L1 schedule's chains.
     """
     plan = l2_access_plan(acfg, classifications, locked_blocks, may=may)
     return propagate(
@@ -514,7 +496,6 @@ def analyze_l2_must(
         MustState(l2_config),
         locked_blocks=None,  # locked blocks are already filtered out
         plan=plan,
-        warm=warm,
     )
 
 

@@ -5,10 +5,13 @@ The pure-python must/may/persistence domains of
 one cache set as per-age block sets.  That representation is the
 *oracle*: verified against the concrete LRU semantics by
 ``tests/test_cache_differential.py`` and deliberately written for
-auditability, not speed.  This module is the fast path and the default
-kernel (``REPRO_CACHE_KERNEL=python`` or ``--kernel python`` selects the
-oracle instead): the same domains over **dense age vectors**, proven
-bit-identical to the oracle by the differential test layer.
+auditability, not speed.  This module is the fast path, the default
+kernel and the only incremental engine: the same domains over **dense
+age vectors**, proven bit-identical to the oracle by the differential
+test layer.  ``REPRO_CACHE_KERNEL=python`` or ``--kernel python``
+selects the oracle instead, and then every analysis runs cold
+(:class:`~repro.analysis.pipeline.AnalysisPipeline` calls
+:func:`~repro.analysis.wcet.analyze_wcet`).
 
 Representation
 --------------
@@ -54,8 +57,8 @@ The result is one :class:`DenseDataflowResult` per domain — a drop-in
 :class:`~repro.cache.classify.DataflowResult` whose per-vertex states
 materialize lazily into ordinary oracle states (so every downstream
 consumer sees values indistinguishable from a python-kernel run), plus
-the dense matrices themselves for warm-started delta re-analysis and
-the vectorized classifier (:func:`classify_references_dense`).
+the dense matrices themselves for the pipeline's warm-started delta
+re-analysis and the vectorized classifier (:func:`classify_references_dense`).
 
 The L2 must pass runs on the same engine over the L1 schedule's chains
 (:func:`l2_schedule`), and its hits are a dense gather

@@ -223,23 +223,6 @@ class OptimizationReport:
             return 0.0
         return 1.0 - self.tau_final / self.tau_original
 
-    @property
-    def miss_reduction(self) -> float:
-        """Relative worst-case miss reduction."""
-        if self.misses_original == 0:
-            return 0.0
-        return 1.0 - self.misses_final / self.misses_original
-
-    @property
-    def instruction_overhead(self) -> float:
-        """Static instruction growth, Fig. 8's metric at the static level."""
-        if self.static_instructions_original == 0:
-            return 0.0
-        return (
-            self.static_instructions_final / self.static_instructions_original
-            - 1.0
-        )
-
 
 def optimize(
     cfg: ControlFlowGraph,
@@ -354,7 +337,7 @@ def _run_pass(
         acfg,
         wcet.cache.config,
         wcet.solution,
-        locked_blocks=base.locked_blocks,
+        locked_blocks=pipeline.locked_blocks or None,
         loop_spans=loop_spans,
     )
     # Per memory block: sorted rids of on-path references still paying

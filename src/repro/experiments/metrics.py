@@ -189,10 +189,6 @@ class SweepMetrics:
         computed.sort(key=lambda r: r.wall_time_s, reverse=True)
         return computed[:limit]
 
-    def by_source(self) -> Dict[str, int]:
-        """Record counts per source, all sources present."""
-        return {source: self.count(source) for source in _SOURCES}
-
     def summary(self) -> str:
         """Human-readable sweep summary (the CLI's footer)."""
         lines = [

@@ -170,9 +170,10 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
          option="max_evaluations", cli={"type": int, "metavar": "N"}),
     Axis("seed", _seed, "executor seed of the ACET simulations",
          cli={"type": int}),
-    Axis("kernel", _kernel, "abstract-domain kernel: the pure-python "
-                            "oracle or the dense numpy kernel (default: "
-                            "$REPRO_CACHE_KERNEL or vectorized)",
+    Axis("kernel", _kernel, "abstract-domain kernel: the python oracle, "
+                            "every analysis cold, or the dense numpy "
+                            "kernel (default: $REPRO_CACHE_KERNEL or "
+                            "vectorized)",
          option="kernel", cli={"choices": KERNELS}),
     Axis("refine", _refine, "model-check the NOT_CLASSIFIED references "
                             "(bounded concrete-state exploration) and "

@@ -23,7 +23,6 @@ from repro.analysis.pipeline import AnalysisPipeline, PipelineResult
 from repro.bench.registry import load
 from repro.cache.config import (
     CacheConfig,
-    HierarchyConfig,
     TABLE2,
     hierarchy_for,
 )
@@ -78,10 +77,6 @@ class UseCase:
             raise ExperimentError(
                 f"unknown cache configuration id {self.config_id!r}"
             ) from None
-
-    def hierarchy_config(self) -> HierarchyConfig:
-        """The full memory hierarchy (single-level when ``l2`` unset)."""
-        return hierarchy_for(self.cache_config(), self.l2)
 
 
 @dataclass
@@ -175,11 +170,6 @@ class UseCaseResult:
             float(self.optimized.executed_instructions),
             float(self.original.executed_instructions),
         )
-
-    @property
-    def miss_rate_delta(self) -> float:
-        """ACET miss-rate change (optimized - original), in points."""
-        return self.optimized.miss_rate_acet - self.original.miss_rate_acet
 
 
 def _ratio(num: float, den: float) -> float:

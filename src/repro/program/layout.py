@@ -154,11 +154,6 @@ class MemoryMap:
         """All occupied memory block ids, ascending."""
         return tuple(sorted(self._items_of))
 
-    @property
-    def block_count(self) -> int:
-        """Number of memory blocks the program occupies."""
-        return len(self._items_of)
-
     def address_of_block(self, block_id: int) -> int:
         """Base byte address of a memory block."""
         return block_id * self.block_size

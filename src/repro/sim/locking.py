@@ -134,20 +134,12 @@ def optimize_with_locking(
     import dataclasses
 
     residual = residual_config(config, locked_ways)
-    acfg = build_acfg(cfg, config.block_size)
-    # Per-set cap = locked ways, not the full associativity.
-    weights: Dict[int, float] = {}
-    for vertex in acfg.ref_vertices():
-        block = acfg.block_of(vertex.rid)
-        weights[block] = weights.get(block, 0.0) + acfg.multiplier[vertex.rid]
-    per_set: Dict[int, List[Tuple[float, int]]] = {}
-    for block, weight in weights.items():
-        per_set.setdefault(config.set_index(block), []).append((weight, block))
-    locked: Set[int] = set()
-    for candidates in per_set.values():
-        candidates.sort(key=lambda pair: (-pair[0], pair[1]))
-        for _, block in candidates[:locked_ways]:
-            locked.add(block)
+    # The locked ways are themselves a ``locked_ways``-way cache over
+    # the same sets: its per-set capacity is the selection's cap.
+    locked = select_locked_blocks(
+        build_acfg(cfg, config.block_size),
+        residual_config(config, config.associativity - locked_ways),
+    )
 
     base = options or OptimizerOptions()
     hybrid_options = dataclasses.replace(base, locked_blocks=frozenset(locked))

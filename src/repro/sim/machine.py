@@ -115,9 +115,6 @@ class MemorySystem:
             hit = remaining == 0.0
             hidden = latency - remaining
             self.result.stall_cycles_hidden += max(0.0, hidden)
-            if block in self._prefetched_unused:
-                self._prefetched_unused.discard(block)
-                self.result.useful_prefetches += 1
         else:
             if self.l2 is not None:
                 self.result.l2_accesses += 1
@@ -131,6 +128,7 @@ class MemorySystem:
                     cycles = float(self.timing.miss_cycles)
             else:
                 cycles = float(self.timing.miss_cycles)
+            self._discard_victim_mark(block)
             self.cache.access(block)  # installs on miss
             self.result.fills += 1
             hit = False
@@ -198,16 +196,13 @@ class MemorySystem:
             for address in addresses[1:]:
                 self.fetch(address)
             return
+        # A marked block was installed by a prefetch; the run's first
+        # fetch claimed its mark, so the repeats claim none.
         count = len(addresses) - 1
         self.now += self.timing.hit_cycles * count
         self.result.fetches += count
         self.result.hits += count
         self.cache.hits += count
-        # A demand miss may have installed a block still marked as
-        # prefetched-unused; its first hit claims the mark, as in fetch.
-        if block in self._prefetched_unused:
-            self._prefetched_unused.discard(block)
-            self.result.useful_prefetches += 1
 
     def advance(self, cycles: float) -> None:
         """Advance this machine's clock by externally-spent time.
@@ -242,6 +237,16 @@ class MemorySystem:
         self.result.fills += 1
         if evicted is not None:
             self._prefetched_unused.discard(evicted)
+
+    def _discard_victim_mark(self, block: int) -> None:
+        """Drop the prefetched-unused mark of the block a demand fill of
+        ``block`` evicts (the LRU block of a full set), as
+        :meth:`_install` does: a block is marked only while cached."""
+        if not self._prefetched_unused:
+            return
+        line = self.cache.set_contents(self.config.set_index(block))
+        if len(line) >= self.config.associativity:
+            self._prefetched_unused.discard(line[-1])
 
 
 class FetchOp(NamedTuple):

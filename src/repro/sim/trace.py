@@ -10,7 +10,7 @@ per-run summary every experiment consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.energy.metrics import MemoryEventCounts
 from repro.errors import SimulationError
@@ -87,11 +87,6 @@ class SimulationResult:
         if self.fetches == 0:
             return 0.0
         return self.demand_misses / self.fetches
-
-    @property
-    def acet_memory_cycles(self) -> float:
-        """``τ_a``: memory contribution to the average-case time."""
-        return self.memory_cycles
 
     def event_counts(self) -> MemoryEventCounts:
         """Convert to the energy-accounting input."""

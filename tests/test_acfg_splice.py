@@ -219,7 +219,7 @@ def _traced(fn):
 class TestPipelineSplice:
     def test_candidate_acfg_is_spliced(self):
         cfg = load("ndes")
-        pipeline = AnalysisPipeline(CONFIG, TIMING)
+        pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
         base = pipeline.analyze(cfg, with_may=False)
         edit = (cfg.blocks[3].name, 1)
         cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
@@ -234,7 +234,7 @@ class TestPipelineSplice:
 
     @pytest.mark.parametrize("program", ["ndes", "adpcm"])
     def test_splicing_changes_no_output_or_counter(self, program, monkeypatch):
-        opts = OptimizerOptions(max_evaluations=25)
+        opts = OptimizerOptions(max_evaluations=25, kernel="vectorized")
         _, spliced = optimize(load(program), CONFIG, TIMING, options=opts)
         monkeypatch.setattr(
             pipeline_module, "splice_insertion", lambda *args: None
@@ -256,7 +256,9 @@ class TestPipelineSplice:
 
         monkeypatch.setattr(pipeline_module, "splice_insertion", corrupted)
         cfg = load("ndes")
-        pipeline = AnalysisPipeline(CONFIG, TIMING, differential=True)
+        pipeline = AnalysisPipeline(
+            CONFIG, TIMING, kernel="vectorized", differential=True
+        )
         base = pipeline.analyze(cfg, with_may=False)
         edit = (cfg.blocks[3].name, 1)
         cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)

@@ -10,9 +10,9 @@ The pipeline keeps no results; reuse is handed along explicitly:
 
 These tests prove both invisible in every output: a use case equals
 one whose phases each run on a fresh pipeline, and the unchanged
-program's measurement equals a fresh ``measure_program``.  Under
-``REPRO_CACHE_KERNEL=python`` they cover the python kernel's reuse path
-as well as the dense one.
+program's measurement equals a fresh ``measure_program``.  The tests of
+the reuse path itself pin the vectorized kernel: a python-kernel
+pipeline runs every analysis cold and hands nothing along.
 """
 
 from __future__ import annotations
@@ -109,7 +109,9 @@ class TestUsecaseHandoffs:
         )
 
     def test_optimizer_reuses_the_original_analysis(self):
-        opts = OptimizerOptions(max_evaluations=20, with_persistence=True)
+        opts = OptimizerOptions(
+            max_evaluations=20, with_persistence=True, kernel="vectorized"
+        )
         result = run_usecase(UseCase("matmult", "k1", "45nm"), options=opts)
         counters = result.report.pipeline
         # The original measurement built the ACFG and ran must, may and
@@ -209,7 +211,7 @@ class TestReuseContract:
 
     def test_differential_mode_checks_the_reused_analysis(self):
         case = UseCase("matmult", "k1", "45nm")
-        opts = OptimizerOptions(max_evaluations=6)
+        opts = OptimizerOptions(max_evaluations=6, kernel="vectorized")
         config = case.cache_config()
         pipeline = AnalysisPipeline.for_options(
             config, pipeline_for_usecase(case, opts).timing, opts,

@@ -150,8 +150,9 @@ class TestRunBatchingGuards:
         # four of the run's hits and evicts block 0 under the run.  Block
         # 0 is fetched by: the entry (miss, hit), the prefetch
         # instruction, four run hits, then the re-miss.  That re-miss
-        # evicts block 2 unused, and bb0's later run through block 2
-        # misses; its next fetch still claims the prefetch as useful.
+        # evicts block 2 unused, taking its prefetched-unused mark with
+        # it, so bb0's later run through block 2 misses and the prefetch
+        # counts as wasted, not useful.
         config = CacheConfig(1, 64, 128)
         timing = TimingModel(hit_cycles=1, miss_penalty_cycles=4)
         b = ProgramBuilder("landing")
@@ -167,7 +168,7 @@ class TestRunBatchingGuards:
         oracle = simulate_per_fetch(cfg, config, timing).result
         assert dataclasses.asdict(result) == dataclasses.asdict(oracle)
         assert result.demand_misses == traced.result.demand_misses
-        assert result.useful_prefetches == 1
+        assert result.useful_prefetches == 0
 
     @pytest.mark.parametrize("policy", ("always", "tagged"))
     def test_hardware_prefetcher_observes_every_fetch(

@@ -6,7 +6,11 @@ same per-reference times, same WCET-path counts.  The fast tests here
 prove it deterministically on a Mälardalen subset; the slow hypothesis
 test sweeps randomly generated programs.  Both lean on the pipeline's
 ``differential`` mode, which re-runs every delta analysis cold and
-raises :class:`~repro.errors.AnalysisError` on any divergence.
+raises :class:`~repro.errors.AnalysisError` on any divergence.  The
+delta tests pin their pipelines to the vectorized kernel, the only
+incremental engine; the cold runs they are checked against follow
+``REPRO_CACHE_KERNEL``, so under ``python`` every delta is checked
+against the python oracle.
 """
 
 from __future__ import annotations
@@ -19,10 +23,13 @@ from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.wcet import analyze_wcet
 from repro.bench.generator import random_program
 from repro.bench.registry import load
+from repro.cache.classify import DataflowResult
 from repro.cache.config import CacheConfig, hierarchy_for
+from repro.cache.kernel import KERNEL_ENV
 from repro.core.optimizer import OptimizerOptions, optimize
 from repro.energy.cacti import cacti_model, hierarchy_model
 from repro.energy.technology import technology
+from repro.errors import AnalysisError
 from repro.program.acfg import build_acfg
 
 CONFIG = CacheConfig(1, 16, 256)  # the paper's k1
@@ -70,7 +77,7 @@ class TestIncrementalEqualsCold:
     @pytest.mark.parametrize("program", ["crc", "matmult", "jfdctint"])
     def test_optimize_differential(self, program):
         cfg = load(program)
-        opts = OptimizerOptions(max_evaluations=12)
+        opts = OptimizerOptions(max_evaluations=12, kernel="vectorized")
         pipeline = AnalysisPipeline.for_options(
             CONFIG, TIMING, opts, differential=True
         )
@@ -97,7 +104,7 @@ class TestIncrementalEqualsCold:
         # cold refined analyze_wcet.
         opts = OptimizerOptions(
             max_evaluations=12, refine=True, l2=l2,
-            with_persistence=with_persistence,
+            with_persistence=with_persistence, kernel="vectorized",
         )
         timing = hierarchy_model(
             hierarchy_for(CONFIG, l2), technology("45nm")
@@ -122,7 +129,8 @@ class TestIncrementalEqualsCold:
         # A warm start charges its copied prefix to the budget, so a
         # delta abandons exactly the sets a cold run abandons.
         opts = OptimizerOptions(
-            max_evaluations=12, refine=True, with_persistence=False
+            max_evaluations=12, refine=True, with_persistence=False,
+            kernel="vectorized",
         )
         pipeline = AnalysisPipeline.for_options(
             CONFIG, TIMING, opts, differential=True, refine_budget=budget
@@ -160,6 +168,66 @@ class TestIncrementalEqualsCold:
             optimize(cfg, CONFIG, TIMING, pipeline=pipeline)
 
 
+class TestPythonKernelIsTheColdOracle:
+    """A python-kernel pipeline runs every analysis cold: whatever it is
+    handed, its result is ``analyze_wcet``'s on the python kernel, even
+    under a vectorized session."""
+
+    @pytest.mark.parametrize("l2", [None, "4:16:4096:10"], ids=["l1", "l2"])
+    def test_handed_analyses_run_cold(self, monkeypatch, l2):
+        monkeypatch.setenv(KERNEL_ENV, "vectorized")
+        levels = hierarchy_for(CONFIG, l2)
+        hierarchy = levels if l2 else None
+        timing = hierarchy_model(levels, technology("45nm")).timing
+        pipeline = AnalysisPipeline(
+            CONFIG, timing, kernel="python", hierarchy=hierarchy,
+            refine=True, differential=True,
+        )
+
+        def oracle(cfg, with_may):
+            return analyze_wcet(
+                build_acfg(cfg, CONFIG.block_size), CONFIG, timing,
+                with_may=with_may, hierarchy=hierarchy, refine=True,
+                kernel="python",
+            )
+
+        cfg = load("ndes")
+        start = pipeline.analyze(cfg)
+        reused = pipeline.analyze(cfg, with_may=False, reuse=start)
+        edit = (cfg.blocks[3].name, 1)
+        cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
+        candidate = pipeline.analyze(
+            cfg, with_may=False, base=reused, edit=edit
+        )
+        delta = pipeline.analyze(cfg, with_may=False, base=candidate)
+        assert _wcet_fingerprint(start.wcet) == _wcet_fingerprint(
+            oracle(load("ndes"), True)
+        )
+        assert _wcet_fingerprint(reused.wcet) == _wcet_fingerprint(
+            oracle(load("ndes"), False)
+        )
+        for result in (candidate, delta):
+            assert _wcet_fingerprint(result.wcet) == _wcet_fingerprint(
+                oracle(cfg, False)
+            )
+            assert type(result.wcet.cache.must) is DataflowResult
+            assert result.dataflows == {}
+            assert result.best is result.best_pred is None
+        counters = pipeline.stats.counters()
+        assert counters.pop("cold_runs") == 4
+        assert counters.pop("structural_misses") == 4
+        assert not any(counters.values())
+
+    def test_foreign_reuse_still_raises(self):
+        pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="python")
+        other = AnalysisPipeline(CONFIG, TIMING, kernel="python")
+        start = pipeline.analyze(load("bs"))
+        with pytest.raises(AnalysisError):
+            other.analyze(load("bs"), reuse=start)
+        with pytest.raises(AnalysisError):
+            pipeline.analyze(load("bs"), reuse=start, base=start)
+
+
 @pytest.mark.slow
 class TestIncrementalEqualsColdGenerated:
     """Property check over generated programs (slow suite)."""
@@ -168,7 +236,7 @@ class TestIncrementalEqualsColdGenerated:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_optimize_differential_random(self, seed):
         cfg = random_program(seed, target_size=120, max_depth=3)
-        opts = OptimizerOptions(max_evaluations=10)
+        opts = OptimizerOptions(max_evaluations=10, kernel="vectorized")
         pipeline = AnalysisPipeline.for_options(
             CONFIG, TIMING, opts, differential=True
         )

@@ -150,7 +150,7 @@ class TestBudgetExhaustion:
         timing = _single_level_timing(config)
         pipeline = AnalysisPipeline(
             config, timing, with_persistence=False,
-            refine=True, refine_budget=1,
+            refine=True, refine_budget=1, kernel="vectorized",
         )
         result = pipeline.analyze(load("bs"))
         assert pipeline.stats.refine_runs == 1
@@ -179,7 +179,7 @@ class TestRefineOffIdentity:
         config = TABLE2["k1"]
         pipeline = AnalysisPipeline(
             config, _single_level_timing(config), with_persistence=False,
-            refine=True,
+            refine=True, kernel="vectorized",
         )
         spans = []
         tracer = Tracer(sample=1.0, sink=spans.append)
@@ -202,7 +202,7 @@ class TestRefineOffIdentity:
         config = TABLE2["k1"]
         pipeline = AnalysisPipeline(
             config, _single_level_timing(config), with_persistence=False,
-            refine=True,
+            refine=True, kernel="vectorized",
         )
         pipeline.analyze(load("ndes"))  # six NC->AM promotions
         counters = pipeline.stats.counters()
@@ -589,7 +589,8 @@ class TestWalkerOracle:
         config = TABLE2["k1"]
         timing = _single_level_timing(config)
         pipeline = AnalysisPipeline(
-            config, timing, with_persistence=False, refine=True
+            config, timing, with_persistence=False, refine=True,
+            kernel="vectorized",
         )
         start = pipeline.analyze(load("bs"), with_may=True)
         handed = pipeline.analyze(load("bs"), with_may=False, reuse=start)

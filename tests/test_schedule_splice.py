@@ -10,8 +10,8 @@ schedule splice.  They also pin the MRU elision (a segment never
 replays an access to the column its previous access touched, and the
 elided plan reaches the python kernel's fixpoint state for state), the
 typed universe-outgrown probe, the observability attributes, and the
-locked-block path of the optimizer under the differential oracle with
-both kernels.
+locked-block path of the optimizer under the differential oracle, with
+the python kernel's cold oracle reaching the same outcome.
 """
 
 from __future__ import annotations
@@ -292,13 +292,14 @@ class TestObservability:
 
 class TestLockedDifferential:
     """The locked-block optimizer path under the differential oracle:
-    every delta analysis checked against a cold one (and every spliced
-    ACFG and schedule against a rebuild), with both kernels agreeing."""
+    every vectorized delta analysis checked against a cold one (and
+    every spliced ACFG and schedule against a rebuild), with the python
+    kernel's cold oracle reaching the same outcome."""
 
     @pytest.mark.parametrize("program", ["crc", "matmult", "jfdctint", "fdct"])
     def test_both_kernels_agree(self, program):
         locked = _heaviest_blocks(load(program), 4)
-        outcomes = []
+        outcomes = {}
         for kernel in ("python", "vectorized"):
             options = OptimizerOptions(
                 max_evaluations=15, locked_blocks=locked, kernel=kernel
@@ -310,13 +311,15 @@ class TestLockedDifferential:
                 load(program), CONFIG, TIMING, options=options,
                 pipeline=pipeline,
             )
-            stats = pipeline.stats
-            assert stats.delta_runs > 0
-            assert stats.differential_checks == stats.delta_runs
-            outcomes.append((
+            outcomes[kernel] = (
                 report.tau_final,
                 report.misses_final,
                 [(i.block_name, i.index, i.target_uid) for i in report.inserted],
-                stats.delta_runs,
-            ))
-        assert outcomes[0] == outcomes[1]
+            )
+            stats = pipeline.stats
+            if kernel == "vectorized":
+                assert stats.delta_runs > 0
+                assert stats.differential_checks == stats.delta_runs
+            else:
+                assert stats.delta_runs == stats.differential_checks == 0
+        assert outcomes["python"] == outcomes["vectorized"]

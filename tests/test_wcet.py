@@ -6,7 +6,8 @@ import pytest
 
 from repro.analysis.timing import TimingModel
 from repro.analysis.wcet import analyze_wcet, compute_ref_times
-from repro.cache.classify import Classification, analyze_cache
+from repro.cache.classify import Classification, DataflowResult, analyze_cache
+from repro.cache.kernel import KERNEL_ENV, DenseDataflowResult
 from repro.errors import AnalysisError
 from repro.program.acfg import build_acfg
 from repro.program.builder import ProgramBuilder
@@ -70,6 +71,20 @@ class TestWCETResult:
         structural = analyze_wcet(acfg, tiny_cache, timing, backend="structural")
         ilp = analyze_wcet(acfg, tiny_cache, timing, backend="ilp")
         assert structural.tau_w == pytest.approx(ilp.tau_w)
+
+    @pytest.mark.parametrize("session", ["python", "vectorized"])
+    def test_explicit_kernel_overrides_the_session(
+        self, loop_program, tiny_cache, timing, monkeypatch, session
+    ):
+        monkeypatch.setenv(KERNEL_ENV, session)
+        acfg = build_acfg(loop_program, block_size=tiny_cache.block_size)
+        python = analyze_wcet(acfg, tiny_cache, timing, kernel="python")
+        dense = analyze_wcet(acfg, tiny_cache, timing, kernel="vectorized")
+        for domain in ("must", "may", "persistence"):
+            assert type(getattr(python.cache, domain)) is DataflowResult
+            assert isinstance(getattr(dense.cache, domain), DenseDataflowResult)
+        assert python.tau_w == dense.tau_w
+        assert python.cache.classifications == dense.cache.classifications
 
     def test_unknown_backend_rejected(self, loop_program, tiny_cache, timing):
         acfg = build_acfg(loop_program, block_size=tiny_cache.block_size)
