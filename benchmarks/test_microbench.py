@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.structural import solve_wcet_path
 from repro.analysis.timing import TimingModel
 from repro.analysis.wcet import analyze_wcet
 from repro.bench.registry import load
-from repro.cache.classify import analyze_cache
 from repro.cache.config import CacheConfig
 from repro.core.update import collect_reverse_events
 from repro.program.acfg import build_acfg
@@ -35,15 +35,20 @@ def test_perf_acfg_construction(benchmark):
     assert acfg.ref_count > 500
 
 
-def test_perf_must_may_persistence_classification(benchmark, adpcm_acfg):
-    analysis = benchmark(analyze_cache, adpcm_acfg, CONFIG)
-    assert analysis.count is not None
+def _cold_analysis(cfg, with_may=True):
+    """One cold analysis on the dense kernel: a fresh vectorized
+    pipeline, so no segment memo carries over between rounds."""
+    pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
+    return pipeline.analyze(cfg, with_may=with_may).wcet
 
 
-def test_perf_wcet_analysis_must_only(benchmark, adpcm_acfg):
-    result = benchmark(
-        analyze_wcet, adpcm_acfg, CONFIG, TIMING, with_may=False
-    )
+def test_perf_must_may_persistence_classification(benchmark):
+    wcet = benchmark(_cold_analysis, load("adpcm"))
+    assert wcet.cache.count is not None
+
+
+def test_perf_wcet_analysis_must_only(benchmark):
+    result = benchmark(_cold_analysis, load("adpcm"), with_may=False)
     assert result.tau_w > 0
 
 

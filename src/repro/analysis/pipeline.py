@@ -9,9 +9,10 @@ replayed on in-states already seen.  :class:`AnalysisPipeline`
 decomposes the analysis into stages whose products the caller hands
 along explicitly; the pipeline keeps no results of its own.
 
-Under the ``python`` kernel every call is the cold oracle,
-:func:`~repro.analysis.wcet.analyze_wcet` on a freshly built ACFG,
-whatever the caller hands along.  The stages below are the
+The pipeline is the only place the dense kernel of
+:mod:`repro.cache.kernel` runs; ``analyze_wcet`` is the python oracle.
+Under the ``python`` kernel every call is that oracle on a freshly
+built ACFG, whatever the caller hands along.  The stages below are the
 ``vectorized`` kernel's, the one incremental engine:
 
 1. **Structural artifacts** — ACFG, loop instance spans and the kernel
@@ -21,7 +22,8 @@ whatever the caller hands along.  The stages below are the
    (:func:`~repro.program.acfg.splice_insertion`: one new vertex per
    VIVU instance of the block, suffix renumbered, memory blocks
    recomputed from a fresh layout) instead of rebuilding it; any other
-   call runs :func:`~repro.program.acfg.build_acfg`.  A call handed an
+   call runs :func:`~repro.program.acfg.build_acfg` and, when it names
+   a ``base``, runs cold (a delta fallback).  A call handed an
    analysis of the same program (``reuse=``, how ``run_usecase`` passes
    the original measurement to ``optimize``) takes its artifacts and
    abstract fixpoints as they are.
@@ -30,24 +32,21 @@ whatever the caller hands along.  The stages below are the
    level with its own :class:`~repro.cache.kernel.SegmentMemo`, so a
    chain replayed on an in-state already seen — across candidates,
    sweeps and use-case phases — comes back from the memo.
-3. **Delta re-analysis** — after a prefetch insertion the pipeline
-   computes the *divergence boundary*: the first reference vertex at
-   which the old and new ACFGs differ, lowered (closure) until no back
-   edge of either graph crosses from at-or-above the boundary into the
-   prefix.  Below the boundary the dataflow equations, classifications,
-   ``t_w`` entries, latency-guard verdicts and IPET table entries of the
-   base analysis are provably unchanged, so the fixpoint and the
-   structural solve warm-start there and only the affected suffix is
-   recomputed.  A splice reports its first changed rid, so only the
-   closure runs, not the vertex-by-vertex comparison.  When the
-   invariants cannot be established (no base, foreign base, boundary
-   0) the pipeline falls back to a cold run; a ``differential`` mode
-   rebuilds every spliced ACFG and asserts it equal field by field,
-   then re-runs every delta or ``reuse=`` analysis from scratch on the
-   rebuilt graph — ``analyze_wcet`` on the session kernel
-   (``REPRO_CACHE_KERNEL``), so under ``python`` against the oracle —
-   and asserts bit-identical ``tau_w``, classifications and
-   ``wcet_path_misses``.
+3. **Delta re-analysis** — after a spliced prefetch insertion the
+   pipeline computes the *divergence boundary*: the first changed rid
+   the splice reports, lowered (closure) until no back edge of either
+   graph crosses from at-or-above the boundary into the prefix.  Below
+   the boundary the dataflow equations, classifications, ``t_w``
+   entries, latency-guard verdicts and IPET table entries of the base
+   analysis are provably unchanged, so the fixpoint and the structural
+   solve warm-start there and only the affected suffix is recomputed.
+   When the invariants cannot be established (no base, foreign base, no
+   splice, boundary 0) the pipeline falls back to a cold run; a
+   ``differential`` mode rebuilds every spliced ACFG and asserts it
+   equal field by field, then re-runs every delta or ``reuse=``
+   analysis from scratch on the rebuilt graph with the python oracle
+   (``analyze_wcet``), whatever the session kernel, and asserts
+   bit-identical ``tau_w``, classifications and ``wcet_path_misses``.
 
 The guard stage (per-reference times and the prefetch-latency guard)
 reads only the ACFG's flat arrays — predecessor tuples, REF and
@@ -209,66 +208,22 @@ class PipelineResult:
         return self.artifacts.acfg
 
 
-def _vertex_matches(old: ACFG, new: ACFG, rid: int) -> bool:
-    """Whether vertex ``rid`` is analysis-equivalent in both ACFGs.
-
-    Compares everything the dataflow/guard/IPET equations read at this
-    vertex: kind, context, instruction identity and prefetch role,
-    memory blocks (own + target — these capture address-layout shifts),
-    execution multiplier, and the forward predecessor list.
-    """
-    a = old.vertices[rid]
-    b = new.vertices[rid]
-    if a.kind is not b.kind or a.context != b.context:
-        return False
-    ia, ib = a.instr, b.instr
-    if (ia is None) != (ib is None):
-        return False
-    if ia is not None and (
-        ia.uid != ib.uid
-        or ia.is_prefetch != ib.is_prefetch
-        or ia.prefetch_target != ib.prefetch_target
-    ):
-        return False
-    if (
-        old._ref_block[rid] != new._ref_block[rid]
-        or old._target_block[rid] != new._target_block[rid]
-        or old.multiplier[rid] != new.multiplier[rid]
-    ):
-        return False
-    return old.predecessors(rid) == new.predecessors(rid)
-
-
-def divergence_boundary(
-    old: ACFG, new: ACFG, first_changed: Optional[int] = None
-) -> int:
+def divergence_boundary(old: ACFG, new: ACFG, first_changed: int) -> int:
     """The warm-start boundary between two ACFGs.
 
-    Returns the largest ``b`` such that every analysis equation of
-    vertices ``rid < b`` is identical in both graphs: first the lowest
-    rid whose vertex differs (:func:`_vertex_matches`), then lowered by
-    closure until no back edge of *either* graph — and no back edge
-    present in only one of them — targets the prefix from at or above
-    the boundary.  With that closure, the prefix fixpoint states,
-    classifications, ``t_w`` entries, latency-guard verdicts and IPET
-    table entries of the base analysis carry over unchanged.
-
-    ``first_changed`` is that lowest differing rid when the caller
-    already knows it (a splice reports it), replacing the linear scan.
+    ``first_changed`` is the lowest rid whose vertex differs, as the
+    splice reports it (:func:`~repro.program.acfg.splice_insertion`).
+    The boundary is that rid lowered by closure until no back edge of
+    *either* graph — and no back edge present in only one of them —
+    targets the prefix from at or above it.  With that closure, every
+    analysis equation of vertices ``rid < boundary`` is identical in
+    both graphs, so the prefix fixpoint states, classifications, ``t_w``
+    entries, latency-guard verdicts and IPET table entries of the base
+    analysis carry over unchanged.
 
     Returns 0 when nothing can be reused.
     """
-    if first_changed is not None:
-        b = first_changed
-    else:
-        n = min(len(old.vertices), len(new.vertices))
-        b = n
-        for rid in range(n):
-            if not _vertex_matches(old, new, rid):
-                b = rid
-                break
-    if b <= 0:
-        return 0
+    b = first_changed
     old_edges = set(old.back_edges)
     new_edges = set(new.back_edges)
     only_one = old_edges ^ new_edges
@@ -306,9 +261,11 @@ class AnalysisPipeline:
     at construction, so every result it returns can seed a later call
     (``base=`` for a delta, ``reuse=`` for the same program).  It keeps
     no results itself; only the kernel's segment memos live as long as
-    the pipeline.  A ``python``-kernel pipeline is the cold oracle: it
-    takes the same calls and runs every one of them from scratch.  Not
-    thread-safe; sweep workers build one per use case.
+    the pipeline.  It is the only home of the dense kernel; a
+    ``python``-kernel pipeline is the cold oracle: it takes the same
+    calls and runs every one of them from scratch with
+    :func:`~repro.analysis.wcet.analyze_wcet`.  Not thread-safe; sweep
+    workers build one per use case.
 
     Args:
         config: Cache configuration.
@@ -318,13 +275,15 @@ class AnalysisPipeline:
         locked_blocks: Hybrid-locking pinned blocks.
         base_address: Program load address.
         differential: Verify every delta or ``reuse=`` analysis against
-            a cold :func:`~repro.analysis.wcet.analyze_wcet` run on the
-            session kernel (slow; used by the equivalence tests).
+            a cold run of the python oracle,
+            :func:`~repro.analysis.wcet.analyze_wcet` (slow; used by the
+            equivalence tests).
         kernel: Abstract-domain implementation: ``"python"`` (the
             verified oracle, every analysis cold), ``"vectorized"`` (the
             dense numpy kernel and incremental engine, bit-identical by
             the differential suite), or ``None`` to follow
-            ``REPRO_CACHE_KERNEL`` (default ``vectorized``).
+            ``REPRO_CACHE_KERNEL`` (default ``vectorized``).  The kernel
+            is chosen per pipeline and nowhere else.
         hierarchy: Optional multi-level
             :class:`~repro.cache.config.HierarchyConfig`; its L1 must
             equal ``config``.  Adds an L2 must stage over the
@@ -340,8 +299,6 @@ class AnalysisPipeline:
             ``NOT_CLASSIFIED`` reference are explored, warm-started at
             the divergence boundary like the abstract fixpoints.  ``False`` keeps every output
             byte-identical to before.
-        refine_budget: Exploration budget override for the refinement
-            (:data:`repro.analysis.refine.DEFAULT_BUDGET` when ``None``).
     """
 
     def __init__(
@@ -355,7 +312,6 @@ class AnalysisPipeline:
         kernel: Optional[str] = None,
         hierarchy: Optional[HierarchyConfig] = None,
         refine: bool = False,
-        refine_budget: Optional[int] = None,
     ):
         self.config = config
         self.timing = timing
@@ -366,7 +322,6 @@ class AnalysisPipeline:
         self.stats = PipelineStats()
         self.kernel = resolve_kernel(kernel)
         self.refine = bool(refine)
-        self.refine_budget = refine_budget
         if hierarchy is not None and hierarchy.l1 != config:
             raise AnalysisError(
                 f"hierarchy L1 {hierarchy.l1.label()} does not match the "
@@ -415,9 +370,10 @@ class AnalysisPipeline:
                 against — the analysis of the program this ``cfg`` was
                 derived from by one prefetch insertion.
             edit: ``(block name, index)`` of that insertion.  With it
-                the base ACFG is spliced; without it (or when the splice
-                declines) the ACFG is built and compared with the base's
-                vertex by vertex for the divergence boundary.
+                the base ACFG is spliced and the analysis warm-starts at
+                the divergence boundary; without it, or when the splice
+                declines, the ACFG is built and the analysis runs cold
+                (one ``delta_fallbacks``).
             reuse: A result *from this pipeline* of this same program,
                 in either ``with_may`` mode.  Its structural artifacts
                 and must/may/persistence fixpoints are reused; classify,
@@ -453,11 +409,14 @@ class AnalysisPipeline:
         if first_changed is not None and self.differential:
             oracle_acfg = self._check_splice(cfg, acfg, artifacts.schedule)
 
+        # Only a spliced candidate warm-starts: a base without an edit,
+        # or one whose splice declined, runs cold.
         boundary = 0
         if base is not None:
-            boundary = divergence_boundary(
-                base.artifacts.acfg, acfg, first_changed
-            )
+            if first_changed is not None:
+                boundary = divergence_boundary(
+                    base.artifacts.acfg, acfg, first_changed
+                )
             if boundary <= 0:
                 self.stats.delta_fallbacks += 1
                 base = None
@@ -761,7 +720,6 @@ class AnalysisPipeline:
             artifacts.acfg,
             self.config,
             locked_blocks=self.locked_blocks or None,
-            budget=self.refine_budget,
             warm=warm,
             sets=sets,
         )
@@ -878,14 +836,13 @@ class AnalysisPipeline:
         with self._stage("acfg"):
             acfg = build_acfg(cfg, self.config.block_size, self.base_address)
             artifacts = StructuralArtifacts(acfg, rest_instance_spans(acfg))
-        wcet = self._cold_wcet(acfg, with_may, kernel="python")
+        wcet = self._cold_wcet(acfg, with_may)
         return PipelineResult(self, artifacts, wcet)
 
-    def _cold_wcet(
-        self, acfg: ACFG, with_may: bool, kernel: Optional[str] = None
-    ) -> WCETResult:
-        """:func:`~repro.analysis.wcet.analyze_wcet` in this pipeline's
-        context, on ``kernel`` (``None`` follows ``REPRO_CACHE_KERNEL``)."""
+    def _cold_wcet(self, acfg: ACFG, with_may: bool) -> WCETResult:
+        """The python oracle,
+        :func:`~repro.analysis.wcet.analyze_wcet`, in this pipeline's
+        context."""
         return analyze_wcet(
             acfg,
             self.config,
@@ -895,14 +852,12 @@ class AnalysisPipeline:
             locked_blocks=self.locked_blocks or None,
             hierarchy=self.hierarchy,
             refine=self.refine,
-            refine_budget=self.refine_budget,
-            kernel=kernel,
         )
 
     def _differential_check(self, acfg: ACFG, wcet: WCETResult,
                             with_may: bool) -> None:
         """Prove one delta analysis bit-identical to a from-scratch run
-        on the session kernel (``REPRO_CACHE_KERNEL``)."""
+        of the python oracle."""
         self.stats.differential_checks += 1
         cold = self._cold_wcet(acfg, with_may)
         problems = []

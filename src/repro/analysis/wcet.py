@@ -195,22 +195,21 @@ def analyze_wcet(
     config: CacheConfig,
     timing: TimingModel,
     backend: str = "structural",
-    cache_analysis: Optional[CacheAnalysis] = None,
     with_may: bool = True,
     with_persistence: bool = True,
     locked_blocks: Optional[frozenset] = None,
     hierarchy=None,
     refine: bool = False,
-    refine_budget: Optional[int] = None,
-    kernel: Optional[str] = None,
 ) -> WCETResult:
     """Run the full preliminary WCET analysis.
 
-    The cold analysis of record: every stage runs from scratch, in one
-    classify -> refine -> L2 -> guard -> IPET sequence.  On the python
-    kernel it is the oracle of the incremental
-    :class:`~repro.analysis.pipeline.AnalysisPipeline`, and the
-    pipeline's own analysis when that pipeline runs the python kernel.
+    The python oracle, the cold analysis of record: every stage runs
+    from scratch on the per-state python domains, in one classify ->
+    refine -> L2 -> guard -> IPET sequence.  It is the analysis of a
+    python-kernel :class:`~repro.analysis.pipeline.AnalysisPipeline` and
+    what a vectorized pipeline's ``differential`` mode checks each delta
+    against.  The dense kernel runs only inside the pipeline; a caller
+    that wants it analyses through a pipeline.
 
     Args:
         acfg: Program ACFG (built with the cache's block size).
@@ -218,9 +217,6 @@ def analyze_wcet(
         timing: Timing model.
         backend: ``"structural"`` (exact DP, default) or ``"ilp"``
             (scipy/HiGHS IPET; slower, used for cross-validation).
-        cache_analysis: Optionally reuse an existing classification
-            (``refine`` and the second level are then the caller's
-            business: the reused classification is taken as-is).
         with_may: Forwarded to :func:`repro.cache.classify.analyze_cache`
             (the WCET bound is identical either way; ``False`` is faster;
             forced on with a second level).
@@ -246,71 +242,59 @@ def analyze_wcet(
             hierarchy mode, before deriving the L2 access plan,
             mirroring the staged pipeline's classify -> refine -> l2
             order exactly.
-        refine_budget: Exploration budget override
-            (:data:`repro.analysis.refine.DEFAULT_BUDGET` when ``None``).
-        kernel: Forwarded to :func:`repro.cache.classify.analyze_cache`:
-            the L1 abstract domains run on ``"python"`` or
-            ``"vectorized"``, or follow ``REPRO_CACHE_KERNEL`` when
-            ``None``.  The L2 must pass is always the python
-            :func:`~repro.cache.classify.analyze_l2_must`.
 
     Returns:
         The :class:`WCETResult`.
     """
-    if cache_analysis is not None:
-        cache = cache_analysis
-    else:
-        if hierarchy is not None and hierarchy.l1 != config:
-            raise AnalysisError(
-                f"hierarchy L1 {hierarchy.l1.label()} does not match the "
-                f"analysed configuration {config.label()}"
-            )
-        level2 = hierarchy.l2_level if hierarchy is not None else None
-        cache = analyze_cache(
+    if hierarchy is not None and hierarchy.l1 != config:
+        raise AnalysisError(
+            f"hierarchy L1 {hierarchy.l1.label()} does not match the "
+            f"analysed configuration {config.label()}"
+        )
+    level2 = hierarchy.l2_level if hierarchy is not None else None
+    cache = analyze_cache(
+        acfg,
+        config,
+        # A second level implies the may analysis: only an L1
+        # always-miss is a *definite* L2 access, and definite accesses
+        # are the only way the L2 must domain gains blocks (see
+        # l2_access_plan).  Forcing it also keeps the L2 plan — and
+        # hence τ_w — independent of the caller's with_may choice.
+        with_may=with_may or level2 is not None,
+        with_persistence=with_persistence,
+        locked_blocks=locked_blocks,
+    )
+    if refine:
+        # Promotions land before the L2 plan is derived (an NC->AH
+        # promotion removes the reference from the L2 access stream):
+        # the staged pipeline's classify -> refine -> l2 order.
+        exploration = explore_concrete_states(
             acfg,
             config,
-            # A second level implies the may analysis: only an L1
-            # always-miss is a *definite* L2 access, and definite accesses
-            # are the only way the L2 must domain gains blocks (see
-            # l2_access_plan).  Forcing it also keeps the L2 plan — and
-            # hence τ_w — independent of the caller's with_may choice.
-            with_may=with_may or level2 is not None,
-            with_persistence=with_persistence,
             locked_blocks=locked_blocks,
-            kernel=kernel,
+            sets=nc_sets(acfg, config, cache.classifications),
         )
-        if refine:
-            # Promotions land before the L2 plan is derived (an NC->AH
-            # promotion removes the reference from the L2 access stream):
-            # the staged pipeline's classify -> refine -> l2 order.
-            exploration = explore_concrete_states(
-                acfg,
-                config,
-                locked_blocks=locked_blocks,
-                budget=refine_budget,
-                sets=nc_sets(acfg, config, cache.classifications),
+        promotions = refine_classifications(
+            acfg,
+            exploration,
+            cache.classifications,
+            persistence=level2 is None and with_persistence,
+        )
+        if promotions:
+            cache.classifications = apply_promotions(
+                cache.classifications, promotions
             )
-            promotions = refine_classifications(
-                acfg,
-                exploration,
-                cache.classifications,
-                persistence=level2 is None and with_persistence,
-            )
-            if promotions:
-                cache.classifications = apply_promotions(
-                    cache.classifications, promotions
-                )
-        if level2 is not None:
-            cache.l2_must = analyze_l2_must(
-                acfg,
-                level2.config,
-                cache.classifications,
-                locked_blocks,
-                may=cache.may,
-            )
-            cache.l2_hits = l2_guaranteed_hits(
-                acfg, cache.classifications, cache.l2_must
-            )
+    if level2 is not None:
+        cache.l2_must = analyze_l2_must(
+            acfg,
+            level2.config,
+            cache.classifications,
+            locked_blocks,
+            may=cache.may,
+        )
+        cache.l2_hits = l2_guaranteed_hits(
+            acfg, cache.classifications, cache.l2_must
+        )
     t_w = compute_ref_times(acfg, cache, timing)
     guarded = _latency_guard(acfg, cache, timing, t_w)
     for rid in guarded:

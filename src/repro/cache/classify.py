@@ -295,9 +295,11 @@ def analyze_cache(
     with_may: bool = True,
     with_persistence: bool = True,
     locked_blocks: Optional[frozenset] = None,
-    kernel: Optional[str] = None,
 ) -> CacheAnalysis:
     """Classify every reference of ``acfg`` under ``config``.
+
+    The python oracle, always cold; the dense kernel runs only inside
+    :class:`~repro.analysis.pipeline.AnalysisPipeline`.
 
     The cache starts all-invalid (``ĉ_I``), matching the paper's setup
     where each program fully owns the instruction cache.
@@ -322,59 +324,26 @@ def analyze_cache(
             their accesses do not disturb the LRU state of the unlocked
             ways, which ``config`` then describes (use the reduced-way
             residual configuration).
-        kernel: Abstract-domain implementation — ``"python"`` (the
-            oracle, this module), ``"vectorized"`` (the dense numpy
-            kernel of :mod:`repro.cache.kernel`), or ``None`` to follow
-            the ``REPRO_CACHE_KERNEL`` environment variable.  Both
-            produce bit-identical classifications (enforced by the
-            differential test layer).
     """
     if config.block_size != acfg.memory_map.block_size:
         raise AnalysisError(
             f"ACFG was built for block size {acfg.memory_map.block_size}, "
             f"cache uses {config.block_size}"
         )
-    # Imported lazily: kernel.py imports DataflowResult from this module.
-    from repro.cache.kernel import (
-        BlockUniverse,
-        KernelSchedule,
-        classify_references_dense,
-        propagate_kernel_batch,
-        resolve_kernel,
+    must = propagate(acfg, config, MustState(config), locked_blocks)
+    may = (
+        propagate(acfg, config, MayState(config), locked_blocks)
+        if with_may
+        else None
     )
-
-    if resolve_kernel(kernel) == "vectorized":
-        universe = BlockUniverse.for_acfg(acfg, config)
-        schedule = KernelSchedule(
-            acfg, universe, locked_blocks or frozenset()
-        )
-        domains = ["must"]
-        if with_may:
-            domains.append("may")
-        if with_persistence:
-            domains.append("persistence")
-        batch = propagate_kernel_batch(schedule, domains)
-        must = batch["must"]
-        may = batch.get("may")
-        persistence = batch.get("persistence")
-        classifications = classify_references_dense(
-            acfg, must, may, persistence, locked_blocks, schedule=schedule
-        )
-    else:
-        must = propagate(acfg, config, MustState(config), locked_blocks)
-        may = (
-            propagate(acfg, config, MayState(config), locked_blocks)
-            if with_may
-            else None
-        )
-        persistence = (
-            propagate(acfg, config, PersistenceState(config), locked_blocks)
-            if with_persistence
-            else None
-        )
-        classifications = classify_references(
-            acfg, must, may, persistence, locked_blocks
-        )
+    persistence = (
+        propagate(acfg, config, PersistenceState(config), locked_blocks)
+        if with_persistence
+        else None
+    )
+    classifications = classify_references(
+        acfg, must, may, persistence, locked_blocks
+    )
     return CacheAnalysis(config, classifications, must, may, persistence)
 
 
@@ -387,9 +356,9 @@ def classify_references(
 ) -> List[Optional[Classification]]:
     """Per-rid classifications from converged dataflow results.
 
-    The pure classification step of :func:`analyze_cache`, shared with
-    the staged pipeline which obtains the dataflow results from its own
-    caches.
+    The pure classification step of :func:`analyze_cache`, and the
+    oracle of the pipeline's dense classifier
+    (:func:`repro.cache.kernel.classify_references_dense`).
     """
     classifications: List[Optional[Classification]] = [None] * len(acfg.vertices)
     locked = locked_blocks or frozenset()

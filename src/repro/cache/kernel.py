@@ -8,10 +8,12 @@ one cache set as per-age block sets.  That representation is the
 auditability, not speed.  This module is the fast path, the default
 kernel and the only incremental engine: the same domains over **dense
 age vectors**, proven bit-identical to the oracle by the differential
-test layer.  ``REPRO_CACHE_KERNEL=python`` or ``--kernel python``
-selects the oracle instead, and then every analysis runs cold
-(:class:`~repro.analysis.pipeline.AnalysisPipeline` calls
-:func:`~repro.analysis.wcet.analyze_wcet`).
+test layer.  It runs only inside
+:class:`~repro.analysis.pipeline.AnalysisPipeline`;
+:func:`~repro.cache.classify.analyze_cache` and
+:func:`~repro.analysis.wcet.analyze_wcet` are the python oracle.
+``REPRO_CACHE_KERNEL=python`` or ``--kernel python`` makes a pipeline
+run that oracle instead, every analysis cold.
 
 Representation
 --------------

@@ -16,6 +16,11 @@ re-derive the claim from scratch on every optimized program:
 * :func:`verify_effectiveness` — Definition 10 for every inserted
   prefetch: the latency Λ fits in the minimum memory time between the
   prefetch and the first on-path use of its target block.
+
+Each program is analysed cold by a fresh
+:class:`~repro.analysis.pipeline.AnalysisPipeline` (no ``base``, no
+``reuse``), on the kernel ``REPRO_CACHE_KERNEL`` selects: the dense one
+by default, the python oracle under ``python``.
 """
 
 from __future__ import annotations
@@ -23,11 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.timing import TimingModel
-from repro.analysis.wcet import analyze_wcet, prefetch_lambda
+from repro.analysis.wcet import prefetch_lambda
 from repro.cache.config import CacheConfig, HierarchyConfig
 from repro.errors import GuaranteeViolation
-from repro.program.acfg import build_acfg
 from repro.program.cfg import ControlFlowGraph
 
 
@@ -106,15 +111,12 @@ def verify_wcet_guarantee(
     Returns:
         The :class:`GuaranteeCheck` with all measurements.
     """
-    acfg_orig = build_acfg(original, config.block_size, base_address)
-    acfg_opt = build_acfg(optimized, config.block_size, base_address)
-    wcet_orig = analyze_wcet(
-        acfg_orig, config, timing, with_persistence=with_persistence,
-        hierarchy=hierarchy, refine=refine,
-    )
-    wcet_opt = analyze_wcet(
-        acfg_opt, config, timing, with_persistence=with_persistence,
-        hierarchy=hierarchy, refine=refine,
+    wcet_orig, wcet_opt = (
+        AnalysisPipeline(
+            config, timing, with_persistence=with_persistence,
+            base_address=base_address, hierarchy=hierarchy, refine=refine,
+        ).analyze(cfg).wcet
+        for cfg in (original, optimized)
     )
     check = GuaranteeCheck(
         tau_original=wcet_orig.tau_w,
@@ -122,7 +124,7 @@ def verify_wcet_guarantee(
         misses_original=wcet_orig.wcet_path_misses,
         misses_optimized=wcet_opt.wcet_path_misses,
         ineffective_prefetches=find_undercharged_references(
-            acfg_opt, wcet_opt, timing
+            wcet_opt.acfg, wcet_opt, timing
         ),
     )
     if strict and not check.theorem1_holds:
@@ -180,12 +182,11 @@ def verify_effectiveness(
         rids of under-charged references (empty when the guard did its
         job — the expected outcome).
     """
-    acfg = build_acfg(optimized, config.block_size, base_address)
-    wcet = analyze_wcet(
-        acfg, config, timing, with_persistence=with_persistence,
-        hierarchy=hierarchy, refine=refine,
-    )
-    return find_undercharged_references(acfg, wcet, timing)
+    wcet = AnalysisPipeline(
+        config, timing, with_persistence=with_persistence,
+        base_address=base_address, hierarchy=hierarchy, refine=refine,
+    ).analyze(optimized).wcet
+    return find_undercharged_references(wcet.acfg, wcet, timing)
 
 
 def find_undercharged_references(acfg, wcet, timing: TimingModel) -> List[int]:

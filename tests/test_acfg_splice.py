@@ -8,7 +8,8 @@ program — over Mälardalen members with loops (FIRST/REST instances) and
 functions inlined at several call sites, over generated programs, for
 every insertion index including the block end, for instruction and data
 prefetches, and for chains of splices — and that the reported first
-changed rid yields the scan's :func:`divergence_boundary`.  The
+changed rid is the first vertex a vertex-by-vertex scan finds changed
+(:func:`first_mismatch`, the oracle of the splice's report).  The
 pipeline tests check that the splice is invisible in every counter and
 output, and that ``differential`` mode catches a bad splice.
 """
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.analysis.pipeline as pipeline_module
-from repro.analysis.pipeline import AnalysisPipeline, divergence_boundary
+from repro.analysis.pipeline import AnalysisPipeline
 from repro.bench.generator import random_program
 from repro.bench.registry import load
 from repro.cache.config import CacheConfig
@@ -55,6 +56,44 @@ def _vertex_signature(acfg):
         )
         for v in acfg.vertices
     ]
+
+
+def _vertex_matches(old, new, rid):
+    """Whether vertex ``rid`` is analysis-equivalent in both ACFGs.
+
+    Compares everything the dataflow/guard/IPET equations read at this
+    vertex: kind, context, instruction identity and prefetch role,
+    memory blocks (own + target — these capture address-layout shifts),
+    execution multiplier, and the forward predecessor list.
+    """
+    a = old.vertices[rid]
+    b = new.vertices[rid]
+    if a.kind is not b.kind or a.context != b.context:
+        return False
+    ia, ib = a.instr, b.instr
+    if (ia is None) != (ib is None):
+        return False
+    if ia is not None and (
+        ia.uid != ib.uid
+        or ia.is_prefetch != ib.is_prefetch
+        or ia.prefetch_target != ib.prefetch_target
+    ):
+        return False
+    if (
+        old._ref_block[rid] != new._ref_block[rid]
+        or old._target_block[rid] != new._target_block[rid]
+        or old.multiplier[rid] != new.multiplier[rid]
+    ):
+        return False
+    return old.predecessors(rid) == new.predecessors(rid)
+
+
+def first_mismatch(old, new):
+    """The lowest rid whose vertex differs between two ACFGs."""
+    n = min(len(old.vertices), len(new.vertices))
+    return next(
+        (rid for rid in range(n) if not _vertex_matches(old, new, rid)), n
+    )
 
 
 def assert_same_acfg(spliced, rebuilt):
@@ -99,9 +138,7 @@ def splice_and_check(cfg, base, block_name, index, prefetch_target):
     spliced, first_changed = result
     rebuilt = build_acfg(cfg, BLOCK_SIZE)
     assert_same_acfg(spliced, rebuilt)
-    assert divergence_boundary(base, spliced, first_changed) == (
-        divergence_boundary(base, rebuilt)
-    )
+    assert first_changed == first_mismatch(base, rebuilt)
     return spliced
 
 
@@ -236,8 +273,13 @@ class TestPipelineSplice:
     def test_splicing_changes_no_output_or_counter(self, program, monkeypatch):
         opts = OptimizerOptions(max_evaluations=25, kernel="vectorized")
         _, spliced = optimize(load(program), CONFIG, TIMING, options=opts)
+
+        def rebuild_and_scan(base, cfg, block_name, index):
+            rebuilt = build_acfg(cfg, BLOCK_SIZE)
+            return rebuilt, first_mismatch(base, rebuilt)
+
         monkeypatch.setattr(
-            pipeline_module, "splice_insertion", lambda *args: None
+            pipeline_module, "splice_insertion", rebuild_and_scan
         )
         _, rebuilt = optimize(load(program), CONFIG, TIMING, options=opts)
         assert spliced.pipeline == rebuilt.pipeline
@@ -246,6 +288,33 @@ class TestPipelineSplice:
         assert [
             (i.block_name, i.index, i.target_uid) for i in spliced.inserted
         ] == [(i.block_name, i.index, i.target_uid) for i in rebuilt.inserted]
+
+    def test_no_splice_runs_cold(self, monkeypatch):
+        # A base without an edit, or an edit the splice declines, is a
+        # delta fallback: the candidate is built and analysed cold.
+        cfg = load("ndes")
+        pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
+        base = pipeline.analyze(cfg, with_may=False)
+        edit = (cfg.blocks[3].name, 1)
+        cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
+        unedited = pipeline.analyze(cfg, with_may=False, base=base)
+        monkeypatch.setattr(
+            pipeline_module, "splice_insertion", lambda *args: None
+        )
+        declined = pipeline.analyze(cfg, with_may=False, base=base, edit=edit)
+        counters = pipeline.stats.counters()
+        assert counters["delta_fallbacks"] == 2
+        assert counters["cold_runs"] == 3
+        assert counters["delta_runs"] == 0
+        cold = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized").analyze(
+            cfg, with_may=False
+        )
+        for result in (unedited, declined):
+            assert result.wcet.tau_w == cold.wcet.tau_w
+            assert (
+                result.wcet.cache.classifications
+                == cold.wcet.cache.classifications
+            )
 
     def test_differential_mode_catches_a_bad_splice(self, monkeypatch):
         def corrupted(base, cfg, block_name, index):

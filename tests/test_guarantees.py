@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.wcet import analyze_wcet
+from repro.analysis.pipeline import AnalysisPipeline
 from repro.core.guarantees import (
     GuaranteeCheck,
     verify_effectiveness,
@@ -69,20 +69,19 @@ class TestVerifyWCETGuarantee:
                                         monkeypatch):
         """Theorem 1, Condition 2 and Definition 10 all come from one
         analysis of each program."""
-        from repro.core import guarantees
-
-        calls = []
-
-        def counting(acfg, *args, **kwargs):
-            calls.append(acfg)
-            return analyze_wcet(acfg, *args, **kwargs)
-
-        monkeypatch.setattr(guarantees, "analyze_wcet", counting)
         cfg = _program()
         optimized, report = optimize(cfg, tiny_cache, timing)
         assert report.inserted
+        calls = []
+        analyze = AnalysisPipeline.analyze
+
+        def counting(pipeline, program, *args, **kwargs):
+            calls.append(program)
+            return analyze(pipeline, program, *args, **kwargs)
+
+        monkeypatch.setattr(AnalysisPipeline, "analyze", counting)
         check = verify_wcet_guarantee(cfg, optimized, tiny_cache, timing)
-        assert len(calls) == 2
+        assert calls == [cfg, optimized]
         assert check.all_effective
         assert check.ineffective_prefetches == verify_effectiveness(
             optimized, tiny_cache, timing
@@ -163,3 +162,67 @@ class TestMissReduction:
         optimized, _ = optimize(cfg, tiny_cache, timing)
         check = verify_wcet_guarantee(cfg, optimized, tiny_cache, timing)
         assert check.condition2_holds
+
+
+class TestChecksEqualTheOracle:
+    """The guarantee checks analyse through fresh pipelines; they must
+    report what the same checks built on the python oracle report."""
+
+    @pytest.mark.parametrize("refine", [False, True], ids=["plain", "refine"])
+    @pytest.mark.parametrize("l2", [None, "4:16:4096:10"], ids=["l1", "l2"])
+    @pytest.mark.parametrize(
+        "program,with_persistence",
+        [("ndes", True), ("adpcm", True), ("crc", False)],
+        # crc gains prefetches at k1 only under the classic baseline
+        ids=["ndes", "adpcm", "crc-classic"],
+    )
+    def test_pipeline_checks_equal_analyze_wcet(
+        self, monkeypatch, program, with_persistence, l2, refine
+    ):
+        from repro.analysis.wcet import analyze_wcet
+        from repro.bench.registry import load
+        from repro.cache.config import TABLE2, hierarchy_for
+        from repro.cache.kernel import KERNEL_ENV
+        from repro.core.guarantees import find_undercharged_references
+        from repro.core.optimizer import OptimizerOptions
+        from repro.energy.cacti import hierarchy_model
+        from repro.energy.technology import technology
+        from repro.program.acfg import build_acfg
+
+        monkeypatch.setenv(KERNEL_ENV, "vectorized")
+        config = TABLE2["k1"]
+        levels = hierarchy_for(config, l2)
+        hierarchy = levels if l2 else None
+        timing = hierarchy_model(levels, technology("45nm")).timing
+        original = load(program)
+        optimized, report = optimize(
+            original, config, timing,
+            options=OptimizerOptions(
+                max_evaluations=60, l2=l2, refine=refine,
+                with_persistence=with_persistence,
+            ),
+        )
+        assert report.inserted
+        context = dict(
+            with_persistence=with_persistence, hierarchy=hierarchy,
+            refine=refine,
+        )
+        before, after = (
+            analyze_wcet(
+                build_acfg(cfg, config.block_size), config, timing, **context
+            )
+            for cfg in (original, optimized)
+        )
+        undercharged = find_undercharged_references(after.acfg, after, timing)
+        assert verify_wcet_guarantee(
+            original, optimized, config, timing, **context
+        ) == GuaranteeCheck(
+            tau_original=before.tau_w,
+            tau_optimized=after.tau_w,
+            misses_original=before.wcet_path_misses,
+            misses_optimized=after.wcet_path_misses,
+            ineffective_prefetches=undercharged,
+        )
+        assert verify_effectiveness(
+            optimized, config, timing, **context
+        ) == undercharged

@@ -5,6 +5,8 @@ per-state (see test_cache_differential.py) but through the whole
 analysis stack — fixpoint states, classifications, τ_w, accepted
 prefetches (Λ placement), and the resulting energy ratios must be
 *exactly* equal under ``kernel="python"`` and ``kernel="vectorized"``.
+The python side is the oracle (``analyze_cache``/``analyze_wcet``), the
+vectorized side a fresh :class:`AnalysisPipeline`.
 A golden corpus under ``tests/data/kernel_golden/`` pins the serialized
 fixpoint states of a few program/config points so a regression in either
 kernel (or in the shared encoding) is caught even if both kernels drift
@@ -98,9 +100,15 @@ def serialize_analysis(acfg, analysis) -> str:
 
 
 def _analyze(program: str, config_id: str, kernel: str):
+    """The cold L1 analysis on one kernel: the python oracle, or a fresh
+    vectorized pipeline (the dense kernel's only home)."""
     config = TABLE2[config_id]
-    acfg = build_acfg(load(program), config.block_size, 0)
-    return acfg, analyze_cache(acfg, config, kernel=kernel)
+    if kernel == "python":
+        acfg = build_acfg(load(program), config.block_size, 0)
+        return acfg, analyze_cache(acfg, config)
+    pipeline = AnalysisPipeline(config, _timing(config), kernel=kernel)
+    wcet = pipeline.analyze(load(program)).wcet
+    return wcet.acfg, wcet.cache
 
 
 # ----------------------------------------------------------------------

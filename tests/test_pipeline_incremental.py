@@ -8,9 +8,8 @@ test sweeps randomly generated programs.  Both lean on the pipeline's
 ``differential`` mode, which re-runs every delta analysis cold and
 raises :class:`~repro.errors.AnalysisError` on any divergence.  The
 delta tests pin their pipelines to the vectorized kernel, the only
-incremental engine; the cold runs they are checked against follow
-``REPRO_CACHE_KERNEL``, so under ``python`` every delta is checked
-against the python oracle.
+incremental engine; the cold runs they are checked against are the
+python oracle, ``analyze_wcet``, whatever ``REPRO_CACHE_KERNEL`` says.
 """
 
 from __future__ import annotations
@@ -19,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.analysis.refine
+import repro.cache.classify
 from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.wcet import analyze_wcet
 from repro.bench.generator import random_program
@@ -124,16 +125,18 @@ class TestIncrementalEqualsCold:
     @pytest.mark.parametrize(
         "program,budget", [("crc", 20), ("matmult", 60)]
     )
-    def test_optimize_differential_refined_under_exhaustion(self, program,
-                                                            budget):
+    def test_optimize_differential_refined_under_exhaustion(
+        self, monkeypatch, program, budget
+    ):
         # A warm start charges its copied prefix to the budget, so a
         # delta abandons exactly the sets a cold run abandons.
+        monkeypatch.setattr(repro.analysis.refine, "DEFAULT_BUDGET", budget)
         opts = OptimizerOptions(
             max_evaluations=12, refine=True, with_persistence=False,
             kernel="vectorized",
         )
         pipeline = AnalysisPipeline.for_options(
-            CONFIG, TIMING, opts, differential=True, refine_budget=budget
+            CONFIG, TIMING, opts, differential=True
         )
         _, report = optimize(
             load(program), CONFIG, TIMING, options=opts, pipeline=pipeline
@@ -167,11 +170,35 @@ class TestIncrementalEqualsCold:
         with pytest.raises(OptimizationError):
             optimize(cfg, CONFIG, TIMING, pipeline=pipeline)
 
+    def test_differential_check_runs_the_python_oracle(self, monkeypatch):
+        # Under a vectorized session the cold run a dense delta is
+        # checked against is still the python oracle.
+        monkeypatch.setenv(KERNEL_ENV, "vectorized")
+        calls = []
+        real = repro.cache.classify.propagate
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        pipeline = AnalysisPipeline(
+            CONFIG, TIMING, kernel="vectorized", differential=True
+        )
+        cfg = load("crc")
+        base = pipeline.analyze(cfg, with_may=False)
+        monkeypatch.setattr(repro.cache.classify, "propagate", counting)
+        edit = (cfg.blocks[3].name, 1)
+        cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
+        pipeline.analyze(cfg, with_may=False, base=base, edit=edit)
+        assert pipeline.stats.delta_runs == 1
+        assert pipeline.stats.differential_checks == 1
+        assert len(calls) > 0
+
 
 class TestPythonKernelIsTheColdOracle:
     """A python-kernel pipeline runs every analysis cold: whatever it is
-    handed, its result is ``analyze_wcet``'s on the python kernel, even
-    under a vectorized session."""
+    handed, its result is ``analyze_wcet``'s, even under a vectorized
+    session."""
 
     @pytest.mark.parametrize("l2", [None, "4:16:4096:10"], ids=["l1", "l2"])
     def test_handed_analyses_run_cold(self, monkeypatch, l2):
@@ -188,31 +215,31 @@ class TestPythonKernelIsTheColdOracle:
             return analyze_wcet(
                 build_acfg(cfg, CONFIG.block_size), CONFIG, timing,
                 with_may=with_may, hierarchy=hierarchy, refine=True,
-                kernel="python",
             )
 
         cfg = load("ndes")
         start = pipeline.analyze(cfg)
         reused = pipeline.analyze(cfg, with_may=False, reuse=start)
-        edit = (cfg.blocks[3].name, 1)
-        cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
-        candidate = pipeline.analyze(
-            cfg, with_may=False, base=reused, edit=edit
-        )
-        delta = pipeline.analyze(cfg, with_may=False, base=candidate)
         assert _wcet_fingerprint(start.wcet) == _wcet_fingerprint(
-            oracle(load("ndes"), True)
+            oracle(cfg, True)
         )
         assert _wcet_fingerprint(reused.wcet) == _wcet_fingerprint(
-            oracle(load("ndes"), False)
+            oracle(cfg, False)
         )
-        for result in (candidate, delta):
+        # Two chained candidates, each handed its base and its edit.
+        base = reused
+        for edit in ((cfg.blocks[3].name, 1), (cfg.blocks[5].name, 0)):
+            cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
+            result = pipeline.analyze(
+                cfg, with_may=False, base=base, edit=edit
+            )
             assert _wcet_fingerprint(result.wcet) == _wcet_fingerprint(
                 oracle(cfg, False)
             )
             assert type(result.wcet.cache.must) is DataflowResult
             assert result.dataflows == {}
             assert result.best is result.best_pred is None
+            base = result
         counters = pipeline.stats.counters()
         assert counters.pop("cold_runs") == 4
         assert counters.pop("structural_misses") == 4

@@ -119,14 +119,14 @@ class TestBudgetExhaustion:
         assert exploration.exhausted
         assert promotions == {}
 
-    def test_exhausted_wcet_equals_unrefined(self):
+    def test_exhausted_wcet_equals_unrefined(self, monkeypatch):
+        monkeypatch.setattr(refine_module, "DEFAULT_BUDGET", 1)
         config = TABLE2["k1"]
         timing = _single_level_timing(config)
         acfg = build_acfg(load("bs"), block_size=config.block_size)
         base = analyze_wcet(acfg, config, timing, with_persistence=False)
         exhausted = analyze_wcet(
-            acfg, config, timing, with_persistence=False,
-            refine=True, refine_budget=1,
+            acfg, config, timing, with_persistence=False, refine=True,
         )
         assert exhausted.solution.objective == base.solution.objective
         assert list(exhausted.t_w) == list(base.t_w)
@@ -145,12 +145,13 @@ class TestBudgetExhaustion:
         for set_index, exploration in partial.per_set.items():
             assert exploration.in_lines == full.per_set[set_index].in_lines
 
-    def test_pipeline_counts_exhaustion(self):
+    def test_pipeline_counts_exhaustion(self, monkeypatch):
+        monkeypatch.setattr(refine_module, "DEFAULT_BUDGET", 1)
         config = TABLE2["k1"]
         timing = _single_level_timing(config)
         pipeline = AnalysisPipeline(
             config, timing, with_persistence=False,
-            refine=True, refine_budget=1, kernel="vectorized",
+            refine=True, kernel="vectorized",
         )
         result = pipeline.analyze(load("bs"))
         assert pipeline.stats.refine_runs == 1

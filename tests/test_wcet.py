@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.timing import TimingModel
 from repro.analysis.wcet import analyze_wcet, compute_ref_times
 from repro.cache.classify import Classification, DataflowResult, analyze_cache
@@ -73,13 +74,18 @@ class TestWCETResult:
         assert structural.tau_w == pytest.approx(ilp.tau_w)
 
     @pytest.mark.parametrize("session", ["python", "vectorized"])
-    def test_explicit_kernel_overrides_the_session(
+    def test_analyze_wcet_is_the_oracle_under_either_session(
         self, loop_program, tiny_cache, timing, monkeypatch, session
     ):
+        # The session kernel picks a pipeline's kernel, never the
+        # oracle's: analyze_wcet stays python and agrees with a
+        # vectorized pipeline's cold result.
         monkeypatch.setenv(KERNEL_ENV, session)
         acfg = build_acfg(loop_program, block_size=tiny_cache.block_size)
-        python = analyze_wcet(acfg, tiny_cache, timing, kernel="python")
-        dense = analyze_wcet(acfg, tiny_cache, timing, kernel="vectorized")
+        python = analyze_wcet(acfg, tiny_cache, timing)
+        dense = AnalysisPipeline(
+            tiny_cache, timing, kernel="vectorized"
+        ).analyze(loop_program).wcet
         for domain in ("must", "may", "persistence"):
             assert type(getattr(python.cache, domain)) is DataflowResult
             assert isinstance(getattr(dense.cache, domain), DenseDataflowResult)
@@ -115,10 +121,8 @@ class TestWCETResult:
                 b.code(8)
         cfg = b.build()
         acfg = build_acfg(cfg, block_size=big_cache.block_size)
-        loose_cache = analyze_cache(acfg, big_cache, with_persistence=False)
-        tight_cache = analyze_cache(acfg, big_cache, with_persistence=True)
-        loose = analyze_wcet(acfg, big_cache, timing, cache_analysis=loose_cache)
-        tight = analyze_wcet(acfg, big_cache, timing, cache_analysis=tight_cache)
+        loose = analyze_wcet(acfg, big_cache, timing, with_persistence=False)
+        tight = analyze_wcet(acfg, big_cache, timing, with_persistence=True)
         assert tight.tau_w < loose.tau_w
 
     def test_persistent_blocks_charged_once(self, timing, big_cache):
