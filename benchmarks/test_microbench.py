@@ -36,9 +36,9 @@ def test_perf_acfg_construction(benchmark):
 
 
 def _cold_analysis(cfg, with_may=True):
-    """One cold analysis on the dense kernel: a fresh vectorized
-    pipeline, so no segment memo carries over between rounds."""
-    pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
+    """One cold analysis on the dense kernel: a fresh pipeline, so no
+    segment memo carries over between rounds."""
+    pipeline = AnalysisPipeline(CONFIG, TIMING)
     return pipeline.analyze(cfg, with_may=with_may).wcet
 
 

@@ -10,10 +10,8 @@ decomposes the analysis into stages whose products the caller hands
 along explicitly; the pipeline keeps no results of its own.
 
 The pipeline is the only place the dense kernel of
-:mod:`repro.cache.kernel` runs; ``analyze_wcet`` is the python oracle.
-Under the ``python`` kernel every call is that oracle on a freshly
-built ACFG, whatever the caller hands along.  The stages below are the
-``vectorized`` kernel's, the one incremental engine:
+:mod:`repro.cache.kernel` runs, and the one incremental engine;
+``analyze_wcet`` is the python oracle, called by name.  The stages:
 
 1. **Structural artifacts** — ACFG, loop instance spans and the kernel
    schedule.  A call that names its ``base`` result and the ``edit``
@@ -43,10 +41,10 @@ built ACFG, whatever the caller hands along.  The stages below are the
    When the invariants cannot be established (no base, foreign base, no
    splice, boundary 0) the pipeline falls back to a cold run; a
    ``differential`` mode rebuilds every spliced ACFG and asserts it
-   equal field by field, then re-runs every delta or ``reuse=``
-   analysis from scratch on the rebuilt graph with the python oracle
-   (``analyze_wcet``), whatever the session kernel, and asserts
-   bit-identical ``tau_w``, classifications and ``wcet_path_misses``.
+   equal field by field, then re-runs every analysis — cold, delta or
+   ``reuse=`` — from scratch on the rebuilt graph with the python
+   oracle (``analyze_wcet``) and asserts bit-identical ``tau_w``,
+   classifications, ``wcet_path_misses`` and WCET path.
 
 The guard stage (per-reference times and the prefetch-latency guard)
 reads only the ACFG's flat arrays — predecessor tuples, REF and
@@ -61,10 +59,9 @@ flow into :class:`~repro.core.optimizer.OptimizationReport`, sweep
 metrics and the service's telemetry.  Wall-clock lives only in the
 aggregate ``pipeline.<stage>`` spans of the active tracer (no-ops when
 nothing traces), from which ``repro optimize --profile`` sums its
-per-stage table; under ``python`` only the ``acfg`` stage runs
-through the pipeline.  A splice counts as a structural miss like a
-build, so the counters do not depend on it; the ``pipeline.acfg``
-span's ``spliced`` attribute tells the two apart.
+per-stage table.  A splice counts as a structural miss like a build,
+so the counters do not depend on it; the ``pipeline.acfg`` span's
+``spliced`` attribute tells the two apart.
 """
 
 from __future__ import annotations
@@ -99,7 +96,6 @@ from repro.cache.kernel import (
     l2_hits_dense,
     l2_schedule,
     propagate_kernel_batch,
-    resolve_kernel,
     schedule_differences,
 )
 from repro.errors import AnalysisError, UniverseOutgrown
@@ -177,10 +173,10 @@ class StructuralArtifacts:
     #: REST instance spans ``(entry_join, last_rid, exit_rids)`` — the
     #: optimizer's loop ranges and the latency guard's wrap-around scopes.
     loop_spans: List[Tuple[int, int, Tuple[int, ...]]]
-    #: The compiled :class:`~repro.cache.kernel.KernelSchedule` (``None``
-    #: in the python oracle's artifacts).  Invalidated implicitly when
-    #: the pipeline's block universe is rebuilt (the schedule keeps a
-    #: reference to the universe it was compiled against).
+    #: The compiled :class:`~repro.cache.kernel.KernelSchedule`.
+    #: Invalidated implicitly when the pipeline's block universe is
+    #: rebuilt (the schedule keeps a reference to the universe it was
+    #: compiled against).
     schedule: Optional[KernelSchedule] = None
 
 
@@ -190,15 +186,13 @@ class PipelineResult:
     __slots__ = ("owner", "artifacts", "wcet", "dataflows", "best",
                  "best_pred")
 
-    def __init__(self, owner, artifacts, wcet, dataflows=None, best=None,
-                 best_pred=None):
+    def __init__(self, owner, artifacts, wcet, dataflows, best, best_pred):
         #: The pipeline that produced this result.
         self.owner = owner
         self.artifacts = artifacts
         self.wcet = wcet
-        #: Fixpoints and IPET tables to hand along (none from the python
-        #: kernel's cold oracle).
-        self.dataflows = dataflows or {}
+        #: Fixpoints and IPET tables to hand along.
+        self.dataflows = dataflows
         self.best = best
         self.best_pred = best_pred
 
@@ -247,7 +241,6 @@ def _context_of(config: CacheConfig, options) -> Dict[str, Any]:
         "with_persistence": options.with_persistence,
         "locked_blocks": frozenset(options.locked_blocks or ()),
         "base_address": options.base_address,
-        "kernel": resolve_kernel(getattr(options, "kernel", None)),
         "hierarchy": hierarchy_for(config, l2_spec) if l2_spec else None,
         "refine": bool(getattr(options, "refine", False)),
     }
@@ -261,11 +254,9 @@ class AnalysisPipeline:
     at construction, so every result it returns can seed a later call
     (``base=`` for a delta, ``reuse=`` for the same program).  It keeps
     no results itself; only the kernel's segment memos live as long as
-    the pipeline.  It is the only home of the dense kernel; a
-    ``python``-kernel pipeline is the cold oracle: it takes the same
-    calls and runs every one of them from scratch with
-    :func:`~repro.analysis.wcet.analyze_wcet`.  Not thread-safe; sweep
-    workers build one per use case.
+    the pipeline.  It is the only home of the dense kernel; its oracle
+    is :func:`~repro.analysis.wcet.analyze_wcet`.  Not thread-safe;
+    sweep workers build one per use case.
 
     Args:
         config: Cache configuration.
@@ -274,16 +265,10 @@ class AnalysisPipeline:
             optimizer options the pipeline is used with).
         locked_blocks: Hybrid-locking pinned blocks.
         base_address: Program load address.
-        differential: Verify every delta or ``reuse=`` analysis against
-            a cold run of the python oracle,
+        differential: Verify every analysis — cold, delta or
+            ``reuse=`` — against a cold run of the python oracle,
             :func:`~repro.analysis.wcet.analyze_wcet` (slow; used by the
             equivalence tests).
-        kernel: Abstract-domain implementation: ``"python"`` (the
-            verified oracle, every analysis cold), ``"vectorized"`` (the
-            dense numpy kernel and incremental engine, bit-identical by
-            the differential suite), or ``None`` to follow
-            ``REPRO_CACHE_KERNEL`` (default ``vectorized``).  The kernel
-            is chosen per pipeline and nowhere else.
         hierarchy: Optional multi-level
             :class:`~repro.cache.config.HierarchyConfig`; its L1 must
             equal ``config``.  Adds an L2 must stage over the
@@ -309,7 +294,6 @@ class AnalysisPipeline:
         locked_blocks: frozenset = frozenset(),
         base_address: int = 0,
         differential: bool = False,
-        kernel: Optional[str] = None,
         hierarchy: Optional[HierarchyConfig] = None,
         refine: bool = False,
     ):
@@ -320,7 +304,6 @@ class AnalysisPipeline:
         self.base_address = base_address
         self.differential = differential
         self.stats = PipelineStats()
-        self.kernel = resolve_kernel(kernel)
         self.refine = bool(refine)
         if hierarchy is not None and hierarchy.l1 != config:
             raise AnalysisError(
@@ -328,7 +311,7 @@ class AnalysisPipeline:
                 f"pipeline configuration {config.label()}"
             )
         self.hierarchy = hierarchy
-        #: Vectorized-kernel state: one block universe shared by every
+        #: Dense-kernel state: one block universe shared by every
         #: schedule/dense matrix of this pipeline (rebuilt with headroom
         #: when a program outgrows it), the L2's over the same columns,
         #: and one segment memo per level (the replays differ).
@@ -383,8 +366,7 @@ class AnalysisPipeline:
 
         Returns:
             A :class:`PipelineResult` whose ``wcet`` is bit-identical to
-            a fresh :func:`~repro.analysis.wcet.analyze_wcet` call (on
-            the python kernel, it is that call).
+            a fresh :func:`~repro.analysis.wcet.analyze_wcet` call.
         """
         if reuse is not None and (
             base is not None or reuse.owner is not self
@@ -395,8 +377,6 @@ class AnalysisPipeline:
         if base is not None and base.owner is not self:
             self.stats.delta_fallbacks += 1
             base = None
-        if self.kernel == "python":
-            return self._oracle_analysis(cfg, with_may)
         if reuse is not None:
             self.stats.structural_hits += 1
             artifacts, first_changed = reuse.artifacts, None
@@ -575,7 +555,7 @@ class AnalysisPipeline:
                 latency_guarded=guarded,
             )
 
-        if self.differential and (use_delta or reuse is not None):
+        if self.differential:
             self._differential_check(oracle_acfg, wcet, with_may)
 
         return PipelineResult(
@@ -826,24 +806,13 @@ class AnalysisPipeline:
             self.stats.invalidations += 1
         return universe
 
-    def _oracle_analysis(
-        self, cfg: ControlFlowGraph, with_may: bool
-    ) -> PipelineResult:
-        """The python kernel's analysis: the cold oracle, past an
-        ``acfg`` stage that builds the graph from scratch."""
-        self.stats.structural_misses += 1
-        self.stats.cold_runs += 1
-        with self._stage("acfg"):
-            acfg = build_acfg(cfg, self.config.block_size, self.base_address)
-            artifacts = StructuralArtifacts(acfg, rest_instance_spans(acfg))
-        wcet = self._cold_wcet(acfg, with_may)
-        return PipelineResult(self, artifacts, wcet)
-
-    def _cold_wcet(self, acfg: ACFG, with_may: bool) -> WCETResult:
-        """The python oracle,
-        :func:`~repro.analysis.wcet.analyze_wcet`, in this pipeline's
-        context."""
-        return analyze_wcet(
+    def _differential_check(self, acfg: ACFG, wcet: WCETResult,
+                            with_may: bool) -> None:
+        """Prove one analysis bit-identical to a from-scratch run of the
+        python oracle, :func:`~repro.analysis.wcet.analyze_wcet`, in
+        this pipeline's context."""
+        self.stats.differential_checks += 1
+        cold = analyze_wcet(
             acfg,
             self.config,
             self.timing,
@@ -853,13 +822,6 @@ class AnalysisPipeline:
             hierarchy=self.hierarchy,
             refine=self.refine,
         )
-
-    def _differential_check(self, acfg: ACFG, wcet: WCETResult,
-                            with_may: bool) -> None:
-        """Prove one delta analysis bit-identical to a from-scratch run
-        of the python oracle."""
-        self.stats.differential_checks += 1
-        cold = self._cold_wcet(acfg, with_may)
         problems = []
         if wcet.tau_w != cold.tau_w:
             problems.append(f"tau_w {wcet.tau_w!r} != {cold.tau_w!r}")
@@ -875,6 +837,11 @@ class AnalysisPipeline:
             problems.append("l2_hits differ")
         if wcet.solution.n_w != cold.solution.n_w:
             problems.append("n_w differs")
+        # The optimizer's reverse walk follows the WCET path.
+        if wcet.solution.on_path != cold.solution.on_path:
+            problems.append("on_path differs")
+        if wcet.solution.path != cold.solution.path:
+            problems.append("path differs")
         if wcet.persistent_charged_blocks != cold.persistent_charged_blocks:
             problems.append("persistent_charged_blocks differ")
         if wcet.wcet_path_misses != cold.wcet_path_misses:
@@ -884,6 +851,6 @@ class AnalysisPipeline:
             )
         if problems:
             raise AnalysisError(
-                "delta re-analysis diverged from cold analysis: "
+                "pipeline analysis diverged from the python oracle: "
                 + "; ".join(problems)
             )

@@ -205,11 +205,11 @@ def analyze_wcet(
 
     The python oracle, the cold analysis of record: every stage runs
     from scratch on the per-state python domains, in one classify ->
-    refine -> L2 -> guard -> IPET sequence.  It is the analysis of a
-    python-kernel :class:`~repro.analysis.pipeline.AnalysisPipeline` and
-    what a vectorized pipeline's ``differential`` mode checks each delta
-    against.  The dense kernel runs only inside the pipeline; a caller
-    that wants it analyses through a pipeline.
+    refine -> L2 -> guard -> IPET sequence.  It is what an
+    :class:`~repro.analysis.pipeline.AnalysisPipeline`'s
+    ``differential`` mode checks each analysis against.  The dense
+    kernel runs only inside the pipeline; a caller that wants it
+    analyses through a pipeline.
 
     Args:
         acfg: Program ACFG (built with the cache's block size).

@@ -29,12 +29,10 @@ from repro.cache.concrete import ConcreteCache
 from repro.cache.kernel import (
     BlockUniverse,
     DenseDataflowResult,
-    KERNEL_ENV,
     KernelSchedule,
     SegmentMemo,
     classify_references_dense,
     propagate_kernel_batch,
-    resolve_kernel,
     row_to_state,
     state_to_row,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "ConcreteCache",
     "DataflowResult",
     "DenseDataflowResult",
-    "KERNEL_ENV",
     "KernelSchedule",
     "MAX_FIXPOINT_PASSES",
     "MayState",
@@ -74,7 +71,6 @@ __all__ = [
     "join_all",
     "propagate",
     "propagate_kernel_batch",
-    "resolve_kernel",
     "row_to_state",
     "state_to_row",
 ]

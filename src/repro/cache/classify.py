@@ -454,8 +454,7 @@ def analyze_l2_must(
 
     The python :func:`propagate` over :func:`l2_access_plan`, always
     cold: the L2 stage of :func:`~repro.analysis.wcet.analyze_wcet`
-    (hence of a python-kernel pipeline) and the oracle of the dense L2
-    pass (:func:`repro.cache.kernel.l2_schedule`), which replays the
+    and the oracle of the dense L2 pass (:func:`repro.cache.kernel.l2_schedule`), which replays the
     same plan on the L1 schedule's chains.
     """
     plan = l2_access_plan(acfg, classifications, locked_blocks, may=may)

@@ -12,8 +12,6 @@ test layer.  It runs only inside
 :class:`~repro.analysis.pipeline.AnalysisPipeline`;
 :func:`~repro.cache.classify.analyze_cache` and
 :func:`~repro.analysis.wcet.analyze_wcet` are the python oracle.
-``REPRO_CACHE_KERNEL=python`` or ``--kernel python`` makes a pipeline
-run that oracle instead, every analysis cold.
 
 Representation
 --------------
@@ -58,7 +56,7 @@ least fixpoint, state for state.
 The result is one :class:`DenseDataflowResult` per domain — a drop-in
 :class:`~repro.cache.classify.DataflowResult` whose per-vertex states
 materialize lazily into ordinary oracle states (so every downstream
-consumer sees values indistinguishable from a python-kernel run), plus
+consumer sees values indistinguishable from an oracle run), plus
 the dense matrices themselves for the pipeline's warm-started delta
 re-analysis and the vectorized classifier (:func:`classify_references_dense`).
 
@@ -71,7 +69,6 @@ from __future__ import annotations
 
 import copy
 import itertools
-import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -87,29 +84,6 @@ from repro.cache.config import CacheConfig
 from repro.cache.persistence import PersistenceState
 from repro.errors import AnalysisError, UniverseOutgrown
 from repro.program.acfg import ACFG
-
-#: Environment variable selecting the kernel implementation.
-KERNEL_ENV = "REPRO_CACHE_KERNEL"
-
-#: Supported kernel names.
-KERNELS = ("python", "vectorized")
-
-
-def resolve_kernel(kernel: Optional[str] = None) -> str:
-    """The effective kernel name: explicit argument, else the
-    :data:`KERNEL_ENV` environment variable, else ``"vectorized"``.
-
-    ``python`` remains selectable (``--kernel``, ``REPRO_CACHE_KERNEL``)
-    and is the oracle the differential suites compare against.
-    """
-    chosen = kernel if kernel is not None else os.environ.get(KERNEL_ENV)
-    if chosen is None or chosen == "":
-        return "vectorized"
-    if chosen not in KERNELS:
-        raise AnalysisError(
-            f"unknown cache kernel {chosen!r}; expected one of {KERNELS}"
-        )
-    return chosen
 
 
 # ----------------------------------------------------------------------
@@ -719,9 +693,8 @@ def propagate_kernel_batch(
             :class:`DenseDataflowResult` per requested domain: rows
             below ``boundary`` are copied from the bases and segments
             entirely below it are never replayed.  Sound under the
-            pipeline's divergence-boundary closure, exactly like the
-            python kernel's ``warm`` parameter.  Ignored unless every
-            domain has a base on the same universe.
+            pipeline's divergence-boundary closure.  Ignored unless
+            every domain has a base on the same universe.
     """
     universe = schedule.universe
     config = universe.config

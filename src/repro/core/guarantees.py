@@ -19,8 +19,8 @@ re-derive the claim from scratch on every optimized program:
 
 Each program is analysed cold by a fresh
 :class:`~repro.analysis.pipeline.AnalysisPipeline` (no ``base``, no
-``reuse``), on the kernel ``REPRO_CACHE_KERNEL`` selects: the dense one
-by default, the python oracle under ``python``.
+``reuse``); in ``differential`` mode a pipeline checks every analysis
+against the python oracle, ``analyze_wcet``.
 """
 
 from __future__ import annotations

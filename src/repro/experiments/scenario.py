@@ -28,7 +28,6 @@ from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 from repro.bench.registry import TABLE1, program_names
 from repro.cache.config import TABLE2, parse_l2_spec
-from repro.cache.kernel import KERNELS
 from repro.core.optimizer import OptimizerOptions
 from repro.energy.technology import TECHNOLOGIES
 from repro.errors import CacheConfigError, ExperimentError, ProtocolError
@@ -111,12 +110,6 @@ def _seed(path: str, value: Any) -> int:
     return resolve_int(path, value, minimum=0)
 
 
-def _kernel(path: str, value: Any) -> Optional[str]:
-    if value is not None and value not in KERNELS:
-        raise _fail(path, f"expected one of {KERNELS} or null, got {value!r}")
-    return value
-
-
 def _refine(path: str, value: Any) -> bool:
     if value is None:
         return False
@@ -170,11 +163,6 @@ AXES: Dict[str, Axis] = {axis.name: axis for axis in (
          option="max_evaluations", cli={"type": int, "metavar": "N"}),
     Axis("seed", _seed, "executor seed of the ACET simulations",
          cli={"type": int}),
-    Axis("kernel", _kernel, "abstract-domain kernel: the python oracle, "
-                            "every analysis cold, or the dense numpy "
-                            "kernel (default: $REPRO_CACHE_KERNEL or "
-                            "vectorized)",
-         option="kernel", cli={"choices": KERNELS}),
     Axis("refine", _refine, "model-check the NOT_CLASSIFIED references "
                             "(bounded concrete-state exploration) and "
                             "promote the decided ones to always-hit/"
@@ -237,7 +225,6 @@ _RUN = (
     Field("baseline", "baseline", "classic"),
     Field("budget", "budget", 120),
     Field("seed", "seed", 1),
-    Field("kernel", "kernel"),
 )
 _L2_AXIS = Field("l2", "l2", many=True)
 _REFINE = Field("refine", "refine", False)
@@ -245,7 +232,7 @@ _REFINE = Field("refine", "refine", False)
 _PERSISTENCE = Field("baseline", "baseline", "persistence")
 _SWEEP = _GRID + _RUN + (_L2_AXIS, _REFINE)
 
-#: The optimize/usecase kinds: one use case, neither kernel nor l2.
+#: The optimize/usecase kinds: one use case, no l2.
 _POINT = _ROW + (_PERSISTENCE,) + _RUN[1:3] + (_REFINE,)
 
 #: Job kind -> accepted fields, in canonical order.
@@ -261,11 +248,10 @@ COMMANDS: Dict[str, Tuple[Field, ...]] = {
     "optimize": _ROW + (
         _PERSISTENCE,
         Field("budget", "budget"),
-        Field("kernel", "kernel"),
         Field("l2", "l2"),
         _REFINE,
     ),
-    "usecase": _ROW + (Field("l2", "l2"), _REFINE),
+    "usecase": _ROW + (_PERSISTENCE, Field("l2", "l2"), _REFINE),
     "figure": _GRID + _RUN[:2],
     "sweep": _SWEEP,
 }
@@ -323,7 +309,6 @@ def options_from_params(params: Mapping[str, Any]) -> OptimizerOptions:
         max_evaluations=params.get("budget"),
         with_persistence=params.get("baseline", "persistence")
         == "persistence",
-        kernel=params.get("kernel"),
         refine=bool(params.get("refine")),
     )
 
@@ -349,7 +334,6 @@ def spec_from_params(params: Mapping[str, Any]):
         seed=value["seed"],
         max_evaluations=value["budget"],
         baseline=value["baseline"],
-        kernel=value["kernel"],
         l2_specs=tuple(value["l2"] or (None,)),
         refine=bool(value["refine"]),
     )
@@ -363,7 +347,6 @@ def check_spec(spec) -> None:
     """
     try:
         AXES["baseline"].resolve("baseline", spec.baseline)
-        AXES["kernel"].resolve("kernel", spec.kernel)
         _L2_AXIS.resolve("l2_specs", spec.l2_specs)
     except ProtocolError as exc:
         raise ExperimentError(str(exc)) from None

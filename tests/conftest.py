@@ -3,15 +3,47 @@
 The fixtures provide the handful of artefacts almost every test needs:
 small deterministic programs, a couple of cache configurations spanning
 the interesting regimes, and a fixed timing model.
+
+``--differential`` makes every :class:`AnalysisPipeline` built in the
+session default to ``differential=True``, so each analysis any test
+consumes — cold, delta or handed along — is checked against the python
+oracle, ``analyze_wcet``.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.timing import TimingModel
 from repro.cache.config import CacheConfig
 from repro.program.builder import ProgramBuilder
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--differential", action="store_true", default=False,
+        help="build every AnalysisPipeline with differential=True unless "
+             "a test passes differential itself",
+    )
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _differential_pipelines(request):
+    """Under ``--differential``, default every pipeline's
+    ``differential`` to ``True`` for the whole session."""
+    if not request.config.getoption("--differential"):
+        yield
+        return
+    original = AnalysisPipeline.__init__
+
+    def init(self, *args, **kwargs):
+        kwargs.setdefault("differential", True)
+        original(self, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(AnalysisPipeline, "__init__", init)
+        yield
 
 
 @pytest.fixture

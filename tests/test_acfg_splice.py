@@ -256,7 +256,7 @@ def _traced(fn):
 class TestPipelineSplice:
     def test_candidate_acfg_is_spliced(self):
         cfg = load("ndes")
-        pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
+        pipeline = AnalysisPipeline(CONFIG, TIMING)
         base = pipeline.analyze(cfg, with_may=False)
         edit = (cfg.blocks[3].name, 1)
         cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
@@ -271,7 +271,7 @@ class TestPipelineSplice:
 
     @pytest.mark.parametrize("program", ["ndes", "adpcm"])
     def test_splicing_changes_no_output_or_counter(self, program, monkeypatch):
-        opts = OptimizerOptions(max_evaluations=25, kernel="vectorized")
+        opts = OptimizerOptions(max_evaluations=25)
         _, spliced = optimize(load(program), CONFIG, TIMING, options=opts)
 
         def rebuild_and_scan(base, cfg, block_name, index):
@@ -293,7 +293,7 @@ class TestPipelineSplice:
         # A base without an edit, or an edit the splice declines, is a
         # delta fallback: the candidate is built and analysed cold.
         cfg = load("ndes")
-        pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
+        pipeline = AnalysisPipeline(CONFIG, TIMING)
         base = pipeline.analyze(cfg, with_may=False)
         edit = (cfg.blocks[3].name, 1)
         cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
@@ -306,7 +306,7 @@ class TestPipelineSplice:
         assert counters["delta_fallbacks"] == 2
         assert counters["cold_runs"] == 3
         assert counters["delta_runs"] == 0
-        cold = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized").analyze(
+        cold = AnalysisPipeline(CONFIG, TIMING).analyze(
             cfg, with_may=False
         )
         for result in (unedited, declined):
@@ -325,9 +325,7 @@ class TestPipelineSplice:
 
         monkeypatch.setattr(pipeline_module, "splice_insertion", corrupted)
         cfg = load("ndes")
-        pipeline = AnalysisPipeline(
-            CONFIG, TIMING, kernel="vectorized", differential=True
-        )
+        pipeline = AnalysisPipeline(CONFIG, TIMING, differential=True)
         base = pipeline.analyze(cfg, with_may=False)
         edit = (cfg.blocks[3].name, 1)
         cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)

@@ -7,7 +7,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.core.optimizer import OptimizerOptions
 from repro.experiments import sweep as sweep_module
+from repro.experiments.usecase import UseCase, run_usecase
 
 
 class TestListing:
@@ -49,12 +51,33 @@ class TestOptimize:
         assert code == 0
         assert "classic baseline" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["optimize", "sweep"])
+    def test_kernel_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "bs", "k1", "--kernel", "python"]
+                 if command == "optimize" else
+                 [command, "--kernel", "python"])
+        assert exc.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
 
 class TestUseCaseAndFigures:
     def test_usecase(self, capsys):
         assert main(["usecase", "bs", "k1", "45nm"]) == 0
         out = capsys.readouterr().out
         assert "WCET ratio" in out
+
+    def test_usecase_baseline_flag(self, capsys):
+        assert main(["usecase", "bs", "k1", "--baseline", "classic"]) == 0
+        out = capsys.readouterr().out
+        result = run_usecase(UseCase("bs", "k1", "45nm"),
+                             options=OptimizerOptions(with_persistence=False))
+        assert result.report.inserted  # classic differs from the default
+        assert f"WCET ratio   : {result.wcet_ratio:.3f}" in out
+        assert f"ACET ratio   : {result.acet_ratio:.3f}" in out
+        assert (f"energy ratio : {result.energy_ratio:.3f} (paper-mode "
+                f"{result.energy_ratio_paper_mode:.3f})") in out
+        assert f"instr ratio  : {result.instruction_ratio:.4f}" in out
 
     def test_figure3_small_grid(self, capsys):
         code = main(
@@ -199,7 +222,7 @@ class TestSweepCommand:
     def test_full_grid_keeps_baseline_and_techs(self, monkeypatch, capsys):
         spec = self._captured_spec(monkeypatch, [
             "--full", "--baseline", "persistence", "--techs", "45nm",
-            "--seed", "3", "--budget", "40", "--kernel", "python",
+            "--seed", "3", "--budget", "40",
             "--l2", "4:16:4096:10", "--refine"])
         full = sweep_module.full_grid()
         assert spec.programs == full.programs
@@ -207,7 +230,6 @@ class TestSweepCommand:
         assert spec.techs == ("45nm",)
         assert spec.baseline == "persistence"
         assert (spec.seed, spec.max_evaluations) == (3, 40)
-        assert spec.kernel == "python"
         assert spec.l2_specs == ("4:16:4096:10",)
         assert spec.refine is True
         assert spec.size == 37 * 36

@@ -177,19 +177,17 @@ class TestChecksEqualTheOracle:
         ids=["ndes", "adpcm", "crc-classic"],
     )
     def test_pipeline_checks_equal_analyze_wcet(
-        self, monkeypatch, program, with_persistence, l2, refine
+        self, program, with_persistence, l2, refine
     ):
         from repro.analysis.wcet import analyze_wcet
         from repro.bench.registry import load
         from repro.cache.config import TABLE2, hierarchy_for
-        from repro.cache.kernel import KERNEL_ENV
         from repro.core.guarantees import find_undercharged_references
         from repro.core.optimizer import OptimizerOptions
         from repro.energy.cacti import hierarchy_model
         from repro.energy.technology import technology
         from repro.program.acfg import build_acfg
 
-        monkeypatch.setenv(KERNEL_ENV, "vectorized")
         config = TABLE2["k1"]
         levels = hierarchy_for(config, l2)
         hierarchy = levels if l2 else None

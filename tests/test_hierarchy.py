@@ -487,7 +487,8 @@ class TestMultiLevelDeterministic:
 
 
 # ----------------------------------------------------------------------
-# golden corpus: pinned multi-level states, reproduced by both kernels
+# golden corpus: pinned multi-level states, reproduced by the python
+# oracle (analyze_wcet) and by the dense pipeline
 # ----------------------------------------------------------------------
 HIERARCHY_GOLDEN_DIR = Path(__file__).parent / "data" / "hierarchy_golden"
 
@@ -496,9 +497,9 @@ def serialize_hierarchy_analysis(acfg, analysis) -> str:
     """Canonical rendering of a multi-level analysis.
 
     Classifications, the L2-guaranteed rid set and every L2 must
-    fixpoint state; both kernels must reproduce it byte for byte (the
-    dense L2 pass replays the python plan, so the whole document is
-    kernel-independent).
+    fixpoint state; the oracle and the pipeline must reproduce it byte
+    for byte (the dense L2 pass replays the python plan, so the whole
+    document is kernel-independent).
     """
     from tests.test_kernel_equivalence import _state_repr
 
@@ -524,17 +525,23 @@ def _hierarchy_golden_files():
 
 
 def _analyze_golden_point(document, kernel):
-    """The pipeline's analysis of one golden point: under the vectorized
-    kernel its L2 stage is the dense pass, under python the oracle."""
+    """One golden point's analysis: ``python`` is the oracle,
+    ``analyze_wcet``; ``vectorized`` a pipeline, whose L2 stage is the
+    dense pass."""
     from repro.bench.registry import load
 
     config = TABLE2[document["config"]]
     hierarchy = hierarchy_for(config, document["l2"])
     timing = hierarchy_model(hierarchy, TECH_45NM).timing
-    result = AnalysisPipeline(
-        config, timing, kernel=kernel, hierarchy=hierarchy
-    ).analyze(load(document["program"]))
-    return result.acfg, result.wcet.cache
+    cfg = load(document["program"])
+    if kernel == "python":
+        wcet = analyze_wcet(build_acfg(cfg, config.block_size), config,
+                            timing, hierarchy=hierarchy)
+    else:
+        wcet = AnalysisPipeline(
+            config, timing, hierarchy=hierarchy
+        ).analyze(cfg).wcet
+    return wcet.acfg, wcet.cache
 
 
 class TestHierarchyGoldenCorpus:

@@ -1,12 +1,13 @@
-"""Full-pipeline equivalence of the python and vectorized cache kernels.
+"""Full-pipeline equivalence of the python oracle and the dense kernel.
 
-The vectorized kernel's contract is bit-identity end to end: not just
-per-state (see test_cache_differential.py) but through the whole
-analysis stack — fixpoint states, classifications, τ_w, accepted
-prefetches (Λ placement), and the resulting energy ratios must be
-*exactly* equal under ``kernel="python"`` and ``kernel="vectorized"``.
-The python side is the oracle (``analyze_cache``/``analyze_wcet``), the
-vectorized side a fresh :class:`AnalysisPipeline`.
+The dense (vectorized) kernel's contract is bit-identity end to end:
+not just per-state (see test_cache_differential.py) but through the
+whole analysis stack — fixpoint states, classifications, τ_w, accepted
+prefetches (Λ placement), and the resulting energy ratios.  The python
+side is the oracle (``analyze_cache``/``analyze_wcet``), the dense side
+an :class:`AnalysisPipeline`.  Optimizer and use-case runs go through a
+``differential=True`` pipeline, which checks every analysis the
+optimizer consumes against ``analyze_wcet``.
 A golden corpus under ``tests/data/kernel_golden/`` pins the serialized
 fixpoint states of a few program/config points so a regression in either
 kernel (or in the shared encoding) is caught even if both kernels drift
@@ -22,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.pipeline import AnalysisPipeline
+from repro.analysis.wcet import analyze_wcet
 from repro.bench.registry import load
 from repro.cache.abstract import MayState, MustState
 from repro.cache.classify import analyze_cache
@@ -30,7 +32,11 @@ from repro.cache.persistence import PersistenceState
 from repro.core.optimizer import OptimizerOptions, optimize
 from repro.energy.cacti import cacti_model
 from repro.energy.technology import technology
-from repro.experiments.usecase import UseCase, run_usecase
+from repro.experiments.usecase import (
+    UseCase,
+    pipeline_for_usecase,
+    run_usecase,
+)
 from repro.program.acfg import build_acfg
 
 KERNELS = ("python", "vectorized")
@@ -79,8 +85,8 @@ def _state_repr(state) -> str:
 def serialize_analysis(acfg, analysis) -> str:
     """Serialize classifications and all fixpoint states canonically.
 
-    Both kernels must reproduce this text byte for byte; the golden
-    corpus stores it verbatim.
+    The oracle and the pipeline must reproduce this text byte for byte;
+    the golden corpus stores it verbatim.
     """
     lines = ["[classifications]"]
     for rid in range(len(acfg.vertices)):
@@ -101,12 +107,12 @@ def serialize_analysis(acfg, analysis) -> str:
 
 def _analyze(program: str, config_id: str, kernel: str):
     """The cold L1 analysis on one kernel: the python oracle, or a fresh
-    vectorized pipeline (the dense kernel's only home)."""
+    pipeline (the dense kernel's only home)."""
     config = TABLE2[config_id]
     if kernel == "python":
         acfg = build_acfg(load(program), config.block_size, 0)
         return acfg, analyze_cache(acfg, config)
-    pipeline = AnalysisPipeline(config, _timing(config), kernel=kernel)
+    pipeline = AnalysisPipeline(config, _timing(config))
     wcet = pipeline.analyze(load(program)).wcet
     return wcet.acfg, wcet.cache
 
@@ -154,11 +160,8 @@ class TestAnalysisBitIdentity:
         config = TABLE2[config_id]
         timing = _timing(config)
         cfg = load(program)
-        results = {}
-        for kernel in KERNELS:
-            pipeline = AnalysisPipeline(config, timing, kernel=kernel)
-            results[kernel] = pipeline.analyze(cfg).wcet
-        py, vec = results["python"], results["vectorized"]
+        py = analyze_wcet(build_acfg(cfg, config.block_size), config, timing)
+        vec = AnalysisPipeline(config, timing).analyze(cfg).wcet
         assert py.tau_w == vec.tau_w
         assert py.t_w == vec.t_w
         assert py.solution.objective == vec.solution.objective
@@ -169,51 +172,80 @@ class TestAnalysisBitIdentity:
 # ----------------------------------------------------------------------
 # optimizer- and energy-level bit-identity
 # ----------------------------------------------------------------------
-def _optimize(program: str, config_id: str, kernel: str):
+def _optimize(program: str, config_id: str, differential: bool):
     config = TABLE2[config_id]
     timing = _timing(config)
-    opts = OptimizerOptions(kernel=kernel)
-    pipeline = AnalysisPipeline.for_options(config, timing, opts)
-    return optimize(load(program), config, timing, opts, pipeline=pipeline)
-
-
-def _assert_reports_identical(py_report, vec_report):
-    assert py_report.tau_original == vec_report.tau_original
-    assert py_report.tau_final == vec_report.tau_final
-    assert py_report.misses_original == vec_report.misses_original
-    assert py_report.misses_final == vec_report.misses_final
-    assert (
-        py_report.static_instructions_final
-        == vec_report.static_instructions_final
+    opts = OptimizerOptions()
+    pipeline = AnalysisPipeline.for_options(
+        config, timing, opts, differential=differential
     )
-    assert py_report.inserted == vec_report.inserted
-    assert py_report.candidates_evaluated == vec_report.candidates_evaluated
-    assert py_report.passes == vec_report.passes
+    optimized, report = optimize(
+        load(program), config, timing, opts, pipeline=pipeline
+    )
+    return optimized, report, pipeline.stats
+
+
+def _assert_checked_everywhere(stats):
+    """Differential mode raised on no analysis, and checked every one."""
+    assert stats.differential_checks > 0
+    assert stats.differential_checks == stats.delta_runs + stats.cold_runs
+
+
+def _assert_reports_identical(left, right):
+    assert left.tau_original == right.tau_original
+    assert left.tau_final == right.tau_final
+    assert left.misses_original == right.misses_original
+    assert left.misses_final == right.misses_final
+    assert left.static_instructions_final == right.static_instructions_final
+    assert left.inserted == right.inserted
+    assert left.candidates_evaluated == right.candidates_evaluated
+    assert left.passes == right.passes
+
+
+def _assert_optimization_checked(program: str, config_id: str):
+    """The optimizer on a differential pipeline: every analysis it reads
+    is the oracle's, the end points are ``analyze_wcet``'s, and the
+    report equals a plain dense run's."""
+    optimized, checked, stats = _optimize(program, config_id, True)
+    _assert_checked_everywhere(stats)
+    _, plain, _ = _optimize(program, config_id, False)
+    _assert_reports_identical(checked, plain)
+    config = TABLE2[config_id]
+    for cfg, tau, misses in (
+        (load(program), checked.tau_original, checked.misses_original),
+        (optimized, checked.tau_final, checked.misses_final),
+    ):
+        oracle = analyze_wcet(
+            build_acfg(cfg, config.block_size), config, _timing(config)
+        )
+        assert (oracle.tau_w, oracle.wcet_path_misses) == (tau, misses)
+    return checked
 
 
 class TestOptimizeBitIdentity:
     def test_ndes_k1_optimization_identical(self):
-        _, py_report = _optimize("ndes", "k1", "python")
-        _, vec_report = _optimize("ndes", "k1", "vectorized")
-        assert py_report.prefetch_count > 0  # a non-trivial witness
-        _assert_reports_identical(py_report, vec_report)
+        report = _assert_optimization_checked("ndes", "k1")
+        assert report.prefetch_count > 0  # a non-trivial witness
 
     def test_ndes_usecase_ratios_identical(self):
         """WCET, ACET and energy ratios — the paper's three inequations —
-        agree exactly between kernels."""
-        results = {
-            kernel: run_usecase(
-                UseCase("ndes", "k1", "45nm"),
-                options=OptimizerOptions(kernel=kernel),
-            )
-            for kernel in KERNELS
-        }
-        py, vec = results["python"], results["vectorized"]
-        assert py.wcet_ratio == vec.wcet_ratio
-        assert py.acet_ratio == vec.acet_ratio
-        assert py.energy_ratio == vec.energy_ratio
-        assert py.energy_ratio_paper_mode == vec.energy_ratio_paper_mode
-        assert py.report.inserted == vec.report.inserted
+        of a use case whose every analysis is checked against the oracle
+        equal a plain dense run's."""
+        case = UseCase("ndes", "k1", "45nm")
+        opts = OptimizerOptions()
+        plain = pipeline_for_usecase(case, opts)
+        pipeline = AnalysisPipeline.for_options(
+            case.cache_config(), plain.timing, opts, differential=True
+        )
+        checked = run_usecase(case, options=opts, pipeline=pipeline)
+        _assert_checked_everywhere(pipeline.stats)
+        vec = run_usecase(case, options=opts, pipeline=plain)
+        assert checked.report.prefetch_count > 0
+        assert checked.wcet_ratio == vec.wcet_ratio
+        assert checked.acet_ratio == vec.acet_ratio
+        assert checked.energy_ratio == vec.energy_ratio
+        assert checked.energy_ratio_paper_mode == vec.energy_ratio_paper_mode
+        assert checked.report.inserted == vec.report.inserted
 
 
 @pytest.mark.slow
@@ -235,9 +267,7 @@ class TestLongSweep:
     @pytest.mark.parametrize("program,config_id",
                              (("fdct", "k1"), ("jfdctint", "k15")))
     def test_optimization_identical(self, program, config_id):
-        _, py_report = _optimize(program, config_id, "python")
-        _, vec_report = _optimize(program, config_id, "vectorized")
-        _assert_reports_identical(py_report, vec_report)
+        _assert_optimization_checked(program, config_id)
 
 
 # ----------------------------------------------------------------------

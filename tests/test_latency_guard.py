@@ -176,9 +176,7 @@ class TestGuardEqualsPairwise:
     @pytest.mark.parametrize("program", ["ndes", "adpcm"])
     def test_delta_runs(self, program, hierarchy):
         timing = TIMING if hierarchy is None else TIMING_L2
-        pipeline = AnalysisPipeline(
-            CONFIG, timing, hierarchy=hierarchy, kernel="vectorized"
-        )
+        pipeline = AnalysisPipeline(CONFIG, timing, hierarchy=hierarchy)
         cfg = load(program)
         rng = random.Random(program)
         place_prefetches(cfg, rng, count=4, data_share=0.0)

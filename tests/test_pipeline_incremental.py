@@ -5,11 +5,9 @@ The pipeline's delta re-analysis (warm-started fixpoint + IPET) must be
 same per-reference times, same WCET-path counts.  The fast tests here
 prove it deterministically on a Mälardalen subset; the slow hypothesis
 test sweeps randomly generated programs.  Both lean on the pipeline's
-``differential`` mode, which re-runs every delta analysis cold and
-raises :class:`~repro.errors.AnalysisError` on any divergence.  The
-delta tests pin their pipelines to the vectorized kernel, the only
-incremental engine; the cold runs they are checked against are the
-python oracle, ``analyze_wcet``, whatever ``REPRO_CACHE_KERNEL`` says.
+``differential`` mode, which re-runs every analysis — cold, delta or
+handed along — with the python oracle, ``analyze_wcet``, and raises
+:class:`~repro.errors.AnalysisError` on any divergence.
 """
 
 from __future__ import annotations
@@ -24,9 +22,7 @@ from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.wcet import analyze_wcet
 from repro.bench.generator import random_program
 from repro.bench.registry import load
-from repro.cache.classify import DataflowResult
 from repro.cache.config import CacheConfig, hierarchy_for
-from repro.cache.kernel import KERNEL_ENV
 from repro.core.optimizer import OptimizerOptions, optimize
 from repro.energy.cacti import cacti_model, hierarchy_model
 from repro.energy.technology import technology
@@ -58,6 +54,11 @@ def _wcet_fingerprint(wcet):
     )
 
 
+def _analyses(pipeline):
+    """Every analysis a pipeline ran: each is a delta or a cold run."""
+    return pipeline.stats.delta_runs + pipeline.stats.cold_runs
+
+
 class TestColdEqualsStandalone:
     """A cold pipeline run must equal the plain analyze_wcet path."""
 
@@ -78,19 +79,19 @@ class TestIncrementalEqualsCold:
     @pytest.mark.parametrize("program", ["crc", "matmult", "jfdctint"])
     def test_optimize_differential(self, program):
         cfg = load(program)
-        opts = OptimizerOptions(max_evaluations=12, kernel="vectorized")
+        opts = OptimizerOptions(max_evaluations=12)
         pipeline = AnalysisPipeline.for_options(
             CONFIG, TIMING, opts, differential=True
         )
         _, report = optimize(
             cfg, CONFIG, TIMING, options=opts, pipeline=pipeline
         )
-        # Differential mode re-runs every delta cold and raises on any
-        # mismatch, so reaching this line with checks performed is the
-        # equivalence proof.
+        # Differential mode re-runs every analysis cold and raises on
+        # any mismatch, so reaching this line with checks performed is
+        # the equivalence proof.
         assert report.candidates_evaluated > 0
         assert pipeline.stats.delta_runs == report.candidates_evaluated
-        assert pipeline.stats.differential_checks == pipeline.stats.delta_runs
+        assert pipeline.stats.differential_checks == _analyses(pipeline)
         assert pipeline.stats.delta_fallbacks == 0
 
     @pytest.mark.parametrize(
@@ -105,7 +106,7 @@ class TestIncrementalEqualsCold:
         # cold refined analyze_wcet.
         opts = OptimizerOptions(
             max_evaluations=12, refine=True, l2=l2,
-            with_persistence=with_persistence, kernel="vectorized",
+            with_persistence=with_persistence,
         )
         timing = hierarchy_model(
             hierarchy_for(CONFIG, l2), technology("45nm")
@@ -118,7 +119,7 @@ class TestIncrementalEqualsCold:
         )
         assert report.candidates_evaluated > 0
         assert pipeline.stats.delta_runs == report.candidates_evaluated
-        assert pipeline.stats.differential_checks == pipeline.stats.delta_runs
+        assert pipeline.stats.differential_checks == _analyses(pipeline)
         assert pipeline.stats.refine_runs == pipeline.stats.delta_runs + 1
         assert pipeline.stats.refine_promotions > 0
 
@@ -133,7 +134,6 @@ class TestIncrementalEqualsCold:
         monkeypatch.setattr(repro.analysis.refine, "DEFAULT_BUDGET", budget)
         opts = OptimizerOptions(
             max_evaluations=12, refine=True, with_persistence=False,
-            kernel="vectorized",
         )
         pipeline = AnalysisPipeline.for_options(
             CONFIG, TIMING, opts, differential=True
@@ -142,7 +142,7 @@ class TestIncrementalEqualsCold:
             load(program), CONFIG, TIMING, options=opts, pipeline=pipeline
         )
         assert report.candidates_evaluated > 0
-        assert pipeline.stats.differential_checks == pipeline.stats.delta_runs
+        assert pipeline.stats.differential_checks == _analyses(pipeline)
         assert pipeline.stats.refine_exhausted == pipeline.stats.refine_runs
 
     def test_shared_pipeline_matches_fresh(self):
@@ -171,9 +171,8 @@ class TestIncrementalEqualsCold:
             optimize(cfg, CONFIG, TIMING, pipeline=pipeline)
 
     def test_differential_check_runs_the_python_oracle(self, monkeypatch):
-        # Under a vectorized session the cold run a dense delta is
-        # checked against is still the python oracle.
-        monkeypatch.setenv(KERNEL_ENV, "vectorized")
+        # The cold run a dense delta is checked against is the python
+        # oracle.
         calls = []
         real = repro.cache.classify.propagate
 
@@ -181,9 +180,7 @@ class TestIncrementalEqualsCold:
             calls.append(args[2])
             return real(*args, **kwargs)
 
-        pipeline = AnalysisPipeline(
-            CONFIG, TIMING, kernel="vectorized", differential=True
-        )
+        pipeline = AnalysisPipeline(CONFIG, TIMING, differential=True)
         cfg = load("crc")
         base = pipeline.analyze(cfg, with_may=False)
         monkeypatch.setattr(repro.cache.classify, "propagate", counting)
@@ -191,24 +188,23 @@ class TestIncrementalEqualsCold:
         cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
         pipeline.analyze(cfg, with_may=False, base=base, edit=edit)
         assert pipeline.stats.delta_runs == 1
-        assert pipeline.stats.differential_checks == 1
+        assert pipeline.stats.differential_checks == 2
         assert len(calls) > 0
 
 
 class TestPythonKernelIsTheColdOracle:
-    """A python-kernel pipeline runs every analysis cold: whatever it is
-    handed, its result is ``analyze_wcet``'s, even under a vectorized
-    session."""
+    """``analyze_wcet`` is the cold oracle of every analysis a
+    differential pipeline returns, the ones it was handed a result for
+    included: each handed analysis is also run cold, and must equal it."""
 
     @pytest.mark.parametrize("l2", [None, "4:16:4096:10"], ids=["l1", "l2"])
-    def test_handed_analyses_run_cold(self, monkeypatch, l2):
-        monkeypatch.setenv(KERNEL_ENV, "vectorized")
+    def test_handed_analyses_run_cold(self, l2):
         levels = hierarchy_for(CONFIG, l2)
         hierarchy = levels if l2 else None
         timing = hierarchy_model(levels, technology("45nm")).timing
         pipeline = AnalysisPipeline(
-            CONFIG, timing, kernel="python", hierarchy=hierarchy,
-            refine=True, differential=True,
+            CONFIG, timing, hierarchy=hierarchy, refine=True,
+            differential=True,
         )
 
         def oracle(cfg, with_may):
@@ -236,18 +232,15 @@ class TestPythonKernelIsTheColdOracle:
             assert _wcet_fingerprint(result.wcet) == _wcet_fingerprint(
                 oracle(cfg, False)
             )
-            assert type(result.wcet.cache.must) is DataflowResult
-            assert result.dataflows == {}
-            assert result.best is result.best_pred is None
             base = result
-        counters = pipeline.stats.counters()
-        assert counters.pop("cold_runs") == 4
-        assert counters.pop("structural_misses") == 4
-        assert not any(counters.values())
+        stats = pipeline.stats
+        assert stats.structural_hits == 1
+        assert (stats.cold_runs, stats.delta_runs) == (2, 2)
+        assert stats.differential_checks == 4
 
     def test_foreign_reuse_still_raises(self):
-        pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="python")
-        other = AnalysisPipeline(CONFIG, TIMING, kernel="python")
+        pipeline = AnalysisPipeline(CONFIG, TIMING)
+        other = AnalysisPipeline(CONFIG, TIMING)
         start = pipeline.analyze(load("bs"))
         with pytest.raises(AnalysisError):
             other.analyze(load("bs"), reuse=start)
@@ -263,12 +256,12 @@ class TestIncrementalEqualsColdGenerated:
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_optimize_differential_random(self, seed):
         cfg = random_program(seed, target_size=120, max_depth=3)
-        opts = OptimizerOptions(max_evaluations=10, kernel="vectorized")
+        opts = OptimizerOptions(max_evaluations=10)
         pipeline = AnalysisPipeline.for_options(
             CONFIG, TIMING, opts, differential=True
         )
         optimize(cfg, CONFIG, TIMING, options=opts, pipeline=pipeline)
-        assert pipeline.stats.differential_checks == pipeline.stats.delta_runs
+        assert pipeline.stats.differential_checks == _analyses(pipeline)
         assert pipeline.stats.delta_fallbacks == 0
 
     @settings(max_examples=12, deadline=None)

@@ -9,8 +9,8 @@ Four layers, mirroring the refine module's design notes:
 * **acceptance** — pinned classic-baseline bounds on the bs/crc/ndes x
   k1/k15 grid (unchanged by refinement: the classic baseline takes no
   NC -> PS promotions), a pinned optimizer improvement on whet/k9
-  attributable to an NC -> AH promotion, and cross-kernel bit-identity
-  of refined runs;
+  attributable to an NC -> AH promotion, and bit-identity of refined
+  pipeline runs with the python oracle, ``analyze_wcet``;
 * **differential (slow)** — over generated programs, every NC -> AH /
   NC -> AM / NC -> PS promotion agrees with exhaustive concrete
   simulation (AH never misses, AM never hits, a PS block misses at
@@ -151,7 +151,7 @@ class TestBudgetExhaustion:
         timing = _single_level_timing(config)
         pipeline = AnalysisPipeline(
             config, timing, with_persistence=False,
-            refine=True, kernel="vectorized",
+            refine=True,
         )
         result = pipeline.analyze(load("bs"))
         assert pipeline.stats.refine_runs == 1
@@ -180,7 +180,7 @@ class TestRefineOffIdentity:
         config = TABLE2["k1"]
         pipeline = AnalysisPipeline(
             config, _single_level_timing(config), with_persistence=False,
-            refine=True, kernel="vectorized",
+            refine=True,
         )
         spans = []
         tracer = Tracer(sample=1.0, sink=spans.append)
@@ -203,7 +203,7 @@ class TestRefineOffIdentity:
         config = TABLE2["k1"]
         pipeline = AnalysisPipeline(
             config, _single_level_timing(config), with_persistence=False,
-            refine=True, kernel="vectorized",
+            refine=True,
         )
         pipeline.analyze(load("ndes"))  # six NC->AM promotions
         counters = pipeline.stats.counters()
@@ -327,20 +327,20 @@ class TestAcceptanceGrid:
 
 
 class TestCrossKernelBitIdentity:
-    """Refined runs must stay bit-identical across cache kernels."""
+    """A refined pipeline run is bit-identical to the python oracle."""
 
     @pytest.mark.parametrize("program", ("bs", "crc"))
     def test_refined_pipeline_identical_across_kernels(self, program):
         config = TABLE2["k1"]
         timing = _single_level_timing(config)
-        results = {}
-        for kernel in ("python", "vectorized"):
-            pipeline = AnalysisPipeline(
-                config, timing, with_persistence=False,
-                kernel=kernel, refine=True,
-            )
-            results[kernel] = pipeline.analyze(load(program)).wcet
-        python, vectorized = results["python"], results["vectorized"]
+        cfg = load(program)
+        python = analyze_wcet(
+            build_acfg(cfg, config.block_size), config, timing,
+            with_persistence=False, refine=True,
+        )
+        vectorized = AnalysisPipeline(
+            config, timing, with_persistence=False, refine=True,
+        ).analyze(cfg).wcet
         assert python.solution.objective == vectorized.solution.objective
         assert list(python.t_w) == list(vectorized.t_w)
         assert (
@@ -591,7 +591,6 @@ class TestWalkerOracle:
         timing = _single_level_timing(config)
         pipeline = AnalysisPipeline(
             config, timing, with_persistence=False, refine=True,
-            kernel="vectorized",
         )
         start = pipeline.analyze(load("bs"), with_may=True)
         handed = pipeline.analyze(load("bs"), with_may=False, reuse=start)

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict, replace
+from functools import partial
+
 import pytest
 
-from repro.errors import ExperimentError, ProtocolError
-from repro.experiments.cache import usecase_key
+from repro.core.optimizer import OptimizerOptions
+from repro.errors import ExperimentError, OptimizationError, ProtocolError
+from repro.experiments.cache import options_fingerprint, usecase_key
 from repro.experiments.scenario import (
     AXES,
     COMMANDS,
@@ -29,7 +33,6 @@ NON_DEFAULT = {
     "l2": L2_SPEC,
     "budget": 7,
     "seed": 5,
-    "kernel": "python",
     "refine": True,
 }
 
@@ -124,18 +127,18 @@ def test_spec_from_params_fills_the_sweep_defaults():
         grid.programs, grid.config_ids, grid.techs)
     assert (spec.seed, spec.max_evaluations, spec.baseline) == (
         1, 120, "classic")
-    assert (spec.kernel, spec.l2_specs, spec.refine) == (None, (None,), False)
+    assert (spec.l2_specs, spec.refine) == ((None,), False)
     assert spec_from_params({"l2": [], "programs": None}) == spec
 
 
 def test_canonical_params_rebuild_the_same_spec():
     payload = {"programs": ["p2"], "configs": ["k1"], "techs": ["45nm"],
-               "kernel": "python", "l2": [None, L2_SPEC], "refine": True,
+               "l2": [None, L2_SPEC], "refine": True,
                "budget": 9, "seed": 3, "baseline": "persistence"}
     params = parse_job({"kind": "sweep", "params": payload}).params_dict()
     assert spec_from_params(params) == SweepSpec(
         programs=("bs",), config_ids=("k1",), techs=("45nm",), seed=3,
-        max_evaluations=9, baseline="persistence", kernel="python",
+        max_evaluations=9, baseline="persistence",
         l2_specs=(None, L2_SPEC), refine=True)
 
 
@@ -150,17 +153,33 @@ def test_sweep_spec_validates_with_the_table(bad, needle):
         SweepSpec(("bs",), ("k1",), ("45nm",), **bad)
 
 
-def test_sweep_kernel_is_part_of_the_fingerprint():
-    plain = parse_job({"kind": "sweep", "params": {}})
-    vector = parse_job({"kind": "sweep", "params": {"kernel": "vectorized"}})
-    assert plain.fingerprint() != vector.fingerprint()
-    with pytest.raises(ProtocolError):
-        parse_job({"kind": "sweep", "params": {"kernel": "fortran"}})
+def test_sweep_kernel_is_an_unknown_field():
+    for kernel in ("vectorized", "python"):
+        with pytest.raises(ProtocolError,
+                           match=r"unknown field\(s\) \['kernel'\]"):
+            parse_job({"kind": "sweep", "params": {"kernel": kernel}})
+
+
+@pytest.mark.parametrize("cls,error", [
+    (OptimizerOptions, OptimizationError),
+    (partial(SweepSpec, ("bs",), ("k1",), ("45nm",)), ExperimentError),
+])
+def test_retired_kernel_argument_is_init_only(cls, error):
+    # The benchmark's workloads still pass kernel="vectorized"; it must
+    # reach no field, no equality and no key.
+    assert cls(kernel="vectorized") == cls() == cls(kernel=None)
+    assert "kernel" not in asdict(cls(kernel="vectorized"))
+    assert replace(cls(kernel="vectorized"), refine=True) == cls(refine=True)
+    for bad in ("python", "fortran", 3):
+        with pytest.raises(error, match="analyze_wcet"):
+            cls(kernel=bad)
+    options = OptimizerOptions(kernel="vectorized")
+    assert options_fingerprint(options) == options_fingerprint(
+        OptimizerOptions())
+    assert "kernel" not in options_fingerprint(options)
 
 
 def test_options_default_like_optimizer_options():
-    from repro.core.optimizer import OptimizerOptions
-
     assert options_from_params({}) == OptimizerOptions()
 
 

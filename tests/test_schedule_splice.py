@@ -11,7 +11,7 @@ replays an access to the column its previous access touched, and the
 elided plan reaches the python kernel's fixpoint state for state), the
 typed universe-outgrown probe, the observability attributes, and the
 locked-block path of the optimizer under the differential oracle, with
-the python kernel's cold oracle reaching the same outcome.
+``analyze_wcet`` on the final program reaching the same outcome.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import repro.analysis.pipeline as pipeline_module
 from repro.analysis.pipeline import AnalysisPipeline
+from repro.analysis.wcet import analyze_wcet
 from repro.bench.generator import random_program
 from repro.bench.registry import load
 from repro.cache.abstract import MayState, MustState
@@ -183,7 +184,7 @@ class TestUniverseProbe:
 
     def test_pipeline_regrows_an_outgrown_universe(self):
         cfg = load("ndes")
-        pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
+        pipeline = AnalysisPipeline(CONFIG, TIMING)
         base = pipeline.analyze(cfg, with_may=False)
         universe = pipeline._universe
         pipeline._universe = BlockUniverse(CONFIG, universe.base_block, 1)
@@ -204,7 +205,7 @@ class TestUniverseProbe:
 
         monkeypatch.setattr(pipeline_module, "KernelSchedule", failing)
         cfg = load("ndes")
-        pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
+        pipeline = AnalysisPipeline(CONFIG, TIMING)
         base = pipeline.analyze(cfg, with_may=False)
         edit = (cfg.blocks[3].name, 1)
         cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
@@ -234,9 +235,7 @@ class TestDifferentialSchedule:
 
         monkeypatch.setattr(pipeline_module, "KernelSchedule", corrupted)
         cfg = load("ndes")
-        pipeline = AnalysisPipeline(
-            CONFIG, TIMING, kernel="vectorized", differential=True
-        )
+        pipeline = AnalysisPipeline(CONFIG, TIMING, differential=True)
         base = pipeline.analyze(cfg, with_may=False)
         edit = (cfg.blocks[3].name, 1)
         cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
@@ -259,7 +258,7 @@ def _traced(fn):
 class TestObservability:
     def test_spans_carry_schedule_and_elision_counts(self):
         cfg = load("ndes")
-        pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
+        pipeline = AnalysisPipeline(CONFIG, TIMING)
         base = pipeline.analyze(cfg, with_may=False)
         edit = (cfg.blocks[3].name, 1)
         cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
@@ -283,7 +282,7 @@ class TestObservability:
             KernelSchedule, "accesses_elided", property(forbidden)
         )
         cfg = load("ndes")
-        pipeline = AnalysisPipeline(CONFIG, TIMING, kernel="vectorized")
+        pipeline = AnalysisPipeline(CONFIG, TIMING)
         base = pipeline.analyze(cfg, with_may=False)
         edit = (cfg.blocks[3].name, 1)
         cfg.insert_prefetch(*edit, cfg.blocks[0].instructions[0].uid)
@@ -292,34 +291,27 @@ class TestObservability:
 
 class TestLockedDifferential:
     """The locked-block optimizer path under the differential oracle:
-    every vectorized delta analysis checked against a cold one (and
-    every spliced ACFG and schedule against a rebuild), with the python
-    kernel's cold oracle reaching the same outcome."""
+    every analysis checked against a cold run of the python oracle (and
+    every spliced ACFG and schedule against a rebuild), with
+    ``analyze_wcet`` on the final program reaching the same outcome."""
 
     @pytest.mark.parametrize("program", ["crc", "matmult", "jfdctint", "fdct"])
     def test_both_kernels_agree(self, program):
         locked = _heaviest_blocks(load(program), 4)
-        outcomes = {}
-        for kernel in ("python", "vectorized"):
-            options = OptimizerOptions(
-                max_evaluations=15, locked_blocks=locked, kernel=kernel
-            )
-            pipeline = AnalysisPipeline.for_options(
-                CONFIG, TIMING, options, differential=True
-            )
-            _, report = optimize(
-                load(program), CONFIG, TIMING, options=options,
-                pipeline=pipeline,
-            )
-            outcomes[kernel] = (
-                report.tau_final,
-                report.misses_final,
-                [(i.block_name, i.index, i.target_uid) for i in report.inserted],
-            )
-            stats = pipeline.stats
-            if kernel == "vectorized":
-                assert stats.delta_runs > 0
-                assert stats.differential_checks == stats.delta_runs
-            else:
-                assert stats.delta_runs == stats.differential_checks == 0
-        assert outcomes["python"] == outcomes["vectorized"]
+        options = OptimizerOptions(max_evaluations=15, locked_blocks=locked)
+        pipeline = AnalysisPipeline.for_options(
+            CONFIG, TIMING, options, differential=True
+        )
+        optimized, report = optimize(
+            load(program), CONFIG, TIMING, options=options, pipeline=pipeline,
+        )
+        stats = pipeline.stats
+        assert stats.delta_runs > 0
+        assert stats.differential_checks == stats.delta_runs + stats.cold_runs
+        oracle = analyze_wcet(
+            build_acfg(optimized, CONFIG.block_size), CONFIG, TIMING,
+            locked_blocks=locked,
+        )
+        assert (oracle.tau_w, oracle.wcet_path_misses) == (
+            report.tau_final, report.misses_final
+        )

@@ -101,9 +101,7 @@ def _l2_config(config: CacheConfig, l2: Optional[str]):
 
 
 def _optimized(program: str, config: CacheConfig, budget: int):
-    options = OptimizerOptions(
-        max_evaluations=budget, with_persistence=False, kernel="vectorized"
-    )
+    options = OptimizerOptions(max_evaluations=budget, with_persistence=False)
     optimized, _ = optimize(
         registry.load(program), config, _timing(config, None), options=options
     )

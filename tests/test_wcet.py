@@ -8,7 +8,7 @@ from repro.analysis.pipeline import AnalysisPipeline
 from repro.analysis.timing import TimingModel
 from repro.analysis.wcet import analyze_wcet, compute_ref_times
 from repro.cache.classify import Classification, DataflowResult, analyze_cache
-from repro.cache.kernel import KERNEL_ENV, DenseDataflowResult
+from repro.cache.kernel import DenseDataflowResult
 from repro.errors import AnalysisError
 from repro.program.acfg import build_acfg
 from repro.program.builder import ProgramBuilder
@@ -77,15 +77,15 @@ class TestWCETResult:
     def test_analyze_wcet_is_the_oracle_under_either_session(
         self, loop_program, tiny_cache, timing, monkeypatch, session
     ):
-        # The session kernel picks a pipeline's kernel, never the
-        # oracle's: analyze_wcet stays python and agrees with a
-        # vectorized pipeline's cold result.
-        monkeypatch.setenv(KERNEL_ENV, session)
+        # A leftover REPRO_CACHE_KERNEL (the former session kernel)
+        # selects nothing: analyze_wcet runs the python domains, the
+        # pipeline the dense ones, and the two agree.
+        monkeypatch.setenv("REPRO_CACHE_KERNEL", session)
         acfg = build_acfg(loop_program, block_size=tiny_cache.block_size)
         python = analyze_wcet(acfg, tiny_cache, timing)
-        dense = AnalysisPipeline(
-            tiny_cache, timing, kernel="vectorized"
-        ).analyze(loop_program).wcet
+        dense = AnalysisPipeline(tiny_cache, timing).analyze(
+            loop_program
+        ).wcet
         for domain in ("must", "may", "persistence"):
             assert type(getattr(python.cache, domain)) is DataflowResult
             assert isinstance(getattr(dense.cache, domain), DenseDataflowResult)
