@@ -19,7 +19,8 @@ The pipeline is the only place the dense kernel of
    block, the optimizer's candidate — splices the base ACFG
    (:func:`~repro.program.acfg.splice_insertion`: one new vertex per
    VIVU instance of the block, suffix renumbered, memory blocks
-   recomputed from a fresh layout) instead of rebuilding it; any other
+   recomputed from the base layout shifted by the insertion) instead
+   of rebuilding it; any other
    call runs :func:`~repro.program.acfg.build_acfg` and, when it names
    a ``base``, runs cold (a delta fallback).  A call handed an
    analysis of the same program (``reuse=``, how ``run_usecase`` passes

@@ -325,9 +325,9 @@ def analyze_cache(
             ways, which ``config`` then describes (use the reduced-way
             residual configuration).
     """
-    if config.block_size != acfg.memory_map.block_size:
+    if config.block_size != acfg.block_size:
         raise AnalysisError(
-            f"ACFG was built for block size {acfg.memory_map.block_size}, "
+            f"ACFG was built for block size {acfg.block_size}, "
             f"cache uses {config.block_size}"
         )
     must = propagate(acfg, config, MustState(config), locked_blocks)

@@ -25,13 +25,14 @@ This module provides
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import FrozenSet, Optional
+
+import numpy as np
 
 from repro.analysis.wcet import WCETResult
 from repro.errors import OptimizationError
 from repro.program.acfg import ACFG, VertexKind
-from repro.program.instructions import InstrKind
-from repro.program.layout import MemoryMap
+from repro.program.layout import AddressLayout
 
 
 @dataclass(frozen=True)
@@ -112,20 +113,18 @@ def _tau_excluding(result: WCETResult, prefetch_uid: int, miss_uid: int) -> floa
 
 
 def moved_blocks(
-    old_map: MemoryMap, new_map: MemoryMap
+    old: AddressLayout, new: AddressLayout, block_size: int
 ) -> FrozenSet[int]:
     """Instruction uids whose memory block changed between two layouts.
 
-    Only instructions present in both layouts are compared (the inserted
-    prefetch exists only in the new one).
+    Only instructions present in both layouts are compared (an inserted
+    prefetch exists only in the new one, a removed one only in the old).
     """
-    moved = set()
-    for instr in old_map.layout.instructions_in_order():
-        uid = instr.uid
-        try:
-            new_block = new_map.block_of(uid)
-        except Exception:  # instruction removed (undo paths)
-            continue
-        if new_block != old_map.block_of(uid):
-            moved.add(uid)
-    return frozenset(moved)
+    n = min(len(old.addresses), len(new.addresses))
+    shared = np.flatnonzero(
+        (old.addresses[:n] >= 0) & (new.addresses[:n] >= 0)
+    )
+    moved = old.blocks_of(shared, block_size) != new.blocks_of(
+        shared, block_size
+    )
+    return frozenset(shared[moved].tolist())

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import ExperimentError
 from repro.experiments.sweep import (
     SweepSpec,
     average,
@@ -144,7 +145,14 @@ def figure5(
 
     Capacities whose scaled version would undercut one cache set are
     skipped (the paper's shaded feasible region).
+
+    Raises:
+        ExperimentError: ``capacity_factor`` is not in ``(0, 1]``.
     """
+    if not 0 < capacity_factor <= 1:
+        raise ExperimentError(
+            f"capacity factor must be in (0, 1], got {capacity_factor}"
+        )
     base = spec or default_grid()
     energy = CapacitySeries(f"energy (x{capacity_factor})")
     acet = CapacitySeries(f"ACET (x{capacity_factor})")

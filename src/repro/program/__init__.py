@@ -27,7 +27,7 @@ from repro.program.instructions import (
     InstructionFactory,
     InstrKind,
 )
-from repro.program.layout import AddressLayout, MemoryMap, compute_layout
+from repro.program.layout import AddressLayout
 from repro.program.structure import (
     BlockNode,
     CallNode,
@@ -74,7 +74,6 @@ __all__ = [
     "InstrKind",
     "LoopInfo",
     "LoopNode",
-    "MemoryMap",
     "ProgramBuilder",
     "REST",
     "RefVertex",
@@ -84,7 +83,6 @@ __all__ = [
     "TOP",
     "VertexKind",
     "build_acfg",
-    "compute_layout",
     "context_depth",
     "context_label",
     "count_nodes",

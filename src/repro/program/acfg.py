@@ -33,7 +33,7 @@ import numpy as np
 from repro.errors import ProgramModelError
 from repro.program.cfg import ControlFlowGraph
 from repro.program.instructions import Instruction
-from repro.program.layout import AddressLayout, MemoryMap
+from repro.program.layout import AddressLayout
 from repro.program.structure import (
     BlockNode,
     CallNode,
@@ -206,11 +206,13 @@ class ACFG:
         self,
         cfg: ControlFlowGraph,
         layout: AddressLayout,
-        memory_map: MemoryMap,
+        block_size: int,
     ):
         self.cfg = cfg
         self.layout = layout
-        self.memory_map = memory_map
+        #: Memory block size in bytes: ``S(r)`` is an item's
+        #: ``address // block_size``.
+        self.block_size = block_size
         #: Per-rid columns (see the class docstring).
         self._instr: List[Optional[Instruction]] = []
         self._context: List[Context] = []
@@ -320,13 +322,13 @@ class ACFG:
 
     def _gather_blocks(self) -> None:
         """``block_arr``/``target_arr`` (and their list views) from the
-        memory map's uid table: one gather for the REF vertices, one for
+        layout's address array: one gather for the REF vertices, one for
         the prefetch targets."""
-        memory_map = self.memory_map
+        layout, block_size = self.layout, self.block_size
         n = len(self._instr)
         block_arr = np.full(n, -1, dtype=np.int64)
-        block_arr[self.ref_mask] = memory_map.blocks_of(
-            self.uid_arr[self.ref_mask]
+        block_arr[self.ref_mask] = layout.blocks_of(
+            self.uid_arr[self.ref_mask], block_size
         )
         ref_block = block_arr.astype(object)
         ref_block[~self.ref_mask] = None
@@ -338,8 +340,8 @@ class ACFG:
             if instrs[rid].prefetch_target is not None
         ]
         if targeted:
-            targets = memory_map.blocks_of(
-                [instrs[rid].prefetch_target for rid in targeted]
+            targets = layout.blocks_of(
+                [instrs[rid].prefetch_target for rid in targeted], block_size
             )
             target_arr[targeted] = targets
             for rid, target in zip(targeted, targets.tolist()):
@@ -535,9 +537,7 @@ def build_acfg(
     """
     if cfg.structure is None:
         raise ProgramModelError("CFG has no structure tree; use ProgramBuilder")
-    layout = AddressLayout(cfg, base_address)
-    memory_map = MemoryMap(layout, block_size)
-    acfg = ACFG(cfg, layout, memory_map)
+    acfg = ACFG(cfg, AddressLayout(cfg, base_address), block_size)
     acfg.source = acfg._new_vertex(None, TOP, None, -1, ())
 
     exits = _expand(acfg, cfg.structure, TOP, [acfg.source])
@@ -563,9 +563,10 @@ def splice_insertion(
     spliced with ``np.insert`` and renumbered with one vectorised
     ``remap`` gather; only the suffix predecessor tuples are rebuilt,
     from ``first_pred``, with the few multi-predecessor vertices
-    patched one by one.  The per-rid memory blocks are re-gathered for
-    every vertex from a fresh layout, because the inserted bytes shift
-    addresses in layout order, which need not be rid order.
+    patched one by one.  The layout is ``base``'s shifted by the
+    inserted bytes (:meth:`~repro.program.layout.AddressLayout.with_insertion`);
+    the per-rid memory blocks are re-gathered for every vertex from it,
+    because the shift follows layout order, which need not be rid order.
 
     Returns:
         ``(acfg, first_changed)`` — the spliced graph and the lowest rid
@@ -582,7 +583,7 @@ def splice_insertion(
     before = index < old_len
     anchor_uid = instrs[index + 1].uid if before else instrs[index - 1].uid
     uid = instr.uid
-    if uid in base.memory_map._block_of:
+    if uid in base.layout:
         return None  # a reused uid: leave duplicate handling to the build
     anchors = np.flatnonzero(base.uid_arr == anchor_uid)
     m = len(anchors)
@@ -606,9 +607,14 @@ def splice_insertion(
     positions = qs.tolist()
     anchor_list = anchors.tolist()
 
-    layout = AddressLayout(cfg, base.layout.base_address)
-    memory_map = MemoryMap(layout, base.memory_map.block_size)
-    acfg = ACFG(cfg, layout, memory_map)
+    # The new instruction takes the anchor's address, or the end of the
+    # instruction it is appended to; everything from there moves up.
+    at = base.layout.address(anchor_uid)
+    if not before:
+        at += instrs[index - 1].size
+    acfg = ACFG(
+        cfg, base.layout.with_insertion(uid, at, instr.size), base.block_size
+    )
     acfg._instr = _with_inserted(base._instr, positions, [instr] * m)
     contexts = base._context
     acfg._context = _with_inserted(
@@ -695,8 +701,8 @@ def structural_differences(a: ACFG, b: ACFG) -> List[str]:
     Compares every vertex (rid, kind, instruction uid/prefetch role/
     target, context, block name, index in block), the adjacency, back
     edges, multipliers, per-rid memory blocks, the ``(uid, context)``
-    index, the poles, the REF/prefetch rid lists and the flat arrays
-    (values and dtypes) — the pipeline's differential mode uses it to
+    index, the poles, the REF/prefetch rid lists, the flat arrays
+    (values and dtypes) and the address layout — the pipeline's differential mode uses it to
     check a spliced graph against a rebuilt one.
     """
 
@@ -727,6 +733,14 @@ def structural_differences(a: ACFG, b: ACFG) -> List[str]:
         x, y = getattr(a, name), getattr(b, name)
         if x.dtype != y.dtype or not np.array_equal(x, y):
             problems.append(name)
+    la, lb = a.layout, b.layout
+    if (
+        (la.base_address, la.end_address, a.block_size)
+        != (lb.base_address, lb.end_address, b.block_size)
+        or la.addresses.dtype != lb.addresses.dtype
+        or not np.array_equal(la.addresses, lb.addresses)
+    ):
+        problems.append("layout")
     if a.run_ends() != b.run_ends():
         problems.append("run_ends")
     if a.key_index() != b.key_index():

@@ -206,9 +206,6 @@ class ControlFlowGraph:
         self.data_layout = None
         self.entry: Optional[BasicBlock] = None
         self.exit: Optional[BasicBlock] = None
-        #: Incremented whenever instruction contents change, so cached
-        #: layouts/analyses can detect staleness.
-        self.version = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -315,7 +312,7 @@ class ControlFlowGraph:
     def insert_prefetch(
         self, block_name: str, index: int, target_uid: int
     ) -> Instruction:
-        """Insert a prefetch instruction and bump the CFG version.
+        """Insert a prefetch instruction.
 
         Args:
             block_name: Block receiving the prefetch.
@@ -330,7 +327,6 @@ class ControlFlowGraph:
         """
         prefetch = self.factory.prefetch(target_uid)
         self.block(block_name).insert(index, prefetch)
-        self.version += 1
         return prefetch
 
     def insert_data_prefetch(
@@ -354,7 +350,6 @@ class ControlFlowGraph:
             InstrKind.PREFETCH, label="dpf", data_access=access
         )
         self.block(block_name).insert(index, prefetch)
-        self.version += 1
         return prefetch
 
     def remove_prefetch(self, prefetch_uid: int) -> None:
@@ -365,18 +360,13 @@ class ControlFlowGraph:
                 f"instruction uid {prefetch_uid} is not a prefetch"
             )
         del block.instructions[idx]
-        self.version += 1
 
     def strip_prefetches(self) -> None:
         """Remove every prefetch instruction in place."""
-        changed = False
         for block in self.blocks:
             kept = [i for i in block.instructions if not i.is_prefetch]
             if len(kept) != len(block.instructions):
                 block.instructions = kept
-                changed = True
-        if changed:
-            self.version += 1
 
     def clone(self) -> "ControlFlowGraph":
         """Deep copy of the whole program.

@@ -7,174 +7,109 @@ it changes every time the optimizer inserts a prefetch instruction,
 because insertion shifts every later instruction by its size.  That shift
 is exactly the relocation effect `rcost` (Eq. 8) accounts for.
 
-Two classes split the concern:
-
-* :class:`AddressLayout` — pure placement: block-by-block, in the CFG's
-  layout order, starting at ``base_address``.
-* :class:`MemoryMap` — the block-granular view for a given cache block
-  size: ``S(r)`` (Definition 8, item -> memory block) and ``R(s)`` (block
-  -> first item).
+:class:`AddressLayout` places the instructions block by block, in the
+CFG's layout order, starting at ``base_address``, and keeps the result
+as one uid-indexed address array.  The memory block of an item,
+``S(r)`` (Definition 8), is its ``address // block_size``
+(:meth:`AddressLayout.blocks_of`); no method computes the inverse map
+``R(s)``, which no analysis reads.  One insertion derives its layout
+from the old one by a shift (:meth:`AddressLayout.with_insertion`)
+instead of a walk of the program.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
 from repro.errors import LayoutError
 from repro.program.cfg import ControlFlowGraph
-from repro.program.instructions import Instruction
 
 
 class AddressLayout:
     """Byte addresses for every instruction of a CFG.
 
-    The layout is a snapshot: it records the CFG ``version`` it was
-    computed from, and :meth:`is_stale` tells whether the CFG has been
-    mutated since (after which a fresh layout must be computed).
+    ``addresses[uid]`` is the byte address of the instruction with that
+    uid, ``-1`` for a uid not in the program: a cumulative sum of the
+    instruction sizes in layout order, from ``base_address``.  Treat the
+    array as read-only; a layout is never mutated, a changed program
+    gets a new one.
     """
 
     def __init__(self, cfg: ControlFlowGraph, base_address: int = 0):
         if base_address < 0:
             raise LayoutError(f"base address must be >= 0, got {base_address}")
-        self._cfg = cfg
+        instrs = [instr for block in cfg.blocks for instr in block.instructions]
+        view = [-1] * (max((instr.uid for instr in instrs), default=-1) + 1)
+        address = base_address
+        for instr in instrs:
+            view[instr.uid] = address
+            address += instr.size
+        self._set(np.array(view, dtype=np.int64), base_address, address, view)
+
+    def _set(
+        self,
+        addresses: np.ndarray,
+        base_address: int,
+        end_address: int,
+        view: Optional[List[int]] = None,
+    ) -> None:
+        self.addresses = addresses
         self.base_address = base_address
-        self.version = cfg.version
-        self._address_of: Dict[int, int] = {}
-        self._block_start: Dict[str, int] = {}
-        self._order: List[Instruction] = []
-        addr = base_address
-        for block in cfg.blocks:
-            self._block_start[block.name] = addr
-            for instr in block.instructions:
-                self._address_of[instr.uid] = addr
-                self._order.append(instr)
-                addr += instr.size
-        self.end_address = addr
-
-    @property
-    def cfg(self) -> ControlFlowGraph:
-        """The CFG this layout was computed from."""
-        return self._cfg
-
-    def is_stale(self) -> bool:
-        """True when the CFG changed after this layout was computed."""
-        return self._cfg.version != self.version
-
-    def address(self, uid: int) -> int:
-        """Byte address of the instruction with the given uid."""
-        try:
-            return self._address_of[uid]
-        except KeyError:
-            raise LayoutError(f"instruction uid {uid} not in layout") from None
-
-    def block_start(self, block_name: str) -> int:
-        """Byte address of the first instruction of a basic block."""
-        try:
-            return self._block_start[block_name]
-        except KeyError:
-            raise LayoutError(f"block {block_name!r} not in layout") from None
+        self.end_address = end_address
+        #: ``addresses`` as a python list (per-instruction lookups stay
+        #: off numpy scalars); a derived layout builds it on the first
+        #: :meth:`address` call.
+        self._address_list = view
 
     @property
     def code_size(self) -> int:
         """Total byte size of the program."""
         return self.end_address - self.base_address
 
-    def instructions_in_order(self) -> Iterator[Instruction]:
-        """All instructions in ascending address order."""
-        return iter(self._order)
+    def __contains__(self, uid: int) -> bool:
+        return 0 <= uid < len(self.addresses) and self.addresses[uid] >= 0
 
-    def __len__(self) -> int:
-        return len(self._order)
+    def address(self, uid: int) -> int:
+        """Byte address of the instruction with the given uid."""
+        view = self._address_list
+        if view is None:
+            view = self._address_list = self.addresses.tolist()
+        if 0 <= uid < len(view):
+            address = view[uid]
+            if address >= 0:
+                return address
+        raise LayoutError(f"instruction uid {uid} not in layout")
 
-
-class MemoryMap:
-    """Block-granular view of an :class:`AddressLayout`.
-
-    Implements the paper's Definition 8: ``S(r)`` maps an item to the
-    memory block storing it, ``R(s)`` maps a memory block to its
-    first-item reference (smallest address).
-    """
-
-    def __init__(self, layout: AddressLayout, block_size: int):
+    def blocks_of(self, uids, block_size: int) -> np.ndarray:
+        """``S(r)`` for a whole array of uids, as one gather: the memory
+        block (``address // block_size``) holding each instruction."""
         if block_size <= 0 or block_size & (block_size - 1):
             raise LayoutError(
                 f"memory block size must be a positive power of two, got {block_size}"
             )
-        self.layout = layout
-        self.block_size = block_size
-        self._block_of: Dict[int, int] = {}
-        self._items_of: Dict[int, List[int]] = {}
-        address_of = layout._address_of
-        for instr in layout.instructions_in_order():
-            uid = instr.uid
-            block_id = address_of[uid] // block_size
-            self._block_of[uid] = block_id
-            self._items_of.setdefault(block_id, []).append(uid)
-        #: uid -> block as a flat table (``-1`` for absent uids), for
-        #: the array gathers of :meth:`blocks_of`.
-        self._table = np.full(
-            max(self._block_of, default=-1) + 1, -1, dtype=np.int64
-        )
-        if self._block_of:
-            self._table[list(self._block_of)] = list(self._block_of.values())
-
-    def block_of(self, uid: int) -> int:
-        """``S(r)``: the memory block id holding instruction ``uid``."""
-        try:
-            return self._block_of[uid]
-        except KeyError:
-            raise LayoutError(f"instruction uid {uid} not in memory map") from None
-
-    def blocks_of(self, uids) -> np.ndarray:
-        """:meth:`block_of` for a whole array of uids, as one gather."""
         uids = np.asarray(uids, dtype=np.int64)
-        table = self._table
-        known = (uids >= 0) & (uids < len(table))
-        blocks = np.full(len(uids), -1, dtype=np.int64)
-        blocks[known] = table[uids[known]]
-        if len(blocks) and blocks.min() < 0:
-            bad = int(uids[blocks < 0][0])
-            raise LayoutError(f"instruction uid {bad} not in memory map")
-        return blocks
+        addresses = self.addresses
+        known = (uids >= 0) & (uids < len(addresses))
+        found = np.full(len(uids), -1, dtype=np.int64)
+        found[known] = addresses[uids[known]]
+        if len(found) and found.min() < 0:
+            bad = int(uids[found < 0][0])
+            raise LayoutError(f"instruction uid {bad} not in layout")
+        return found // block_size
 
-    def first_item(self, block_id: int) -> int:
-        """``R(s)``: uid of the lowest-address item in ``block_id``."""
-        try:
-            return self._items_of[block_id][0]
-        except KeyError:
-            raise LayoutError(f"memory block {block_id} holds no items") from None
-
-    def items_in_block(self, block_id: int) -> Tuple[int, ...]:
-        """All instruction uids stored in ``block_id`` (address order)."""
-        return tuple(self._items_of.get(block_id, ()))
-
-    def blocks(self) -> Tuple[int, ...]:
-        """All occupied memory block ids, ascending."""
-        return tuple(sorted(self._items_of))
-
-    def address_of_block(self, block_id: int) -> int:
-        """Base byte address of a memory block."""
-        return block_id * self.block_size
-
-
-def compute_layout(
-    cfg: ControlFlowGraph,
-    base_address: int = 0,
-    block_size: Optional[int] = None,
-) -> Tuple[AddressLayout, Optional[MemoryMap]]:
-    """Convenience: compute a fresh layout (and memory map if asked).
-
-    Args:
-        cfg: The program.
-        base_address: Where the code region starts.
-        block_size: When given, also build the :class:`MemoryMap`.
-
-    Returns:
-        ``(layout, memory_map_or_None)``.
-    """
-    layout = AddressLayout(cfg, base_address)
-    if block_size is None:
-        return layout, None
-    return layout, MemoryMap(layout, block_size)
+    def with_insertion(self, uid: int, at: int, size: int) -> "AddressLayout":
+        """The layout after inserting instruction ``uid`` (of ``size``
+        bytes) at address ``at``: every address ``>= at`` moves up by
+        ``size`` (Eq. 8's relocation) and ``uid`` takes ``at``."""
+        if uid in self:
+            raise LayoutError(f"instruction uid {uid} already in layout")
+        old = self.addresses
+        addresses = np.full(max(len(old), uid + 1), -1, dtype=np.int64)
+        addresses[: len(old)] = old
+        addresses[addresses >= at] += size
+        addresses[uid] = at
+        derived = AddressLayout.__new__(AddressLayout)
+        derived._set(addresses, self.base_address, self.end_address + size)
+        return derived

@@ -182,16 +182,21 @@ class MemorySystem:
         The run's first address was just fetched, so ``block`` is the MRU
         block of its set and every repeat is a hit.  They are charged in
         one step unless something can come between them — a transfer in
-        flight, a hardware prefetcher, trace recording or a locked block
-        — and each repeat then takes its own :meth:`fetch`.  Cycle
-        counts are whole numbers, so ``now`` gains exactly what the
-        fetches one by one would add.
+        flight to ``block``'s own set, a hardware prefetcher, trace
+        recording or a locked block — and each repeat then takes its own
+        :meth:`fetch`.  A transfer to another set may land during the
+        run, but it cannot reorder this set's LRU stack or its marks,
+        and the repeats never touch L2; so it is completed at the time
+        the last repeat's :meth:`fetch` would complete it, and the state
+        matches even when the run ends the program.  Cycle counts are
+        whole numbers, so ``now`` gains exactly what the fetches one by
+        one would add.
         """
         if (
-            self._in_flight
-            or self.prefetcher is not None
+            self.prefetcher is not None
             or self.record_trace
             or self.locked_blocks
+            or (self._in_flight and self._in_flight_to_set(block))
         ):
             for address in addresses[1:]:
                 self.fetch(address)
@@ -199,10 +204,22 @@ class MemorySystem:
         # A marked block was installed by a prefetch; the run's first
         # fetch claimed its mark, so the repeats claim none.
         count = len(addresses) - 1
-        self.now += self.timing.hit_cycles * count
+        hit = self.timing.hit_cycles
+        if self._in_flight:
+            self.now += hit * (count - 1)
+            self._complete_arrivals()
+            self.now += hit
+        else:
+            self.now += hit * count
         self.result.fetches += count
         self.result.hits += count
         self.cache.hits += count
+
+    def _in_flight_to_set(self, block: int) -> bool:
+        """Whether a transfer in flight maps to ``block``'s cache set."""
+        set_index = self.config.set_index
+        own = set_index(block)
+        return any(set_index(other) == own for other in self._in_flight)
 
     def advance(self, cycles: float) -> None:
         """Advance this machine's clock by externally-spent time.

@@ -112,9 +112,9 @@ class TestBlockMapping:
     def test_block_of_consistent_with_memory_map(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
         for vertex in acfg.ref_vertices():
-            assert acfg.block_of(vertex.rid) == acfg.memory_map.block_of(
+            assert acfg.block_of(vertex.rid) == acfg.layout.address(
                 vertex.instr.uid
-            )
+            ) // acfg.block_size
 
     def test_block_of_join_raises(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
@@ -127,9 +127,9 @@ class TestBlockMapping:
         loop_program.insert_prefetch(loop_program.blocks[1].name, 0, target.uid)
         acfg = build_acfg(loop_program, block_size=16)
         pf = next(v for v in acfg.ref_vertices() if v.is_prefetch)
-        assert acfg.prefetch_target_block(pf.rid) == acfg.memory_map.block_of(
+        assert acfg.prefetch_target_block(pf.rid) == acfg.layout.address(
             target.uid
-        )
+        ) // acfg.block_size
 
     def test_prefetch_target_on_normal_vertex_raises(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)

@@ -38,6 +38,7 @@ from repro.program.acfg import (
     splice_insertion,
     structural_differences,
 )
+from repro.program.layout import AddressLayout
 
 BLOCK_SIZE = 16
 CONFIG = CacheConfig(1, 16, 256)  # the paper's k1
@@ -119,6 +120,13 @@ def assert_same_acfg(spliced, rebuilt):
     assert [v.rid for v in spliced.ref_vertices()] == [
         v.rid for v in rebuilt.ref_vertices()
     ]
+    # The spliced layout is a shift of its base's; it must place every
+    # instruction where a walk of the edited program does.
+    fresh = AddressLayout(rebuilt.cfg, rebuilt.layout.base_address)
+    for instr in rebuilt.cfg.instructions():
+        assert spliced.layout.address(instr.uid) == fresh.address(instr.uid)
+    assert spliced.layout.addresses.tolist() == fresh.addresses.tolist()
+    assert spliced.layout.end_address == fresh.end_address
     assert structural_differences(spliced, rebuilt) == []
     rebuilt.validate()
     spliced.validate()
@@ -136,7 +144,7 @@ def splice_and_check(cfg, base, block_name, index, prefetch_target):
     result = splice_insertion(base, cfg, block_name, index)
     assert result is not None
     spliced, first_changed = result
-    rebuilt = build_acfg(cfg, BLOCK_SIZE)
+    rebuilt = build_acfg(cfg, BLOCK_SIZE, base.layout.base_address)
     assert_same_acfg(spliced, rebuilt)
     assert first_changed == first_mismatch(base, rebuilt)
     return spliced
@@ -206,6 +214,23 @@ class TestSpliceMalardalen:
         cfg = load(program)
         base = build_acfg(cfg, BLOCK_SIZE)
         _random_edits(cfg, base, random.Random(program), count=6)
+
+    def test_chained_splices_off_a_block_boundary(self):
+        # A base address inside a memory block: every shift re-aligns
+        # instructions against the block grid differently.
+        cfg = load("adpcm")
+        base = build_acfg(cfg, BLOCK_SIZE, base_address=0x1004)
+        _random_edits(cfg, base, random.Random(0x1004), count=6)
+
+    def test_a_layout_difference_is_structural(self):
+        cfg = load("fdct")
+        acfg = build_acfg(cfg, BLOCK_SIZE)
+        other = build_acfg(cfg, BLOCK_SIZE)
+        # One extra uid past the end: no vertex's memory block moves.
+        other.layout = other.layout.with_insertion(
+            10_000, other.layout.end_address, 4
+        )
+        assert structural_differences(acfg, other) == ["layout"]
 
     def test_reused_uid_falls_back(self):
         cfg = load("ndes")

@@ -100,13 +100,11 @@ class TestControlFlowGraph:
 
     def test_insert_and_remove_prefetch_roundtrip(self, loop_program):
         before = loop_program.instruction_count
-        version = loop_program.version
         target = loop_program.blocks[2].instructions[0]
         prefetch = loop_program.insert_prefetch(
             loop_program.blocks[1].name, 0, target.uid
         )
         assert loop_program.instruction_count == before + 1
-        assert loop_program.version == version + 1
         assert loop_program.prefetch_count == 1
         loop_program.remove_prefetch(prefetch.uid)
         assert loop_program.instruction_count == before

@@ -96,6 +96,19 @@ class TestUseCaseAndFigures:
         assert code == 0
         assert "Figure 7" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("factor", ["0", "-1", "nan"])
+    def test_figure5_factor_outside_unit_interval(self, factor, capsys):
+        code = main(
+            ["figure", "5", "--factor", factor, "--programs", "bs",
+             "--configs", "k1", "--techs", "45nm", "--budget", "20"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert (f"error: capacity factor must be in (0, 1], got "
+                f"{float(factor)}") in captured.err
+        assert "Figure 5" not in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -12,7 +12,7 @@ from repro.program.builder import ProgramBuilder
 from repro.program.layout import AddressLayout
 from repro.sim import machine as machine_module
 from repro.sim.executor import block_trace
-from repro.sim.machine import MemorySystem, simulate
+from repro.sim.machine import MemorySystem, fetch_plans, simulate
 from repro.sim.prefetchers import NextLinePrefetcher
 from tests.test_sim_runs import simulate_per_fetch
 
@@ -139,6 +139,16 @@ class TestSimulate:
         assert a.demand_misses == b.demand_misses  # alignment preserved
 
 
+def _two_set_system(l2: bool):
+    """Direct-mapped, 2 sets of 64 B, Λ = 4, and optionally an L2."""
+    timing = TimingModel(
+        hit_cycles=1, miss_penalty_cycles=4,
+        l2_hit_penalty_cycles=2 if l2 else None,
+    )
+    return (CacheConfig(1, 64, 128), timing,
+            CacheConfig(2, 64, 512) if l2 else None)
+
+
 class TestRunBatchingGuards:
     """Each guard of `simulate`'s one-step run charge is load-bearing:
     without it the batched result departs from the per-fetch loop."""
@@ -169,6 +179,72 @@ class TestRunBatchingGuards:
         assert dataclasses.asdict(result) == dataclasses.asdict(oracle)
         assert result.demand_misses == traced.result.demand_misses
         assert result.useful_prefetches == 0
+
+    @pytest.mark.parametrize("l2", (False, True))
+    def test_other_set_transfer_leaves_the_run_in_one_step(
+        self, monkeypatch, l2
+    ):
+        # As above, but the prefetch targets memory block 1 (set 1)
+        # while bb0 runs through block 0 (set 0): the transfer in flight
+        # cannot touch the run's set, so each run is one fetch call.
+        config, timing, l2_config = _two_set_system(l2)
+        b = ProgramBuilder("other_set")
+        b.code(48)
+        cfg = b.build()
+        bb0 = cfg.block("bb0")
+        cfg.insert_prefetch("bb0", 0, bb0.instructions[20].uid)
+        layout = AddressLayout(cfg)
+        assert config.block_of_address(
+            layout.address(bb0.instructions[21].uid)
+        ) == 1
+        calls = []
+        in_flight_runs = []
+        fetch = MemorySystem.fetch
+        repeats = MemorySystem._fetch_repeats
+
+        def counting_fetch(machine, *args, **kwargs):
+            calls.append(args[0])
+            return fetch(machine, *args, **kwargs)
+
+        def watching_repeats(machine, block, addresses):
+            if machine._in_flight:
+                in_flight_runs.append((block, set(machine._in_flight)))
+            return repeats(machine, block, addresses)
+
+        monkeypatch.setattr(MemorySystem, "fetch", counting_fetch)
+        monkeypatch.setattr(MemorySystem, "_fetch_repeats", watching_repeats)
+        result = simulate(cfg, config, timing, l2_config=l2_config)
+        assert in_flight_runs == [(0, {1})]
+        steps = sum(len(plan) for plan in fetch_plans(cfg, config))
+        assert len(calls) == steps < result.fetches
+        monkeypatch.undo()
+        oracle = simulate_per_fetch(
+            cfg, config, timing, l2_config=l2_config
+        ).result
+        assert dataclasses.asdict(result) == dataclasses.asdict(oracle)
+        assert result.useful_prefetches == 1
+
+    @pytest.mark.parametrize("l2", (False, True))
+    def test_other_set_transfer_landing_in_the_last_run(self, l2):
+        # The program's last run (13 instructions of __exit, memory
+        # block 3, set 1) follows a prefetch of block 0 (set 0, evicted
+        # by block 2): the transfer lands during the run and no fetch
+        # follows it, so the one-step charge must install it itself.
+        config, timing, l2_config = _two_set_system(l2)
+        b = ProgramBuilder("tail")
+        b.code(46)
+        cfg = b.build()
+        tail = cfg.block("__exit")
+        for _ in range(12):
+            tail.instructions.insert(0, cfg.factory.make())
+        cfg.insert_prefetch("__exit", 0, cfg.block("bb0").instructions[0].uid)
+        assert AddressLayout(cfg).address(tail.instructions[0].uid) == 192
+        result = simulate(cfg, config, timing, l2_config=l2_config)
+        oracle = simulate_per_fetch(
+            cfg, config, timing, l2_config=l2_config
+        ).result
+        assert dataclasses.asdict(result) == dataclasses.asdict(oracle)
+        assert result.prefetch_transfers == 1
 
     @pytest.mark.parametrize("policy", ("always", "tagged"))
     def test_hardware_prefetcher_observes_every_fetch(

@@ -15,7 +15,7 @@ from repro.errors import OptimizationError
 from repro.program.acfg import build_acfg
 from repro.program.builder import ProgramBuilder
 from repro.program.instructions import InstrKind
-from repro.program.layout import AddressLayout, MemoryMap
+from repro.program.layout import AddressLayout
 
 
 class TestInsertionPoint:
@@ -52,19 +52,26 @@ class TestInsertionPoint:
 class TestMovedBlocks:
     def test_insertion_moves_downstream_blocks_only(self, loop_program):
         old_layout = AddressLayout(loop_program)
-        old_map = MemoryMap(old_layout, 16)
+        old_uids = [instr.uid for instr in loop_program.instructions()]
         target = loop_program.blocks[4].instructions[0]
-        loop_program.insert_prefetch(loop_program.blocks[2].name, 0, target.uid)
-        new_map = MemoryMap(AddressLayout(loop_program), 16)
-        moved = moved_blocks(old_map, new_map)
-        insertion_addr = old_layout.block_start(loop_program.blocks[2].name)
-        for instr in old_layout.instructions_in_order():
-            if old_layout.address(instr.uid) < insertion_addr:
-                assert instr.uid not in moved
+        edited = loop_program.blocks[2]
+        insertion_addr = old_layout.address(edited.instructions[0].uid)
+        prefetch = loop_program.insert_prefetch(edited.name, 0, target.uid)
+        new_layout = AddressLayout(loop_program)
+        moved = moved_blocks(old_layout, new_layout, 16)
+        assert prefetch.uid not in moved
+        for uid in old_uids:
+            shifted = old_layout.address(uid) >= insertion_addr
+            crossed = (old_layout.address(uid) // 16
+                       != new_layout.address(uid) // 16)
+            assert (uid in moved) == (shifted and crossed)
+        assert moved
+        # a removed instruction is not reported either way round
+        assert prefetch.uid not in moved_blocks(new_layout, old_layout, 16)
 
     def test_no_change_no_moves(self, loop_program):
-        mmap = MemoryMap(AddressLayout(loop_program), 16)
-        assert moved_blocks(mmap, mmap) == frozenset()
+        layout = AddressLayout(loop_program)
+        assert moved_blocks(layout, layout, 16) == frozenset()
 
 
 class TestRelocationCost:
