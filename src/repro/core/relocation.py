@@ -25,6 +25,8 @@ This module provides
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import FrozenSet, Optional
 
 import numpy as np
@@ -103,13 +105,15 @@ def relocation_cost(
 
 
 def _tau_excluding(result: WCETResult, prefetch_uid: int, miss_uid: int) -> float:
-    total = 0.0
-    for vertex in result.acfg.ref_vertices():
-        assert vertex.instr is not None
-        if vertex.instr.uid in (prefetch_uid, miss_uid):
-            continue
-        total += result.tau_of(vertex.rid)
-    return total
+    acfg = result.acfg
+    uids = acfg.uid_arr
+    kept = acfg.ref_mask & (uids != prefetch_uid) & (uids != miss_uid)
+    # ``τ_w = t_w · n^w`` per kept reference (n^w is exact in float64),
+    # summed left to right in rid order: np.sum would add pairwise.
+    taus = np.asarray(result.t_w, dtype=np.float64)[kept] * np.asarray(
+        result.solution.n_w, dtype=np.float64
+    )[kept]
+    return reduce(add, taus.tolist(), 0.0)
 
 
 def moved_blocks(

@@ -50,9 +50,10 @@ def select_locked_blocks(
     """
     if weights is None:
         weights = {}
-        for vertex in acfg.ref_vertices():
-            block = acfg.block_of(vertex.rid)
-            weights[block] = weights.get(block, 0.0) + acfg.multiplier[vertex.rid]
+        ref_block, multiplier = acfg._ref_block, acfg.multiplier
+        for rid in acfg.ref_rids:
+            block = ref_block[rid]
+            weights[block] = weights.get(block, 0.0) + multiplier[rid]
     per_set: Dict[int, List[Tuple[float, int]]] = {}
     for block, weight in weights.items():
         per_set.setdefault(config.set_index(block), []).append((weight, block))
@@ -68,13 +69,11 @@ def locked_wcet(
     acfg: ACFG, timing: TimingModel, locked_blocks: Set[int]
 ) -> PathSolution:
     """WCET path under full locking: hit iff the block is locked."""
+    hit, miss = float(timing.hit_cycles), float(timing.miss_cycles)
+    ref_block = acfg._ref_block
     times: List[float] = [0.0] * len(acfg.vertices)
-    for vertex in acfg.ref_vertices():
-        block = acfg.block_of(vertex.rid)
-        if block in locked_blocks:
-            times[vertex.rid] = float(timing.hit_cycles)
-        else:
-            times[vertex.rid] = float(timing.miss_cycles)
+    for rid in acfg.ref_rids:
+        times[rid] = hit if ref_block[rid] in locked_blocks else miss
     return solve_wcet_path(acfg, times)
 
 
