@@ -53,7 +53,7 @@ def test_perf_wcet_analysis_must_only(benchmark):
 
 
 def test_perf_path_solver(benchmark, adpcm_acfg):
-    times = [2.0 if v.is_ref else 0.0 for v in adpcm_acfg.iter_topological()]
+    times = [2.0 if instr is not None else 0.0 for instr in adpcm_acfg.instr]
     solution = benchmark(solve_wcet_path, adpcm_acfg, times)
     assert solution.objective > 0
 

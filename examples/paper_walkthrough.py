@@ -26,7 +26,7 @@ from repro.core import (
     optimize,
     select_join_predecessor,
 )
-from repro.program import ProgramBuilder, VertexKind, build_acfg, context_label
+from repro.program import ProgramBuilder, build_acfg, context_label
 
 # Toy latency: in a tiny 2-set cache most intervening blocks compete
 # for the same sets, so the survivable prefetch window is only a couple
@@ -67,12 +67,12 @@ def figure1() -> None:
     print("\nforward states (first iteration; the right-hand side of Fig. 1a):")
     states, _ = collect_optimization_states(acfg, config, wcet.solution)
     shown = 0
-    for vertex in acfg.ref_vertices():
-        classification = wcet.cache.classification(vertex.rid)
+    for rid in acfg.ref_rids:
+        classification = wcet.cache.classification(rid)
         print(
-            f"  r{vertex.rid:<3} block s{acfg.block_of(vertex.rid)}  "
+            f"  r{rid:<3} block s{acfg.block_of(rid)}  "
             f"{classification.value:<3} state before: "
-            f"{show_state(states[vertex.rid])}"
+            f"{show_state(states[rid])}"
         )
         shown += 1
         if shown >= 14:
@@ -117,8 +117,8 @@ def figure2() -> None:
     acfg = build_acfg(cfg, block_size=config.block_size)
     wcet = analyze_wcet(acfg, config, TIMING)
 
-    join = next(v for v in acfg.vertices if v.kind is VertexKind.JOIN)
-    preds = acfg.predecessors(join.rid)
+    join = next(rid for rid in range(len(acfg)) if acfg.is_join(rid))
+    preds = acfg.predecessors(join)
     states, _ = collect_optimization_states(acfg, config, wcet.solution)
 
     must_states = {}
@@ -131,14 +131,14 @@ def figure2() -> None:
             chain.append(cursor)
             cursor = acfg.predecessors(cursor)[0]
         for rid in reversed(chain):
-            if acfg.vertex(rid).is_ref:
+            if acfg.instr[rid] is not None:
                 replay = replay.update(acfg.block_of(rid))
         must_states[pred] = replay
         flag = "on WCET path" if wcet.solution.on_path[pred] else "off path"
         print(f"  entering edge from r{pred} ({flag}): {show_state(replay)}")
 
     conventional = must_states[preds[0]].join(must_states[preds[1]])
-    chosen = select_join_predecessor(acfg, wcet.solution, join.rid)
+    chosen = select_join_predecessor(acfg, wcet.solution, join)
     print(f"\n  conventional join (intersection): {show_state(conventional)}")
     print(f"  J_SE propagates the edge from r{chosen}: "
           f"{show_state(must_states[chosen])}")
@@ -159,10 +159,10 @@ def figure6() -> None:
     b.code(1)
     cfg = b.build()
     acfg = build_acfg(cfg, block_size=16)
-    for vertex in acfg.ref_vertices():
-        print(f"  r{vertex.rid:<3} {vertex.block_name:<10} "
-              f"context {context_label(vertex.context):<10} "
-              f"worst-case executions x{acfg.multiplier[vertex.rid]}")
+    for rid in acfg.ref_rids:
+        print(f"  r{rid:<3} {acfg.block_name[rid]:<10} "
+              f"context {context_label(acfg.context[rid]):<10} "
+              f"worst-case executions x{acfg.multiplier[rid]}")
     print(f"  broken back edges (REST exit -> REST entry join): "
           f"{acfg.back_edges}")
 

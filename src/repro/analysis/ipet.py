@@ -48,7 +48,7 @@ class ILPSolution:
 def edge_list(acfg: ACFG) -> List[tuple]:
     """Forward edges of the ACFG as ``(src, dst)`` pairs, in rid order."""
     edges = []
-    for rid in range(len(acfg.vertices)):
+    for rid in range(len(acfg)):
         for succ in acfg.successors(rid):
             edges.append((rid, succ))
     return edges
@@ -68,7 +68,7 @@ def solve_ipet(acfg: ACFG, per_exec_time: Sequence[float]) -> ILPSolution:
         InfeasibleILPError: If HiGHS reports no feasible flow (indicates
             a malformed graph).
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     if len(per_exec_time) != n:
         raise AnalysisError(
             f"per_exec_time has {len(per_exec_time)} entries, ACFG has {n}"

@@ -296,7 +296,7 @@ def _explore_set(
 
     Returns ``None`` when the budget was exceeded.
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     heads = runs.heads
     in_lines: List[Optional[LineSet]] = [None] * n
     out_lines: List[Optional[LineSet]] = [None] * n
@@ -549,8 +549,7 @@ def refine_classifications(
     config = exploration.config
     promotions: Dict[int, Classification] = {}
     evictions: Dict[int, FrozenSet[int]] = {}
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
+    for rid in acfg.ref_rids:
         if classifications[rid] is not Classification.NOT_CLASSIFIED:
             continue
         block = acfg.block_of(rid)

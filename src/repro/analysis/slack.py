@@ -31,7 +31,7 @@ def min_path_slack(
         The slack in cycles; ``inf`` when ``to_rid`` is unreachable from
         ``from_rid``.
     """
-    if not 0 <= from_rid < len(acfg.vertices) or not 0 <= to_rid < len(acfg.vertices):
+    if not 0 <= from_rid < len(acfg) or not 0 <= to_rid < len(acfg):
         raise OptimizationError("slack endpoints out of range")
     if to_rid <= from_rid:
         raise OptimizationError(
@@ -49,7 +49,7 @@ def min_path_slack(
             continue
         if rid == to_rid:
             return best  # exclude the endpoint's own weight
-        weight = t_w[rid] if acfg.vertex(rid).is_ref else 0.0
+        weight = t_w[rid] if acfg.instr[rid] is not None else 0.0
         dist[rid] = best + weight
     return infinity
 
@@ -71,10 +71,10 @@ def min_path_slacks(
     """
     if not to_rids:
         return {}
-    if not 0 <= from_rid < len(acfg.vertices):
+    if not 0 <= from_rid < len(acfg):
         raise OptimizationError("slack endpoints out of range")
     for to_rid in to_rids:
-        if not 0 <= to_rid < len(acfg.vertices):
+        if not 0 <= to_rid < len(acfg):
             raise OptimizationError("slack endpoints out of range")
         if to_rid <= from_rid:
             raise OptimizationError(
@@ -194,7 +194,7 @@ def wraparound_slack(
             tail = 0.0
         elif exit_rid > evictor_rid:
             part = min_path_slack(acfg, t_w, evictor_rid, exit_rid)
-            weight = t_w[exit_rid] if acfg.vertex(exit_rid).is_ref else 0.0
+            weight = t_w[exit_rid] if acfg.instr[exit_rid] is not None else 0.0
             tail = part + weight
         else:
             continue

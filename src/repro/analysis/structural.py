@@ -109,7 +109,7 @@ def solve_wcet_path_tables(
         DP tables (do not mutate; they may be shared with later warm
         solves).
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     if len(per_exec_time) != n:
         raise AnalysisError(
             f"per_exec_time has {len(per_exec_time)} entries, ACFG has {n}"

@@ -59,7 +59,7 @@ def compute_ref_times(
     occupies its issue slot (its block transfer is non-blocking and not
     charged here).  Non-reference vertices cost nothing.
     """
-    times: List[float] = [0.0] * len(acfg.vertices)
+    times: List[float] = [0.0] * len(acfg)
     l2_hits = (
         analysis.l2_hits
         if timing.l2_hit_penalty_cycles is not None and analysis.l2_hits

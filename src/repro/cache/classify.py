@@ -146,7 +146,7 @@ def propagate(
     Returns:
         A :class:`DataflowResult` with the converged states.
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     in_states: List[Optional[AbstractCacheState]] = [None] * n
     out_states: List[Optional[AbstractCacheState]] = [None] * n
     back_by_target: Dict[int, List[int]] = {}
@@ -166,16 +166,16 @@ def propagate(
     locked = locked_blocks or frozenset()
     if plan is None:
         plan = [None] * n
-        for vertex in acfg.ref_vertices():
+        for rid in acfg.ref_rids:
             ops = []
-            own = acfg.block_of(vertex.rid)
+            own = acfg.block_of(rid)
             if own not in locked:
                 ops.append(own)
-            target = acfg.target_block_or_none(vertex.rid)
+            target = acfg.target_block_or_none(rid)
             if target is not None and target not in locked:
                 ops.append(target)
             if ops:
-                plan[vertex.rid] = tuple(ops)
+                plan[rid] = tuple(ops)
     elif len(plan) != n:
         raise AnalysisError(
             f"custom plan has {len(plan)} entries, ACFG has {n} vertices"
@@ -360,10 +360,9 @@ def classify_references(
     oracle of the pipeline's dense classifier
     (:func:`repro.cache.kernel.classify_references_dense`).
     """
-    classifications: List[Optional[Classification]] = [None] * len(acfg.vertices)
+    classifications: List[Optional[Classification]] = [None] * len(acfg)
     locked = locked_blocks or frozenset()
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
+    for rid in acfg.ref_rids:
         block = acfg.block_of(rid)
         must_in = must.in_states[rid]
         may_in = may.in_states[rid] if may is not None else None
@@ -419,9 +418,8 @@ def l2_access_plan(
     too.  Locked blocks are pinned in L1 and never reach L2.
     """
     locked = locked_blocks or frozenset()
-    plan: List[Optional[tuple]] = [None] * len(acfg.vertices)
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
+    plan: List[Optional[tuple]] = [None] * len(acfg)
+    for rid in acfg.ref_rids:
         ops = []
         own = acfg.block_of(rid)
         classification = classifications[rid]
@@ -479,8 +477,7 @@ def l2_guaranteed_hits(
     served by L2, so the L2 time bounds the worst case.
     """
     hits = set()
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
+    for rid in acfg.ref_rids:
         classification = classifications[rid]
         if classification is None or classification.is_hit:
             continue

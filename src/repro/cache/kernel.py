@@ -705,7 +705,7 @@ def propagate_kernel_batch(
     num_max = depth - (1 if "may" in order else 0)
     assoc = config.associativity
     num_sets = config.num_sets
-    n = len(schedule.acfg.vertices)
+    n = len(schedule.acfg)
     width = universe.width
 
     dense_in = np.empty((n, depth, width), dtype=np.int8)
@@ -888,7 +888,7 @@ def classify_references_dense(
     codes[must_hit] = 3
 
     table = CLASSIFICATION_LAYERS
-    classifications: list = [None] * len(acfg.vertices)
+    classifications: list = [None] * len(acfg)
     for rid, code in zip(rids.tolist(), codes.tolist()):
         classifications[rid] = table[code]
     return classifications

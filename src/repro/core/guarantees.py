@@ -206,36 +206,35 @@ def find_undercharged_references(acfg, wcet, timing: TimingModel) -> List[int]:
     miss_cycles = float(timing.miss_cycles)
     violations: List[int] = []
     uses_by_block: dict = {}
-    for c in acfg.ref_vertices():
-        if c.is_prefetch:
+    instrs = acfg.instr
+    for rid in acfg.ref_rids:
+        if instrs[rid].is_prefetch:
             continue
-        if wcet.t_w[c.rid] >= miss_cycles:
+        if wcet.t_w[rid] >= miss_cycles:
             continue  # already charged a full miss: always sound
-        uses_by_block.setdefault(acfg.block_of(c.rid), []).append(c.rid)
-    for vertex in acfg.ref_vertices():
-        if not vertex.is_prefetch:
-            continue
-        target_block = acfg.target_block_or_none(vertex.rid)
+        uses_by_block.setdefault(acfg.block_of(rid), []).append(rid)
+    for rid in acfg.prefetch_rids:
+        target_block = acfg.target_block_or_none(rid)
         if target_block is None:
             continue  # data prefetch: no instruction-cache hit to justify
         # Per-prefetch Λ: an L2-guaranteed transfer completes after the
         # L2 penalty, so nearer uses are still sound (single-level this
         # is exactly timing.prefetch_latency).
         latency = float(
-            prefetch_lambda(wcet.cache, timing, vertex.rid, target_block)
+            prefetch_lambda(wcet.cache, timing, rid, target_block)
         )
         for use in uses_by_block.get(target_block, []):
-            if use > vertex.rid:
-                slack = _slack(acfg, wcet.t_w, vertex.rid, use)
+            if use > rid:
+                slack = _slack(acfg, wcet.t_w, rid, use)
                 if slack < latency:
                     violations.append(use)
             else:
                 for join_rid, last_rid, exit_rids in reversed(loop_spans):
-                    if not join_rid <= vertex.rid <= last_rid:
+                    if not join_rid <= rid <= last_rid:
                         continue
-                    if join_rid <= use <= vertex.rid:
+                    if join_rid <= use <= rid:
                         slack = _wslack(
-                            acfg, wcet.t_w, vertex.rid, use, join_rid, exit_rids
+                            acfg, wcet.t_w, rid, use, join_rid, exit_rids
                         )
                         if slack < latency:
                             violations.append(use)

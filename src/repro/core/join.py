@@ -22,7 +22,7 @@ from typing import Sequence
 
 from repro.analysis.structural import PathSolution
 from repro.errors import OptimizationError
-from repro.program.acfg import ACFG, VertexKind
+from repro.program.acfg import ACFG
 
 
 def select_join_predecessor(
@@ -42,8 +42,7 @@ def select_join_predecessor(
         worst-case execution count (the "costlier" edge of Algorithm 2),
         ties broken towards the smaller rid for determinism.
     """
-    vertex = acfg.vertex(join_rid)
-    if vertex.kind is not VertexKind.JOIN:
+    if not acfg.is_join(join_rid):
         raise OptimizationError(f"vertex {join_rid} is not a JOIN")
     preds: Sequence[int] = acfg.predecessors(join_rid)
     if not preds:

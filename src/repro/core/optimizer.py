@@ -371,8 +371,7 @@ def _run_pass(
             acfg, wcet, timing, price_anchor, miss_rid, wrap_join,
             loop_ranges, exec_count_by_uid,
         )
-        miss_vertex = acfg.vertex(miss_rid)
-        assert miss_vertex.instr is not None
+        miss_uid = acfg.instr[miss_rid].uid
         if opts.require_effectiveness and not terms.effective:
             rejected.add(key)
             continue
@@ -395,7 +394,7 @@ def _run_pass(
                 return None  # budget exhausted: end the search
             report.candidates_evaluated += 1
             prefetch = work.insert_prefetch(
-                point.block_name, index, miss_vertex.instr.uid
+                point.block_name, index, miss_uid
             )
             candidate = pipeline.analyze(
                 work, with_may=False, base=base,
@@ -430,19 +429,19 @@ def _run_pass(
         new_wcet = candidate.wcet
         point = InsertionPoint(point.block_name, chosen_index)
 
-        evictor = acfg.vertex(event.insert_after_rid)
-        evictor_uid = evictor.instr.uid if evictor.instr is not None else -1
+        evictor = acfg.instr[event.insert_after_rid]
+        evictor_uid = evictor.uid if evictor is not None else -1
         report.inserted.append(
             InsertedPrefetch(
                 prefetch_uid=prefetch.uid,
-                target_uid=miss_vertex.instr.uid,
+                target_uid=miss_uid,
                 block_name=point.block_name,
                 index=point.index,
                 evictor_uid=evictor_uid,
-                miss_uid=miss_vertex.instr.uid,
+                miss_uid=miss_uid,
                 terms=terms,
                 rcost=relocation_cost(
-                    wcet, new_wcet, prefetch.uid, miss_vertex.instr.uid
+                    wcet, new_wcet, prefetch.uid, miss_uid
                 ),
                 tau_before=wcet.tau_w,
                 tau_after=new_wcet.tau_w,
@@ -484,13 +483,14 @@ def _locate_candidate(
         anchor_uid: int = -1
         anchor_ctx: Tuple = ()
     else:
-        anchor = acfg.vertex(event.insert_after_rid)
-        assert anchor.instr is not None
+        anchor = acfg.instr[event.insert_after_rid]
+        assert anchor is not None
         maybe_point = insertion_point_after(acfg, event.insert_after_rid)
         if maybe_point is None:
             return None
         point = maybe_point
-        anchor_uid, anchor_ctx = anchor.instr.uid, anchor.context
+        anchor_uid = anchor.uid
+        anchor_ctx = acfg.context[event.insert_after_rid]
 
     miss_rid: Optional[int] = None
     wrap_join = -1
@@ -512,21 +512,23 @@ def _locate_candidate(
                 wrap_join = join_rid
     if miss_rid is None:
         return None
-    miss_vertex = acfg.vertex(miss_rid)
-    assert miss_vertex.instr is not None
+    miss_instr = acfg.instr[miss_rid]
+    assert miss_instr is not None
+    miss_ctx = acfg.context[miss_rid]
     price_anchor = event.insert_after_rid
     if opts.placement == "block-begin":
         # The strategy of ref. [5]: the prefetch opens the basic block
         # containing the missing reference.
-        assert miss_vertex.block_name is not None
-        point = InsertionPoint(miss_vertex.block_name, 0)
+        miss_block = acfg.block_name[miss_rid]
+        assert miss_block is not None
+        point = InsertionPoint(miss_block, 0)
         wrap_join = -1
-        block = acfg.cfg.block(miss_vertex.block_name)
-        first_rid = acfg.by_key(block.instructions[0].uid, miss_vertex.context)
+        block = acfg.cfg.block(miss_block)
+        first_rid = acfg.by_key(block.instructions[0].uid, miss_ctx)
         price_anchor = first_rid if first_rid is not None else miss_rid
         anchor_uid = block.instructions[0].uid
-        anchor_ctx = miss_vertex.context
-    key = (anchor_uid, anchor_ctx, miss_vertex.instr.uid, miss_vertex.context)
+        anchor_ctx = miss_ctx
+    key = (anchor_uid, anchor_ctx, miss_instr.uid, miss_ctx)
     return key, point, miss_rid, wrap_join, price_anchor
 
 
@@ -555,8 +557,8 @@ def _price_candidate(
         n_miss = 1
     else:
         n_miss = wcet.n_w(miss_rid)
-    anchor = acfg.vertex(anchor_rid)
-    anchor_uid = anchor.instr.uid if anchor.instr is not None else -1
+    anchor = acfg.instr[anchor_rid]
+    anchor_uid = anchor.uid if anchor is not None else -1
     mcost: Optional[float] = None
     latency: Optional[float] = None
     if timing.l2_hit_penalty_cycles is not None:

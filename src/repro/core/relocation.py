@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.analysis.wcet import WCETResult
 from repro.errors import OptimizationError
-from repro.program.acfg import ACFG, VertexKind
+from repro.program.acfg import ACFG
 from repro.program.layout import AddressLayout
 
 
@@ -62,26 +62,27 @@ def insertion_point_after(acfg: ACFG, rid: int) -> Optional[InsertionPoint]:
         The :class:`InsertionPoint`, or ``None`` when ``r_i`` has no
         downstream reference (it borders the sink).
     """
-    vertex = acfg.vertex(rid)
-    if not vertex.is_ref:
+    instr = acfg.instr[rid]
+    if instr is None:
         raise OptimizationError(f"vertex {rid} is not a reference")
-    assert vertex.instr is not None and vertex.block_name is not None
-    block = acfg.cfg.block(vertex.block_name)
-    is_last = vertex.index_in_block == len(block.instructions) - 1
-    if not (is_last and vertex.instr.is_control):
-        return InsertionPoint(vertex.block_name, vertex.index_in_block + 1)
+    block_name = acfg.block_name[rid]
+    index = acfg.index_in_block[rid]
+    is_last = index == len(acfg.cfg.block(block_name).instructions) - 1
+    if not (is_last and instr.is_control):
+        return InsertionPoint(block_name, index + 1)
     # Follow the graph to the next reference vertex.
     cursor = rid
-    for _ in range(len(acfg.vertices)):
+    for _ in range(len(acfg)):
         succs = acfg.successors(cursor)
         if not succs:
             return None
         cursor = min(succs)
-        nxt = acfg.vertex(cursor)
-        if nxt.kind is VertexKind.SINK:
+        if cursor == acfg.sink:
             return None
-        if nxt.is_ref:
-            return InsertionPoint(nxt.block_name, nxt.index_in_block)
+        if acfg.instr[cursor] is not None:
+            return InsertionPoint(
+                acfg.block_name[cursor], acfg.index_in_block[cursor]
+            )
         # JOIN: keep walking.
     raise OptimizationError("insertion-point walk did not terminate")
 

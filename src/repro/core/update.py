@@ -45,7 +45,7 @@ from repro.cache.abstract import MustState
 from repro.cache.config import CacheConfig
 from repro.core.join import select_join_predecessor
 from repro.errors import OptimizationError
-from repro.program.acfg import ACFG, VertexKind
+from repro.program.acfg import ACFG
 
 
 @dataclass(frozen=True)
@@ -88,15 +88,15 @@ def apply_update(
     Returns:
         The out-state and the replacements the access caused.
     """
-    vertex = acfg.vertex(rid)
-    if not vertex.is_ref:
+    instr = acfg.instr[rid]
+    if instr is None:
         return state, []
     events: List[EvictionEvent] = []
     own_block = acfg.block_of(rid)
     for evicted in sorted(state.evicted_by(own_block)):
         events.append(EvictionEvent(rid, evicted, by_prefetch_fill=False))
     state = state.update(own_block)
-    if vertex.is_prefetch:
+    if instr.is_prefetch:
         target = acfg.target_block_or_none(rid)
         if target is not None:
             for evicted in sorted(state.evicted_by(target)):
@@ -235,15 +235,14 @@ def collect_optimization_states(
         replacement event, in topological (execution) order.  Iterating
         ``reversed(events)`` yields Algorithm 3's reverse visiting order.
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     in_states: List[Optional[MustState]] = [None] * n
     out_states: List[Optional[MustState]] = [None] * n
     events: List[EvictionEvent] = []
-    for vertex in acfg.iter_topological():
-        rid = vertex.rid
-        if vertex.kind is VertexKind.SOURCE:
+    for rid in range(n):
+        if rid == acfg.source:
             in_state: MustState = MustState(config)
-        elif vertex.kind is VertexKind.JOIN:
+        elif acfg.is_join(rid):
             chosen = select_join_predecessor(acfg, solution, rid)
             picked = out_states[chosen]
             if picked is None:

@@ -44,10 +44,10 @@ from repro.program.vivu import FIRST
 
 def data_access_of(acfg: ACFG, rid: int) -> Optional[DataAccess]:
     """The vertex's data access, or ``None``."""
-    vertex = acfg.vertex(rid)
-    if vertex.instr is None:
+    instr = acfg.instr[rid]
+    if instr is None:
         return None
-    return vertex.instr.data_access  # type: ignore[return-value]
+    return instr.data_access  # type: ignore[return-value]
 
 
 def exact_data_block(
@@ -67,8 +67,7 @@ def exact_data_block(
         raise AnalysisError("program has data accesses but no data layout")
     if access.stride == 0:
         return layout.region(access.region).address(access.offset) // block_size
-    vertex = acfg.vertex(rid)
-    for element in vertex.context:
+    for element in acfg.context[rid]:
         if element.name == access.stride_loop:
             if element.kind == FIRST:
                 return (
@@ -83,16 +82,16 @@ def build_data_plan(
     acfg: ACFG, config: CacheConfig
 ) -> List[Optional[tuple]]:
     """The per-vertex access plan of the data cache."""
-    plan: List[Optional[tuple]] = [None] * len(acfg.vertices)
-    for vertex in acfg.ref_vertices():
-        access = data_access_of(acfg, vertex.rid)
+    plan: List[Optional[tuple]] = [None] * len(acfg)
+    for rid in acfg.ref_rids:
+        access = data_access_of(acfg, rid)
         if access is None:
             continue
-        block = exact_data_block(acfg, vertex.rid, config.block_size)
+        block = exact_data_block(acfg, rid, config.block_size)
         if block is None:
-            plan[vertex.rid] = (UNKNOWN_ACCESS,)
+            plan[rid] = (UNKNOWN_ACCESS,)
         else:
-            plan[vertex.rid] = (block,)
+            plan[rid] = (block,)
     return plan
 
 
@@ -148,9 +147,8 @@ def analyze_data_cache(
         if with_persistence
         else None
     )
-    classifications: List[Optional[Classification]] = [None] * len(acfg.vertices)
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
+    classifications: List[Optional[Classification]] = [None] * len(acfg)
+    for rid in acfg.ref_rids:
         if plan[rid] is None:
             continue
         op = plan[rid][0]
@@ -182,9 +180,8 @@ def data_ref_times(
     (charged on the instruction side); loads/stores cost the data
     cache's hit or miss latency.
     """
-    times = [0.0] * len(acfg.vertices)
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
+    times = [0.0] * len(acfg)
+    for rid in acfg.ref_rids:
         access = data_access_of(acfg, rid)
         if access is None:
             continue
@@ -241,8 +238,7 @@ class CombinedWCET:
         """Worst-case data misses along the combined path (including
         one first-miss per charged persistent data block)."""
         total = len(self.data_persistent_charged)
-        for vertex in self.instruction.acfg.ref_vertices():
-            rid = vertex.rid
+        for rid in self.instruction.acfg.ref_rids:
             classification = self.data.classification(rid)
             access = data_access_of(self.instruction.acfg, rid)
             if access is None or access.kind is DataKind.PREFETCH:
@@ -286,12 +282,11 @@ def combined_wcet(
     t_data = data_ref_times(acfg, data, dtiming)
     t_total = [
         instruction.t_w[rid] + t_data[rid]
-        for rid in range(len(acfg.vertices))
+        for rid in range(len(acfg))
     ]
     solution = solve_wcet_path(acfg, t_total)
     charged = set()
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
+    for rid in acfg.ref_rids:
         if solution.n_w[rid] == 0:
             continue
         if data.classification(rid) is Classification.PERSISTENT:

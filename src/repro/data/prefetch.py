@@ -113,7 +113,7 @@ def optimize_data(
     while len(report.inserted) < max_insertions:
         accepted = False
         for rid, access, block in _candidates(acfg, combined, dcache):
-            key = (acfg.vertex(rid).instr.uid, acfg.vertex(rid).context)
+            key = (acfg.instr[rid].uid, acfg.context[rid])
             if key in rejected:
                 continue
             anchor = _anchor_with_slack(
@@ -167,8 +167,7 @@ def optimize_data(
 def _candidates(acfg, combined: CombinedWCET, dcache: CacheConfig):
     """On-path exact-address data accesses still paying for misses."""
     out = []
-    for vertex in acfg.ref_vertices():
-        rid = vertex.rid
+    for rid in acfg.ref_rids:
         if combined.solution.n_w[rid] == 0:
             continue
         access = data_access_of(acfg, rid)
@@ -203,7 +202,7 @@ def _anchor_with_slack(
     best: Optional[int] = None
     for back in range(position - 1, -1, -1):
         rid = path[back]
-        if not acfg.vertex(rid).is_ref:
+        if acfg.instr[rid] is None:
             continue
         slack = min_path_slack(acfg, combined.t_total, rid, use_rid)
         if slack >= latency:

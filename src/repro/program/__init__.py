@@ -12,7 +12,7 @@ This package is the substrate every analysis consumes.  Typical use::
     acfg = build_acfg(cfg, block_size=16)
 """
 
-from repro.program.acfg import ACFG, RefVertex, VertexKind, build_acfg
+from repro.program.acfg import ACFG, build_acfg
 from repro.program.builder import ProgramBuilder, entry_block_of, exit_blocks_of
 from repro.program.cfg import (
     BasicBlock,
@@ -76,12 +76,10 @@ __all__ = [
     "LoopNode",
     "ProgramBuilder",
     "REST",
-    "RefVertex",
     "SeqNode",
     "StructureNode",
     "SwitchNode",
     "TOP",
-    "VertexKind",
     "build_acfg",
     "context_depth",
     "context_label",

@@ -19,14 +19,14 @@ for every iteration after the first).
 
 Vertices are created in topological order, so the vertex id (``rid``)
 doubles as a topological index; the reverse walk of Algorithm 3 is simply
-descending-rid iteration.
+descending-rid iteration.  A vertex is nothing but its rid: its data
+are per-rid columns of :class:`ACFG`, and its kind is derived from them
+(see the class docstring).
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -54,120 +54,8 @@ from repro.program.vivu import (
 )
 
 
-class VertexKind(enum.Enum):
-    """Role of an ACFG vertex."""
-
-    SOURCE = "source"
-    SINK = "sink"
-    REF = "ref"
-    JOIN = "join"
-
-
-@dataclass(slots=True)
-class RefVertex:
-    """One ACFG vertex.
-
-    Attributes:
-        rid: Vertex id == topological index.
-        kind: Vertex role.
-        instr: The referenced instruction (``None`` for non-REF vertices).
-        context: VIVU context of the reference.
-        block_name: Basic block holding ``instr`` (``None`` for non-REF).
-        index_in_block: Position of ``instr`` within its block.
-    """
-
-    rid: int
-    kind: VertexKind
-    instr: Optional[Instruction] = None
-    context: Context = TOP
-    block_name: Optional[str] = None
-    index_in_block: int = -1
-
-    @property
-    def is_ref(self) -> bool:
-        """True for reference vertices (the only ones that touch memory)."""
-        return self.kind is VertexKind.REF
-
-    @property
-    def is_prefetch(self) -> bool:
-        """True when this vertex references a software prefetch."""
-        return self.instr is not None and self.instr.is_prefetch
-
-    def key(self) -> Tuple[int, Context]:
-        """Rebuild-stable identity: (instruction uid, context)."""
-        if self.instr is None:
-            raise ProgramModelError(f"vertex {self.rid} has no instruction key")
-        return (self.instr.uid, self.context)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.kind is VertexKind.REF:
-            return (
-                f"<r{self.rid} {self.block_name}[{self.index_in_block}] "
-                f"{context_label(self.context)}>"
-            )
-        return f"<{self.kind.value}{self.rid}>"
-
-
 #: Placeholder for the flat arrays of a graph under construction.
 _EMPTY = np.empty(0, dtype=np.int64)
-
-
-class _Vertices(Sequence):
-    """An ACFG's vertices as a read-only sequence.
-
-    :class:`RefVertex` objects are built from the per-rid columns on
-    first access and cached, so a spliced graph pays only for the
-    vertices somebody reads.  The view holds the columns, not the graph,
-    so a graph is freed as soon as it is unreferenced.
-    """
-
-    __slots__ = ("_cache", "_instr", "_context", "_block_name", "_index",
-                 "_source", "_sink")
-
-    def __init__(self, acfg: "ACFG", cache: List[Optional[RefVertex]]):
-        self._cache = cache
-        self._instr = acfg._instr
-        self._context = acfg._context
-        self._block_name = acfg._block_name
-        self._index = acfg._index
-        self._source = acfg.source
-        self._sink = acfg.sink
-
-    def __len__(self) -> int:
-        return len(self._instr)
-
-    def __getitem__(self, index):
-        n = len(self._instr)
-        if isinstance(index, slice):
-            return [self.vertex(i) for i in range(*index.indices(n))]
-        if index < 0:
-            index += n
-        if not 0 <= index < n:
-            raise IndexError("vertex index out of range")
-        return self.vertex(index)
-
-    def __iter__(self) -> Iterator[RefVertex]:
-        return map(self.vertex, range(len(self._instr)))
-
-    def vertex(self, rid: int) -> RefVertex:
-        """The vertex of ``rid`` (built and cached on first access)."""
-        found = self._cache[rid]
-        if found is None:
-            instr = self._instr[rid]
-            if instr is not None:
-                kind = VertexKind.REF
-            elif rid == self._source:
-                kind = VertexKind.SOURCE
-            elif rid == self._sink:
-                kind = VertexKind.SINK
-            else:
-                kind = VertexKind.JOIN
-            found = RefVertex(
-                rid, kind, instr, self._context[rid], self._block_name[rid],
-                self._index[rid],
-            )
-            self._cache[rid] = found
-        return found
 
 
 def _with_inserted(column: list, positions: List[int], values: list) -> list:
@@ -189,8 +77,9 @@ class ACFG:
     after the optimizer mutates the CFG it constructs a fresh ACFG
     (usually by :func:`splice_insertion`).
 
-    Per-rid data lives in two forms.  Columns that are only copied —
-    instruction, context, block name, index in block, multiplier and
+    A vertex is its rid; its data are columns indexed by rid.  Columns
+    that are only copied — :attr:`instr`, :attr:`context`,
+    :attr:`block_name`, :attr:`index_in_block`, :attr:`multiplier` and
     the predecessor tuples — are python lists, which a splice shares or
     slices.  Data that the splice and the kernel schedule compute on are
     flat numpy arrays, built by :meth:`_freeze` and spliced with
@@ -200,6 +89,12 @@ class ACFG:
     ``in_degree``/``out_degree`` (first predecessor, ``-1`` at the
     source).  The python walkers read list views of them
     (``_ref_block``, ``_target_block``, :meth:`run_ends`).
+
+    A vertex's kind is not stored: ``rid`` is a REF vertex when
+    ``instr[rid] is not None`` (:attr:`ref_rids`, ``ref_mask``), a
+    prefetch when it is in :attr:`prefetch_rids`, a pole when it is
+    :attr:`source` or :attr:`sink`, and a JOIN otherwise
+    (:meth:`is_join`).
     """
 
     def __init__(
@@ -213,11 +108,14 @@ class ACFG:
         #: Memory block size in bytes: ``S(r)`` is an item's
         #: ``address // block_size``.
         self.block_size = block_size
-        #: Per-rid columns (see the class docstring).
-        self._instr: List[Optional[Instruction]] = []
-        self._context: List[Context] = []
-        self._block_name: List[Optional[str]] = []
-        self._index: List[int] = []
+        #: Per-rid columns (read-only; see the class docstring): the
+        #: referenced instruction (``None`` off REF), its VIVU context
+        #: (``TOP`` at the poles), its basic block (``None`` off REF) and
+        #: its position in that block (``-1`` off REF).
+        self.instr: List[Optional[Instruction]] = []
+        self.context: List[Context] = []
+        self.block_name: List[Optional[str]] = []
+        self.index_in_block: List[int] = []
         #: Worst-case execution multiplier per vertex (context product).
         self.multiplier: List[int] = []
         self._pred: List[List[int]] = []
@@ -240,17 +138,13 @@ class ACFG:
         self.in_degree = _EMPTY
         self.out_degree = _EMPTY
         #: The REF rids and the prefetch rids (data prefetches
-        #: included), both ascending — the loops of the guard and IPET
-        #: stages iterate these instead of vertex objects.
+        #: included), both ascending — what the reference walks iterate.
         self.ref_rids: List[int] = []
         self.prefetch_rids: List[int] = []
-        #: Rebuilt over the final columns by _freeze / a splice.
-        self.vertices = _Vertices(self, [])
         #: ``block_arr``/``target_arr`` as lists with ``None`` for
         #: ``-1`` — what the python walkers index.
         self._ref_block: List[Optional[int]] = []
         self._target_block: List[Optional[int]] = []
-        self._ref_list: Optional[List[RefVertex]] = None
         self._run_end: Optional[List[int]] = None
         #: Context -> execution multiplier; contexts repeat per block
         #: instance, so memoizing saves a context walk per vertex.
@@ -267,11 +161,11 @@ class ACFG:
         index_in_block: int,
         preds: Sequence[int],
     ) -> int:
-        rid = len(self._instr)
-        self._instr.append(instr)
-        self._context.append(context)
-        self._block_name.append(block_name)
-        self._index.append(index_in_block)
+        rid = len(self.instr)
+        self.instr.append(instr)
+        self.context.append(context)
+        self.block_name.append(block_name)
+        self.index_in_block.append(index_in_block)
         self._succ.append([])
         self._pred.append([])
         mult = self._mult_cache.get(context)
@@ -298,7 +192,7 @@ class ACFG:
         derive the flat arrays."""
         self._pred = [tuple(p) for p in self._pred]  # type: ignore[misc]
         self._succ = [tuple(s) for s in self._succ]  # type: ignore[misc]
-        instrs = self._instr
+        instrs = self.instr
         self.uid_arr = np.array(
             [-1 if instr is None else instr.uid for instr in instrs],
             dtype=np.int64,
@@ -317,7 +211,6 @@ class ACFG:
         self.prefetch_rids = [
             rid for rid in self.ref_rids if instrs[rid].is_prefetch
         ]
-        self.vertices = _Vertices(self, [None] * len(instrs))
         self._gather_blocks()
 
     def _gather_blocks(self) -> None:
@@ -325,7 +218,7 @@ class ACFG:
         layout's address array: one gather for the REF vertices, one for
         the prefetch targets."""
         layout, block_size = self.layout, self.block_size
-        n = len(self._instr)
+        n = len(self.instr)
         block_arr = np.full(n, -1, dtype=np.int64)
         block_arr[self.ref_mask] = layout.blocks_of(
             self.uid_arr[self.ref_mask], block_size
@@ -334,7 +227,7 @@ class ACFG:
         ref_block[~self.ref_mask] = None
         target_arr = np.full(n, -1, dtype=np.int64)
         target_block: List[Optional[int]] = [None] * n
-        instrs = self._instr
+        instrs = self.instr
         targeted = [
             rid for rid in self.prefetch_rids
             if instrs[rid].prefetch_target is not None
@@ -355,7 +248,7 @@ class ACFG:
     # queries
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._instr)
+        return len(self.instr)
 
     def successor_table(self) -> List[Tuple[int, ...]]:
         """Per-rid successor tuples (do not mutate).
@@ -401,9 +294,13 @@ class ACFG:
         """Forward (DAG) predecessors of a vertex (do not mutate)."""
         return self._pred[rid]
 
-    def vertex(self, rid: int) -> RefVertex:
-        """Vertex by id (built from the columns on first access)."""
-        return self.vertices.vertex(rid)
+    def is_join(self, rid: int) -> bool:
+        """True for a JOIN vertex: neither a reference nor a pole.  (A
+        REST-entry join can have a single predecessor, so the in-degree
+        does not tell.)"""
+        return (
+            self.instr[rid] is None and rid != self.source and rid != self.sink
+        )
 
     def by_key(self, uid: int, context: Context) -> Optional[int]:
         """Vertex id for (instruction uid, context), or ``None``."""
@@ -418,32 +315,18 @@ class ACFG:
         """
         if self._by_key is None:
             uids = self.uid_arr.tolist()
-            contexts = self._context
+            contexts = self.context
             self._by_key = {
                 (uids[rid], contexts[rid]): rid for rid in self.ref_rids
             }
         return self._by_key
-
-    def iter_topological(self) -> Iterator[RefVertex]:
-        """Vertices in topological (construction) order."""
-        return iter(self.vertices)
-
-    def iter_reverse(self) -> Iterator[RefVertex]:
-        """Vertices from sink to source — the order of Algorithm 3."""
-        return reversed(self.vertices)
-
-    def ref_vertices(self) -> List[RefVertex]:
-        """Only the REF vertices, topological order (cached list)."""
-        if self._ref_list is None:
-            self._ref_list = list(map(self.vertices.vertex, self.ref_rids))
-        return self._ref_list
 
     def weights(self, t_w: Sequence[float]) -> List[float]:
         """``t_w`` restricted to REF vertices (0 elsewhere): the per-rid
         weight list of the slack DPs, built once per analysis."""
         return [
             t if instr is not None else 0.0
-            for t, instr in zip(t_w, self._instr)
+            for t, instr in zip(t_w, self.instr)
         ]
 
     def run_ends(self) -> List[int]:
@@ -456,7 +339,7 @@ class ACFG:
         plain running sum, which the slack DPs evaluate at C speed.
         """
         if self._run_end is None:
-            n = len(self._instr)
+            n = len(self.instr)
             rids = np.arange(n)
             heads = np.where(
                 (self.in_degree != 1) | (self.first_pred != rids - 1), rids, n
@@ -493,12 +376,9 @@ class ACFG:
 
     def validate(self) -> None:
         """Check DAG invariants: edges ascend rid, poles are correct."""
-        if self.source != 0 or self.vertices[self.source].kind is not VertexKind.SOURCE:
+        if self.source != 0 or self.instr[0] is not None:
             raise ProgramModelError("ACFG source must be vertex 0")
-        if (
-            self.sink != len(self.vertices) - 1
-            or self.vertices[self.sink].kind is not VertexKind.SINK
-        ):
+        if not 0 < self.sink == len(self) - 1 or self.instr[self.sink] is not None:
             raise ProgramModelError("ACFG sink must be the last vertex")
         for rid, succs in enumerate(self.successor_table()):
             for succ in succs:
@@ -506,11 +386,11 @@ class ACFG:
                     raise ProgramModelError(
                         f"edge ({rid}, {succ}) violates topological order"
                     )
-        for rid in range(1, len(self.vertices)):
+        for rid in range(1, len(self)):
             if not self._pred[rid]:
                 raise ProgramModelError(f"vertex {rid} unreachable (no preds)")
         for src, dst in self.back_edges:
-            if self.vertices[dst].kind is not VertexKind.JOIN:
+            if not self.is_join(dst):
                 raise ProgramModelError(
                     f"back edge ({src}, {dst}) must target a JOIN vertex"
                 )
@@ -558,8 +438,8 @@ def splice_insertion(
     ``index`` (the optimizer's prefetch insertion).  The result is
     equal, field by field, to ``build_acfg(cfg, ...)`` with ``base``'s
     layout parameters.  The list columns are sliced around the
-    insertion rids (below the first one, predecessor tuples and built
-    vertex objects are shared with ``base``); the flat arrays are
+    insertion rids (below the first one, predecessor tuples are shared
+    with ``base``); the flat arrays are
     spliced with ``np.insert`` and renumbered with one vectorised
     ``remap`` gather; only the suffix predecessor tuples are rebuilt,
     from ``first_pred``, with the few multi-predecessor vertices
@@ -615,21 +495,21 @@ def splice_insertion(
     acfg = ACFG(
         cfg, base.layout.with_insertion(uid, at, instr.size), base.block_size
     )
-    acfg._instr = _with_inserted(base._instr, positions, [instr] * m)
-    contexts = base._context
-    acfg._context = _with_inserted(
+    acfg.instr = _with_inserted(base.instr, positions, [instr] * m)
+    contexts = base.context
+    acfg.context = _with_inserted(
         contexts, positions, [contexts[a] for a in anchor_list]
     )
-    acfg._block_name = _with_inserted(
-        base._block_name, positions, [block_name] * m
+    acfg.block_name = _with_inserted(
+        base.block_name, positions, [block_name] * m
     )
-    index_column = _with_inserted(base._index, positions, [index] * m)
+    index_column = _with_inserted(base.index_in_block, positions, [index] * m)
     if before:
         # The rest of the edited block instance moves one slot down.
         for new in inserted.tolist():
             for rid in range(new + 1, new + 1 + old_len - index):
                 index_column[rid] += 1
-    acfg._index = index_column
+    acfg.index_in_block = index_column
     multiplier = base.multiplier
     acfg.multiplier = _with_inserted(
         multiplier, positions, [multiplier[a] for a in anchor_list]
@@ -682,9 +562,6 @@ def splice_insertion(
     if instr.is_prefetch:
         prefetches = np.sort(np.concatenate([prefetches, inserted]))
     acfg.prefetch_rids = prefetches.tolist()
-    acfg.vertices = _Vertices(
-        acfg, base.vertices._cache[:first] + [None] * (len(acfg) - first)
-    )
     acfg._gather_blocks()
 
     moved_below = np.flatnonzero(
@@ -698,34 +575,28 @@ def splice_insertion(
 def structural_differences(a: ACFG, b: ACFG) -> List[str]:
     """Names of the fields on which two ACFGs differ (empty: equal).
 
-    Compares every vertex (rid, kind, instruction uid/prefetch role/
-    target, context, block name, index in block), the adjacency, back
-    edges, multipliers, per-rid memory blocks, the ``(uid, context)``
-    index, the poles, the REF/prefetch rid lists, the flat arrays
-    (values and dtypes) and the address layout — the pipeline's differential mode uses it to
-    check a spliced graph against a rebuilt one.
+    Compares the per-rid columns (instruction uid/prefetch role/target,
+    context, block name, index in block), the adjacency, back edges,
+    multipliers, per-rid memory blocks, the ``(uid, context)`` index,
+    the poles, the REF/prefetch rid lists, the flat arrays (values and
+    dtypes) and the address layout, one problem name per field — the
+    pipeline's differential mode uses it to check a spliced graph
+    against a rebuilt one.
     """
 
-    def signature(v: RefVertex):
-        instr = v.instr
-        ident = (
-            None
-            if instr is None
-            else (instr.uid, instr.is_prefetch, instr.prefetch_target)
-        )
-        return (v.rid, v.kind, ident, v.context, v.block_name,
-                v.index_in_block)
+    def identity(instr: Optional[Instruction]):
+        if instr is None:
+            return None
+        return (instr.uid, instr.is_prefetch, instr.prefetch_target)
 
     problems = []
-    if [signature(v) for v in a.vertices] != [
-        signature(v) for v in b.vertices
-    ]:
-        problems.append("vertices")
+    if list(map(identity, a.instr)) != list(map(identity, b.instr)):
+        problems.append("instr")
     if a.successor_table() != b.successor_table():
         problems.append("succ")
-    for name in ("_pred", "back_edges", "multiplier", "_ref_block",
-                 "_target_block", "source", "sink", "ref_rids",
-                 "prefetch_rids"):
+    for name in ("context", "block_name", "index_in_block", "_pred",
+                 "back_edges", "multiplier", "_ref_block", "_target_block",
+                 "source", "sink", "ref_rids", "prefetch_rids"):
         if getattr(a, name) != getattr(b, name):
             problems.append(name.lstrip("_"))
     for name in ("uid_arr", "ref_mask", "block_arr", "target_arr",

@@ -71,7 +71,7 @@ def locked_wcet(
     """WCET path under full locking: hit iff the block is locked."""
     hit, miss = float(timing.hit_cycles), float(timing.miss_cycles)
     ref_block = acfg._ref_block
-    times: List[float] = [0.0] * len(acfg.vertices)
+    times: List[float] = [0.0] * len(acfg)
     for rid in acfg.ref_rids:
         times[rid] = hit if ref_block[rid] in locked_blocks else miss
     return solve_wcet_path(acfg, times)

@@ -5,43 +5,46 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import ProgramModelError
-from repro.program.acfg import VertexKind, build_acfg
+from repro.program.acfg import build_acfg
 from repro.program.builder import ProgramBuilder
 from repro.program.vivu import FIRST, REST
 
 
 def contexts_of(acfg, uid):
     return [
-        v.context for v in acfg.ref_vertices() if v.instr and v.instr.uid == uid
+        acfg.context[rid] for rid in acfg.ref_rids
+        if acfg.instr[rid].uid == uid
     ]
 
 
 class TestTopology:
     def test_poles(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
-        assert acfg.vertices[acfg.source].kind is VertexKind.SOURCE
-        assert acfg.vertices[acfg.sink].kind is VertexKind.SINK
+        assert acfg.source == 0 and acfg.instr[acfg.source] is None
+        assert acfg.sink == len(acfg) - 1 and acfg.instr[acfg.sink] is None
+        assert not acfg.is_join(acfg.source)
+        assert not acfg.is_join(acfg.sink)
 
     def test_edges_ascend_rids(self, nested_program):
         acfg = build_acfg(nested_program, block_size=16)
-        for rid in range(len(acfg.vertices)):
+        for rid in range(len(acfg)):
             for succ in acfg.successors(rid):
                 assert succ > rid
 
     def test_every_vertex_reachable(self, nested_program):
         acfg = build_acfg(nested_program, block_size=16)
-        for rid in range(1, len(acfg.vertices)):
+        for rid in range(1, len(acfg)):
             assert acfg.predecessors(rid)
 
     def test_predecessor_successor_symmetry(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
-        for rid in range(len(acfg.vertices)):
+        for rid in range(len(acfg)):
             for succ in acfg.successors(rid):
                 assert rid in acfg.predecessors(succ)
 
     def test_straight_line_is_a_chain(self, straight_program):
         acfg = build_acfg(straight_program, block_size=16)
-        for rid in range(len(acfg.vertices) - 1):
+        for rid in range(len(acfg) - 1):
             assert list(acfg.successors(rid)) == [rid + 1]
 
 
@@ -69,7 +72,7 @@ class TestVIVUExpansion:
         acfg = build_acfg(loop_program, block_size=16)
         assert acfg.back_edges
         for src, dst in acfg.back_edges:
-            assert acfg.vertices[dst].kind is VertexKind.JOIN
+            assert acfg.is_join(dst)
             assert src > dst
 
     def test_nested_loops_multiply_contexts(self, nested_program):
@@ -84,9 +87,9 @@ class TestVIVUExpansion:
         loop = next(iter(loop_program.loops.values()))
         header_instr = loop_program.block(loop.header).instructions[0]
         mults = sorted(
-            acfg.multiplier[v.rid]
-            for v in acfg.ref_vertices()
-            if v.instr and v.instr.uid == header_instr.uid
+            acfg.multiplier[rid]
+            for rid in acfg.ref_rids
+            if acfg.instr[rid].uid == header_instr.uid
         )
         assert mults == [1, loop.bound - 1]
 
@@ -104,43 +107,43 @@ class TestVIVUExpansion:
 
     def test_ref_count_excludes_poles_and_joins(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
-        non_refs = sum(1 for v in acfg.vertices if not v.is_ref)
-        assert acfg.ref_count + non_refs == len(acfg.vertices)
+        non_refs = sum(1 for instr in acfg.instr if instr is None)
+        assert acfg.ref_count + non_refs == len(acfg)
 
 
 class TestBlockMapping:
     def test_block_of_consistent_with_memory_map(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
-        for vertex in acfg.ref_vertices():
-            assert acfg.block_of(vertex.rid) == acfg.layout.address(
-                vertex.instr.uid
+        for rid in acfg.ref_rids:
+            assert acfg.block_of(rid) == acfg.layout.address(
+                acfg.instr[rid].uid
             ) // acfg.block_size
 
     def test_block_of_join_raises(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
-        join = next(v for v in acfg.vertices if v.kind is VertexKind.JOIN)
+        join = next(rid for rid in range(len(acfg)) if acfg.is_join(rid))
         with pytest.raises(ProgramModelError):
-            acfg.block_of(join.rid)
+            acfg.block_of(join)
 
     def test_prefetch_target_block(self, loop_program):
         target = loop_program.blocks[3].instructions[0]
         loop_program.insert_prefetch(loop_program.blocks[1].name, 0, target.uid)
         acfg = build_acfg(loop_program, block_size=16)
-        pf = next(v for v in acfg.ref_vertices() if v.is_prefetch)
-        assert acfg.prefetch_target_block(pf.rid) == acfg.layout.address(
+        pf = next(rid for rid in acfg.ref_rids if acfg.instr[rid].is_prefetch)
+        assert acfg.prefetch_target_block(pf) == acfg.layout.address(
             target.uid
         ) // acfg.block_size
 
     def test_prefetch_target_on_normal_vertex_raises(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
-        ref = next(iter(acfg.ref_vertices()))
+        ref = acfg.ref_rids[0]
         with pytest.raises(ProgramModelError):
-            acfg.prefetch_target_block(ref.rid)
+            acfg.prefetch_target_block(ref)
 
     def test_by_key_lookup(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
-        vertex = next(iter(acfg.ref_vertices()))
-        assert acfg.by_key(vertex.instr.uid, vertex.context) == vertex.rid
+        rid = acfg.ref_rids[0]
+        assert acfg.by_key(acfg.instr[rid].uid, acfg.context[rid]) == rid
         assert acfg.by_key(99999, ()) is None
 
     def test_missing_structure_rejected(self, loop_program):

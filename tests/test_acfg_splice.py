@@ -16,6 +16,7 @@ output, and that ``differential`` mode catches a bad splice.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -38,24 +39,37 @@ from repro.program.acfg import (
     splice_insertion,
     structural_differences,
 )
+from repro.program.instructions import InstrKind
 from repro.program.layout import AddressLayout
+from repro.program.vivu import TOP
 
 BLOCK_SIZE = 16
 CONFIG = CacheConfig(1, 16, 256)  # the paper's k1
 TIMING = cacti_model(CONFIG, technology("45nm")).timing_model()
 
 
+def _kind(acfg, rid):
+    """The vertex role the columns and the poles imply."""
+    if acfg.instr[rid] is not None:
+        return "ref"
+    if rid == acfg.source:
+        return "source"
+    if rid == acfg.sink:
+        return "sink"
+    return "join"
+
+
 def _vertex_signature(acfg):
     return [
         (
-            v.rid,
-            v.kind,
-            None if v.instr is None else v.instr.uid,
-            v.context,
-            v.block_name,
-            v.index_in_block,
+            rid,
+            _kind(acfg, rid),
+            None if instr is None else instr.uid,
+            acfg.context[rid],
+            acfg.block_name[rid],
+            acfg.index_in_block[rid],
         )
-        for v in acfg.vertices
+        for rid, instr in enumerate(acfg.instr)
     ]
 
 
@@ -67,11 +81,12 @@ def _vertex_matches(old, new, rid):
     memory blocks (own + target — these capture address-layout shifts),
     execution multiplier, and the forward predecessor list.
     """
-    a = old.vertices[rid]
-    b = new.vertices[rid]
-    if a.kind is not b.kind or a.context != b.context:
+    if (
+        _kind(old, rid) != _kind(new, rid)
+        or old.context[rid] != new.context[rid]
+    ):
         return False
-    ia, ib = a.instr, b.instr
+    ia, ib = old.instr[rid], new.instr[rid]
     if (ia is None) != (ib is None):
         return False
     if ia is not None and (
@@ -91,7 +106,7 @@ def _vertex_matches(old, new, rid):
 
 def first_mismatch(old, new):
     """The lowest rid whose vertex differs between two ACFGs."""
-    n = min(len(old.vertices), len(new.vertices))
+    n = min(len(old), len(new))
     return next(
         (rid for rid in range(n) if not _vertex_matches(old, new, rid)), n
     )
@@ -100,7 +115,7 @@ def first_mismatch(old, new):
 def assert_same_acfg(spliced, rebuilt):
     """Every field the analyses read, compared one by one."""
     assert _vertex_signature(spliced) == _vertex_signature(rebuilt)
-    n = len(rebuilt.vertices)
+    n = len(rebuilt)
     assert [spliced.predecessors(r) for r in range(n)] == [
         rebuilt.predecessors(r) for r in range(n)
     ]
@@ -117,8 +132,8 @@ def assert_same_acfg(spliced, rebuilt):
     assert spliced.ref_rids == rebuilt.ref_rids
     assert spliced.prefetch_rids == rebuilt.prefetch_rids
     assert spliced.run_ends() == rebuilt.run_ends()
-    assert [v.rid for v in spliced.ref_vertices()] == [
-        v.rid for v in rebuilt.ref_vertices()
+    assert spliced.ref_rids == [
+        rid for rid, instr in enumerate(spliced.instr) if instr is not None
     ]
     # The spliced layout is a shift of its base's; it must place every
     # instruction where a walk of the edited program does.
@@ -151,7 +166,7 @@ def splice_and_check(cfg, base, block_name, index, prefetch_target):
 
 
 def _reachable_blocks(acfg):
-    return sorted({v.block_name for v in acfg.ref_vertices()})
+    return sorted({acfg.block_name[rid] for rid in acfg.ref_rids})
 
 
 def _random_edits(cfg, base, rng, count, data_share=0.2):
@@ -164,6 +179,37 @@ def _random_edits(cfg, base, rng, count, data_share=0.2):
         target = None if rng.random() < data_share else rng.choice(uids)
         acfg = splice_and_check(cfg, acfg, block_name, index, target)
     return acfg
+
+
+def _prefetched_fdct():
+    """fdct with one instruction prefetch, so a target can change."""
+    cfg = load("fdct")
+    cfg.insert_prefetch("bb1", 0, cfg.blocks[-1].instructions[0].uid)
+    return cfg
+
+
+def _looped_plain_ref(acfg):
+    """The first non-prefetch REF rid inside a loop (context not TOP)."""
+    return next(
+        rid for rid in acfg.ref_rids
+        if acfg.context[rid] != TOP and not acfg.instr[rid].is_prefetch
+    )
+
+
+#: One-entry edits ``(column, rid_of, value_of)`` of one ACFG column;
+#: :func:`structural_differences` must report exactly ``column``.
+COLUMN_EDITS = [
+    ("instr", _looped_plain_ref,
+     lambda instr: dataclasses.replace(instr, uid=instr.uid + 10_000)),
+    ("instr", _looped_plain_ref,
+     lambda instr: dataclasses.replace(instr, kind=InstrKind.PREFETCH)),
+    ("instr", lambda acfg: acfg.prefetch_rids[0],
+     lambda instr: dataclasses.replace(
+         instr, prefetch_target=instr.prefetch_target + 1)),
+    ("context", _looped_plain_ref, lambda context: TOP),
+    ("block_name", _looped_plain_ref, lambda name: name + "'"),
+    ("index_in_block", _looped_plain_ref, lambda index: index + 1),
+]
 
 
 class TestSpliceMalardalen:
@@ -186,14 +232,15 @@ class TestSpliceMalardalen:
         base = build_acfg(cfg, BLOCK_SIZE)
         instances = sum(
             1
-            for v in base.ref_vertices()
-            if v.block_name == "filtez.bb1" and v.index_in_block == 0
+            for rid in base.ref_rids
+            if base.block_name[rid] == "filtez.bb1"
+            and base.index_in_block[rid] == 0
         )
         assert instances == 8  # four call sites x FIRST/REST
         length = len(cfg.block("filtez.bb1").instructions)
         target = cfg.blocks[0].instructions[0].uid
         spliced = splice_and_check(cfg, base, "filtez.bb1", length, target)
-        assert len(spliced.vertices) == len(base.vertices) + instances
+        assert len(spliced) == len(base) + instances
 
     def test_loop_body_gets_first_and_rest_copies(self):
         cfg = load("fdct")
@@ -203,9 +250,9 @@ class TestSpliceMalardalen:
         new_uid = cfg.block("bb1").instructions[0].uid
         kinds = sorted(
             el.kind
-            for v in spliced.ref_vertices()
-            if v.instr.uid == new_uid
-            for el in v.context
+            for rid in spliced.ref_rids
+            if spliced.instr[rid].uid == new_uid
+            for el in spliced.context[rid]
         )
         assert kinds == ["F", "R"]
 
@@ -231,6 +278,20 @@ class TestSpliceMalardalen:
             10_000, other.layout.end_address, 4
         )
         assert structural_differences(acfg, other) == ["layout"]
+
+    @pytest.mark.parametrize("column, rid_of, value_of", COLUMN_EDITS, ids=[
+        "instr-uid", "instr-prefetch-role", "instr-target", "context",
+        "block_name", "index_in_block",
+    ])
+    def test_a_column_difference_is_structural(self, column, rid_of, value_of):
+        cfg = _prefetched_fdct()
+        acfg = build_acfg(cfg, BLOCK_SIZE)
+        other = build_acfg(cfg, BLOCK_SIZE)
+        assert structural_differences(acfg, other) == []
+        rid = rid_of(other)
+        entries = getattr(other, column)
+        entries[rid] = value_of(entries[rid])
+        assert structural_differences(acfg, other) == [column]
 
     def test_reused_uid_falls_back(self):
         cfg = load("ndes")

@@ -198,9 +198,9 @@ def _assert_classification_never_optimistic(program_seed, config, run_seeds):
     acfg = build_acfg(cfg, block_size=config.block_size)
     analysis = analyze_cache(acfg, config)
     per_uid = {}
-    for vertex in acfg.ref_vertices():
-        per_uid.setdefault(vertex.instr.uid, set()).add(
-            analysis.classification(vertex.rid)
+    for rid in acfg.ref_rids:
+        per_uid.setdefault(acfg.instr[rid].uid, set()).add(
+            analysis.classification(rid)
         )
     for run_seed in run_seeds:
         for uid, hit in _concrete_outcomes(cfg, config, run_seed):

@@ -23,9 +23,9 @@ class TestClassificationBasics:
         acfg = build_acfg(straight_program, block_size=big_cache.block_size)
         analysis = analyze_cache(acfg, big_cache)
         seen_blocks = set()
-        for vertex in acfg.ref_vertices():
-            block = acfg.block_of(vertex.rid)
-            classification = analysis.classification(vertex.rid)
+        for rid in acfg.ref_rids:
+            block = acfg.block_of(rid)
+            classification = analysis.classification(rid)
             if block in seen_blocks:
                 assert classification is Classification.ALWAYS_HIT
             else:
@@ -39,13 +39,13 @@ class TestClassificationBasics:
         acfg = build_acfg(loop_program, block_size=big_cache.block_size)
         analysis = analyze_cache(acfg, big_cache)
         rest_refs = [
-            v
-            for v in acfg.ref_vertices()
-            if any(el.kind == "R" for el in v.context)
+            rid
+            for rid in acfg.ref_rids
+            if any(el.kind == "R" for el in acfg.context[rid])
         ]
         assert rest_refs
-        for vertex in rest_refs:
-            assert analysis.classification(vertex.rid).is_hit
+        for rid in rest_refs:
+            assert analysis.classification(rid).is_hit
 
     def test_thrashing_loop_mostly_misses_in_tiny_cache(
         self, thrash_program, tiny_cache
@@ -53,14 +53,14 @@ class TestClassificationBasics:
         acfg = build_acfg(thrash_program, block_size=tiny_cache.block_size)
         analysis = analyze_cache(acfg, tiny_cache)
         rest_refs = [
-            v
-            for v in acfg.ref_vertices()
-            if any(el.kind == "R" for el in v.context)
+            rid
+            for rid in acfg.ref_rids
+            if any(el.kind == "R" for el in acfg.context[rid])
         ]
         non_hit = [
-            v
-            for v in rest_refs
-            if not analysis.classification(v.rid).is_always_hit
+            rid
+            for rid in rest_refs
+            if not analysis.classification(rid).is_always_hit
         ]
         # the 320-byte body cannot live in a 256-byte cache
         assert len(non_hit) > len(rest_refs) / 4
@@ -99,10 +99,10 @@ class TestClassificationBasics:
         acfg = build_acfg(loop_program, block_size=tiny_cache.block_size)
         fast = analyze_cache(acfg, tiny_cache, with_may=False)
         full = analyze_cache(acfg, tiny_cache)
-        for vertex in acfg.ref_vertices():
+        for rid in acfg.ref_rids:
             assert (
-                fast.classification(vertex.rid).is_always_hit
-                == full.classification(vertex.rid).is_always_hit
+                fast.classification(rid).is_always_hit
+                == full.classification(rid).is_always_hit
             )
 
     def test_hit_ratio_static_bounds(self, loop_program, big_cache):
@@ -139,9 +139,9 @@ class TestSoundnessAgainstConcrete:
         acfg = build_acfg(cfg, block_size=config.block_size)
         analysis = analyze_cache(acfg, config)
         per_uid = {}
-        for vertex in acfg.ref_vertices():
-            per_uid.setdefault(vertex.instr.uid, set()).add(
-                analysis.classification(vertex.rid)
+        for rid in acfg.ref_rids:
+            per_uid.setdefault(acfg.instr[rid].uid, set()).add(
+                analysis.classification(rid)
             )
         for run_seed in (0, 1, 2):
             for uid, hit in _concrete_outcomes(cfg, config, run_seed):
@@ -159,9 +159,9 @@ class TestSoundnessAgainstConcrete:
         acfg = build_acfg(cfg, block_size=config.block_size)
         analysis = analyze_cache(acfg, config)
         persistent_uids = set()
-        for vertex in acfg.ref_vertices():
-            uid = vertex.instr.uid
-            if analysis.classification(vertex.rid) in (
+        for rid in acfg.ref_rids:
+            uid = acfg.instr[rid].uid
+            if analysis.classification(rid) in (
                 Classification.ALWAYS_HIT,
                 Classification.PERSISTENT,
             ):

@@ -53,19 +53,19 @@ class TestExactness:
     def test_scalar_access_always_exact(self):
         cfg = _scalar_program()
         acfg = build_acfg(cfg, ICACHE.block_size)
-        for vertex in acfg.ref_vertices():
-            if vertex.instr.data_access is None:
+        for rid in acfg.ref_rids:
+            if acfg.instr[rid].data_access is None:
                 continue
-            assert exact_data_block(acfg, vertex.rid, DCACHE.block_size) is not None
+            assert exact_data_block(acfg, rid, DCACHE.block_size) is not None
 
     def test_stream_exact_only_in_first_context(self):
         cfg = _stream_program()
         acfg = build_acfg(cfg, ICACHE.block_size)
         exact, unknown = 0, 0
-        for vertex in acfg.ref_vertices():
-            if vertex.instr.data_access is None:
+        for rid in acfg.ref_rids:
+            if acfg.instr[rid].data_access is None:
                 continue
-            block = exact_data_block(acfg, vertex.rid, DCACHE.block_size)
+            block = exact_data_block(acfg, rid, DCACHE.block_size)
             if block is None:
                 unknown += 1
             else:
@@ -87,10 +87,10 @@ class TestClassification:
         acfg = build_acfg(cfg, ICACHE.block_size)
         analysis = analyze_data_cache(acfg, DCACHE)
         rest_data = [
-            analysis.classification(v.rid)
-            for v in acfg.ref_vertices()
-            if v.instr.data_access is not None
-            and any(el.kind == "R" for el in v.context)
+            analysis.classification(rid)
+            for rid in acfg.ref_rids
+            if acfg.instr[rid].data_access is not None
+            and any(el.kind == "R" for el in acfg.context[rid])
         ]
         assert rest_data
         assert all(c.is_hit for c in rest_data)
@@ -118,11 +118,11 @@ class TestClassification:
         acfg = build_acfg(cfg, ICACHE.block_size)
         analysis = analyze_data_cache(acfg, DCACHE)
         rest_cfg_loads = [
-            analysis.classification(v.rid)
-            for v in acfg.ref_vertices()
-            if v.instr.data_access is not None
-            and v.instr.data_access.region == "cfg"
-            and any(el.kind == "R" for el in v.context)
+            analysis.classification(rid)
+            for rid in acfg.ref_rids
+            if acfg.instr[rid].data_access is not None
+            and acfg.instr[rid].data_access.region == "cfg"
+            and any(el.kind == "R" for el in acfg.context[rid])
         ]
         assert rest_cfg_loads
         assert not any(c is Classification.ALWAYS_HIT for c in rest_cfg_loads)

@@ -131,7 +131,7 @@ class TestEffectiveness:
         acfg = build_acfg(cfg, tiny_cache.block_size)
         wcet = analyze_wcet(acfg, tiny_cache, timing)
         guarded_uids = {
-            acfg.vertex(rid).instr.uid for rid in wcet.latency_guarded
+            acfg.instr[rid].uid for rid in wcet.latency_guarded
         }
         assert target.uid in guarded_uids
         # with the guard in place, nothing is under-charged
@@ -150,7 +150,7 @@ class TestEffectiveness:
         acfg = build_acfg(cfg, tiny_cache.block_size)
         wcet = analyze_wcet(acfg, tiny_cache, timing)
         guarded_uids = {
-            acfg.vertex(rid).instr.uid for rid in wcet.latency_guarded
+            acfg.instr[rid].uid for rid in wcet.latency_guarded
         }
         assert target.uid not in guarded_uids
         assert verify_effectiveness(cfg, tiny_cache, timing) == []

@@ -305,9 +305,9 @@ def _assert_l2_classification_never_optimistic(program_seed, hierarchy,
     # a uid is L2-guaranteed only when *every* context of it is
     guaranteed_rids = analysis.l2_hits
     per_uid: dict = {}
-    for vertex in acfg.ref_vertices():
-        per_uid.setdefault(vertex.instr.uid, []).append(
-            vertex.rid in guaranteed_rids
+    for rid in acfg.ref_rids:
+        per_uid.setdefault(acfg.instr[rid].uid, []).append(
+            rid in guaranteed_rids
         )
     guaranteed_uids = {
         uid for uid, flags in per_uid.items() if all(flags)
@@ -354,12 +354,12 @@ def _assert_per_context_l2_claims_hold(cfg, hierarchy, run_seeds):
     analysis = _analyze_two_levels(acfg, hierarchy)
     assert analysis.l2_hits is not None
     contexts_of: dict = {}
-    for vertex in acfg.ref_vertices():
-        kinds = tuple(el.kind for el in vertex.context)
+    for rid in acfg.ref_rids:
+        kinds = tuple(el.kind for el in acfg.context[rid])
         assert kinds in ((), ("F",), ("R",)), (
             "the occurrence-to-context mapping needs a single flat loop"
         )
-        contexts_of.setdefault(vertex.instr.uid, {})[kinds] = vertex.rid
+        contexts_of.setdefault(acfg.instr[rid].uid, {})[kinds] = rid
     for run_seed in run_seeds:
         occurrences: dict = {}
         for uid, l1_hit, l2_hit in _two_level_outcomes(
@@ -479,8 +479,8 @@ class TestMultiLevelDeterministic:
         acfg = build_acfg(cfg, block_size=hierarchy.l1.block_size)
         wcet = analyze_wcet(acfg, hierarchy.l1, timing, hierarchy=hierarchy)
         lambdas = {
-            prefetch_lambda(wcet.cache, timing, v.rid, acfg.block_of(v.rid))
-            for v in acfg.ref_vertices()
+            prefetch_lambda(wcet.cache, timing, rid, acfg.block_of(rid))
+            for rid in acfg.ref_rids
         }
         assert lambdas <= {timing.prefetch_latency,
                            timing.l2_hit_penalty_cycles}
@@ -504,7 +504,7 @@ def serialize_hierarchy_analysis(acfg, analysis) -> str:
     from tests.test_kernel_equivalence import _state_repr
 
     lines = ["[classifications]"]
-    for rid in range(len(acfg.vertices)):
+    for rid in range(len(acfg)):
         cls = analysis.classifications[rid]
         lines.append(f"{rid} {cls.name if cls is not None else '-'}")
     lines.append("[l2-hits]")
@@ -515,7 +515,7 @@ def serialize_hierarchy_analysis(acfg, analysis) -> str:
             analysis.l2_must.in_states if direction == "in"
             else analysis.l2_must.out_states
         )
-        for rid in range(len(acfg.vertices)):
+        for rid in range(len(acfg)):
             lines.append(f"{rid} {_state_repr(states[rid])}")
     return "\n".join(lines) + "\n"
 

@@ -48,10 +48,10 @@ class TestLockedAwareAnalysis:
         acfg = build_acfg(cfg, config.block_size)
         locked = frozenset({0, 1})
         analysis = analyze_cache(acfg, config, locked_blocks=locked)
-        for vertex in acfg.ref_vertices():
-            if acfg.block_of(vertex.rid) in locked:
+        for rid in acfg.ref_rids:
+            if acfg.block_of(rid) in locked:
                 assert (
-                    analysis.classification(vertex.rid)
+                    analysis.classification(rid)
                     is Classification.ALWAYS_HIT
                 )
 

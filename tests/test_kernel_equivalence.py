@@ -89,7 +89,7 @@ def serialize_analysis(acfg, analysis) -> str:
     the golden corpus stores it verbatim.
     """
     lines = ["[classifications]"]
-    for rid in range(len(acfg.vertices)):
+    for rid in range(len(acfg)):
         cls = analysis.classifications[rid]
         lines.append(f"{rid} {cls.name if cls is not None else '-'}")
     for domain in ("must", "may", "persistence"):
@@ -130,7 +130,7 @@ class TestAnalysisBitIdentity:
         for domain in ("must", "may", "persistence"):
             py_df = getattr(py, domain)
             vec_df = getattr(vec, domain)
-            for rid in range(len(acfg.vertices)):
+            for rid in range(len(acfg)):
                 assert py_df.in_states[rid] == vec_df.in_states[rid], (
                     f"{program}/{config_id} {domain} in-state differs at "
                     f"rid {rid}"

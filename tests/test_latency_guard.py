@@ -51,35 +51,36 @@ def pairwise_guard(acfg, cache, timing, t_w, kinds=None):
     ``kinds``, when given, collects ``"straight"``/``"wrapped"`` per
     guarding pair."""
     spans = rest_instance_spans(acfg)
-    refs = acfg.ref_vertices()
+    refs = acfg.ref_rids
+    instrs = acfg.instr
     guarded = set()
     for prefetch in refs:
-        if not prefetch.is_prefetch:
+        if not instrs[prefetch].is_prefetch:
             continue
-        target = acfg.target_block_or_none(prefetch.rid)
+        target = acfg.target_block_or_none(prefetch)
         if target is None:
             continue
-        latency = float(prefetch_lambda(cache, timing, prefetch.rid, target))
+        latency = float(prefetch_lambda(cache, timing, prefetch, target))
         for use in refs:
             if (
-                use.is_prefetch
-                or acfg.block_of(use.rid) != target
-                or not cache.classification(use.rid).is_hit
+                instrs[use].is_prefetch
+                or acfg.block_of(use) != target
+                or not cache.classification(use).is_hit
             ):
                 continue
-            if use.rid > prefetch.rid:
-                if min_path_slack(acfg, t_w, prefetch.rid, use.rid) < latency:
-                    guarded.add(use.rid)
+            if use > prefetch:
+                if min_path_slack(acfg, t_w, prefetch, use) < latency:
+                    guarded.add(use)
                     if kinds is not None:
                         kinds.append("straight")
                 continue
             # Wrap-around: the innermost REST instance holding the prefetch.
             for join, last, exits in reversed(spans):
-                if join <= prefetch.rid <= last:
-                    if join <= use.rid and wraparound_slack(
-                        acfg, t_w, prefetch.rid, use.rid, join, exits
+                if join <= prefetch <= last:
+                    if join <= use and wraparound_slack(
+                        acfg, t_w, prefetch, use, join, exits
                     ) < latency:
-                        guarded.add(use.rid)
+                        guarded.add(use)
                         if kinds is not None:
                             kinds.append("wrapped")
                     break
@@ -197,7 +198,7 @@ class TestGuardEqualsPairwise:
 def check_batched_slacks(acfg, rng):
     """Batched sweeps == per-pair DP under random weights, including
     weights on non-REF vertices (which both must ignore)."""
-    n = len(acfg.vertices)
+    n = len(acfg)
     t_w = [rng.uniform(0.0, 50.0) for _ in range(n)]
     for _ in range(10):
         from_rid = rng.randrange(0, n - 1)

@@ -47,14 +47,14 @@ class TestLockedWCET:
     ):
         acfg = build_acfg(loop_program, block_size=tiny_cache.block_size)
         all_blocks = {
-            acfg.block_of(v.rid) for v in acfg.ref_vertices()
+            acfg.block_of(rid) for rid in acfg.ref_rids
         }
         full = locked_wcet(acfg, timing, all_blocks)
         none = locked_wcet(acfg, timing, set())
         refs_weighted = sum(
-            acfg.multiplier[v.rid]
-            for v in acfg.ref_vertices()
-            if full.on_path[v.rid]
+            acfg.multiplier[rid]
+            for rid in acfg.ref_rids
+            if full.on_path[rid]
         )
         assert full.objective == pytest.approx(refs_weighted * timing.hit_cycles)
         assert none.objective == pytest.approx(refs_weighted * timing.miss_cycles)

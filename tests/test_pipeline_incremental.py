@@ -46,8 +46,8 @@ def _wcet_fingerprint(wcet):
         tuple(wcet.t_w),
         tuple(wcet.solution.n_w),
         tuple(
-            wcet.cache.classification(v.rid).value
-            for v in acfg.ref_vertices()
+            wcet.cache.classification(rid).value
+            for rid in acfg.ref_rids
         ),
         tuple(sorted(wcet.latency_guarded)),
         tuple(sorted(wcet.persistent_charged_blocks)),

@@ -19,21 +19,21 @@ from repro.program.builder import ProgramBuilder
 
 
 def _uniform(acfg, value=2.0):
-    return [value if v.is_ref else 0.0 for v in acfg.iter_topological()]
+    return [value if instr is not None else 0.0 for instr in acfg.instr]
 
 
 class TestMinPathSlack:
     def test_straight_line_sums_between(self, straight_program):
         acfg = build_acfg(straight_program, block_size=16)
         t_w = _uniform(acfg, 3.0)
-        refs = [v.rid for v in acfg.ref_vertices()]
+        refs = acfg.ref_rids
         # between refs[2] and refs[7] lie 4 references
         assert min_path_slack(acfg, t_w, refs[2], refs[7]) == pytest.approx(12.0)
 
     def test_adjacent_references_have_zero_slack(self, straight_program):
         acfg = build_acfg(straight_program, block_size=16)
         t_w = _uniform(acfg)
-        refs = [v.rid for v in acfg.ref_vertices()]
+        refs = acfg.ref_rids
         assert min_path_slack(acfg, t_w, refs[0], refs[1]) == 0.0
 
     def test_branch_takes_cheapest_path(self):
@@ -48,7 +48,7 @@ class TestMinPathSlack:
         cfg = b.build()
         acfg = build_acfg(cfg, block_size=16)
         t_w = _uniform(acfg, 1.0)
-        refs = [v.rid for v in acfg.ref_vertices()]
+        refs = acfg.ref_rids
         first, last = refs[0], refs[-1]
         slack = min_path_slack(acfg, t_w, first, last)
         # cheapest route goes through the 2-instruction arm (+ cond chain)
@@ -67,8 +67,8 @@ class TestMinPathSlack:
         acfg = build_acfg(cfg, block_size=16)
         t_w = _uniform(acfg, 1.0)
         # a vertex in case 0 cannot reach a vertex in case 1
-        case0 = [v.rid for v in acfg.ref_vertices() if v.block_name == "bb1"]
-        case1 = [v.rid for v in acfg.ref_vertices() if v.block_name == "bb2"]
+        case0 = [r for r in acfg.ref_rids if acfg.block_name[r] == "bb1"]
+        case1 = [r for r in acfg.ref_rids if acfg.block_name[r] == "bb2"]
         assert case0 and case1
         assert math.isinf(min_path_slack(acfg, t_w, case0[-1], case1[-1]))
 
@@ -94,9 +94,9 @@ class TestWraparoundSlack:
             join_rid = dst
             exits.append(src)
         body_refs = [
-            v.rid
-            for v in acfg.ref_vertices()
-            if join_rid < v.rid <= max(exits)
+            rid
+            for rid in acfg.ref_rids
+            if join_rid < rid <= max(exits)
         ]
         evictor = body_refs[len(body_refs) // 2]
         use = body_refs[1]
@@ -146,7 +146,7 @@ class TestProfitTerms:
     def test_estimate_profit_end_to_end(self, thrash_program, tiny_cache, timing):
         acfg = build_acfg(thrash_program, block_size=tiny_cache.block_size)
         wcet = analyze_wcet(acfg, tiny_cache, timing)
-        refs = [v.rid for v in acfg.ref_vertices()]
+        refs = acfg.ref_rids
         terms = estimate_profit(
             acfg,
             wcet.t_w,

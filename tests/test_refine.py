@@ -382,10 +382,10 @@ def _assert_promotions_sound(program_seed, config, run_seeds):
     # (never evicted => at most one miss per run) and needs no such
     # grouping.
     per_uid = {}
-    for vertex in acfg.ref_vertices():
-        per_uid.setdefault(vertex.instr.uid, set()).add(refined[vertex.rid])
+    for rid in acfg.ref_rids:
+        per_uid.setdefault(acfg.instr[rid].uid, set()).add(refined[rid])
     promoted_uids = {
-        acfg.vertices[rid].instr.uid for rid in promotions
+        acfg.instr[rid].uid for rid in promotions
     }
     persistent_blocks = {
         acfg.block_of(rid)

@@ -21,27 +21,28 @@ from repro.program.layout import AddressLayout
 class TestInsertionPoint:
     def test_mid_block_inserts_right_after(self, straight_program):
         acfg = build_acfg(straight_program, block_size=16)
-        refs = [v for v in acfg.ref_vertices()]
-        vertex = refs[5]
-        point = insertion_point_after(acfg, vertex.rid)
-        assert point == InsertionPoint(vertex.block_name, vertex.index_in_block + 1)
+        rid = acfg.ref_rids[5]
+        point = insertion_point_after(acfg, rid)
+        assert point == InsertionPoint(
+            acfg.block_name[rid], acfg.index_in_block[rid] + 1
+        )
 
     def test_after_branch_moves_to_next_block(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
         branch = next(
-            v
-            for v in acfg.ref_vertices()
-            if v.instr.kind is InstrKind.BRANCH
+            rid
+            for rid in acfg.ref_rids
+            if acfg.instr[rid].kind is InstrKind.BRANCH
         )
-        point = insertion_point_after(acfg, branch.rid)
+        point = insertion_point_after(acfg, branch)
         assert point is not None
-        assert point.block_name != branch.block_name or point.index == 0
+        assert point.block_name != acfg.block_name[branch] or point.index == 0
 
     def test_end_of_program_returns_none(self, straight_program):
         acfg = build_acfg(straight_program, block_size=16)
-        last_ref = [v for v in acfg.ref_vertices()][-1]
-        assert last_ref.instr.kind is InstrKind.RETURN
-        assert insertion_point_after(acfg, last_ref.rid) is None
+        last_ref = acfg.ref_rids[-1]
+        assert acfg.instr[last_ref].kind is InstrKind.RETURN
+        assert insertion_point_after(acfg, last_ref) is None
 
     def test_non_ref_rejected(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
@@ -89,9 +90,9 @@ class TestRelocationCost:
         # total delta = rcost + (prefetch + target contributions delta)
         def part(result, uids):
             return sum(
-                result.tau_of(v.rid)
-                for v in result.acfg.ref_vertices()
-                if v.instr.uid in uids
+                result.tau_of(rid)
+                for rid in result.acfg.ref_rids
+                if result.acfg.instr[rid].uid in uids
             )
 
         delta_total = after.solution.objective - before.solution.objective

@@ -40,7 +40,7 @@ from repro.core.update import PrefetchCandidateEvent, collect_reverse_events
 from repro.energy.cacti import cacti_model
 from repro.energy.technology import technology
 from repro.errors import OptimizationError
-from repro.program.acfg import ACFG, VertexKind, build_acfg
+from repro.program.acfg import ACFG, build_acfg
 from repro.program.builder import ProgramBuilder
 from repro.sim.locking import optimize_with_locking
 
@@ -58,11 +58,11 @@ def _reverse_update(
     Blocks pinned in locked ways never enter the working set.
     Returns the new state and the blocks dropped from the working set.
     """
-    vertex = acfg.vertex(rid)
-    if not vertex.is_ref:
+    instr = acfg.instr[rid]
+    if instr is None:
         return state, []
     dropped: List[int] = []
-    if vertex.is_prefetch:
+    if instr.is_prefetch:
         target = acfg.target_block_or_none(rid)
         if target is not None and target not in locked:
             dropped.extend(sorted(state.evicted_by(target)))
@@ -91,15 +91,14 @@ def oracle_reverse_events(
     Returns:
         Candidate events in detection (reverse-execution) order.
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     locked = locked_blocks or frozenset()
     rev_states: List[Optional[MustState]] = [None] * n
     events: List[PrefetchCandidateEvent] = []
     rest_spans = _rest_instance_spans(acfg)
 
-    for vertex in acfg.iter_reverse():
-        rid = vertex.rid
-        if vertex.kind is VertexKind.SINK:
+    for rid in reversed(range(n)):
+        if rid == acfg.sink:
             incoming: MustState = MustState(config)
         else:
             succs = acfg.successors(rid)
@@ -123,8 +122,7 @@ def oracle_reverse_events(
             last_rid = rest_spans[rid]
             wrap_state = state
             for wrap_rid in range(last_rid, rid, -1):
-                wrap_vertex = acfg.vertex(wrap_rid)
-                if not wrap_vertex.is_ref:
+                if acfg.instr[wrap_rid] is None:
                     continue
                 if solution.n_w[wrap_rid] == 0:
                     continue

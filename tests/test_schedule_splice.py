@@ -70,7 +70,9 @@ def _splice_chain(cfg, rng, count, locked=frozenset()):
     uids = [instr.uid for instr in cfg.instructions()]
     reused = 0
     for _ in range(count):
-        block_name = rng.choice(sorted({v.block_name for v in acfg.ref_vertices()}))
+        block_name = rng.choice(
+            sorted({acfg.block_name[rid] for rid in acfg.ref_rids})
+        )
         index = rng.randint(0, len(cfg.block(block_name).instructions))
         cfg.insert_prefetch(block_name, index, rng.choice(uids))
         acfg, first_changed = splice_insertion(acfg, cfg, block_name, index)

@@ -46,7 +46,7 @@ def solve_per_vertex(acfg, per_exec_time, warm=None):
     vertex takes the max over its predecessors (smallest rid among
     equals) and the path is walked back one ``best_pred`` at a time.
     """
-    n = len(acfg.vertices)
+    n = len(acfg)
     if len(per_exec_time) != n:
         raise AnalysisError(
             f"per_exec_time has {len(per_exec_time)} entries, ACFG has {n}"
@@ -103,7 +103,7 @@ def assert_matches_oracle(acfg, times, warm=None):
 
 def uniform_times(acfg, ref_time=2.0):
     return [
-        ref_time if v.is_ref else 0.0 for v in acfg.iter_topological()
+        ref_time if instr is not None else 0.0 for instr in acfg.instr
     ]
 
 
@@ -169,7 +169,7 @@ class TestStructuralSolver:
     def test_counts_zero_off_path(self, loop_program):
         acfg = build_acfg(loop_program, block_size=16)
         solution = solve_wcet_path(acfg, uniform_times(acfg))
-        for rid in range(len(acfg.vertices)):
+        for rid in range(len(acfg)):
             if not solution.on_path[rid]:
                 assert solution.n_w[rid] == 0
 
@@ -184,7 +184,7 @@ class TestILPBackend:
         acfg = build_acfg(loop_program, block_size=16)
         edges = edge_list(acfg)
         assert len(edges) == sum(
-            len(acfg.successors(rid)) for rid in range(len(acfg.vertices))
+            len(acfg.successors(rid)) for rid in range(len(acfg))
         )
 
     def test_flow_is_single_path(self, loop_program):
@@ -209,8 +209,8 @@ class TestBackendEquivalence:
         acfg = build_acfg(cfg, block_size=16)
         # non-uniform weights to exercise arm selection
         times = [
-            (1.0 + (v.rid % 7)) if v.is_ref else 0.0
-            for v in acfg.iter_topological()
+            (1.0 + (rid % 7)) if instr is not None else 0.0
+            for rid, instr in enumerate(acfg.instr)
         ]
         structural = solve_wcet_path(acfg, times)
         ilp = solve_ipet(acfg, times)
@@ -223,8 +223,8 @@ class TestBackendEquivalence:
         for cfg in (loop_program, nested_program):
             acfg = build_acfg(cfg, block_size=16)
             times = [
-                (seed + 1.0) if v.is_ref else 0.0
-                for v in acfg.iter_topological()
+                (seed + 1.0) if instr is not None else 0.0
+                for instr in acfg.instr
             ]
             assert solve_wcet_path(acfg, times).objective == pytest.approx(
                 solve_ipet(acfg, times).objective
@@ -240,10 +240,12 @@ class _Dag:
     def __init__(self, preds: Sequence[Sequence[int]], multiplier=None):
         n = len(preds)
         self._pred = [tuple(p) for p in preds]
-        self.vertices = range(n)
         self.multiplier = list(multiplier or [1] * n)
         self.source = 0
         self.sink = n - 1
+
+    def __len__(self):
+        return len(self._pred)
 
     def predecessors(self, rid):
         return self._pred[rid]
@@ -369,7 +371,7 @@ class TestMalardalenAgainstOracle:
         tables = assert_matches_oracle(acfg, times(acfg))
         for _ in range(4):
             block_name = rng.choice(sorted({
-                v.block_name for v in acfg.ref_vertices()
+                acfg.block_name[rid] for rid in acfg.ref_rids
             }))
             index = rng.randint(0, len(cfg.block(block_name).instructions))
             cfg.insert_prefetch(block_name, index, target)
@@ -406,8 +408,9 @@ class TestGeneratedAgainstOracle:
         acfg = build_acfg(cfg, block_size=16)
         rng = random.Random(seed)
         times = [
-            rng.choice((0.5, 1.0, 1.0, 2.0, 3.25)) if v.is_ref else 0.0
-            for v in acfg.iter_topological()
+            rng.choice((0.5, 1.0, 1.0, 2.0, 3.25)) if instr is not None
+            else 0.0
+            for instr in acfg.instr
         ]
         solution, best, _ = assert_matches_oracle(acfg, times)
         for boundary in range(1, len(best) + 1, 7):

@@ -14,7 +14,7 @@ from repro.core.update import (
     collect_reverse_events,
 )
 from repro.errors import OptimizationError
-from repro.program.acfg import VertexKind, build_acfg
+from repro.program.acfg import build_acfg
 from repro.program.builder import ProgramBuilder
 
 
@@ -25,18 +25,18 @@ class TestApplyUpdate:
         state = MustState(tiny_cache)
         victim = None
         events_seen = []
-        for vertex in acfg.ref_vertices():
-            state, events = apply_update(state, acfg, vertex.rid)
+        for rid in acfg.ref_rids:
+            state, events = apply_update(state, acfg, rid)
             events_seen.extend(events)
         assert events_seen  # the 640 B body must overflow 256 B
         for event in events_seen:
             assert event.evictor_rid >= 0
 
-    def test_non_ref_vertices_are_identity(self, loop_program, tiny_cache):
+    def test_join_vertex_is_identity(self, loop_program, tiny_cache):
         acfg = build_acfg(loop_program, block_size=tiny_cache.block_size)
         state = MustState(tiny_cache).update(3)
-        join = next(v for v in acfg.vertices if v.kind is VertexKind.JOIN)
-        new_state, events = apply_update(state, acfg, join.rid)
+        join = next(rid for rid in range(len(acfg)) if acfg.is_join(rid))
+        new_state, events = apply_update(state, acfg, join)
         assert new_state == state
         assert events == []
 
@@ -52,16 +52,16 @@ class TestJoinSelection:
         cfg = b.build()
         acfg = build_acfg(cfg, block_size=tiny_cache.block_size)
         wcet = analyze_wcet(acfg, tiny_cache, timing)
-        join = next(v for v in acfg.vertices if v.kind is VertexKind.JOIN)
-        chosen = select_join_predecessor(acfg, wcet.solution, join.rid)
+        join = next(rid for rid in range(len(acfg)) if acfg.is_join(rid))
+        chosen = select_join_predecessor(acfg, wcet.solution, join)
         assert wcet.solution.on_path[chosen]
 
     def test_rejects_non_join(self, loop_program, tiny_cache, timing):
         acfg = build_acfg(loop_program, block_size=tiny_cache.block_size)
         wcet = analyze_wcet(acfg, tiny_cache, timing)
-        ref = next(iter(acfg.ref_vertices()))
+        ref = acfg.ref_rids[0]
         with pytest.raises(OptimizationError):
-            select_join_predecessor(acfg, wcet.solution, ref.rid)
+            select_join_predecessor(acfg, wcet.solution, ref)
 
 
 class TestForwardStates:
@@ -82,9 +82,9 @@ class TestForwardStates:
         wcet = analyze_wcet(acfg, tiny_cache, timing)
         states, _ = collect_optimization_states(acfg, tiny_cache, wcet.solution)
         replay = MustState(tiny_cache)
-        for vertex in acfg.ref_vertices():
-            assert states[vertex.rid] == replay
-            replay = replay.update(acfg.block_of(vertex.rid))
+        for rid in acfg.ref_rids:
+            assert states[rid] == replay
+            replay = replay.update(acfg.block_of(rid))
 
 
 class TestReverseAnalysis:
@@ -102,7 +102,7 @@ class TestReverseAnalysis:
         wcet = analyze_wcet(acfg, big_cache, timing)
         events = collect_reverse_events(acfg, big_cache, wcet.solution)
         residual = {e.dropped_block for e in events if e.insert_after_rid == acfg.source}
-        touched = {acfg.block_of(v.rid) for v in acfg.ref_vertices()}
+        touched = {acfg.block_of(rid) for rid in acfg.ref_rids}
         # the cache dwarfs the program: every block survives to the source
         assert residual == touched
 
@@ -136,9 +136,9 @@ class TestReverseAnalysis:
         for event in drop_events:
             # the dropped block is referenced after the drop point
             uses = [
-                v.rid
-                for v in acfg.ref_vertices()
-                if acfg.block_of(v.rid) == event.dropped_block
-                and v.rid > event.insert_after_rid
+                rid
+                for rid in acfg.ref_rids
+                if acfg.block_of(rid) == event.dropped_block
+                and rid > event.insert_after_rid
             ]
             assert uses, "reverse analysis only drops blocks with later uses"

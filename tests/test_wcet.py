@@ -33,20 +33,20 @@ class TestComputeRefTimes:
         acfg = build_acfg(loop_program, block_size=big_cache.block_size)
         analysis = analyze_cache(acfg, big_cache)
         times = compute_ref_times(acfg, analysis, timing)
-        for vertex in acfg.ref_vertices():
-            classification = analysis.classification(vertex.rid)
+        for rid in acfg.ref_rids:
+            classification = analysis.classification(rid)
             if classification.is_hit:
-                assert times[vertex.rid] == timing.hit_cycles
+                assert times[rid] == timing.hit_cycles
             else:
-                assert times[vertex.rid] == timing.miss_cycles
+                assert times[rid] == timing.miss_cycles
 
     def test_non_refs_cost_nothing(self, loop_program, big_cache, timing):
         acfg = build_acfg(loop_program, block_size=big_cache.block_size)
         analysis = analyze_cache(acfg, big_cache)
         times = compute_ref_times(acfg, analysis, timing)
-        for vertex in acfg.iter_topological():
-            if not vertex.is_ref:
-                assert times[vertex.rid] == 0.0
+        for rid, instr in enumerate(acfg.instr):
+            if instr is None:
+                assert times[rid] == 0.0
 
     def test_prefetch_adds_issue_slot(self, loop_program, big_cache, timing):
         target = loop_program.blocks[3].instructions[0]
@@ -54,8 +54,8 @@ class TestComputeRefTimes:
         acfg = build_acfg(loop_program, block_size=big_cache.block_size)
         analysis = analyze_cache(acfg, big_cache)
         times = compute_ref_times(acfg, analysis, timing)
-        pf = next(v for v in acfg.ref_vertices() if v.is_prefetch)
-        assert times[pf.rid] >= timing.hit_cycles + timing.prefetch_issue_cycles
+        pf = next(rid for rid in acfg.ref_rids if acfg.instr[rid].is_prefetch)
+        assert times[pf] >= timing.hit_cycles + timing.prefetch_issue_cycles
 
 
 class TestWCETResult:
@@ -63,7 +63,7 @@ class TestWCETResult:
         acfg = build_acfg(loop_program, block_size=tiny_cache.block_size)
         result = analyze_wcet(acfg, tiny_cache, timing)
         manual = sum(
-            result.tau_of(v.rid) for v in acfg.ref_vertices()
+            result.tau_of(rid) for rid in acfg.ref_rids
         ) + result.persistence_penalty
         assert result.tau_w == pytest.approx(manual)
 
